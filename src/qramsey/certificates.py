@@ -4,9 +4,14 @@ Two kinds.  A lower-bound certificate carries an avoiding coloring and is
 re-verified by running the detector over it, which is linear in the candidate
 table.  An upper-bound certificate records that the search tree was exhausted:
 the parameters, the node count and a hash of the decision trace.  At desk
-scale re-running the search is cheaper than checking a proof log, so
-verification of an upper bound is a structural check by default and an
-optional re-run.
+scale re-running the search is cheaper than checking a proof log, so an upper
+bound is checked only by a re-run; without one it is reported as not checked.
+
+Format 2 dropped the worker count from the upper-bound exhaustion record:
+the search no longer splits its tree, so the trace hash depends only on the
+instance.  Format 1 upper bounds are rejected and have to be regenerated with
+a fresh search.  Lower bounds kept their layout, so they are still written
+and read as format 1.
 
 The JSON layout is stable and fully ordered; byte-identical output for
 identical inputs is part of the contract, so no timestamps or volatile fields
@@ -26,7 +31,8 @@ from .detector import find_witness
 from .patterns import Family, Witness, parse_family
 from .windows import parse_window
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+LOWER_BOUND_FORMAT = 1
 
 LOWER_BOUND = "lower-bound"
 UPPER_BOUND = "upper-bound"
@@ -55,7 +61,7 @@ def family_from_fields(cert: dict[str, Any]) -> Family:
 
 def lower_bound_certificate(family: Family, window_spec: str, r: int, coloring: Coloring) -> dict:
     return {
-        "format_version": FORMAT_VERSION,
+        "format_version": LOWER_BOUND_FORMAT,
         "tool_version": __version__,
         "kind": LOWER_BOUND,
         **_family_fields(family),
@@ -71,7 +77,6 @@ def upper_bound_certificate(
     r: int,
     nodes: int,
     proof_log_hash: str,
-    workers: int,
 ) -> dict:
     return {
         "format_version": FORMAT_VERSION,
@@ -83,7 +88,6 @@ def upper_bound_certificate(
         "exhaustion": {
             "nodes": nodes,
             "proof_log_hash": proof_log_hash,
-            "workers": workers,
         },
     }
 
@@ -100,7 +104,6 @@ def certificate_for_result(result) -> dict:
             result.r,
             result.nodes,
             result.proof_log_hash or "",
-            result.budget.workers,
         )
     raise ValueError(f"no certificate for outcome {result.outcome!r}")
 
@@ -123,8 +126,15 @@ def load_certificate(path: str) -> dict:
     for key in ("format_version", "kind", "family", "window", "r"):
         if key not in cert:
             raise ValueError(f"certificate missing field {key!r}")
-    if cert["format_version"] != FORMAT_VERSION:
-        raise ValueError(f"unsupported certificate format {cert['format_version']}")
+    version, kind = cert["format_version"], cert["kind"]
+    if version == 1 and kind == UPPER_BOUND:
+        raise ValueError(
+            "format 1 upper-bound certificates are no longer accepted: their trace "
+            "hash depended on the removed worker split; re-run `qramsey search` "
+            "to regenerate the certificate"
+        )
+    if version != (LOWER_BOUND_FORMAT if kind == LOWER_BOUND else FORMAT_VERSION):
+        raise ValueError(f"unsupported certificate format {version}")
     return cert
 
 
@@ -133,15 +143,16 @@ class VerificationResult:
     ok: bool
     message: str
     witness: Witness | None = None
+    checked: bool = True  # False when the claim was not tested at all
 
 
 def verify_certificate(cert: dict, rerun: bool = False) -> VerificationResult:
     """Check a certificate.
 
     Lower bounds re-run the detector over the stored coloring.  Upper bounds
-    are structurally validated; with rerun=True the search is repeated with
-    the recorded worker split and must exhaust again with the same trace
-    hash.
+    are structurally validated; with rerun=True the search is repeated and
+    must exhaust again with the same trace hash.  Without a re-run the claim
+    is untested, so the result is not ok and has checked=False.
     """
     family = family_from_fields(cert)
     window = parse_window(cert["window"])
@@ -161,12 +172,14 @@ def verify_certificate(cert: dict, rerun: bool = False) -> VerificationResult:
         if not isinstance(ex, dict) or "nodes" not in ex or "proof_log_hash" not in ex:
             return VerificationResult(False, "malformed exhaustion record")
         if not rerun:
-            return VerificationResult(True, "structurally valid (not re-run)")
-        from .search import SearchBudget, search_avoiding
+            return VerificationResult(
+                False,
+                "upper bound not checked: it was not re-run (use --rerun)",
+                checked=False,
+            )
+        from .search import search_avoiding
 
-        res = search_avoiding(
-            family, window, r, budget=SearchBudget(workers=int(ex.get("workers", 1)))
-        )
+        res = search_avoiding(family, window, r)
         if res.outcome != "exhausted":
             return VerificationResult(False, f"re-run outcome was {res.outcome}")
         if res.proof_log_hash != ex["proof_log_hash"]:

@@ -4,7 +4,8 @@ Machine-readable results go to stdout as JSON with sorted keys and no
 timing fields, so identical inputs produce identical bytes.  Wall-clock
 timing goes to stderr.  Exit codes: 0 when the requested computation
 completed (whatever the mathematical outcome), 1 when a verification
-subcommand found a violation, 2 for bad configuration or arguments.
+subcommand found a violation, 2 for bad configuration or arguments, 3 when
+``verify`` did not check the claim (an upper bound without ``--rerun``).
 """
 
 from __future__ import annotations
@@ -98,7 +99,6 @@ def _budget(args: argparse.Namespace) -> SearchBudget:
     return SearchBudget(
         max_nodes=getattr(args, "nodes", None),
         max_seconds=getattr(args, "seconds", None),
-        workers=getattr(args, "workers", 1),
     )
 
 
@@ -125,7 +125,6 @@ def _result_json(res) -> dict:
         "budget": {
             "max_nodes": res.budget.max_nodes,
             "max_seconds": res.budget.max_seconds,
-            "workers": res.budget.workers,
         },
     }
 
@@ -180,12 +179,12 @@ def _cmd_sweep(args, out) -> int:
         cert_dir=args.cert_dir,
         stop_at_exhausted=args.stop_at_exhausted,
     )
-    out.write("n,window_size,outcome,nodes,seconds,certificate_path\n")
+    out.write("n,window_size,outcome,nodes,certificate_path\n")
     for row in report.rows:
         out.write(
-            f"{row.n},{row.window_size},{row.outcome},{row.nodes},"
-            f"{row.seconds:.3f},{row.certificate_path}\n"
+            f"{row.n},{row.window_size},{row.outcome},{row.nodes},{row.certificate_path}\n"
         )
+        print(f"n={row.n} search wall time: {row.seconds:.3f}s", file=sys.stderr)
     if report.minimal_exhausted_n is not None:
         print(f"minimal exhausted n: {report.minimal_exhausted_n}", file=sys.stderr)
     return 0
@@ -337,7 +336,9 @@ def _cmd_verify(args, out) -> int:
     if res.witness is not None:
         payload["witness"] = _witness_json(res.witness)
     _emit(out, payload)
-    return 0 if res.ok else 1
+    if res.ok:
+        return 0
+    return 1 if res.checked else 3
 
 
 def _cmd_catalog(args, out) -> int:
@@ -353,7 +354,6 @@ def _cmd_catalog(args, out) -> int:
 def _add_budget_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--nodes", type=int, default=None, help="node budget for the search")
     p.add_argument("--seconds", type=float, default=None, help="time budget in seconds")
-    p.add_argument("--workers", type=int, default=1, help="parallel subtree workers")
 
 
 def _add_family_flags(p: argparse.ArgumentParser) -> None:

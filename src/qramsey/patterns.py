@@ -289,10 +289,6 @@ def parse_family(
     )
 
 
-def serialize_family(family: Family) -> str:
-    return family.serialize()
-
-
 # ---------------------------------------------------------------------------
 # Built-in catalog
 

@@ -25,7 +25,7 @@ from typing import Sequence
 
 from .arith import PolynomialQ, format_rational, parse_rational
 from .patterns import AffineTerm, Family, VarX, VarY
-from .search import EXHAUSTED, SearchBudget, SweepRow, threshold_sweep
+from .search import BUDGET_EXCEEDED, EXHAUSTED, SearchBudget, SweepRow, threshold_sweep
 
 
 class RadoError(ValueError):
@@ -269,11 +269,14 @@ def cross_validate(
 ) -> ConsistencyReport:
     """Compare the columns-condition verdict with integer-window search.
 
-    A finite avoiding coloring can never contradict partition regularity, so
-    a regular verdict is consistent with every search outcome.  A
-    non-regular verdict is contradicted exactly by an exhausted row, which
-    would mean the family is unavoidable at that size.
+    At a fixed r no finite outcome contradicts either verdict: regularity
+    promises exhaustion only for some large enough window, and non-regularity
+    promises an avoiding coloring only for some number of colors.  The report
+    is therefore always consistent; its note says where the search found the
+    family unavoidable, if anywhere.
     """
+    if r < 1:
+        raise ValueError(f"need at least one color, got r={r}")
     condition = columns_condition(system)
     family, note = system_to_family(system)
     if family is None:
@@ -286,27 +289,21 @@ def cross_validate(
             note=note,
         )
     report = threshold_sweep(family, r, "int", 1, n_max, budget=budget)
+    verdict = "regular" if condition.holds else "non-regular"
     exhausted = [row.n for row in report.rows if row.outcome == EXHAUSTED]
-    if condition.holds:
-        consistent = True
-        if exhausted:
-            note = f"regular; unavoidable from n={exhausted[0]} at r={r}"
-        elif any(row.outcome == "budget-exceeded" for row in report.rows):
-            note = "regular; search budget exhausted before a threshold was found"
-        else:
-            note = f"regular; still avoidable at every n <= {n_max} with r={r}"
+    if exhausted:
+        note = f"{verdict}; unavoidable from n={exhausted[0]} at r={r}"
+    elif any(row.outcome == BUDGET_EXCEEDED for row in report.rows):
+        note = f"{verdict}; search budget exhausted before a threshold was found"
+    elif condition.holds:
+        note = f"regular; still avoidable at every n <= {n_max} with r={r}"
     else:
-        consistent = not exhausted
-        note = (
-            "non-regular and avoidable at every tested n"
-            if consistent
-            else f"contradiction: non-regular but exhausted at n={exhausted[0]}"
-        )
+        note = "non-regular and avoidable at every tested n"
     return ConsistencyReport(
         condition=condition,
         supported=True,
         family_text=family.serialize(),
         rows=report.rows,
-        consistent=consistent,
+        consistent=True,
         note=note,
     )

@@ -12,20 +12,16 @@ candidate constraints ("these indices may not be monochromatic"):
 
 Outcomes: an avoiding coloring (re-checked through the detector before it is
 returned), exhaustion of the tree (with node count and a hash of the decision
-trace), or budget exceeded.  With more than one worker the tree is split at a
-fixed depth into canonical prefix subtrees processed by a thread pool; the
-workers share a found flag and a node counter, and the set of subtrees is a
-pure function of the worker parameter, so the outcome does not depend on
-scheduling as long as budgets are not hit.
+trace), or budget exceeded.  The search is one sequential depth-first pass
+from the root, so the node count and the trace hash depend only on the
+instance.
 """
 
 from __future__ import annotations
 
 import hashlib
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .colorings import Coloring
 from .detector import CandidateTable, build_candidates, find_witness
@@ -36,14 +32,14 @@ AVOIDING = "avoiding"
 EXHAUSTED = "exhausted"
 BUDGET_EXCEEDED = "budget-exceeded"
 
-_FLUSH_EVERY = 64
+# The node and time budget is checked once every this many nodes.
+_CHECK_EVERY = 64
 
 
 @dataclass(frozen=True)
 class SearchBudget:
     max_nodes: int | None = None
     max_seconds: float | None = None
-    workers: int = 1
 
 
 @dataclass(frozen=True)
@@ -64,59 +60,42 @@ class _BudgetHit(Exception):
     pass
 
 
-class _Aborted(Exception):
-    pass
+class _Search:
+    """Backtracking state: colors, domains, constraint counts and the trail."""
 
-
-class _Shared:
-    """Node counter, deadline and found flag shared by subtree workers."""
-
-    def __init__(self, max_nodes: int | None, deadline: float | None) -> None:
-        self.lock = threading.Lock()
-        self.nodes = 0
-        self.max_nodes = max_nodes
-        self.deadline = deadline
-        self.found = threading.Event()
-
-    def flush(self, k: int) -> None:
-        with self.lock:
-            self.nodes += k
-            over = self.max_nodes is not None and self.nodes > self.max_nodes
-        if over or (self.deadline is not None and time.monotonic() > self.deadline):
-            raise _BudgetHit
-        if self.found.is_set():
-            raise _Aborted
-
-
-class _Subtree:
     def __init__(
         self,
-        members: list[tuple[int, ...]],
+        members: tuple[tuple[int, ...], ...],
         cons_of: list[list[int]],
         order: list[int],
         n: int,
         r: int,
-        shared: _Shared,
+        budget: SearchBudget,
     ) -> None:
         self.members = members
         self.cons_of = cons_of
         self.order = order
-        self.n = n
         self.r = r
-        self.shared = shared
+        self.max_nodes = budget.max_nodes
+        self.deadline = (
+            time.monotonic() + budget.max_seconds if budget.max_seconds is not None else None
+        )
         self.colors = [-1] * n
         self.domain = [(1 << r) - 1] * n
         self.ccount = [0] * len(members)
         self.ccolor = [-1] * len(members)  # -1 empty, >=0 uniform, -2 mixed
         self.trail: list[tuple] = []
-        self.local_nodes = 0
+        self.nodes = 0
         self.trace = hashlib.sha256()
 
     def _node(self, e: int, c: int) -> None:
-        self.local_nodes += 1
+        self.nodes += 1
         self.trace.update(b"%d:%d;" % (e, c))
-        if self.local_nodes % _FLUSH_EVERY == 0:
-            self.shared.flush(_FLUSH_EVERY)
+        if self.nodes % _CHECK_EVERY == 0:
+            if self.max_nodes is not None and self.nodes > self.max_nodes:
+                raise _BudgetHit
+            if self.deadline is not None and time.monotonic() > self.deadline:
+                raise _BudgetHit
 
     def _apply(self, e: int, c: int) -> bool:
         colors, domain = self.colors, self.domain
@@ -174,53 +153,11 @@ class _Subtree:
             self._undo(mark)
         return False
 
-    def run(self, prefix: tuple[int, ...]) -> tuple[str, list[int] | None, bytes]:
-        """Solve below a canonical prefix over the leading order positions."""
-        outcome = EXHAUSTED
-        colors_out: list[int] | None = None
-        try:
-            ok = True
-            used = 0
-            for depth, c in enumerate(prefix):
-                e = self.order[depth]
-                self._node(e, c)
-                if not self._apply(e, c):
-                    ok = False
-                    break
-                used = max(used, c + 1)
-            if ok and self._dfs(len(prefix), used):
-                outcome = AVOIDING
-                colors_out = [c if c >= 0 else 0 for c in self.colors]
-        except _BudgetHit:
-            outcome = BUDGET_EXCEEDED
-        except _Aborted:
-            outcome = "aborted"
-        with self.shared.lock:
-            self.shared.nodes += self.local_nodes % _FLUSH_EVERY
-        return outcome, colors_out, self.trace.digest()
-
-
-def _canonical_prefixes(depth: int, r: int) -> list[tuple[int, ...]]:
-    out: list[tuple[int, ...]] = []
-
-    def rec(prefix: tuple[int, ...], used: int) -> None:
-        if len(prefix) == depth:
-            out.append(prefix)
-            return
-        for c in range(min(used + 1, r)):
-            rec(prefix + (c,), max(used, c + 1))
-
-    rec((), 0)
-    return out
-
-
-def _split_depth(n_order: int, r: int, workers: int) -> int:
-    if workers <= 1:
-        return 0
-    for d in range(1, min(8, n_order) + 1):
-        if len(_canonical_prefixes(d, r)) >= 4 * workers:
-            return d
-    return min(8, n_order)
+    def run(self) -> list[int] | None:
+        """Colors of an avoiding coloring, or None once the tree is exhausted."""
+        if self._dfs(0, 0):
+            return [c if c >= 0 else 0 for c in self.colors]
+        return None
 
 
 def search_avoiding(
@@ -231,6 +168,8 @@ def search_avoiding(
     table: CandidateTable | None = None,
 ) -> SearchResult:
     """Decide whether an r-coloring of the window avoids the family."""
+    if r < 1:
+        raise ValueError(f"need at least one color, got r={r}")
     budget = budget or SearchBudget()
     start = time.perf_counter()
     if table is None:
@@ -261,47 +200,27 @@ def search_avoiding(
         digest = hashlib.sha256(b"singleton:%d" % groups[0][0]).hexdigest()
         return result(EXHAUSTED, None, 0, digest)
 
-    members = [g for g in groups]
     cons_of: list[list[int]] = [[] for _ in range(n)]
-    for ci, g in enumerate(members):
+    for ci, g in enumerate(groups):
         for e in g:
             cons_of[e].append(ci)
     constrained = [e for e in range(n) if cons_of[e]]
     order = sorted(constrained, key=lambda e: (-len(cons_of[e]), e))
 
-    deadline = (
-        time.monotonic() + budget.max_seconds if budget.max_seconds is not None else None
-    )
-    shared = _Shared(budget.max_nodes, deadline)
-    depth = _split_depth(len(order), r, budget.workers)
-    prefixes = _canonical_prefixes(depth, r)
-
-    def solve(prefix: tuple[int, ...]) -> tuple[str, list[int] | None, bytes]:
-        sub = _Subtree(members, cons_of, order, n, r, shared)
-        out = sub.run(prefix)
-        if out[0] == AVOIDING:
-            shared.found.set()
-        return out
-
-    if budget.workers <= 1:
-        outcomes = [solve(p) for p in prefixes]
-    else:
-        with ThreadPoolExecutor(max_workers=budget.workers) as pool:
-            outcomes = list(pool.map(solve, prefixes))
-
-    nodes = shared.nodes
-    for out, colors, _ in outcomes:
-        if out == AVOIDING and colors is not None:
-            coloring = Coloring(window, colors, r)
-            if find_witness(family, coloring, table) is not None:
-                raise RuntimeError("internal error: search returned a colorable witness")
-            return result(AVOIDING, coloring, nodes, None)
-    if any(out in (BUDGET_EXCEEDED, "aborted") for out, _, _ in outcomes):
-        return result(BUDGET_EXCEEDED, None, nodes, None)
-    combined = hashlib.sha256()
-    for _, _, digest in outcomes:
-        combined.update(digest)
-    return result(EXHAUSTED, None, nodes, combined.hexdigest())
+    search = _Search(groups, cons_of, order, n, r, budget)
+    try:
+        colors = search.run()
+    except _BudgetHit:
+        return result(BUDGET_EXCEEDED, None, search.nodes, None)
+    if colors is None:
+        # Hashing the trace digest once more keeps every exhaustion hash equal
+        # to the single-worker value of versions that split the tree.
+        digest = hashlib.sha256(search.trace.digest()).hexdigest()
+        return result(EXHAUSTED, None, search.nodes, digest)
+    coloring = Coloring(window, colors, r)
+    if find_witness(family, coloring, table) is not None:
+        raise RuntimeError("internal error: search returned a colorable witness")
+    return result(AVOIDING, coloring, search.nodes, None)
 
 
 # ---------------------------------------------------------------------------

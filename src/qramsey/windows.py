@@ -10,14 +10,13 @@ Three window kinds, each with a documented canonical enumeration order:
   bound, ordered by exponent vector; with signs enabled the negated block
   follows the positive one.  Never contains 0.
 
-Windows hash their membership index lazily; the first access builds it once
-under a lock so concurrent readers observe a single construction.
+Windows enumerate their elements and hash their membership index lazily, on
+first access.
 """
 
 from __future__ import annotations
 
 import re
-import threading
 from fractions import Fraction
 from itertools import product
 from math import gcd
@@ -52,7 +51,6 @@ class Window:
 
     def __init__(self, cap: int = DEFAULT_CAP) -> None:
         self.cap = cap
-        self._lock = threading.Lock()
         self._elements: tuple[Fraction, ...] | None = None
         self._index: dict[Fraction, int] | None = None
 
@@ -76,19 +74,14 @@ class Window:
 
     def elements(self) -> tuple[Fraction, ...]:
         if self._elements is None:
-            with self._lock:
-                if self._elements is None:
-                    self._check_cap()
-                    self._elements = tuple(self._enumerate())
+            self._check_cap()
+            self._elements = tuple(self._enumerate())
         return self._elements
 
     def index_of(self, q: Fraction | int) -> int | None:
         """Position of q in the canonical order, None when absent."""
         if self._index is None:
-            elems = self.elements()
-            with self._lock:
-                if self._index is None:
-                    self._index = {v: i for i, v in enumerate(elems)}
+            self._index = {v: i for i, v in enumerate(self.elements())}
         return self._index.get(Fraction(q))
 
     def __contains__(self, q: object) -> bool:

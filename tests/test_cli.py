@@ -4,6 +4,8 @@ import io
 import json
 import os
 
+import pytest
+
 from qramsey.cli import main
 from qramsey.cnf import export_cnf
 from qramsey.patterns import builtin_family
@@ -54,11 +56,7 @@ class TestSearch:
         assert payload["coloring"] is None
         assert len(payload["proof_log_hash"]) == 64
         assert payload["nodes"] >= 1
-        assert payload["budget"] == {
-            "max_nodes": None,
-            "max_seconds": None,
-            "workers": 1,
-        }
+        assert payload["budget"] == {"max_nodes": None, "max_seconds": None}
 
     def test_avoiding_round_trips_through_detect(self):
         code, payload = run_json(["search", "schur", "int:1..4", "-r", "2"])
@@ -84,10 +82,12 @@ class TestCertificates:
         path = tmp_path / "s5.upper-bound.json"
         assert path.exists()
         code, payload = run_json(["verify", str(path)])
-        assert code == 0
-        assert payload["ok"] is True
+        assert code == 3
+        assert payload["ok"] is False
+        assert "not re-run" in payload["message"]
         code, payload = run_json(["verify", str(path), "--rerun"])
         assert code == 0
+        assert payload["ok"] is True
         assert "matching trace hash" in payload["message"]
 
     def test_lower_bound_verifies(self, tmp_path):
@@ -124,10 +124,59 @@ class TestCertificates:
         cert["exhaustion"]["proof_log_hash"] = "0" * 64
         path.write_text(json.dumps(cert))
         code, payload = run_json(["verify", str(path)])
-        assert code == 0  # structural check does not test the hash
+        assert code == 3  # without a re-run the hash is not tested
         code, payload = run_json(["verify", str(path), "--rerun"])
         assert code == 1
         assert "differs" in payload["message"]
+
+
+    def test_forged_upper_bound_is_not_checked(self, tmp_path):
+        # A false claim: [0, 1, 1, 0] colors int:1..4 without a Schur triple.
+        run_json(
+            ["search", "schur", "int:1..5", "-r", "2",
+             "--cert-dir", str(tmp_path), "--cert-stem", "s5"]
+        )
+        path = tmp_path / "s5.upper-bound.json"
+        cert = json.loads(path.read_text())
+        cert.update({"family": "x; y; x + t", "window": "int:1..4", "r": 2})
+        path.write_text(json.dumps(cert))
+        code, payload = run_json(["verify", str(path)])
+        assert code == 3
+        assert payload["ok"] is False
+        assert "not re-run" in payload["message"]
+        code, payload = run_json(["verify", str(path), "--rerun"])
+        assert code == 1
+        assert payload["message"] == "re-run outcome was avoiding"
+
+    def test_format_1_upper_bound_rejected(self, tmp_path, capsys):
+        run_json(
+            ["search", "schur", "int:1..5", "-r", "2",
+             "--cert-dir", str(tmp_path), "--cert-stem", "s5"]
+        )
+        path = tmp_path / "s5.upper-bound.json"
+        cert = json.loads(path.read_text())
+        cert["format_version"] = 1
+        cert["exhaustion"]["workers"] = 1
+        path.write_text(json.dumps(cert))
+        capsys.readouterr()
+        code, text = run_cli(["verify", str(path), "--rerun"])
+        assert code == 2
+        assert text == ""
+        err = capsys.readouterr().err
+        assert "format 1 upper-bound certificates are no longer accepted" in err
+        assert "re-run `qramsey search`" in err
+
+    def test_certificate_formats(self, tmp_path):
+        for window, stem in (("int:1..4", "s4"), ("int:1..5", "s5")):
+            run_json(
+                ["search", "schur", window, "-r", "2",
+                 "--cert-dir", str(tmp_path), "--cert-stem", stem]
+            )
+        lower = json.loads((tmp_path / "s4.lower-bound.json").read_text())
+        upper = json.loads((tmp_path / "s5.upper-bound.json").read_text())
+        assert lower["format_version"] == 1
+        assert upper["format_version"] == 2
+        assert sorted(upper["exhaustion"]) == ["nodes", "proof_log_hash"]
 
 
 class TestSweep:
@@ -138,12 +187,12 @@ class TestSweep:
         )
         assert code == 0
         lines = text.strip().split("\n")
-        assert lines[0] == "n,window_size,outcome,nodes,seconds,certificate_path"
+        assert lines[0] == "n,window_size,outcome,nodes,certificate_path"
         rows = [l.split(",") for l in lines[1:]]
         assert [r[0] for r in rows] == ["1", "2", "3", "4", "5"]
         assert [r[2] for r in rows] == ["avoiding"] * 4 + ["exhausted"]
         for r in rows:
-            assert os.path.exists(r[5])
+            assert os.path.exists(r[4])
 
     def test_stop_at_exhausted(self):
         code, text = run_cli(
@@ -154,6 +203,15 @@ class TestSweep:
         rows = text.strip().split("\n")[1:]
         assert len(rows) == 5
         assert rows[-1].split(",")[2] == "exhausted"
+
+
+    def test_byte_identical_stdout(self, tmp_path):
+        argv = ["sweep", "vdw(2)", "-r", "2", "--lo", "1", "--hi", "9",
+                "--cert-dir", str(tmp_path)]
+        first = run_cli(argv)
+        second = run_cli(argv)
+        assert first[0] == 0
+        assert first == second
 
 
 class TestRado:
@@ -283,24 +341,24 @@ class TestCatalog:
 class TestConfig:
     def test_config_fills_defaults(self, tmp_path):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"workers": 2, "nodes": 500}))
+        cfg.write_text(json.dumps({"nodes": 500, "seconds": 60}))
         code, payload = run_json(
             ["--config", str(cfg), "search", "schur", "int:1..5", "-r", "2"]
         )
         assert code == 0
-        assert payload["budget"]["workers"] == 2
+        assert payload["budget"]["max_seconds"] == 60
         assert payload["budget"]["max_nodes"] == 500
 
     def test_flags_beat_config(self, tmp_path):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"workers": 2, "nodes": 500}))
+        cfg.write_text(json.dumps({"nodes": 500, "seconds": 60}))
         code, payload = run_json(
             ["--config", str(cfg), "search", "schur", "int:1..5", "-r", "2",
              "--nodes", "7"]
         )
         assert code == 0
         assert payload["budget"]["max_nodes"] == 7
-        assert payload["budget"]["workers"] == 2
+        assert payload["budget"]["max_seconds"] == 60
 
     def test_unreadable_config(self, tmp_path):
         code, _ = run_cli(
@@ -337,6 +395,22 @@ class TestErrorPaths:
     def test_missing_required_args(self):
         code, _ = run_cli(["sweep"])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["search", "schur", "int:1..4", "--cert-dir", "{dir}"],
+            ["sweep", "schur", "--lo", "1", "--hi", "5", "--cert-dir", "{dir}"],
+            ["rado", "x1 + x2 - x3 = 0", "--validate", "--n-max", "5"],
+        ],
+        ids=["search", "sweep", "rado"],
+    )
+    def test_zero_colors_rejected(self, tmp_path, argv):
+        cert_dir = tmp_path / "certs"
+        code, text = run_cli([a.format(dir=cert_dir) for a in argv] + ["-r", "0"])
+        assert code == 2
+        assert text == ""
+        assert not cert_dir.exists()
 
     def test_version_exits_zero(self):
         code, _ = run_cli(["--version"])

@@ -278,6 +278,16 @@ class TestCrossValidate:
         assert all(row.outcome == AVOIDING for row in report.rows)
         assert report.note == "non-regular and avoidable at every tested n"
 
+    def test_non_regular_equation_exhausted_at_fixed_r(self):
+        # Non-regularity promises an avoiding coloring for some number of
+        # colors, not for r = 2, so an exhausted row contradicts nothing.
+        report = cross_validate(LinearSystem.single([1, 1, -3]), r=2, n_max=9)
+        assert report.condition.holds is False
+        assert report.consistent is True
+        outcomes = [row.outcome for row in report.rows]
+        assert outcomes == [AVOIDING] * 8 + [EXHAUSTED]
+        assert report.note == "non-regular; unavoidable from n=9 at r=2"
+
     def test_unsupported_shape_reported(self):
         report = cross_validate(LinearSystem.single([1, 1, 1, -1]), r=2, n_max=4)
         assert report.supported is False

@@ -112,25 +112,21 @@ class TestDeterminismAndWorkers:
         assert a.proof_log_hash == b.proof_log_hash
         assert a.nodes == b.nodes
 
-    def test_worker_runs_reproduce_digest(self):
+    def test_outcome_at_schur_threshold(self):
         family = builtin_family("schur")
-        budget = SearchBudget(workers=3)
-        a = search_avoiding(family, IntegerInterval(1, 6), 2, budget=budget)
-        b = search_avoiding(family, IntegerInterval(1, 6), 2, budget=budget)
-        assert a.outcome == b.outcome == EXHAUSTED
-        assert a.proof_log_hash == b.proof_log_hash
-
-    @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_outcome_independent_of_worker_count(self, workers):
-        family = builtin_family("schur")
-        budget = SearchBudget(workers=workers)
-        assert (
-            search_avoiding(family, IntegerInterval(1, 5), 2, budget=budget).outcome
-            == EXHAUSTED
-        )
-        res4 = search_avoiding(family, IntegerInterval(1, 4), 2, budget=budget)
+        assert search_avoiding(family, IntegerInterval(1, 5), 2).outcome == EXHAUSTED
+        res4 = search_avoiding(family, IntegerInterval(1, 4), 2)
         assert res4.outcome == AVOIDING
         assert find_witness(family, res4.coloring) is None
+
+    def test_pinned_exhaustion_trace(self):
+        # W(3;3) = 27: node count and trace hash of the one sequential search.
+        res = search_avoiding(builtin_family("vdw(2)"), IntegerInterval(1, 27), 3)
+        assert res.outcome == EXHAUSTED
+        assert res.nodes == 18332
+        assert res.proof_log_hash == (
+            "f544426b9f228652bf7107590c00f96c12eca129cf5a97020408f908ad0120eb"
+        )
 
 
 class TestWindowTemplates:
