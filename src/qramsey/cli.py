@@ -367,7 +367,7 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
 
     Subcommands parse into their own namespace, so defaults from a config
     file have to be pushed into every subparser that knows the option, not
-    just the top-level parser.
+    just the top-level parser.  A key that no parser knows raises CliError.
     """
     parser = argparse.ArgumentParser(
         prog="qramsey",
@@ -468,11 +468,15 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_catalog)
 
     if defaults:
+        unknown = set(defaults)
         for target in (parser, *children):
             known = {a.dest for a in target._actions}
+            unknown -= known
             matching = {k: v for k, v in defaults.items() if k in known}
             if matching:
                 target.set_defaults(**matching)
+        if unknown:
+            raise CliError(f"unknown config keys: {', '.join(sorted(unknown))}")
     return parser
 
 
@@ -494,7 +498,11 @@ def main(argv: list[str] | None = None, out=None) -> int:
             print("error: config must be a JSON object", file=sys.stderr)
             return 2
         defaults = {k.replace("-", "_"): v for k, v in config.items()}
-    parser = build_parser(defaults)
+    try:
+        parser = build_parser(defaults)
+    except CliError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -41,7 +41,11 @@ class CnfInstance:
         return self.window.size() * self.r
 
     def var(self, element: int, color: int) -> int:
-        return element * self.r + color + 1
+        return _var(element, color, self.r)
+
+
+def _var(element: int, color: int, r: int) -> int:
+    return element * r + color + 1
 
 
 def export_cnf(
@@ -52,10 +56,10 @@ def export_cnf(
     n = window.size()
     clauses: list[tuple[int, ...]] = []
     for e in range(n):
-        clauses.append(tuple(e * r + c + 1 for c in range(r)))
+        clauses.append(tuple(_var(e, c, r) for c in range(r)))
     for group in table.constraint_groups():
         for c in range(r):
-            clauses.append(tuple(-(e * r + c + 1) for e in group))
+            clauses.append(tuple(-_var(e, c, r) for e in group))
     return CnfInstance(family=family, window=window, r=r, clauses=tuple(clauses))
 
 
@@ -109,7 +113,7 @@ def import_assignment(cnf: CnfInstance, literals: Iterable[int]) -> Coloring:
     colors = []
     r = cnf.r
     for e in range(cnf.window.size()):
-        chosen = next((c for c in range(r) if truth[e * r + c + 1]), None)
+        chosen = next((c for c in range(r) if truth[cnf.var(e, c)]), None)
         if chosen is None:
             raise AssignmentError(
                 f"assignment violates at-least-one clause for element {e}"

@@ -12,7 +12,6 @@ Every raw coloring maps onto exactly one representative by relabeling.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
 from typing import Iterator, Sequence
@@ -64,19 +63,6 @@ class Coloring:
 
     def __repr__(self) -> str:
         return f"Coloring({serialize_coloring(self)!r})"
-
-
-@dataclass(frozen=True)
-class ColorClassPartition:
-    classes: tuple[tuple[Fraction, ...], ...]
-
-
-def color_classes(coloring: Coloring) -> ColorClassPartition:
-    """Split the window into per-color element tuples (window order within each)."""
-    buckets: list[list[Fraction]] = [[] for _ in range(coloring.r)]
-    for v, c in zip(coloring.window.elements(), coloring.colors):
-        buckets[c].append(v)
-    return ColorClassPartition(tuple(tuple(b) for b in buckets))
 
 
 def class_index_masks(coloring: Coloring) -> list[int]:

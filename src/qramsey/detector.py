@@ -122,16 +122,8 @@ def find_witness(
     Complete relative to the table: no witness is missed among in-window
     instantiations.
     """
-    if table is None:
-        table = build_candidates(family, coloring.window)
-    _check_table(family, coloring, table)
-    class_masks = class_index_masks(coloring)
-    elems = coloring.window.elements()
-    for entry, mask in zip(table.entries, table.masks):
-        for color, cls in enumerate(class_masks):
-            if mask & cls == mask:
-                return _witness(family, coloring, elems, entry, color)
-    return None
+    found = all_witnesses(family, coloring, limit=1, table=table)
+    return found[0] if found else None
 
 
 def all_witnesses(

@@ -167,12 +167,6 @@ class Family:
     def uses_y(self) -> bool:
         return any(t.uses_y for t in self.terms)
 
-    def power_exponents(self) -> tuple[int, ...]:
-        return tuple(t.exponent for t in self.terms if isinstance(t, PowerTerm))
-
-    def additive_polynomials(self) -> tuple[PolynomialQ, ...]:
-        return tuple(t.poly for t in self.terms if isinstance(t, AffineTerm))
-
     def has_offsets(self) -> bool:
         return any(isinstance(t, OffsetTerm) for t in self.terms)
 

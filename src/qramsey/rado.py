@@ -105,8 +105,11 @@ class ColumnsConditionResult:
     note: str
 
 
-def _in_span(vec: tuple[Fraction, ...], basis: list[tuple[Fraction, ...]]) -> bool:
-    # basis rows are kept in echelon form (leading entries normalized).
+def _reduce(vec: tuple[Fraction, ...], basis: list[tuple[Fraction, ...]]) -> list[Fraction]:
+    """What is left of vec after elimination by the basis rows.
+
+    The basis rows are kept in echelon form (leading entries normalized).
+    """
     residue = list(vec)
     for brow in basis:
         lead = next(i for i, v in enumerate(brow) if v != 0)
@@ -114,19 +117,17 @@ def _in_span(vec: tuple[Fraction, ...], basis: list[tuple[Fraction, ...]]) -> bo
             f = residue[lead]
             for i in range(len(residue)):
                 residue[i] -= f * brow[i]
-    return all(v == 0 for v in residue)
+    return residue
+
+
+def _in_span(vec: tuple[Fraction, ...], basis: list[tuple[Fraction, ...]]) -> bool:
+    return not any(_reduce(vec, basis))
 
 
 def _extend_basis(
     basis: list[tuple[Fraction, ...]], vec: tuple[Fraction, ...]
 ) -> list[tuple[Fraction, ...]]:
-    residue = list(vec)
-    for brow in basis:
-        lead = next(i for i, v in enumerate(brow) if v != 0)
-        if residue[lead] != 0:
-            f = residue[lead]
-            for i in range(len(residue)):
-                residue[i] -= f * brow[i]
+    residue = _reduce(vec, basis)
     lead = next((i for i, v in enumerate(residue) if v != 0), None)
     if lead is None:
         return basis

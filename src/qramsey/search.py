@@ -1,20 +1,28 @@
 """Exhaustive search for avoiding colorings.
 
 The solver assigns colors to window elements by backtracking over the
-candidate constraints ("these indices may not be monochromatic"):
+constraint groups of the candidate table ("these indices may not all share
+one color"):
 
-* assignment order is most-constrained-first (descending candidate degree,
+* assignment order is most-constrained-first (descending group count,
   index as tie-break);
-* propagation is forced-color elimination: when all but one member of a
-  constraint share a color, that color is struck from the last member;
+* propagation is forced-color elimination: after an element takes color c,
+  every group holding it is scanned, and a group whose members all have
+  color c but one uncolored member has c struck from that member's domain;
+  a group all of color c is a conflict;
 * symmetry breaking fixes the first assigned element to color 0 and only
   admits a brand-new color directly after the existing ones.
+
+The search state is the color of each element, a bitmask domain of the
+colors still open to it, and one trail of struck (element, color bit) pairs;
+backtracking uncolors the element and restores the strikes made since it
+was colored.  Constraint state is read from the groups themselves.
 
 Outcomes: an avoiding coloring (re-checked through the detector before it is
 returned), exhaustion of the tree (with node count and a hash of the decision
 trace), or budget exceeded.  The search is one sequential depth-first pass
 from the root, so the node count and the trace hash depend only on the
-instance.
+instance.  A node budget of N stops the search with exactly N nodes counted.
 """
 
 from __future__ import annotations
@@ -32,14 +40,26 @@ AVOIDING = "avoiding"
 EXHAUSTED = "exhausted"
 BUDGET_EXCEEDED = "budget-exceeded"
 
-# The node and time budget is checked once every this many nodes.
+# The node budget is checked at every node; the clock, which costs a system
+# call, only once every this many nodes.
 _CHECK_EVERY = 64
 
 
 @dataclass(frozen=True)
 class SearchBudget:
+    """Stop after max_nodes nodes, or once max_seconds have passed."""
+
     max_nodes: int | None = None
     max_seconds: float | None = None
+
+    def __post_init__(self) -> None:
+        nodes, seconds = self.max_nodes, self.max_seconds
+        if nodes is not None and (type(nodes) is not int or nodes < 0):
+            raise ValueError(f"node budget must be a non-negative integer, got {nodes!r}")
+        if seconds is not None and (
+            type(seconds) not in (int, float) or not seconds >= 0
+        ):
+            raise ValueError(f"time budget must be a non-negative number, got {seconds!r}")
 
 
 @dataclass(frozen=True)
@@ -61,20 +81,18 @@ class _BudgetHit(Exception):
 
 
 class _Search:
-    """Backtracking state: colors, domains, constraint counts and the trail."""
+    """Backtracking state: colors, domains and the trail of struck colors."""
 
     def __init__(
-        self,
-        members: tuple[tuple[int, ...], ...],
-        cons_of: list[list[int]],
-        order: list[int],
-        n: int,
-        r: int,
-        budget: SearchBudget,
+        self, groups: tuple[tuple[int, ...], ...], n: int, r: int, budget: SearchBudget
     ) -> None:
-        self.members = members
-        self.cons_of = cons_of
-        self.order = order
+        self.cons_of: list[list[tuple[int, ...]]] = [[] for _ in range(n)]
+        for group in groups:
+            for e in group:
+                self.cons_of[e].append(group)
+        self.order = sorted(
+            (e for e in range(n) if self.cons_of[e]), key=lambda e: (-len(self.cons_of[e]), e)
+        )
         self.r = r
         self.max_nodes = budget.max_nodes
         self.deadline = (
@@ -82,75 +100,62 @@ class _Search:
         )
         self.colors = [-1] * n
         self.domain = [(1 << r) - 1] * n
-        self.ccount = [0] * len(members)
-        self.ccolor = [-1] * len(members)  # -1 empty, >=0 uniform, -2 mixed
-        self.trail: list[tuple] = []
+        self.trail: list[tuple[int, int]] = []
         self.nodes = 0
         self.trace = hashlib.sha256()
 
     def _node(self, e: int, c: int) -> None:
+        if self.nodes == self.max_nodes:
+            raise _BudgetHit
         self.nodes += 1
         self.trace.update(b"%d:%d;" % (e, c))
-        if self.nodes % _CHECK_EVERY == 0:
-            if self.max_nodes is not None and self.nodes > self.max_nodes:
-                raise _BudgetHit
-            if self.deadline is not None and time.monotonic() > self.deadline:
-                raise _BudgetHit
+        if (
+            self.deadline is not None
+            and self.nodes % _CHECK_EVERY == 0
+            and time.monotonic() > self.deadline
+        ):
+            raise _BudgetHit
 
     def _apply(self, e: int, c: int) -> bool:
+        """Color e with c and propagate; False on a conflict."""
         colors, domain = self.colors, self.domain
         colors[e] = c
-        self.trail.append(("a", e))
-        for ci in self.cons_of[e]:
-            oldc, oldu = self.ccount[ci], self.ccolor[ci]
-            self.trail.append(("k", ci, oldc, oldu))
-            cnt = oldc + 1
-            self.ccount[ci] = cnt
-            u = c if oldc == 0 else (c if oldu == c else -2)
-            self.ccolor[ci] = u
-            if u >= 0:
-                size = len(self.members[ci])
-                if cnt == size:
-                    return False
-                if cnt == size - 1:
-                    free = -1
-                    for t in self.members[ci]:
-                        if colors[t] < 0:
-                            free = t
-                            break
-                    bit = 1 << u
-                    if domain[free] & bit:
-                        domain[free] &= ~bit
-                        self.trail.append(("d", free, bit))
-                        if domain[free] == 0:
-                            return False
-        return True
-
-    def _undo(self, mark: int) -> None:
-        trail = self.trail
-        while len(trail) > mark:
-            step = trail.pop()
-            if step[0] == "a":
-                self.colors[step[1]] = -1
-            elif step[0] == "k":
-                self.ccount[step[1]] = step[2]
-                self.ccolor[step[1]] = step[3]
+        bit = 1 << c
+        for group in self.cons_of[e]:
+            free = -1
+            for t in group:
+                ct = colors[t]
+                if ct == c:
+                    continue
+                if ct >= 0 or free >= 0:
+                    break  # another color, or a second uncolored member
+                free = t
             else:
-                self.domain[step[1]] |= step[2]
+                if free < 0:
+                    return False  # the whole group has color c
+                if domain[free] & bit:
+                    domain[free] ^= bit
+                    self.trail.append((free, bit))
+                    if not domain[free]:
+                        return False
+        return True
 
     def _dfs(self, depth: int, used: int) -> bool:
         if depth == len(self.order):
             return True
         e = self.order[depth]
-        top = min(used + 1, self.r)
-        for c in range(top):
-            if not (self.domain[e] >> c) & 1:
+        trail, domain = self.trail, self.domain
+        for c in range(min(used + 1, self.r)):
+            if not (domain[e] >> c) & 1:
                 continue
             self._node(e, c)
-            mark = len(self.trail)
+            mark = len(trail)
             if self._apply(e, c) and self._dfs(depth + 1, max(used, c + 1)):
                 return True
-            self._undo(mark)
+            self.colors[e] = -1
+            while len(trail) > mark:
+                t, bit = trail.pop()
+                domain[t] |= bit
         return False
 
     def run(self) -> list[int] | None:
@@ -175,7 +180,6 @@ def search_avoiding(
     if table is None:
         table = build_candidates(family, window)
     groups = table.constraint_groups()
-    n = window.size()
 
     def result(outcome: str, coloring: Coloring | None, nodes: int, digest: str | None) -> SearchResult:
         return SearchResult(
@@ -191,23 +195,12 @@ def search_avoiding(
             budget=budget,
         )
 
-    if not groups:
-        coloring = Coloring(window, [0] * n, r)
-        assert find_witness(family, coloring, table) is None
-        return result(AVOIDING, coloring, 0, None)
-    if len(groups[0]) == 1:
+    if groups and len(groups[0]) == 1:
         # A single-index constraint is monochromatic under every coloring.
         digest = hashlib.sha256(b"singleton:%d" % groups[0][0]).hexdigest()
         return result(EXHAUSTED, None, 0, digest)
 
-    cons_of: list[list[int]] = [[] for _ in range(n)]
-    for ci, g in enumerate(groups):
-        for e in g:
-            cons_of[e].append(ci)
-    constrained = [e for e in range(n) if cons_of[e]]
-    order = sorted(constrained, key=lambda e: (-len(cons_of[e]), e))
-
-    search = _Search(groups, cons_of, order, n, r, budget)
+    search = _Search(groups, window.size(), r, budget)
     try:
         colors = search.run()
     except _BudgetHit:

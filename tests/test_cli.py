@@ -67,6 +67,17 @@ class TestSearch:
         assert code2 == 0
         assert check["witness"] is None
 
+    def test_node_budget_stops_at_exactly_n_nodes(self, tmp_path):
+        code, payload = run_json(
+            ["search", "schur", "int:1..30", "-r", "3", "--nodes", "100",
+             "--cert-dir", str(tmp_path)]
+        )
+        assert code == 0
+        assert payload["outcome"] == "budget-exceeded"
+        assert payload["nodes"] == 100
+        assert payload["budget"] == {"max_nodes": 100, "max_seconds": None}
+        assert list(tmp_path.iterdir()) == []
+
     def test_byte_identical_repeat(self):
         argv = ["search", "vdw(2)", "int:1..8", "-r", "2"]
         assert run_cli(argv) == run_cli(argv)
@@ -360,6 +371,16 @@ class TestConfig:
         assert payload["budget"]["max_nodes"] == 7
         assert payload["budget"]["max_seconds"] == 60
 
+    def test_unknown_keys_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"workers": 4, "nodez": 10}))
+        code, text = run_cli(
+            ["--config", str(cfg), "search", "schur", "int:1..5", "-r", "2"]
+        )
+        assert code == 2
+        assert text == ""
+        assert "unknown config keys: nodez, workers" in capsys.readouterr().err
+
     def test_unreadable_config(self, tmp_path):
         code, _ = run_cli(
             ["--config", str(tmp_path / "missing.json"), "catalog"]
@@ -408,6 +429,24 @@ class TestErrorPaths:
     def test_zero_colors_rejected(self, tmp_path, argv):
         cert_dir = tmp_path / "certs"
         code, text = run_cli([a.format(dir=cert_dir) for a in argv] + ["-r", "0"])
+        assert code == 2
+        assert text == ""
+        assert not cert_dir.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["search", "schur", "int:1..30", "-r", "3", "--cert-dir", "{dir}"],
+            ["sweep", "schur", "-r", "2", "--lo", "1", "--hi", "5", "--cert-dir", "{dir}"],
+            ["rado", "x1 + x2 - x3 = 0", "--validate", "--n-max", "5"],
+        ],
+        ids=["search", "sweep", "rado"],
+    )
+    @pytest.mark.parametrize("budget", [["--nodes", "-1"], ["--seconds", "-1"]],
+                             ids=["nodes", "seconds"])
+    def test_negative_budget_rejected(self, tmp_path, argv, budget):
+        cert_dir = tmp_path / "certs"
+        code, text = run_cli([a.format(dir=cert_dir) for a in argv] + budget)
         assert code == 2
         assert text == ""
         assert not cert_dir.exists()

@@ -10,7 +10,6 @@ from qramsey.colorings import (
     ColoringError,
     canonical_form,
     class_index_masks,
-    color_classes,
     count_colorings,
     enumerate_colorings,
     list_colorings,
@@ -18,7 +17,7 @@ from qramsey.colorings import (
     random_coloring,
     serialize_coloring,
 )
-from qramsey.windows import FareyWindow, IntegerInterval
+from qramsey.windows import IntegerInterval
 
 
 class TestColoring:
@@ -49,16 +48,6 @@ class TestColoring:
 
 
 class TestClasses:
-    def test_partition_covers_window(self):
-        rng = random.Random(3)
-        w = FareyWindow(3)
-        for _ in range(20):
-            c = random_coloring(w, 3, rng)
-            classes = color_classes(c).classes
-            assert len(classes) == 3
-            union = [v for cls in classes for v in cls]
-            assert sorted(union) == sorted(w.elements())
-
     def test_masks_match_classes(self):
         w = IntegerInterval(1, 6)
         c = Coloring(w, [0, 1, 2, 1, 0, 2], 3)

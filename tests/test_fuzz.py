@@ -30,7 +30,7 @@ from qramsey.windows import parse_window
 
 from _dpll import model_literals, solve
 
-DRAWS = 200
+DRAWS = 300
 SCALARS = [Fraction(1), Fraction(1), Fraction(2), Fraction(-1), Fraction(1, 2)]
 WINDOWS = [
     "farey:1",
@@ -44,7 +44,8 @@ WINDOWS = [
 
 
 def draw_term(rng, allow_offsets):
-    kind = rng.choice(["x", "y", "affine", "affine", "affine", "power"] + ["offset"] * allow_offsets)
+    kinds = ["x", "y", "affine", "affine", "affine", "power"]
+    kind = rng.choice(kinds + ["offset"] * allow_offsets)
     if kind == "x":
         return VarX()
     if kind == "y":
@@ -63,7 +64,7 @@ def draw_term(rng, allow_offsets):
 def draw_family(rng):
     allow_offsets = rng.random() < 0.3
     terms = [VarX()] if rng.random() < 0.8 else []
-    for _ in range(rng.randint(1, 3)):
+    for _ in range(rng.randint(2, 3)):
         term = draw_term(rng, allow_offsets)
         if term not in terms:
             terms.append(term)
@@ -77,7 +78,7 @@ def draw_family(rng):
 def draw_window(rng):
     if rng.random() < 0.6:
         lo = rng.choice([-4, -2, 0, 1, 1, 1, 2, 3])
-        return parse_window(f"int:{lo}..{lo + rng.randint(2, 8)}")
+        return parse_window(f"int:{lo}..{lo + rng.randint(4, 8)}")
     return parse_window(rng.choice(WINDOWS))
 
 

@@ -85,8 +85,46 @@ class TestOutcomes:
             family, IntegerInterval(1, 14), 3, budget=SearchBudget(max_nodes=1)
         )
         assert res.outcome == BUDGET_EXCEEDED
+        assert res.nodes == 1
         assert res.coloring is None
         assert res.proof_log_hash is None
+
+    @pytest.mark.parametrize("max_nodes", [0, 10, 100, 194])
+    def test_node_budget_is_exact(self, max_nodes):
+        # The full search takes 195 nodes.
+        res = search_avoiding(
+            builtin_family("schur"),
+            IntegerInterval(1, 14),
+            3,
+            budget=SearchBudget(max_nodes=max_nodes),
+        )
+        assert res.outcome == BUDGET_EXCEEDED
+        assert res.nodes == max_nodes
+
+    def test_node_budget_equal_to_tree_size_completes(self):
+        res = search_avoiding(
+            builtin_family("schur"), IntegerInterval(1, 14), 3, budget=SearchBudget(max_nodes=195)
+        )
+        assert res.outcome == EXHAUSTED
+        assert res.nodes == 195
+
+    @pytest.mark.parametrize(
+        "budget",
+        [
+            {"max_nodes": -1},
+            {"max_seconds": -0.5},
+            {"max_nodes": 2.5},
+            {"max_nodes": True},
+            {"max_seconds": "60"},
+        ],
+        ids=["negative-nodes", "negative-seconds", "fractional-nodes", "bool-nodes",
+             "text-seconds"],
+    )
+    def test_invalid_budget_rejected(self, budget):
+        with pytest.raises(ValueError, match="budget"):
+            search_avoiding(
+                builtin_family("schur"), IntegerInterval(1, 5), 2, budget=SearchBudget(**budget)
+            )
 
     def test_time_budget(self):
         family = builtin_family("schur")
@@ -120,13 +158,23 @@ class TestDeterminismAndWorkers:
         assert find_witness(family, res4.coloring) is None
 
     def test_pinned_exhaustion_trace(self):
-        # W(3;3) = 27: node count and trace hash of the one sequential search.
-        res = search_avoiding(builtin_family("vdw(2)"), IntegerInterval(1, 27), 3)
-        assert res.outcome == EXHAUSTED
-        assert res.nodes == 18332
-        assert res.proof_log_hash == (
-            "f544426b9f228652bf7107590c00f96c12eca129cf5a97020408f908ad0120eb"
-        )
+        # Node count and trace hash of the one sequential search: W(3;3) = 27,
+        # and the benchmark's int:1..45 refutation at r = 2.
+        cases = [
+            (
+                builtin_family("vdw(2)"), 27, 3, 18332,
+                "f544426b9f228652bf7107590c00f96c12eca129cf5a97020408f908ad0120eb",
+            ),
+            (
+                parse_family("x; x + t; x + 4*t; x + 5*t"), 45, 2, 144754,
+                "29cd8fb7243beae3c88f40543ffbd494250da9833b6da6a84a6ec577d9e61fc5",
+            ),
+        ]
+        for family, n, r, nodes, digest in cases:
+            res = search_avoiding(family, IntegerInterval(1, n), r)
+            assert res.outcome == EXHAUSTED
+            assert res.nodes == nodes
+            assert res.proof_log_hash == digest
 
 
 class TestWindowTemplates:
