@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 import time
 from fractions import Fraction
@@ -21,7 +20,6 @@ from . import __version__
 from .arith import format_rational, parse_rational
 from .certificates import (
     certificate_for_result,
-    dumps_certificate,
     load_certificate,
     verify_certificate,
     write_certificate,
@@ -30,9 +28,7 @@ from .cnf import export_cnf, import_assignment, parse_assignment, to_dimacs
 from .colorings import Coloring
 from .detector import build_candidates, find_witness
 from .largesets import (
-    CoreNotInteriorError,
     IpSetSpec,
-    LargeSetError,
     ShapeF,
     find_ip_r,
     finite_sums,
@@ -42,8 +38,8 @@ from .largesets import (
     localize_colors,
     piecewise_syndetic_witness,
 )
-from .patterns import Family, PatternSyntaxError, builtin_family, default_catalog, parse_family
-from .rado import RadoError, columns_condition, cross_validate, parse_equation, system_to_family
+from .patterns import Family, builtin_family, default_catalog, parse_family
+from .rado import columns_condition, cross_validate, parse_equation, system_to_family
 from .search import (
     AVOIDING,
     EXHAUSTED,
@@ -51,9 +47,7 @@ from .search import (
     search_avoiding,
     threshold_sweep,
 )
-from .windows import Window, WindowError, parse_window
-
-DEFAULT_SEED = 271828
+from .windows import Window, parse_window
 
 
 class CliError(Exception):
@@ -73,9 +67,9 @@ def _resolve_family(args: argparse.Namespace) -> Family:
         pass
     return parse_family(
         text,
-        allow_offsets=getattr(args, "allow_offsets", False),
-        require_distinct_values=getattr(args, "distinct", False),
-        strict_nonzero_x=getattr(args, "strict_x", False),
+        allow_offsets=args.allow_offsets,
+        require_distinct_values=args.distinct,
+        strict_nonzero_x=args.strict_x,
     )
 
 
@@ -96,10 +90,7 @@ def _parse_rational_list(text: str) -> list[Fraction]:
 
 
 def _budget(args: argparse.Namespace) -> SearchBudget:
-    return SearchBudget(
-        max_nodes=getattr(args, "nodes", None),
-        max_seconds=getattr(args, "seconds", None),
-    )
+    return SearchBudget(max_nodes=args.nodes, max_seconds=args.seconds)
 
 
 def _witness_json(w) -> dict | None:
@@ -192,14 +183,10 @@ def _cmd_sweep(args, out) -> int:
 
 def _cmd_rado(args, out) -> int:
     system = parse_equation(args.equation)
-    payload: dict = {"equation": args.equation}
     if args.validate:
         report = cross_validate(system, args.r, args.n_max, budget=_budget(args))
-        payload.update({
-            "columns_condition": report.condition.holds,
-            "partition": [list(block) for block in report.condition.partition]
-            if report.condition.partition
-            else None,
+        cond = report.condition
+        details = {
             "supported": report.supported,
             "family": report.family_text,
             "consistent": report.consistent,
@@ -207,19 +194,20 @@ def _cmd_rado(args, out) -> int:
             "rows": [
                 {"n": r.n, "outcome": r.outcome, "nodes": r.nodes} for r in report.rows
             ],
-        })
+        }
     else:
-        cond = columns_condition(system, method=args.method)
+        cond = columns_condition(system)
         family, note = system_to_family(system)
-        payload.update({
-            "columns_condition": cond.holds,
-            "partition": [list(block) for block in cond.partition]
-            if cond.partition
-            else None,
+        details = {
             "family": None if family is None else family.serialize(),
             "note": cond.note or note,
-        })
-    _emit(out, payload)
+        }
+    _emit(out, {
+        "equation": args.equation,
+        "columns_condition": cond.holds,
+        "partition": [list(block) for block in cond.partition] if cond.partition else None,
+        **details,
+    })
     return 0
 
 
@@ -259,7 +247,7 @@ def _cmd_largeset(args, out) -> int:
             None if found is None else [format_rational(f) for f in found.elements]
         )
     elif args.check == "ip":
-        gens = find_ip_r(aset, args.ip_r, args.mode, rng=random.Random(args.seed))
+        gens = find_ip_r(aset, args.ip_r, args.mode)
         payload["found"] = gens is not None
         payload["generators"] = (
             None if gens is None else [format_rational(g) for g in gens]
@@ -275,11 +263,9 @@ def _cmd_largeset(args, out) -> int:
 
 def _cmd_localize(args, out) -> int:
     window = parse_window(args.window)
-    colors = _parse_colors(args.colors)
-    r = args.r if args.r is not None else (max(colors) + 1 if colors else 1)
-    coloring = Coloring(window, colors, r)
+    coloring = _coloring_from_args(window, args)
     shape = ShapeF(tuple(_parse_rational_list(args.shape)), "*")
-    report = localize_colors(coloring, shape, args.max_f, exhaustive_size=args.exhaustive)
+    report = localize_colors(coloring, shape, args.max_f)
     if report is None:
         _emit(out, {"localized": False, "window": window.spec_string()})
         return 0
@@ -362,12 +348,30 @@ def _add_family_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--strict-x", action="store_true", help="forbid x = 0 in instantiations")
 
 
+def _config_value(key: str, value, action: argparse.Action):
+    """A config value in the form the parser expects for ``action``.
+
+    A flag takes only JSON true or false.  An option that takes a value gets
+    it as a string, so argparse converts it with the option's own type, as it
+    does for the same text on the command line.  Anything else raises
+    CliError.
+    """
+    if action.nargs == 0:
+        if isinstance(value, bool):
+            return value
+        raise CliError(f"config key {key} is a flag: use true or false, not {json.dumps(value)}")
+    if isinstance(value, (str, int, float)) and not isinstance(value, bool):
+        return str(value)
+    raise CliError(f"config key {key} takes a string or a number, not {json.dumps(value)}")
+
+
 def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     """Assemble the parser; ``defaults`` override matching option defaults.
 
     Subcommands parse into their own namespace, so defaults from a config
     file have to be pushed into every subparser that knows the option, not
-    just the top-level parser.  A key that no parser knows raises CliError.
+    just the top-level parser.  A key that no parser knows, or a value of
+    the wrong kind, raises CliError.
     """
     parser = argparse.ArgumentParser(
         prog="qramsey",
@@ -415,7 +419,6 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
 
     p = add_command("rado", help="columns condition for a linear equation")
     p.add_argument("equation", help='e.g. "1*x1 + 1*x2 - 1*x3 = 0"')
-    p.add_argument("--method", default="auto", choices=["auto", "shortcut", "general"])
     p.add_argument("--validate", action="store_true", help="cross-check against search")
     p.add_argument("-r", type=int, default=2)
     p.add_argument("--n-max", type=int, default=20)
@@ -431,7 +434,6 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--core", default=None, help="syndetic core (default: interior)")
     p.add_argument("--max-f", type=int, default=3)
     p.add_argument("--ip-r", type=int, default=2)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.set_defaults(func=_cmd_largeset)
 
     p = add_command("localize", help="localize colors over a multiplicative grid")
@@ -440,7 +442,6 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("-r", type=int, default=None)
     p.add_argument("--shape", required=True, help="multiplicative thickness shape")
     p.add_argument("--max-f", type=int, default=3)
-    p.add_argument("--exhaustive", type=int, default=3)
     p.set_defaults(func=_cmd_localize)
 
     p = add_command("export-cnf", help="write the avoidance problem as DIMACS")
@@ -470,9 +471,11 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     if defaults:
         unknown = set(defaults)
         for target in (parser, *children):
-            known = {a.dest for a in target._actions}
-            unknown -= known
-            matching = {k: v for k, v in defaults.items() if k in known}
+            actions = {a.dest: a for a in target._actions}
+            unknown -= actions.keys()
+            matching = {
+                k: _config_value(k, v, actions[k]) for k, v in defaults.items() if k in actions
+            }
             if matching:
                 target.set_defaults(**matching)
         if unknown:
@@ -512,17 +515,7 @@ def main(argv: list[str] | None = None, out=None) -> int:
         code = args.func(args, out)
         print(f"total wall time: {time.perf_counter() - started:.3f}s", file=sys.stderr)
         return code
-    except (
-        CliError,
-        WindowError,
-        LargeSetError,
-        CoreNotInteriorError,
-        PatternSyntaxError,
-        RadoError,
-        ValueError,
-        OSError,
-        KeyError,
-    ) as exc:
+    except (CliError, ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -85,21 +85,14 @@ def canonical_form(colors: Sequence[int]) -> tuple[int, ...]:
 
 
 def enumerate_colorings(
-    window: Window,
-    r: int,
-    symmetry: bool = False,
-    prefix: Sequence[int] = (),
+    window: Window, r: int, symmetry: bool = False
 ) -> Iterator[Coloring]:
-    """Stream colorings extending ``prefix`` in lexicographic color order.
+    """Stream colorings in lexicographic color order.
 
-    With symmetry on, only canonical representatives are produced; a nonempty
-    prefix is then taken as already canonical and extended canonically.
+    With symmetry on, only canonical representatives are produced.
     """
     n = window.size()
-    prefix = tuple(prefix)
-    if len(prefix) > n:
-        raise ColoringError("prefix longer than window")
-    work = list(prefix) + [0] * (n - len(prefix))
+    work = [0] * n
 
     def rec(i: int, used: int) -> Iterator[Coloring]:
         if i == n:
@@ -111,8 +104,7 @@ def enumerate_colorings(
             yield from rec(i + 1, max(used, c + 1))
         work[i] = 0
 
-    used0 = max(prefix) + 1 if prefix else 0
-    return rec(len(prefix), used0)
+    return rec(0, 0)
 
 
 def count_colorings(n: int, r: int, symmetry: bool = False) -> int:

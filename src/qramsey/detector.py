@@ -21,7 +21,7 @@ from .colorings import Coloring, class_index_masks
 from .patterns import Family, Witness, instantiate
 from .windows import CapExceededError, Window
 
-DEFAULT_PAIR_CAP = 25_000_000
+PAIR_CAP = 25_000_000
 
 
 @dataclass(frozen=True)
@@ -67,17 +67,18 @@ class CandidateTable:
         return tuple(kept)
 
 
-def build_candidates(
-    family: Family, window: Window, pair_cap: int = DEFAULT_PAIR_CAP
-) -> CandidateTable:
-    """Enumerate all in-window instantiations, x-major then y in window order."""
+def build_candidates(family: Family, window: Window) -> CandidateTable:
+    """Enumerate all in-window instantiations, x-major then y in window order.
+
+    A family that uses y needs at most PAIR_CAP (x, y) pairs.
+    """
     elems = window.elements()
     need_x = family.requires_nonzero_x
     if family.uses_y:
-        if len(elems) * len(elems) > pair_cap:
+        if len(elems) * len(elems) > PAIR_CAP:
             raise CapExceededError(
                 f"candidate table for {window.spec_string()} needs "
-                f"{len(elems) ** 2} pairs, cap is {pair_cap}"
+                f"{len(elems) ** 2} pairs, cap is {PAIR_CAP}"
             )
         y_range = list(enumerate(elems))
     else:
@@ -140,12 +141,12 @@ def all_witnesses(
     elems = coloring.window.elements()
     out: list[Witness] = []
     for entry, mask in zip(table.entries, table.masks):
+        if len(out) >= limit:
+            break
         for color, cls in enumerate(class_masks):
             if mask & cls == mask:
                 out.append(_witness(family, coloring, elems, entry, color))
                 break
-        if len(out) >= limit:
-            break
     return out
 
 

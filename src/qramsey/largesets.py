@@ -38,6 +38,10 @@ MODE_MUL = "*"
 
 FS_CAP = 24
 
+# localize_colors tries every translate set up to this size, then grows
+# larger ones greedily.
+LOCALIZE_EXHAUSTIVE = 3
+
 
 class LargeSetError(ValueError):
     pass
@@ -208,18 +212,14 @@ def piecewise_syndetic_witness(
 
 
 def find_ip_r(
-    A: Iterable[Fraction],
-    r: int,
-    mode: str = MODE_ADD,
-    exhaustive_cap: int = 4,
-    rng=None,
-    trials: int = 5000,
+    A: Iterable[Fraction], r: int, mode: str = MODE_ADD
 ) -> tuple[Fraction, ...] | None:
     """Generators (nondecreasing, repeats allowed) of an IP_r inside A.
 
-    Exhaustive and deterministic up to ``exhaustive_cap`` generators; beyond
-    that it falls back to seeded random sampling, so a None answer is only
-    conclusive within the exhaustive range.
+    The search is exhaustive over nondecreasing generator tuples, which
+    covers every IP_r since finite sums (or products) do not depend on the
+    order of the generators.  None means A has no IP_r.  The answer is
+    deterministic, but the search may take long on large sets.
     """
     _check_mode(mode)
     if r < 1:
@@ -229,19 +229,7 @@ def find_ip_r(
     aset = {Fraction(v) for v in A}
     if mode == MODE_MUL:
         aset.discard(Fraction(0))
-    elems = sorted(aset)
-    if not elems:
-        return None
-    if r <= exhaustive_cap:
-        return _ip_dfs(elems, aset, r, mode, 0, (), set())
-    import random
-
-    rng = rng or random.Random(0)
-    for _ in range(trials):
-        gens = sorted(rng.choice(elems) for _ in range(r))
-        if _ip_check(gens, aset, mode):
-            return tuple(gens)
-    return None
+    return _ip_dfs(sorted(aset), aset, r, mode, 0, (), set())
 
 
 def _ip_dfs(
@@ -265,17 +253,13 @@ def _ip_dfs(
     return None
 
 
-def _ip_check(gens: Sequence[Fraction], aset: set[Fraction], mode: str) -> bool:
-    sums: set[Fraction] = set()
-    for g in gens:
-        sums |= {g} | {group_op(mode, s, g) for s in sums}
-    return all(v in aset for v in sums)
-
-
 def is_ip_r_star(
     A: Iterable[Fraction], window: Window, r: int, mode: str = MODE_ADD
 ) -> bool:
-    """True when no IP_r with generators and sums inside the window avoids A."""
+    """True when no IP_r with generators and sums inside the window avoids A.
+
+    Exact for every r, since find_ip_r is exhaustive.
+    """
     aset = {Fraction(v) for v in A}
     complement = [v for v in _window_iter(window, mode) if v not in aset]
     return find_ip_r(complement, r, mode) is None
@@ -381,7 +365,6 @@ def localize_colors(
     coloring: Coloring,
     thick_shape: ShapeF,
     max_f: int,
-    exhaustive_size: int = 3,
 ) -> LocalizationReport | None:
     """Find translates F and color index sets satisfying both localization legs.
 
@@ -391,8 +374,8 @@ def localize_colors(
         grid) has some Y_l with x in F o C_m for every color m in Y_l.
 
     The search is exhaustive over translate sets up to min(max_f,
-    exhaustive_size) drawn from the grid, with a greedy growth fallback for
-    larger budgets.  Whatever is found is re-verified from scratch; on any
+    LOCALIZE_EXHAUSTIVE) drawn from the grid, with a greedy growth fallback
+    for larger budgets.  Whatever is found is re-verified from scratch; on any
     verification failure the answer is None.
     """
     window = coloring.window
@@ -454,12 +437,12 @@ def localize_colors(
         )
         return report if _verify_localization(report, coloring, thick_shape) else None
 
-    for size in range(1, min(max_f, exhaustive_size) + 1):
+    for size in range(1, min(max_f, LOCALIZE_EXHAUSTIVE) + 1):
         for fs in combinations(elems, size):
             report = attempt(fs)
             if report is not None:
                 return report
-    if max_f > exhaustive_size:
+    if max_f > LOCALIZE_EXHAUSTIVE:
         report = _greedy_localize(elems, attempt, max_f)
         if report is not None:
             return report

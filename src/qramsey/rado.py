@@ -6,9 +6,12 @@ later block's column sum lies in the rational span of all earlier columns.
 
 For a single equation this reduces to: some nonempty subset of the nonzero
 coefficients sums to zero.  (Zero coefficients are free variables; counting
-them would wrongly certify systems like 0*x1 + x2 = 0.)  The general path
-enumerates first blocks and then greedily absorbs zero-excess subsets; the
-greedy step is complete because the spans only grow.
+them would wrongly certify systems like 0*x1 + x2 = 0.)  columns_condition
+takes that shortcut for a single equation and the general path for a system
+of two or more rows.  The general path enumerates first blocks and then
+greedily absorbs zero-excess subsets; the greedy step is complete because
+the spans only grow.  Both paths enumerate column subsets, so systems are
+limited to MAX_COLUMNS columns.
 
 cross_validate maps small single equations onto two-variable pattern
 families and compares the verdict with finite search outcomes.  Only
@@ -26,6 +29,9 @@ from typing import Sequence
 from .arith import PolynomialQ, format_rational, parse_rational
 from .patterns import AffineTerm, Family, VarX, VarY
 from .search import BUDGET_EXCEEDED, EXHAUSTED, SearchBudget, SweepRow, threshold_sweep
+
+
+MAX_COLUMNS = 20
 
 
 class RadoError(ValueError):
@@ -135,23 +141,15 @@ def _extend_basis(
     return basis + [tuple(v / f for v in residue)]
 
 
-def columns_condition(
-    system: LinearSystem, method: str = "auto", max_columns: int = 20
-) -> ColumnsConditionResult:
+def columns_condition(system: LinearSystem) -> ColumnsConditionResult:
     """Decide the columns condition and produce a block partition witness.
 
-    method: 'auto' (shortcut for single equations, general otherwise),
-    'shortcut' (single equations only) or 'general'.
+    A single equation takes the subset-sum shortcut, a system the general
+    block search.
     """
-    if system.num_columns > max_columns:
-        raise RadoError(f"{system.num_columns} columns exceed the cap {max_columns}")
-    if method not in ("auto", "shortcut", "general"):
-        raise RadoError(f"unknown method {method!r}")
-    if method == "shortcut" and len(system.rows) != 1:
-        raise RadoError("shortcut only applies to single equations")
-    if method == "auto":
-        method = "shortcut" if len(system.rows) == 1 else "general"
-    if method == "shortcut":
+    if system.num_columns > MAX_COLUMNS:
+        raise RadoError(f"{system.num_columns} columns exceed the cap {MAX_COLUMNS}")
+    if len(system.rows) == 1:
         return _shortcut(system.rows[0])
     return _general(system)
 

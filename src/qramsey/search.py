@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from .colorings import Coloring
 from .detector import CandidateTable, build_candidates, find_witness
 from .patterns import Family
-from .windows import FareyWindow, IntegerInterval, MultiplicativeGrid, Window
+from .windows import Window, parse_window
 
 AVOIDING = "avoiding"
 EXHAUSTED = "exhausted"
@@ -247,13 +247,14 @@ def window_for_template(template: str, n: int) -> Window:
     (exponent bound n).
     """
     if template == "int":
-        return IntegerInterval(1, n)
-    if template == "farey":
-        return FareyWindow(n)
-    if template.startswith("mgrid:"):
-        primes = [int(p) for p in template.split(":", 1)[1].split(",")]
-        return MultiplicativeGrid(primes, n)
-    raise ValueError(f"unknown sweep template {template!r}")
+        spec = f"int:1..{n}"
+    elif template == "farey":
+        spec = f"farey:{n}"
+    elif template.startswith("mgrid:"):
+        spec = f"{template}:{n}"
+    else:
+        raise ValueError(f"unknown sweep template {template!r}")
+    return parse_window(spec)
 
 
 def threshold_sweep(

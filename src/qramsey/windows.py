@@ -11,7 +11,7 @@ Three window kinds, each with a documented canonical enumeration order:
   follows the positive one.  Never contains 0.
 
 Windows enumerate their elements and hash their membership index lazily, on
-first access.
+first access.  Enumeration refuses windows of more than ELEMENT_CAP elements.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from itertools import product
 from math import gcd
 from typing import Iterable, Iterator
 
-DEFAULT_CAP = 10_000_000
+ELEMENT_CAP = 10_000_000
 
 
 class WindowError(ValueError):
@@ -30,7 +30,7 @@ class WindowError(ValueError):
 
 
 class CapExceededError(WindowError):
-    """Window too large to enumerate under the configured cap."""
+    """Window too large to enumerate under ELEMENT_CAP."""
 
 
 def _is_prime(n: int) -> bool:
@@ -47,10 +47,7 @@ def _is_prime(n: int) -> bool:
 class Window:
     """Common interface: elements(), size(), contains(), index_of(), spec_string()."""
 
-    cap: int
-
-    def __init__(self, cap: int = DEFAULT_CAP) -> None:
-        self.cap = cap
+    def __init__(self) -> None:
         self._elements: tuple[Fraction, ...] | None = None
         self._index: dict[Fraction, int] | None = None
 
@@ -67,9 +64,9 @@ class Window:
         raise NotImplementedError
 
     def _check_cap(self) -> None:
-        if self.size() > self.cap:
+        if self.size() > ELEMENT_CAP:
             raise CapExceededError(
-                f"window {self.spec_string()} has {self.size()} elements, cap is {self.cap}"
+                f"window {self.spec_string()} has {self.size()} elements, cap is {ELEMENT_CAP}"
             )
 
     def elements(self) -> tuple[Fraction, ...]:
@@ -107,8 +104,8 @@ class Window:
 
 
 class IntegerInterval(Window):
-    def __init__(self, lo: int, hi: int, cap: int = DEFAULT_CAP) -> None:
-        super().__init__(cap)
+    def __init__(self, lo: int, hi: int) -> None:
+        super().__init__()
         if lo > hi:
             raise WindowError(f"empty interval {lo}..{hi}")
         self.lo = lo
@@ -144,9 +141,8 @@ class FareyWindow(Window):
         n: int,
         include_zero: bool = True,
         include_negatives: bool = True,
-        cap: int = DEFAULT_CAP,
     ) -> None:
-        super().__init__(cap)
+        super().__init__()
         if n < 1:
             raise WindowError("Farey bound must be at least 1")
         self.n = n
@@ -203,9 +199,8 @@ class MultiplicativeGrid(Window):
         primes: Iterable[int],
         bound: int,
         include_sign: bool = False,
-        cap: int = DEFAULT_CAP,
     ) -> None:
-        super().__init__(cap)
+        super().__init__()
         ps = tuple(primes)
         if not ps:
             raise WindowError("at least one prime required")
@@ -273,7 +268,7 @@ class MultiplicativeGrid(Window):
 _INT_RE = re.compile(r"^int:(-?\d+)\.\.(-?\d+)$")
 
 
-def parse_window(spec: str, cap: int = DEFAULT_CAP) -> Window:
+def parse_window(spec: str) -> Window:
     """Build a window from its spec string.
 
     Forms: 'int:lo..hi', 'farey:N[:+zero|:-zero][:+neg|:-neg]',
@@ -284,7 +279,7 @@ def parse_window(spec: str, cap: int = DEFAULT_CAP) -> Window:
     spec = spec.strip()
     m = _INT_RE.match(spec)
     if m:
-        return IntegerInterval(int(m.group(1)), int(m.group(2)), cap=cap)
+        return IntegerInterval(int(m.group(1)), int(m.group(2)))
     parts = spec.split(":")
     if parts[0] == "farey" and len(parts) >= 2:
         try:
@@ -303,7 +298,7 @@ def parse_window(spec: str, cap: int = DEFAULT_CAP) -> Window:
                 neg = False
             else:
                 raise WindowError(f"unknown flag {flag!r} in {spec!r}")
-        return FareyWindow(n, include_zero=zero, include_negatives=neg, cap=cap)
+        return FareyWindow(n, include_zero=zero, include_negatives=neg)
     if parts[0] == "mgrid" and len(parts) >= 3:
         try:
             primes = [int(p) for p in parts[1].split(",")]
@@ -318,5 +313,5 @@ def parse_window(spec: str, cap: int = DEFAULT_CAP) -> Window:
                 sign = False
             else:
                 raise WindowError(f"unknown flag {flag!r} in {spec!r}")
-        return MultiplicativeGrid(primes, bound, include_sign=sign, cap=cap)
+        return MultiplicativeGrid(primes, bound, include_sign=sign)
     raise WindowError(f"unrecognized window spec {spec!r}")

@@ -3,10 +3,11 @@
 import io
 import json
 import os
+import shlex
 
 import pytest
 
-from qramsey.cli import main
+from qramsey.cli import build_parser, main
 from qramsey.cnf import export_cnf
 from qramsey.patterns import builtin_family
 from qramsey.windows import IntegerInterval
@@ -290,6 +291,16 @@ class TestLargeset:
         code, _ = run_cli(["largeset", "thick", "int:1..4", "--set", "1"])
         assert code == 2
 
+    def test_ip_five_generators(self):
+        members = ",".join(str(v) for v in [*range(1, 6), *range(100, 201)])
+        code, payload = run_json(
+            ["largeset", "ip", "int:1..200", "--set", members, "--ip-r", "5"]
+        )
+        assert code == 0
+        assert payload["found"] is True
+        assert payload["generators"] == ["1"] * 5
+        assert payload["combination_count"] == 5
+
 
 class TestLocalize:
     def test_single_color_grid(self):
@@ -393,6 +404,31 @@ class TestConfig:
         code, _ = run_cli(["--config", str(cfg), "catalog"])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "config, argv",
+        [
+            ({"r": 2.5}, ["rado", "x1 + x2 - x3 = 0", "--validate", "--n-max", "5"]),
+            ({"distinct": "no"},
+             ["search", "x; y; x + t", "int:1..5", "-r", "2", "--cert-dir", "{dir}"]),
+        ],
+        ids=["fractional-r", "text-flag"],
+    )
+    def test_value_of_wrong_kind_rejected(self, tmp_path, config, argv):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        cert_dir = tmp_path / "certs"
+        code, text = run_cli(["--config", str(cfg)] + [a.format(dir=cert_dir) for a in argv])
+        assert code == 2
+        assert text == ""
+        assert not cert_dir.exists()
+
+    def test_config_values_convert_like_flags(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"r": "3", "n_max": 4, "distinct": False}))
+        code, payload = run_json(["--config", str(cfg), "rado", "x1 + x2 - x3 = 0", "--validate"])
+        assert code == 0
+        assert [row["n"] for row in payload["rows"]] == [1, 2, 3, 4]
+
     def test_non_object_config(self, tmp_path):
         cfg = tmp_path / "list.json"
         cfg.write_text("[1, 2]")
@@ -451,6 +487,31 @@ class TestErrorPaths:
         assert text == ""
         assert not cert_dir.exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["rado", "x1 + x2 - x3 = 0", "--method", "general"],
+            ["localize", "mgrid:2,3:1", "--colors", "[0,0,0,0,0,0,0,0,0]",
+             "--shape", "1,2", "--exhaustive", "2"],
+            ["largeset", "ip", "int:1..16", "--set", "1,2", "--seed", "1"],
+        ],
+        ids=["method", "exhaustive", "seed"],
+    )
+    def test_removed_options_rejected(self, argv):
+        code, text = run_cli(argv)
+        assert code == 2
+        assert text == ""
+
     def test_version_exits_zero(self):
         code, _ = run_cli(["--version"])
         assert code == 0
+
+
+class TestReadme:
+    def test_readme_commands_parse(self):
+        path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+        with open(path, encoding="utf-8") as fh:
+            lines = [ln[len("$ qramsey "):] for ln in fh if ln.startswith("$ qramsey ")]
+        assert len(lines) >= 10
+        for line in lines:
+            build_parser().parse_args(shlex.split(line))

@@ -99,15 +99,6 @@ class TestEnumeration:
         for t in reduced:
             assert canonical_form(t) == t
 
-    def test_prefix_restricts_enumeration(self):
-        w = IntegerInterval(1, 4)
-        got = [c.colors for c in enumerate_colorings(w, 2, prefix=(1, 0))]
-        assert got == [(1, 0, 0, 0), (1, 0, 0, 1), (1, 0, 1, 0), (1, 0, 1, 1)]
-
-    def test_prefix_too_long(self):
-        with pytest.raises(ColoringError):
-            list(enumerate_colorings(IntegerInterval(1, 2), 2, prefix=(0, 0, 0)))
-
     def test_list_budget(self):
         with pytest.raises(ColoringError, match="budget"):
             list_colorings(IntegerInterval(1, 30), 2, budget=1000)

@@ -121,6 +121,12 @@ class TestWitnessContents:
         assert top == full[:5]
         assert all(len({coloring.color_of(v) for v in w.values}) == 1 for w in full)
 
+    def test_all_witnesses_limit_zero(self):
+        family = builtin_family("schur")
+        coloring = Coloring(IntegerInterval(1, 5), [0] * 5, 1)
+        assert all_witnesses(family, coloring, limit=0) == []
+        assert len(all_witnesses(family, coloring, limit=1)) == 1
+
     def test_no_witness_on_avoiding_coloring(self):
         family = builtin_family("schur")
         window = IntegerInterval(1, 4)

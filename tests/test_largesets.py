@@ -298,16 +298,19 @@ class TestIpStructure:
         assert find_ip_r(A, 3, MODE_MUL) == (F(2), F(2), F(2))
 
     def test_random_fallback_finds_trivial_generator(self):
-        found = find_ip_r(
-            {F(1)}, 5, MODE_MUL, exhaustive_cap=4, rng=random.Random(0)
-        )
-        assert found == (F(1),) * 5
+        assert find_ip_r({F(1)}, 5, MODE_MUL) == (F(1),) * 5
 
     def test_random_fallback_gives_up(self):
-        found = find_ip_r(
-            {1, 2}, 5, exhaustive_cap=4, rng=random.Random(0), trials=300
-        )
-        assert found is None
+        # 1+1+1 = 3 is missing and 2+2 = 4 is missing: no IP_5 at all.
+        assert find_ip_r({1, 2}, 5) is None
+
+    def test_five_generators_found_past_a_gap(self):
+        A = set(range(1, 6)) | set(range(100, 201))
+        assert find_ip_r(A, 5) == (F(1),) * 5
+
+    def test_exhaustive_none_for_many_generators(self):
+        assert find_ip_r(range(1, 7), 7) is None
+        assert find_ip_r(range(1, 8), 7) == (F(1),) * 7
 
     def test_zero_discarded_in_multiplicative_mode(self):
         assert find_ip_r({0, 2, 4}, 2, MODE_MUL) == (F(2), F(2))

@@ -11,6 +11,7 @@ from qramsey.patterns import AffineTerm, VarX, VarY
 from qramsey.rado import (
     LinearSystem,
     RadoError,
+    _general,
     columns_condition,
     cross_validate,
     parse_equation,
@@ -134,15 +135,6 @@ class TestSystemValidation:
         with pytest.raises(RadoError, match="cap"):
             columns_condition(wide)
 
-    def test_unknown_method(self):
-        with pytest.raises(RadoError, match="method"):
-            columns_condition(LinearSystem.single([1, -1]), method="fancy")
-
-    def test_shortcut_needs_single_row(self):
-        two = LinearSystem(((Fraction(1), Fraction(-1)), (Fraction(2), Fraction(1))))
-        with pytest.raises(RadoError, match="single"):
-            columns_condition(two, method="shortcut")
-
 
 class TestFrozenVerdicts:
     def test_sum_equation_holds(self):
@@ -169,7 +161,7 @@ class TestFrozenVerdicts:
         # A zero column must not serve as a zero-sum first block certificate.
         res = columns_condition(LinearSystem.single([0, 1]))
         assert res.holds is False
-        assert columns_condition(LinearSystem.single([0, 1]), method="general").holds is False
+        assert _general(LinearSystem.single([0, 1])).holds is False
 
 
 class TestMethodAgreement:
@@ -179,8 +171,8 @@ class TestMethodAgreement:
                 if all(c == 0 for c in coeffs):
                     continue
                 sys_ = LinearSystem.single(coeffs)
-                fast = columns_condition(sys_, method="shortcut")
-                slow = columns_condition(sys_, method="general")
+                fast = columns_condition(sys_)
+                slow = _general(sys_)
                 assert fast.holds == slow.holds, coeffs
                 for res in (fast, slow):
                     if res.holds:
@@ -216,7 +208,7 @@ class TestMethodAgreement:
                 continue
             seen += 1
             sys_ = LinearSystem(rows)
-            res = columns_condition(sys_, method="general")
+            res = columns_condition(sys_)
             assert res.holds == oracle_columns_condition(sys_), rows
             if res.holds:
                 assert _partition_ok(sys_, res.partition), rows

@@ -182,8 +182,3 @@ class TestCap:
         assert w.size() == 10**8
         with pytest.raises(CapExceededError):
             w.elements()
-
-    def test_custom_cap(self):
-        w = parse_window("int:1..100", cap=10)
-        with pytest.raises(CapExceededError):
-            w.elements()
