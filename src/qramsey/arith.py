@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 Rational = Fraction
 
@@ -173,6 +173,27 @@ _MONOMIAL_RE = re.compile(
 )
 
 
+def signed_chunks(text: str) -> Iterator[tuple[int, str, int]]:
+    """Split a sum such as '2*t - t^3' into (sign, chunk, offset) triples.
+
+    A chunk runs from just after its optional leading '+' or '-' up to the
+    next sign; offset is where it starts in text.  Whitespace before a sign
+    is skipped, whitespace inside a chunk is kept.
+    """
+    pos, n = 0, len(text)
+    while pos < n:
+        while pos < n and text[pos].isspace():
+            pos += 1
+        sign = 1
+        if pos < n and text[pos] in "+-":
+            sign = -1 if text[pos] == "-" else 1
+            pos += 1
+        start = pos
+        while pos < n and text[pos] not in "+-":
+            pos += 1
+        yield sign, text[start:pos], start
+
+
 def parse_polynomial(text: str, var: str = "t") -> PolynomialQ:
     """Parse polynomial text such as 't^2 - 3/2*t'.
 
@@ -184,20 +205,7 @@ def parse_polynomial(text: str, var: str = "t") -> PolynomialQ:
     if not s.strip():
         raise PolynomialSyntaxError("empty polynomial", 0)
     coeffs: dict[int, Fraction] = {}
-    pos = 0
-    n = len(s)
-    while pos < n:
-        while pos < n and s[pos].isspace():
-            pos += 1
-        sign = 1
-        if pos < n and s[pos] in "+-":
-            if s[pos] == "-":
-                sign = -1
-            pos += 1
-        start = pos
-        while pos < n and s[pos] not in "+-":
-            pos += 1
-        chunk = s[start:pos]
+    for sign, chunk, start in signed_chunks(s):
         m = _MONOMIAL_RE.match(chunk)
         if m is None or (m.group("coef") is None and m.group("var") is None):
             raise PolynomialSyntaxError(f"bad monomial {chunk.strip()!r}", start)

@@ -120,21 +120,54 @@ def write_certificate(cert: dict, directory: str, stem: str) -> str:
     return path
 
 
-def load_certificate(path: str) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        cert = json.load(fh)
-    for key in ("format_version", "kind", "family", "window", "r"):
-        if key not in cert:
-            raise ValueError(f"certificate missing field {key!r}")
-    version, kind = cert["format_version"], cert["kind"]
+def _field(record: dict, name: str, kind: type) -> Any:
+    # Exact types, so that true and false are not integers.
+    if name not in record:
+        raise ValueError(f"certificate missing field {name!r}")
+    value = record[name]
+    if type(value) is not kind:
+        raise ValueError(
+            f"certificate field {name!r} must be {kind.__name__}, not {type(value).__name__}"
+        )
+    return value
+
+
+def check_certificate(cert: Any) -> None:
+    """Raise ValueError unless ``cert`` has the fields and field types of its kind."""
+    if type(cert) is not dict:
+        raise ValueError(f"certificate must be a JSON object, not {type(cert).__name__}")
+    version = _field(cert, "format_version", int)
+    kind = _field(cert, "kind", str)
+    for name, field_kind in (("family", str), ("window", str), ("r", int)):
+        _field(cert, name, field_kind)
     if version == 1 and kind == UPPER_BOUND:
         raise ValueError(
             "format 1 upper-bound certificates are no longer accepted: their trace "
             "hash depended on the removed worker split; re-run `qramsey search` "
             "to regenerate the certificate"
         )
+    if kind not in (LOWER_BOUND, UPPER_BOUND):
+        raise ValueError(f"unknown certificate kind {kind!r}")
     if version != (LOWER_BOUND_FORMAT if kind == LOWER_BOUND else FORMAT_VERSION):
         raise ValueError(f"unsupported certificate format {version}")
+    if "tool_version" in cert:
+        _field(cert, "tool_version", str)
+    flags = _field(cert, "family_flags", dict) if "family_flags" in cert else {}
+    for name in flags:
+        _field(flags, name, bool)
+    if kind == LOWER_BOUND:
+        if any(type(c) is not int for c in _field(cert, "coloring", list)):
+            raise ValueError("certificate field 'coloring' must hold integers only")
+    else:
+        ex = _field(cert, "exhaustion", dict)
+        _field(ex, "nodes", int)
+        _field(ex, "proof_log_hash", str)
+
+
+def load_certificate(path: str) -> dict:
+    with open(path, encoding="utf-8") as fh:
+        cert = json.load(fh)
+    check_certificate(cert)
     return cert
 
 
@@ -147,16 +180,17 @@ class VerificationResult:
 
 
 def verify_certificate(cert: dict, rerun: bool = False) -> VerificationResult:
-    """Check a certificate.
+    """Check a certificate; a malformed one raises ValueError.
 
-    Lower bounds re-run the detector over the stored coloring.  Upper bounds
-    are structurally validated; with rerun=True the search is repeated and
-    must exhaust again with the same trace hash.  Without a re-run the claim
-    is untested, so the result is not ok and has checked=False.
+    Lower bounds re-run the detector over the stored coloring.  With
+    rerun=True an upper bound's search is repeated and must exhaust again
+    with the same node count and trace hash.  Without a re-run the claim is
+    untested, so the result is not ok and has checked=False.
     """
+    check_certificate(cert)
     family = family_from_fields(cert)
     window = parse_window(cert["window"])
-    r = int(cert["r"])
+    r = cert["r"]
     if cert["kind"] == LOWER_BOUND:
         coloring = Coloring(window, cert["coloring"], r)
         witness = find_witness(family, coloring)
@@ -167,22 +201,22 @@ def verify_certificate(cert: dict, rerun: bool = False) -> VerificationResult:
             f"coloring has a monochromatic instance at x={witness.x}, y={witness.y}",
             witness,
         )
-    if cert["kind"] == UPPER_BOUND:
-        ex = cert.get("exhaustion")
-        if not isinstance(ex, dict) or "nodes" not in ex or "proof_log_hash" not in ex:
-            return VerificationResult(False, "malformed exhaustion record")
-        if not rerun:
-            return VerificationResult(
-                False,
-                "upper bound not checked: it was not re-run (use --rerun)",
-                checked=False,
-            )
-        from .search import search_avoiding
+    if not rerun:
+        return VerificationResult(
+            False,
+            "upper bound not checked: it was not re-run (use --rerun)",
+            checked=False,
+        )
+    from .search import search_avoiding
 
-        res = search_avoiding(family, window, r)
-        if res.outcome != "exhausted":
-            return VerificationResult(False, f"re-run outcome was {res.outcome}")
-        if res.proof_log_hash != ex["proof_log_hash"]:
-            return VerificationResult(False, "re-run decision trace hash differs")
-        return VerificationResult(True, "re-run exhausted with matching trace hash")
-    return VerificationResult(False, f"unknown certificate kind {cert['kind']!r}")
+    ex = cert["exhaustion"]
+    res = search_avoiding(family, window, r)
+    if res.outcome != "exhausted":
+        return VerificationResult(False, f"re-run outcome was {res.outcome}")
+    if res.proof_log_hash != ex["proof_log_hash"]:
+        return VerificationResult(False, "re-run decision trace hash differs")
+    if res.nodes != ex["nodes"]:
+        return VerificationResult(
+            False, f"re-run took {res.nodes} nodes, the certificate says {ex['nodes']}"
+        )
+    return VerificationResult(True, "re-run exhausted with matching trace hash")

@@ -297,11 +297,12 @@ def _cmd_export_cnf(args, out) -> int:
 def _cmd_import_sat(args, out) -> int:
     family = _resolve_family(args)
     window = parse_window(args.window)
-    cnf = export_cnf(family, window, args.r)
+    table = build_candidates(family, window)
+    cnf = export_cnf(family, window, args.r, table=table)
     with open(args.assignment, "r", encoding="utf-8") as fh:
         literals = parse_assignment(fh.read())
     coloring = import_assignment(cnf, literals)
-    witness = find_witness(family, coloring)
+    witness = find_witness(family, coloring, table)
     _emit(out, {
         "family": family.serialize(),
         "window": window.spec_string(),
@@ -370,8 +371,10 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
 
     Subcommands parse into their own namespace, so defaults from a config
     file have to be pushed into every subparser that knows the option, not
-    just the top-level parser.  A key that no parser knows, or a value of
-    the wrong kind, raises CliError.
+    just the top-level parser.  An option (not a positional) that the
+    config fills is no longer required, since argparse ignores the default
+    of a required option.  A key that no parser knows, or a value of the
+    wrong kind, raises CliError.
     """
     parser = argparse.ArgumentParser(
         prog="qramsey",
@@ -476,6 +479,9 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
             matching = {
                 k: _config_value(k, v, actions[k]) for k, v in defaults.items() if k in actions
             }
+            for k in matching:
+                if actions[k].option_strings:
+                    actions[k].required = False
             if matching:
                 target.set_defaults(**matching)
         if unknown:

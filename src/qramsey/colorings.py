@@ -65,14 +65,6 @@ class Coloring:
         return f"Coloring({serialize_coloring(self)!r})"
 
 
-def class_index_masks(coloring: Coloring) -> list[int]:
-    """Per-color bitmask over element indices; the detector's hot-path view."""
-    masks = [0] * coloring.r
-    for i, c in enumerate(coloring.colors):
-        masks[c] |= 1 << i
-    return masks
-
-
 def canonical_form(colors: Sequence[int]) -> tuple[int, ...]:
     """Relabel so colors appear in first-occurrence order."""
     relabel: dict[int, int] = {}

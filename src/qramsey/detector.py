@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .colorings import Coloring, class_index_masks
+from .colorings import Coloring
 from .patterns import Family, Witness, instantiate
 from .windows import CapExceededError, Window
 
@@ -36,7 +36,6 @@ class CandidateTable:
     family: Family
     window: Window
     entries: tuple[Candidate, ...]
-    masks: tuple[int, ...]
 
     def constraint_groups(self) -> tuple[tuple[int, ...], ...]:
         """Distinct index sets, subsumption-pruned, for search and CNF export.
@@ -86,7 +85,6 @@ def build_candidates(family: Family, window: Window) -> CandidateTable:
         y_range = [y0] if y0 is not None else []
 
     entries: list[Candidate] = []
-    masks: list[int] = []
     distinct = family.require_distinct_values
     terms = family.terms
     for xi, x in enumerate(elems):
@@ -107,12 +105,8 @@ def build_candidates(family: Family, window: Window) -> CandidateTable:
                 continue
             if distinct and len(set(idxs)) != len(idxs):
                 continue
-            mask = 0
-            for j in idxs:
-                mask |= 1 << j
             entries.append(Candidate(xi, yi, tuple(idxs)))
-            masks.append(mask)
-    return CandidateTable(family, window, tuple(entries), tuple(masks))
+    return CandidateTable(family, window, tuple(entries))
 
 
 def find_witness(
@@ -137,16 +131,15 @@ def all_witnesses(
     if table is None:
         table = build_candidates(family, coloring.window)
     _check_table(family, coloring, table)
-    class_masks = class_index_masks(coloring)
+    colors = coloring.colors
     elems = coloring.window.elements()
     out: list[Witness] = []
-    for entry, mask in zip(table.entries, table.masks):
+    for entry in table.entries:
         if len(out) >= limit:
             break
-        for color, cls in enumerate(class_masks):
-            if mask & cls == mask:
-                out.append(_witness(family, coloring, elems, entry, color))
-                break
+        color = colors[entry.value_indices[0]]
+        if all(colors[j] == color for j in entry.value_indices):
+            out.append(_witness(family, coloring, elems, entry, color))
     return out
 
 

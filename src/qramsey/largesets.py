@@ -38,8 +38,8 @@ MODE_MUL = "*"
 
 FS_CAP = 24
 
-# localize_colors tries every translate set up to this size, then grows
-# larger ones greedily.
+# localize_colors tries every translate set up to this size; a larger set is
+# the first size - 1 grid elements plus one later element.
 LOCALIZE_EXHAUSTIVE = 3
 
 
@@ -374,9 +374,10 @@ def localize_colors(
         grid) has some Y_l with x in F o C_m for every color m in Y_l.
 
     The search is exhaustive over translate sets up to min(max_f,
-    LOCALIZE_EXHAUSTIVE) drawn from the grid, with a greedy growth fallback
-    for larger budgets.  Whatever is found is re-verified from scratch; on any
-    verification failure the answer is None.
+    LOCALIZE_EXHAUSTIVE) drawn from the grid.  Each larger size up to max_f
+    tries only the first size - 1 grid elements plus one later element.
+    Whatever is found is re-verified from scratch; on any verification
+    failure the answer is None.
     """
     window = coloring.window
     if not isinstance(window, MultiplicativeGrid):
@@ -442,27 +443,11 @@ def localize_colors(
             report = attempt(fs)
             if report is not None:
                 return report
-    if max_f > LOCALIZE_EXHAUSTIVE:
-        report = _greedy_localize(elems, attempt, max_f)
-        if report is not None:
-            return report
-    return None
-
-
-def _greedy_localize(elems, attempt, max_f: int):
-    chosen: tuple[Fraction, ...] = ()
-    for _ in range(max_f):
-        best = None
-        for f in elems:
-            if f in chosen:
-                continue
-            report = attempt(chosen + (f,))
+    for size in range(LOCALIZE_EXHAUSTIVE + 1, max_f + 1):
+        for f in elems[size - 1 :]:
+            report = attempt(elems[: size - 1] + (f,))
             if report is not None:
                 return report
-            best = chosen + (f,) if best is None else best
-        if best is None:
-            return None
-        chosen = best
     return None
 
 

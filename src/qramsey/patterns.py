@@ -23,7 +23,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, NamedTuple
 
 from .arith import (
     PolynomialQ,
@@ -287,66 +287,28 @@ def parse_family(
 # Built-in catalog
 
 
-def _linear(k: int) -> PolynomialQ:
-    return PolynomialQ([0, k])
+def _linears(k: int) -> list[PolynomialQ]:
+    return [PolynomialQ([0, i]) for i in range(1, k + 1)]
 
 
-def _affine(p: PolynomialQ) -> AffineTerm:
-    return AffineTerm(Fraction(1), p, Fraction(1))
+class _Entry(NamedTuple):
+    """One catalog family: x, y or power head terms, then x + p(t) per tail p."""
+
+    arity: int  # integer arguments, each at least 1
+    polys: str  # "" takes no list, "any" a list, "k" a list of exactly k
+    head: Callable[..., tuple[PatternTerm, ...]]
+    tail: Callable[..., list[PolynomialQ]]  # the polynomials when no list is given
 
 
-def schur_family() -> Family:
-    return Family((VarX(), VarY(), _affine(_linear(1))))
-
-
-def vdw_family(k: int) -> Family:
-    if k < 1:
-        raise ValueError("vdw needs k >= 1")
-    return Family((VarX(),) + tuple(_affine(_linear(i)) for i in range(1, k + 1)))
-
-
-def moreira_family(k: int, polys: Sequence[PolynomialQ] | None = None) -> Family:
-    polys = _poly_args("moreira", k, polys)
-    return Family((VarX(), PowerTerm(1)) + tuple(_affine(p) for p in polys))
-
-
-def bowen_sabok_family(k: int) -> Family:
-    if k < 1:
-        raise ValueError("bowen-sabok needs k >= 1")
-    return Family(
-        (VarX(), VarY(), PowerTerm(1))
-        + tuple(_affine(_linear(i)) for i in range(1, k + 1))
-    )
-
-
-def quotient_poly_family(a: int, polys: Sequence[PolynomialQ] | None = None) -> Family:
-    if a < 1:
-        raise ValueError("quotient-poly needs a >= 1")
-    polys = polys if polys is not None else [_linear(1)]
-    return Family((VarX(), PowerTerm(-a)) + tuple(_affine(p) for p in polys))
-
-
-def product_poly_family(a: int, polys: Sequence[PolynomialQ] | None = None) -> Family:
-    if a < 1:
-        raise ValueError("product-poly needs a >= 1")
-    polys = polys if polys is not None else [_linear(1)]
-    return Family((VarX(), PowerTerm(a)) + tuple(_affine(p) for p in polys))
-
-
-def question_hs_family() -> Family:
-    return Family((VarX(), VarY(), PowerTerm(1), _affine(_linear(1))))
-
-
-def _poly_args(name: str, k: int, polys: Sequence[PolynomialQ] | None) -> list[PolynomialQ]:
-    if k < 1:
-        raise ValueError(f"{name} needs k >= 1")
-    if polys is None:
-        return [_linear(i) for i in range(1, k + 1)]
-    polys = list(polys)
-    if len(polys) != k:
-        raise ValueError(f"{name} got k={k} but {len(polys)} polynomials")
-    return polys
-
+_CATALOG = {
+    "schur": _Entry(0, "", lambda: (VarX(), VarY()), lambda: _linears(1)),
+    "vdw": _Entry(1, "", lambda k: (VarX(),), _linears),
+    "moreira": _Entry(1, "k", lambda k: (VarX(), PowerTerm(1)), _linears),
+    "bowen-sabok": _Entry(1, "", lambda k: (VarX(), VarY(), PowerTerm(1)), _linears),
+    "quotient-poly": _Entry(1, "any", lambda a: (VarX(), PowerTerm(-a)), lambda a: _linears(1)),
+    "product-poly": _Entry(1, "any", lambda a: (VarX(), PowerTerm(a)), lambda a: _linears(1)),
+    "question-hs": _Entry(0, "", lambda: (VarX(), VarY(), PowerTerm(1)), lambda: _linears(1)),
+}
 
 _KEY_RE = re.compile(r"^(?P<name>[a-z-]+)(?:\((?P<args>.*)\))?$")
 
@@ -363,33 +325,22 @@ def builtin_family(key: str) -> Family:
     if not m:
         raise KeyError(f"bad catalog key {key!r}")
     name = m.group("name")
-    args = m.group("args")
+    if name not in _CATALOG:
+        raise KeyError(f"unknown catalog family {name!r}")
+    entry = _CATALOG[name]
     try:
-        ints, polys = _split_key_args(args)
-        if name == "schur":
-            _expect_args(key, ints, 0, polys, False)
-            return schur_family()
-        if name == "question-hs":
-            _expect_args(key, ints, 0, polys, False)
-            return question_hs_family()
-        if name == "vdw":
-            _expect_args(key, ints, 1, polys, False)
-            return vdw_family(ints[0])
-        if name == "bowen-sabok":
-            _expect_args(key, ints, 1, polys, False)
-            return bowen_sabok_family(ints[0])
-        if name == "moreira":
-            _expect_args(key, ints, 1, polys, True)
-            return moreira_family(ints[0], polys)
-        if name == "quotient-poly":
-            _expect_args(key, ints, 1, polys, True)
-            return quotient_poly_family(ints[0], polys)
-        if name == "product-poly":
-            _expect_args(key, ints, 1, polys, True)
-            return product_poly_family(ints[0], polys)
+        ints, polys = _split_key_args(m.group("args"))
+        if len(ints) != entry.arity or (polys is not None and not entry.polys):
+            raise ValueError("wrong arguments")
+        if any(n < 1 for n in ints):
+            raise ValueError(f"{name} needs an argument >= 1")
+        if polys is None:
+            polys = entry.tail(*ints)
+        elif entry.polys == "k" and len(polys) != ints[0]:
+            raise ValueError(f"{name} got k={ints[0]} but {len(polys)} polynomials")
+        return Family(entry.head(*ints) + tuple(AffineTerm(1, p) for p in polys))
     except ValueError as exc:
         raise KeyError(f"bad catalog key {key!r}: {exc}") from None
-    raise KeyError(f"unknown catalog family {name!r}")
 
 
 def _split_key_args(args: str | None) -> tuple[list[int], list[PolynomialQ] | None]:
@@ -400,22 +351,16 @@ def _split_key_args(args: str | None) -> tuple[list[int], list[PolynomialQ] | No
     rest = args.strip()
     while rest:
         if rest.startswith("["):
+            if polys is not None:
+                raise ValueError("more than one polynomial list")
             close = rest.index("]")
-            texts = rest[1:close].split(";")
-            polys = [parse_polynomial(t) for t in texts]
+            polys = [parse_polynomial(t) for t in rest[1:close].split(";")]
             rest = rest[close + 1 :].lstrip().lstrip(",").lstrip()
         else:
             head, _, tail = rest.partition(",")
             ints.append(int(head.strip()))
             rest = tail.strip()
     return ints, polys
-
-
-def _expect_args(
-    key: str, ints: list[int], n_ints: int, polys: list[PolynomialQ] | None, list_ok: bool
-) -> None:
-    if len(ints) != n_ints or (polys is not None and not list_ok):
-        raise KeyError(f"bad arguments in catalog key {key!r}")
 
 
 def default_catalog() -> dict[str, Family]:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .arith import PolynomialQ, format_rational, parse_rational
+from .arith import PolynomialQ, format_rational, parse_rational, signed_chunks
 from .patterns import AffineTerm, Family, VarX, VarY
 from .search import BUDGET_EXCEEDED, EXHAUSTED, SearchBudget, SweepRow, threshold_sweep
 
@@ -77,19 +77,8 @@ def parse_equation(text: str) -> LinearSystem:
     if not sep or rhs.strip() != "0":
         raise RadoError(f"equation must end in '= 0': {text!r}")
     coeffs: dict[int, Fraction] = {}
-    s = lhs.strip()
-    pos = 0
-    while pos < len(s):
-        while pos < len(s) and s[pos].isspace():
-            pos += 1
-        sign = 1
-        if pos < len(s) and s[pos] in "+-":
-            sign = -1 if s[pos] == "-" else 1
-            pos += 1
-        start = pos
-        while pos < len(s) and s[pos] not in "+-":
-            pos += 1
-        chunk = s[start:pos].strip()
+    for sign, chunk, _ in signed_chunks(lhs.strip()):
+        chunk = chunk.strip()
         m = _EQ_TERM_RE.match(chunk)
         if m is None:
             raise RadoError(f"bad term {chunk!r} in equation")

@@ -76,10 +76,10 @@ class Window:
         return self._elements
 
     def index_of(self, q: Fraction | int) -> int | None:
-        """Position of q in the canonical order, None when absent."""
+        """Position of q (an int or a Fraction) in canonical order, None when absent."""
         if self._index is None:
             self._index = {v: i for i, v in enumerate(self.elements())}
-        return self._index.get(Fraction(q))
+        return self._index.get(q)
 
     def __contains__(self, q: object) -> bool:
         return isinstance(q, (int, Fraction)) and self.contains(q)
@@ -91,13 +91,10 @@ class Window:
         return iter(self.elements())
 
     def __eq__(self, other: object) -> bool:
-        return type(self) is type(other) and self._key() == other._key()  # type: ignore[attr-defined]
+        return isinstance(other, Window) and self.spec_string() == other.spec_string()
 
     def __hash__(self) -> int:
-        return hash((type(self).__name__, self._key()))
-
-    def _key(self) -> tuple:
-        raise NotImplementedError
+        return hash(self.spec_string())
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.spec_string()!r})"
@@ -111,21 +108,12 @@ class IntegerInterval(Window):
         self.lo = lo
         self.hi = hi
 
-    def _key(self) -> tuple:
-        return (self.lo, self.hi)
-
     def size(self) -> int:
         return self.hi - self.lo + 1
 
     def contains(self, q: Fraction | int) -> bool:
         q = Fraction(q)
         return q.denominator == 1 and self.lo <= q.numerator <= self.hi
-
-    def index_of(self, q: Fraction | int) -> int | None:
-        q = Fraction(q)
-        if not self.contains(q):
-            return None
-        return q.numerator - self.lo
 
     def _enumerate(self) -> Iterator[Fraction]:
         for n in range(self.lo, self.hi + 1):
@@ -149,9 +137,6 @@ class FareyWindow(Window):
         self.include_zero = include_zero
         self.include_negatives = include_negatives
         self._size: int | None = None
-
-    def _key(self) -> tuple:
-        return (self.n, self.include_zero, self.include_negatives)
 
     def size(self) -> int:
         if self._size is None:
@@ -214,9 +199,6 @@ class MultiplicativeGrid(Window):
         self.primes = ps
         self.bound = bound
         self.include_sign = include_sign
-
-    def _key(self) -> tuple:
-        return (self.primes, self.bound, self.include_sign)
 
     def size(self) -> int:
         block = (2 * self.bound + 1) ** len(self.primes)

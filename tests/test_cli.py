@@ -178,6 +178,71 @@ class TestCertificates:
         assert "format 1 upper-bound certificates are no longer accepted" in err
         assert "re-run `qramsey search`" in err
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda cert: 5,
+            lambda cert: "lower-bound",
+            lambda cert: {**cert, "family_flags": []},
+            lambda cert: {**cert, "family_flags": {"strict_nonzero_x": 0}},
+            lambda cert: {**cert, "coloring": [0, 1, 1, 0.0]},
+            lambda cert: {**cert, "format_version": True},
+            lambda cert: {k: v for k, v in cert.items() if k != "coloring"},
+        ],
+        ids=["number", "string", "flags-list", "flag-int", "float-color", "bool-version",
+             "no-coloring"],
+    )
+    def test_malformed_certificate_exits_2(self, tmp_path, capsys, edit):
+        run_json(
+            ["search", "schur", "int:1..4", "-r", "2",
+             "--cert-dir", str(tmp_path), "--cert-stem", "s4"]
+        )
+        path = tmp_path / "s4.lower-bound.json"
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        capsys.readouterr()
+        code, text = run_cli(["verify", str(path)])
+        assert code == 2
+        assert text == ""
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda ex: {**ex, "nodes": False},
+            lambda ex: {**ex, "proof_log_hash": None},
+            lambda ex: {"proof_log_hash": ex["proof_log_hash"]},
+        ],
+        ids=["bool-nodes", "null-hash", "no-nodes"],
+    )
+    def test_malformed_exhaustion_exits_2(self, tmp_path, edit):
+        run_json(
+            ["search", "schur", "int:1..5", "-r", "2",
+             "--cert-dir", str(tmp_path), "--cert-stem", "s5"]
+        )
+        path = tmp_path / "s5.upper-bound.json"
+        cert = json.loads(path.read_text())
+        cert["exhaustion"] = edit(cert["exhaustion"])
+        path.write_text(json.dumps(cert))
+        for argv in (["verify", str(path)], ["verify", str(path), "--rerun"]):
+            code, text = run_cli(argv)
+            assert code == 2
+            assert text == ""
+
+    def test_edited_node_count_fails_rerun(self, tmp_path):
+        run_json(
+            ["search", "schur", "int:1..5", "-r", "2",
+             "--cert-dir", str(tmp_path), "--cert-stem", "s5"]
+        )
+        path = tmp_path / "s5.upper-bound.json"
+        cert = json.loads(path.read_text())
+        nodes = cert["exhaustion"]["nodes"]
+        cert["exhaustion"]["nodes"] = 999999
+        path.write_text(json.dumps(cert))
+        code, payload = run_json(["verify", str(path), "--rerun"])
+        assert code == 1
+        assert payload["ok"] is False
+        assert payload["message"] == f"re-run took {nodes} nodes, the certificate says 999999"
+
     def test_certificate_formats(self, tmp_path):
         for window, stem in (("int:1..4", "s4"), ("int:1..5", "s5")):
             run_json(
@@ -428,6 +493,43 @@ class TestConfig:
         code, payload = run_json(["--config", str(cfg), "rado", "x1 + x2 - x3 = 0", "--validate"])
         assert code == 0
         assert [row["n"] for row in payload["rows"]] == [1, 2, 3, 4]
+
+    def test_config_fills_required_option(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"r": 2}))
+        code, payload = run_json(["--config", str(cfg), "search", "schur", "int:1..5"])
+        assert code == 0
+        assert payload["r"] == 2
+        assert payload["outcome"] == "exhausted"
+
+    def test_config_fills_sweep_range(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"r": 2, "lo": 1, "hi": 5}))
+        code, text = run_cli(["--config", str(cfg), "sweep", "schur"])
+        assert code == 0
+        assert len(text.splitlines()) == 1 + 5
+
+    def test_flag_beats_config_for_required_option(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"r": 2}))
+        code, payload = run_json(
+            ["--config", str(cfg), "search", "schur", "int:1..5", "-r", "3"]
+        )
+        assert code == 0
+        assert payload["r"] == 3
+        assert payload["outcome"] == "avoiding"
+
+    def test_required_option_without_config(self):
+        code, text = run_cli(["search", "schur", "int:1..5"])
+        assert code == 2
+        assert text == ""
+
+    def test_config_does_not_fill_positionals(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"window": "int:1..5"}))
+        code, text = run_cli(["--config", str(cfg), "search", "schur", "-r", "2"])
+        assert code == 2
+        assert text == ""
 
     def test_non_object_config(self, tmp_path):
         cfg = tmp_path / "list.json"

@@ -9,7 +9,6 @@ from qramsey.colorings import (
     Coloring,
     ColoringError,
     canonical_form,
-    class_index_masks,
     count_colorings,
     enumerate_colorings,
     list_colorings,
@@ -45,16 +44,6 @@ class TestColoring:
     def test_at_least_one_color(self):
         with pytest.raises(ColoringError):
             Coloring(IntegerInterval(1, 1), [0], 0)
-
-
-class TestClasses:
-    def test_masks_match_classes(self):
-        w = IntegerInterval(1, 6)
-        c = Coloring(w, [0, 1, 2, 1, 0, 2], 3)
-        masks = class_index_masks(c)
-        for i, color in enumerate(c.colors):
-            for m, mask in enumerate(masks):
-                assert bool(mask >> i & 1) == (m == color)
 
 
 class TestCanonicalForm:

@@ -109,7 +109,9 @@ def run_steps(root: str) -> list[dict]:
             with contextlib.redirect_stderr(io.StringIO()):
                 code = main(shlex.split(command), out=out)
             after = _snapshot(root)
-            written = {p: b.decode("utf-8") for p, b in sorted(after.items()) if before.get(p) != b}
+            written = {
+                p: b.decode("utf-8") for p, b in sorted(after.items()) if before.get(p) != b
+            }
             records.append({"command": command, "exit": code, "stdout": out.getvalue(),
                             "files": written})
     finally:

@@ -485,3 +485,16 @@ class TestLocalization:
         coloring = Coloring(self.GRID, [0] * self.GRID.size(), 1)
         with pytest.raises(LargeSetError, match="max_f"):
             localize_colors(coloring, self.SHAPE, max_f=0)
+
+    def test_translates_past_the_exhaustive_size(self):
+        # No set of up to 3 translates localizes i % 5 on 2^-4..2^4; the first
+        # four grid elements do.
+        grid = MultiplicativeGrid([2], 4)
+        coloring = Coloring(grid, [i % 5 for i in range(grid.size())], 5)
+        shape = ShapeF((1, 2, 4, 8), MODE_MUL)
+        assert localize_colors(coloring, shape, max_f=3) is None
+        report = localize_colors(coloring, shape, max_f=4)
+        assert report is not None
+        assert report.translates.elements == tuple(
+            Fraction(1, d) for d in (16, 8, 4, 2)
+        )

@@ -193,6 +193,12 @@ class TestCatalog:
             ("quotient-poly(2,[t;t^2])", "x; x / y^2; x + t; x + t^2"),
             ("product-poly(1,[t])", "x; x * y^1; x + t"),
             ("question-hs", "x; y; x * y^1; x + t"),
+            ("schur()", "x; y; x + t"),
+            ("vdw(1)", "x; x + t"),
+            ("bowen-sabok(2)", "x; y; x * y^1; x + t; x + 2*t"),
+            ("moreira(2)", "x; x * y^1; x + t; x + 2*t"),
+            ("quotient-poly(2)", "x; x / y^2; x + t"),
+            ("product-poly(3,[t^2;-t])", "x; x * y^3; x + t^2; x - t"),
         ],
     )
     def test_catalog_serializations(self, key, text):
@@ -200,7 +206,22 @@ class TestCatalog:
 
     @pytest.mark.parametrize(
         "bad",
-        ["nope", "schur(1)", "vdw", "vdw(0)", "vdw(1,2)", "moreira(2,[t)", "vdw(x)", "quotient-poly(0,[t])"],
+        [
+            "nope",
+            "schur(1)",
+            "vdw",
+            "vdw(0)",
+            "vdw(1,2)",
+            "moreira(2,[t)",
+            "vdw(x)",
+            "quotient-poly(0,[t])",
+            "moreira(2,[t])",
+            "moreira(1,[t + 1])",
+            "quotient-poly(1,[t;t])",
+            "product-poly(0)",
+            "bowen-sabok(1,[t])",
+            "quotient-poly(1,[t],[t])",
+        ],
     )
     def test_bad_keys_raise_keyerror(self, bad):
         with pytest.raises(KeyError):
