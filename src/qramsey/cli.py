@@ -32,13 +32,13 @@ from .largesets import (
     ShapeF,
     find_ip_r,
     finite_sums,
-    group_untranslate,
+    interior,
     is_syndetic_for,
     is_thick_for,
     localize_colors,
     piecewise_syndetic_witness,
 )
-from .patterns import Family, builtin_family, default_catalog, parse_family
+from .patterns import Family, default_catalog, parse_family
 from .rado import columns_condition, cross_validate, parse_equation, system_to_family
 from .search import (
     AVOIDING,
@@ -60,13 +60,8 @@ def _emit(out, payload: dict) -> None:
 
 
 def _resolve_family(args: argparse.Namespace) -> Family:
-    text = args.family
-    try:
-        return builtin_family(text)
-    except KeyError:
-        pass
     return parse_family(
-        text,
+        args.family,
         allow_offsets=args.allow_offsets,
         require_distinct_values=args.distinct,
         strict_nonzero_x=args.strict_x,
@@ -98,7 +93,7 @@ def _witness_json(w) -> dict | None:
         return None
     return {
         "x": format_rational(w.x),
-        "y": None if w.y is None else format_rational(w.y),
+        "y": format_rational(w.y),
         "color": w.color,
         "values": [format_rational(v) for v in w.values],
     }
@@ -227,15 +222,7 @@ def _cmd_largeset(args, out) -> int:
         if args.core is not None:
             core = _parse_rational_list(args.core)
         else:
-            core = [
-                x
-                for x in window.elements()
-                if (args.mode != "*" or x != 0)
-                and all(
-                    window.contains(group_untranslate(args.mode, x, f))
-                    for f in shape.elements
-                )
-            ]
+            core = interior(window, shape)
         ok, uncovered = is_syndetic_for(aset, window, shape, core)
         payload["syndetic"] = ok
         payload["core_size"] = len(core)
@@ -349,33 +336,62 @@ def _add_family_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--strict-x", action="store_true", help="forbid x = 0 in instantiations")
 
 
-def _config_value(key: str, value, action: argparse.Action):
-    """A config value in the form the parser expects for ``action``.
+def _read_config(path: str) -> dict:
+    """The JSON object in ``path``, with '-' in keys spelled '_'."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            config = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise CliError(f"cannot read config: {exc}") from None
+    if not isinstance(config, dict):
+        raise CliError("config must be a JSON object")
+    return {k.replace("-", "_"): v for k, v in config.items()}
 
-    A flag takes only JSON true or false.  An option that takes a value gets
-    it as a string, so argparse converts it with the option's own type, as it
-    does for the same text on the command line.  Anything else raises
-    CliError.
+
+def _config_token(key: str, value, action: argparse.Action) -> str | None:
+    """The token that sets ``action`` to a config value, as if typed.
+
+    A flag takes only JSON true (the flag) or false (no token).  An option
+    that takes a value gets ``--option=value``, so argparse converts it with
+    the option's own type, and a value that starts with '-' stays a value.
+    Anything else raises CliError.
     """
+    option = action.option_strings[-1]
     if action.nargs == 0:
         if isinstance(value, bool):
-            return value
+            return option if value else None
         raise CliError(f"config key {key} is a flag: use true or false, not {json.dumps(value)}")
     if isinstance(value, (str, int, float)) and not isinstance(value, bool):
-        return str(value)
+        return f"{option}={value}"
     raise CliError(f"config key {key} takes a string or a number, not {json.dumps(value)}")
 
 
-def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
-    """Assemble the parser; ``defaults`` override matching option defaults.
+def _config_tokens(parser: argparse.ArgumentParser, config: dict, command: str) -> list[str]:
+    """The tokens of ``command``'s options in the config.
 
-    Subcommands parse into their own namespace, so defaults from a config
-    file have to be pushed into every subparser that knows the option, not
-    just the top-level parser.  An option (not a positional) that the
-    config fills is no longer required, since argparse ignores the default
-    of a required option.  A key that no parser knows, or a value of the
-    wrong kind, raises CliError.
+    Each key must name an option (not a positional, and not help) of some
+    subcommand, with a value that suits it in every subcommand that has it;
+    otherwise CliError.
     """
+    commands = next(a for a in parser._actions if a.dest == "command").choices
+    options: dict[str, dict[str, argparse.Action]] = {}
+    for name, child in commands.items():
+        for action in child._actions:
+            if action.option_strings and action.dest != "help":
+                options.setdefault(action.dest, {})[name] = action
+    unknown = sorted(set(config) - options.keys())
+    if unknown:
+        raise CliError(f"unknown config keys: {', '.join(unknown)}")
+    tokens = []
+    for key, value in config.items():
+        for name, action in options[key].items():
+            token = _config_token(key, value, action)
+            if name == command and token is not None:
+                tokens.append(token)
+    return tokens
+
+
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qramsey",
         description="finite partition-pattern search over rational windows",
@@ -383,14 +399,8 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     parser.add_argument("--config", default=None, help="JSON file with option defaults")
     sub = parser.add_subparsers(dest="command", required=True)
-    children: list[argparse.ArgumentParser] = []
 
-    def add_command(name: str, **kwargs) -> argparse.ArgumentParser:
-        child = sub.add_parser(name, **kwargs)
-        children.append(child)
-        return child
-
-    p = add_command("detect", help="find a monochromatic instantiation")
+    p = sub.add_parser("detect", help="find a monochromatic instantiation")
     p.add_argument("family", help="catalog key or family text")
     p.add_argument("window", help="window spec, e.g. int:1..9")
     p.add_argument("--colors", required=True, help="color list, e.g. [0,1,0,1]")
@@ -398,7 +408,7 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     _add_family_flags(p)
     p.set_defaults(func=_cmd_detect)
 
-    p = add_command("search", help="search for an avoiding coloring")
+    p = sub.add_parser("search", help="search for an avoiding coloring")
     p.add_argument("family")
     p.add_argument("window")
     p.add_argument("-r", type=int, required=True)
@@ -408,7 +418,7 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     _add_budget_args(p)
     p.set_defaults(func=_cmd_search)
 
-    p = add_command("sweep", help="run a window ladder and report outcomes")
+    p = sub.add_parser("sweep", help="run a window ladder and report outcomes")
     p.add_argument("family")
     p.add_argument("-r", type=int, required=True)
     p.add_argument("--template", default="int", help="int, farey, or mgrid:p1,p2,...")
@@ -420,7 +430,7 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     _add_budget_args(p)
     p.set_defaults(func=_cmd_sweep)
 
-    p = add_command("rado", help="columns condition for a linear equation")
+    p = sub.add_parser("rado", help="columns condition for a linear equation")
     p.add_argument("equation", help='e.g. "1*x1 + 1*x2 - 1*x3 = 0"')
     p.add_argument("--validate", action="store_true", help="cross-check against search")
     p.add_argument("-r", type=int, default=2)
@@ -428,7 +438,7 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     _add_budget_args(p)
     p.set_defaults(func=_cmd_rado)
 
-    p = add_command("largeset", help="finite largeness checks")
+    p = sub.add_parser("largeset", help="finite largeness checks")
     p.add_argument("check", choices=["thick", "syndetic", "pws", "ip"])
     p.add_argument("window")
     p.add_argument("--set", default=None, help="comma-separated rationals")
@@ -439,7 +449,7 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--ip-r", type=int, default=2)
     p.set_defaults(func=_cmd_largeset)
 
-    p = add_command("localize", help="localize colors over a multiplicative grid")
+    p = sub.add_parser("localize", help="localize colors over a multiplicative grid")
     p.add_argument("window", help="mgrid window spec")
     p.add_argument("--colors", required=True)
     p.add_argument("-r", type=int, default=None)
@@ -447,7 +457,7 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--max-f", type=int, default=3)
     p.set_defaults(func=_cmd_localize)
 
-    p = add_command("export-cnf", help="write the avoidance problem as DIMACS")
+    p = sub.add_parser("export-cnf", help="write the avoidance problem as DIMACS")
     p.add_argument("family")
     p.add_argument("window")
     p.add_argument("-r", type=int, required=True)
@@ -455,7 +465,7 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     _add_family_flags(p)
     p.set_defaults(func=_cmd_export_cnf)
 
-    p = add_command("import-sat", help="read a solver model back as a coloring")
+    p = sub.add_parser("import-sat", help="read a solver model back as a coloring")
     p.add_argument("family")
     p.add_argument("window")
     p.add_argument("-r", type=int, required=True)
@@ -463,66 +473,41 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     _add_family_flags(p)
     p.set_defaults(func=_cmd_import_sat)
 
-    p = add_command("verify", help="check a certificate file")
+    p = sub.add_parser("verify", help="check a certificate file")
     p.add_argument("certificate")
     p.add_argument("--rerun", action="store_true", help="replay exhaustive searches")
     p.set_defaults(func=_cmd_verify)
 
-    p = add_command("catalog", help="list the built-in families")
+    p = sub.add_parser("catalog", help="list the built-in families")
     p.set_defaults(func=_cmd_catalog)
 
-    if defaults:
-        unknown = set(defaults)
-        for target in (parser, *children):
-            actions = {a.dest: a for a in target._actions}
-            unknown -= actions.keys()
-            matching = {
-                k: _config_value(k, v, actions[k]) for k, v in defaults.items() if k in actions
-            }
-            for k in matching:
-                if actions[k].option_strings:
-                    actions[k].required = False
-            if matching:
-                target.set_defaults(**matching)
-        if unknown:
-            raise CliError(f"unknown config keys: {', '.join(sorted(unknown))}")
     return parser
 
 
 def main(argv: list[str] | None = None, out=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     out = out or sys.stdout
+    parser = build_parser()
     pre = argparse.ArgumentParser(add_help=False)
     pre.add_argument("--config", default=None)
+    pre.add_argument("rest", nargs=argparse.REMAINDER)  # the subcommand and its arguments
     known, _ = pre.parse_known_args(argv)
-    defaults = None
-    if known.config:
-        try:
-            with open(known.config, "r", encoding="utf-8") as fh:
-                config = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"error: cannot read config: {exc}", file=sys.stderr)
-            return 2
-        if not isinstance(config, dict):
-            print("error: config must be a JSON object", file=sys.stderr)
-            return 2
-        defaults = {k.replace("-", "_"): v for k, v in config.items()}
     try:
-        parser = build_parser(defaults)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
+        if known.config and known.rest:
+            # Right after the subcommand, so that options typed after it win.
+            at = len(argv) - len(known.rest) + 1
+            argv[at:at] = _config_tokens(parser, _read_config(known.config), known.rest[0])
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 0 if exc.code == 0 else 2
-    try:
         started = time.perf_counter()
         code = args.func(args, out)
         print(f"total wall time: {time.perf_counter() - started:.3f}s", file=sys.stderr)
         return code
+    except SystemExit as exc:
+        return 0 if exc.code == 0 else 2
     except (CliError, ValueError, OSError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError would quote the message
+        message = exc.args[0] if isinstance(exc, KeyError) else exc
+        print(f"error: {message}", file=sys.stderr)
         return 2
 
 

@@ -44,25 +44,19 @@ class CandidateTable:
         superset of a kept group is implied by it, so only the minimal sets
         survive.  Sorted by (size, indices); deterministic.
         """
-        seen: set[frozenset[int]] = set()
-        groups = []
-        for e in self.entries:
-            s = frozenset(e.value_indices)
-            if s not in seen:
-                seen.add(s)
-                groups.append(tuple(sorted(s)))
-        groups.sort(key=lambda g: (len(g), g))
+        groups = sorted(
+            {tuple(sorted(set(e.value_indices))) for e in self.entries},
+            key=lambda g: (len(g), g),
+        )
         kept: list[tuple[int, ...]] = []
-        kept_set: set[frozenset[int]] = set()
+        kept_set: set[tuple[int, ...]] = set()
         for g in groups:
-            subsumed = False
-            for size in range(1, len(g)):
-                if any(frozenset(sub) in kept_set for sub in combinations(g, size)):
-                    subsumed = True
-                    break
-            if not subsumed:
+            # combinations of a sorted tuple are sorted, so they match kept tuples
+            if not any(
+                sub in kept_set for size in range(1, len(g)) for sub in combinations(g, size)
+            ):
                 kept.append(g)
-                kept_set.add(frozenset(g))
+                kept_set.add(g)
         return tuple(kept)
 
 

@@ -137,6 +137,16 @@ def is_thick_for(A: Iterable[Fraction], window: Window, shape: ShapeF) -> Fracti
     return None
 
 
+def interior(window: Window, shape: ShapeF) -> tuple[Fraction, ...]:
+    """Window elements, in window order, whose pre-translates under every
+    shape element lie in the window."""
+    return tuple(
+        x
+        for x in _window_iter(window, shape.mode)
+        if all(window.contains(group_untranslate(shape.mode, x, f)) for f in shape.elements)
+    )
+
+
 def is_syndetic_for(
     A: Iterable[Fraction],
     window: Window,
@@ -315,28 +325,21 @@ class PolynomialMapping:
                     )
             if self.mode == MODE_MUL and any(v == 0 for v in mono.values.values()):
                 raise LargeSetError("multiplicative table values cannot be zero")
-        if evaluate_mapping_unchecked(self, ()) != group_identity(self.mode):
+        if evaluate_mapping(self, ()) != group_identity(self.mode):
             raise LargeSetError("mapping must send the empty set to the identity")
 
 
-def evaluate_mapping_unchecked(
-    pm: PolynomialMapping, subset: Iterable[Fraction]
-) -> Fraction:
+def evaluate_mapping(pm: PolynomialMapping, subset: Iterable[Fraction]) -> Fraction:
+    """Value at a finite subset of the index set; the empty set gives the identity."""
     alpha = sorted({Fraction(s) for s in subset})
+    stray = next((s for s in alpha if s not in pm.index_set), None)
+    if stray is not None:
+        raise LargeSetError(f"{stray} is not in the mapping's index set")
     acc = group_identity(pm.mode)
     for mono in pm.monomials:
         for key in product(alpha, repeat=mono.degree):
             acc = group_op(pm.mode, acc, mono.values[key])
     return acc
-
-
-def evaluate_mapping(pm: PolynomialMapping, subset: Iterable[Fraction]) -> Fraction:
-    """Value at a finite subset of the index set; the empty set gives the identity."""
-    alpha = {Fraction(s) for s in subset}
-    stray = next((s for s in alpha if s not in pm.index_set), None)
-    if stray is not None:
-        raise LargeSetError(f"{stray} is not in the mapping's index set")
-    return evaluate_mapping_unchecked(pm, alpha)
 
 
 def degree_upper_bound(pm: PolynomialMapping) -> int:
@@ -413,11 +416,8 @@ def localize_colors(
     color_of = {v: c for v, c in zip(elems, coloring.colors)}
 
     def attempt(fs: tuple[Fraction, ...]) -> LocalizationReport | None:
-        core = [
-            x
-            for x in elems
-            if all(window.contains(x / f) for f in fs)
-        ]
+        translates = ShapeF(fs, MODE_MUL)
+        core = interior(window, translates)
         if not core:
             return None
         coverage = []
@@ -431,8 +431,8 @@ def localize_colors(
             coverage.append((x, ls))
         report = LocalizationReport(
             color_sets=tuple(sub for sub, _ in thick),
-            translates=ShapeF(fs, MODE_MUL),
-            core=tuple(core),
+            translates=translates,
+            core=core,
             thickness_witnesses=tuple(w for _, w in thick),
             coverage=tuple(coverage),
         )

@@ -14,8 +14,8 @@ A family is a finite set of terms in the variables x and y.  Term shapes:
 Instantiating a family at a point (x, y) requires y nonzero, and x nonzero
 whenever a power term is present (or the family is marked strict).
 
-Family text is terms joined by ';', e.g. ``"x; y; x + t"`` or
-``"x; x / y^1; x + t"``.
+Family text is a catalog key (see builtin_family) or terms joined by ';',
+e.g. ``"x; y; x + t"`` or ``"x; x / y^1; x + t"``.
 """
 
 from __future__ import annotations
@@ -270,12 +270,17 @@ def parse_family(
     require_distinct_values: bool = False,
     strict_nonzero_x: bool = False,
 ) -> Family:
-    """Parse ';'-separated term text into a Family."""
+    """Parse a catalog key or ';'-separated term text into a Family; a bad key
+    raises builtin_family's KeyError.  The distinct and strict flags apply to both."""
+    m = _KEY_RE.match(text.strip())
     terms: list[PatternTerm] = []
-    offset = 0
-    for chunk in text.split(";"):
-        terms.append(_parse_term(chunk, offset, allow_offsets))
-        offset += len(chunk) + 1
+    if m and m.group("name") in _CATALOG:
+        terms.extend(builtin_family(text).terms)
+    else:
+        offset = 0
+        for chunk in text.split(";"):
+            terms.append(_parse_term(chunk, offset, allow_offsets))
+            offset += len(chunk) + 1
     return Family(
         tuple(terms),
         require_distinct_values=require_distinct_values,

@@ -81,15 +81,6 @@ class Window:
             self._index = {v: i for i, v in enumerate(self.elements())}
         return self._index.get(q)
 
-    def __contains__(self, q: object) -> bool:
-        return isinstance(q, (int, Fraction)) and self.contains(q)
-
-    def __len__(self) -> int:
-        return self.size()
-
-    def __iter__(self) -> Iterator[Fraction]:
-        return iter(self.elements())
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Window) and self.spec_string() == other.spec_string()
 
@@ -249,6 +240,17 @@ class MultiplicativeGrid(Window):
 
 _INT_RE = re.compile(r"^int:(-?\d+)\.\.(-?\d+)$")
 
+# Spec flags of each window kind: flag -> (constructor keyword, value).
+_FLAGS = {
+    "farey": {
+        "+zero": ("include_zero", True),
+        "-zero": ("include_zero", False),
+        "+neg": ("include_negatives", True),
+        "-neg": ("include_negatives", False),
+    },
+    "mgrid": {"+sign": ("include_sign", True), "-sign": ("include_sign", False)},
+}
+
 
 def parse_window(spec: str) -> Window:
     """Build a window from its spec string.
@@ -263,37 +265,26 @@ def parse_window(spec: str) -> Window:
     if m:
         return IntegerInterval(int(m.group(1)), int(m.group(2)))
     parts = spec.split(":")
-    if parts[0] == "farey" and len(parts) >= 2:
+    kind = parts[0]
+    if kind == "farey" and len(parts) >= 2:
         try:
             n = int(parts[1])
         except ValueError:
             raise WindowError(f"bad Farey bound in {spec!r}") from None
-        zero, neg = True, True
-        for flag in parts[2:]:
-            if flag == "+zero":
-                zero = True
-            elif flag == "-zero":
-                zero = False
-            elif flag == "+neg":
-                neg = True
-            elif flag == "-neg":
-                neg = False
-            else:
-                raise WindowError(f"unknown flag {flag!r} in {spec!r}")
-        return FareyWindow(n, include_zero=zero, include_negatives=neg)
-    if parts[0] == "mgrid" and len(parts) >= 3:
+        make, args, flags = FareyWindow, (n,), parts[2:]
+    elif kind == "mgrid" and len(parts) >= 3:
         try:
             primes = [int(p) for p in parts[1].split(",")]
             bound = int(parts[2])
         except ValueError:
             raise WindowError(f"bad grid parameters in {spec!r}") from None
-        sign = False
-        for flag in parts[3:]:
-            if flag == "+sign":
-                sign = True
-            elif flag == "-sign":
-                sign = False
-            else:
-                raise WindowError(f"unknown flag {flag!r} in {spec!r}")
-        return MultiplicativeGrid(primes, bound, include_sign=sign)
-    raise WindowError(f"unrecognized window spec {spec!r}")
+        make, args, flags = MultiplicativeGrid, (primes, bound), parts[3:]
+    else:
+        raise WindowError(f"unrecognized window spec {spec!r}")
+    options = {}
+    for flag in flags:
+        if flag not in _FLAGS[kind]:
+            raise WindowError(f"unknown flag {flag!r} in {spec!r}")
+        keyword, value = _FLAGS[kind][flag]
+        options[keyword] = value
+    return make(*args, **options)

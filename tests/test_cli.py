@@ -83,6 +83,31 @@ class TestSearch:
         argv = ["search", "vdw(2)", "int:1..8", "-r", "2"]
         assert run_cli(argv) == run_cli(argv)
 
+    def test_catalog_key_takes_distinct(self, tmp_path):
+        code, payload = run_json(
+            ["search", "quotient-poly(1,[t])", "farey:3", "-r", "2", "--distinct",
+             "--cert-dir", str(tmp_path), "--cert-stem", "qd"]
+        )
+        code2, written_out = run_json(
+            ["search", "x; x / y^1; x + t", "farey:3", "-r", "2", "--distinct"]
+        )
+        assert code == code2 == 0
+        assert payload["nodes"] == written_out["nodes"] == 34
+        cert = json.loads((tmp_path / "qd.upper-bound.json").read_text())
+        assert cert["family_flags"]["require_distinct_values"] is True
+
+    def test_catalog_key_takes_strict_x(self):
+        code, payload = run_json(["search", "schur", "int:-3..6", "-r", "2", "--strict-x"])
+        assert code == 0
+        assert payload["nodes"] == 10
+
+    @pytest.mark.parametrize("key", ["moreira(2,[t])", "quotient-poly(0)"])
+    def test_bad_catalog_key_reports_reason(self, key, capsys):
+        code, text = run_cli(["search", key, "int:1..5", "-r", "2"])
+        assert code == 2
+        assert text == ""
+        assert f"error: bad catalog key '{key}': " in capsys.readouterr().err
+
 
 class TestCertificates:
     def test_upper_bound_verifies(self, tmp_path):
@@ -334,6 +359,16 @@ class TestLargeset:
         assert payload["core_size"] == 9
         assert payload["uncovered"] == []
 
+    def test_syndetic_given_core(self):
+        code, payload = run_json(
+            ["largeset", "syndetic", "int:1..12", "--set", "2,4,6,8,10",
+             "--shape", "0,1", "--core", "3,4,5"]
+        )
+        assert code == 0
+        assert payload["syndetic"] is True
+        assert payload["core_size"] == 3
+        assert payload["uncovered"] == []
+
     def test_pws(self):
         code, payload = run_json(
             ["largeset", "pws", "int:1..10", "--set", "1,3,5,7,9",
@@ -377,6 +412,13 @@ class TestLocalize:
         assert payload["localized"] is True
         assert payload["color_sets"] == [[0]]
         assert payload["core_size"] >= 1
+
+    def test_no_translate_set_found(self):
+        code, payload = run_json(
+            ["localize", "mgrid:2:1", "--colors", "[0,1,0]", "--shape", "1,2,4", "--max-f", "1"]
+        )
+        assert code == 0
+        assert payload == {"localized": False, "window": "mgrid:2:1"}
 
 
 class TestCnfFlow:
@@ -523,6 +565,42 @@ class TestConfig:
         code, text = run_cli(["search", "schur", "int:1..5"])
         assert code == 2
         assert text == ""
+
+    @pytest.mark.parametrize(
+        "config, unknown",
+        [
+            ({"window": "int:1..9", "family": "vdw(2)"}, "family, window"),
+            ({"config": "x"}, "config"),
+            ({"help": True, "version": "1", "command": "search"}, "command, help, version"),
+        ],
+        ids=["positionals", "config", "top-level"],
+    )
+    def test_positional_and_top_level_keys_rejected(self, tmp_path, capsys, config, unknown):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        cert_dir = tmp_path / "certs"
+        code, text = run_cli(
+            ["--config", str(cfg), "search", "schur", "int:1..5", "-r", "2",
+             "--cert-dir", str(cert_dir)]
+        )
+        assert code == 2
+        assert text == ""
+        assert not cert_dir.exists()
+        assert f"unknown config keys: {unknown}" in capsys.readouterr().err
+
+    def test_config_value_starting_with_dash_stays_a_value(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"set": "-2,-1", "shape": "0,1"}))
+        code, payload = run_json(["--config", str(cfg), "largeset", "thick", "int:-3..3"])
+        assert code == 0
+        assert payload["witness"] == "-2"
+
+    def test_key_of_another_subcommand_is_skipped(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"rerun": True, "n-max": 4}))
+        code, payload = run_json(["--config", str(cfg), "search", "schur", "int:1..5", "-r", "2"])
+        assert code == 0
+        assert payload["outcome"] == "exhausted"
 
     def test_config_does_not_fill_positionals(self, tmp_path):
         cfg = tmp_path / "cfg.json"

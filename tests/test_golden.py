@@ -6,8 +6,8 @@ compared with its record in ``golden.json``: the exit code, the stdout text
 and the bytes of every file the step created or changed.  The commands are
 every offline ``$ qramsey`` example of README.md (the SAT model that the
 README gets from ``minisat`` is a fixed file here), one ``search --cert-dir``
-on each window kind, a sweep with certificates and ``verify`` of every
-certificate written.
+on each window kind, one on a catalog key with ``--distinct``, a sweep with
+certificates and ``verify`` of every certificate written.
 
 After a deliberate change of output, rewrite the records with
 
@@ -63,6 +63,8 @@ COMMANDS = [
     'search "bowen-sabok(1)" farey:4 -r 2 --cert-dir certs --cert-stem bs',
     "search question-hs mgrid:2,3:1 -r 2 --cert-dir certs --cert-stem m",
     'search "quotient-poly(1,[t])" mgrid:2,3:1:+sign -r 2 --cert-dir certs --cert-stem ms',
+    # a catalog key with a family flag
+    'search "quotient-poly(1,[t])" farey:3 -r 2 --distinct --cert-dir certs --cert-stem qd',
     "sweep schur --template farey -r 2 --lo 1 --hi 3 --cert-dir certs",
     "detect schur farey:3 --colors [0,1,0,1,0,1,0,1,0,1,0,1,0,1,0]",
     "export-cnf schur mgrid:2:2:+sign -r 2",
@@ -78,6 +80,7 @@ COMMANDS = [
     "verify certs/bs.lower-bound.json",
     "verify certs/m.lower-bound.json",
     "verify certs/ms.upper-bound.json --rerun",
+    "verify certs/qd.upper-bound.json --rerun",
     "verify certs/farey-1.lower-bound.json",
     "verify certs/farey-2.upper-bound.json --rerun",
     "verify certs/farey-3.upper-bound.json --rerun",

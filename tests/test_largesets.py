@@ -25,6 +25,7 @@ from qramsey.largesets import (
     group_identity,
     group_op,
     group_untranslate,
+    interior,
     is_ip_r_star,
     is_syndetic_for,
     is_thick_for,
@@ -201,6 +202,20 @@ class TestSyndetic:
         )
         assert ok is True
         assert uncovered == ()
+
+    def test_interior_additive(self):
+        assert interior(IntegerInterval(1, 6), ShapeF((0, 2))) == (F(3), F(4), F(5), F(6))
+
+    def test_interior_multiplicative_skips_zero(self):
+        farey = FareyWindow(2)
+        assert interior(farey, ShapeF((1, 2), MODE_MUL)) == (F(-2), F(-1), F(1), F(2))
+
+    def test_interior_is_a_valid_core(self):
+        grid = MultiplicativeGrid([2, 3], 1)
+        shape = ShapeF((1, 2), MODE_MUL)
+        core = interior(grid, shape)
+        assert len(core) == 6
+        assert is_syndetic_for(grid.elements(), grid, shape, core) == (True, ())
 
 
 class TestPiecewiseSyndetic:

@@ -152,6 +152,24 @@ class TestParse:
         assert fam.require_distinct_values
         assert fam.strict_nonzero_x
 
+    def test_catalog_key_takes_flags(self):
+        fam = parse_family(
+            " quotient-poly(1,[t])", require_distinct_values=True, strict_nonzero_x=True
+        )
+        assert fam.terms == builtin_family("quotient-poly(1,[t])").terms
+        assert fam.require_distinct_values
+        assert fam.strict_nonzero_x
+
+    def test_bad_catalog_key_raises_its_keyerror(self):
+        with pytest.raises(KeyError, match="moreira got k=2 but 1 polynomials"):
+            parse_family("moreira(2,[t])")
+
+    def test_names_outside_the_catalog_are_terms(self):
+        with pytest.raises(PatternSyntaxError, match="unrecognized term 'nope'"):
+            parse_family("nope")
+        with pytest.raises(KeyError):
+            builtin_family("x; y; x + t")
+
 
 class TestSerializeRoundTrip:
     def test_catalog_round_trips(self):

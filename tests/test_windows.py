@@ -175,6 +175,16 @@ class TestParseWindow:
         with pytest.raises(WindowError):
             parse_window(bad)
 
+    @pytest.mark.parametrize("spec", ["farey:2:+sign", "mgrid:2:1:-zero", "mgrid:2:1:+neg"])
+    def test_flag_of_another_kind_rejected(self, spec):
+        with pytest.raises(WindowError) as ei:
+            parse_window(spec)
+        assert str(ei.value) == f"unknown flag {spec.rsplit(':', 1)[1]!r} in {spec!r}"
+
+    def test_later_flag_wins(self):
+        assert parse_window("farey:2:-zero:+zero:-neg").spec_string() == "farey:2:-neg"
+        assert parse_window("mgrid:2:1:+sign:-sign").spec_string() == "mgrid:2:1"
+
 
 class TestCap:
     def test_size_is_cheap_but_enumeration_is_capped(self):
