@@ -7,11 +7,12 @@ the parameters, the node count and a hash of the decision trace.  At desk
 scale re-running the search is cheaper than checking a proof log, so an upper
 bound is checked only by a re-run; without one it is reported as not checked.
 
-Format 2 dropped the worker count from the upper-bound exhaustion record:
-the search no longer splits its tree, so the trace hash depends only on the
-instance.  Format 1 upper bounds are rejected and have to be regenerated with
-a fresh search.  Lower bounds kept their layout, so they are still written
-and read as format 1.
+Format 3 marks upper bounds found with smallest-domain-first branching.  The
+node count and the trace hash follow the branching order, and the hash is
+now the plain SHA-256 of the decision trace.  Format 1 (worker split) and
+format 2 (static order) upper bounds cannot be re-run to the same counts,
+so they are rejected and have to be regenerated with a fresh search.  Lower
+bounds kept their layout, so they are still written and read as format 1.
 
 The JSON layout is stable and fully ordered; byte-identical output for
 identical inputs is part of the contract, so no timestamps or volatile fields
@@ -31,7 +32,7 @@ from .detector import find_witness
 from .patterns import Family, Witness, parse_family
 from .windows import parse_window
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 LOWER_BOUND_FORMAT = 1
 
 LOWER_BOUND = "lower-bound"
@@ -140,11 +141,11 @@ def check_certificate(cert: Any) -> None:
     kind = _field(cert, "kind", str)
     for name, field_kind in (("family", str), ("window", str), ("r", int)):
         _field(cert, name, field_kind)
-    if version == 1 and kind == UPPER_BOUND:
+    if kind == UPPER_BOUND and version < FORMAT_VERSION:
         raise ValueError(
-            "format 1 upper-bound certificates are no longer accepted: their trace "
-            "hash depended on the removed worker split; re-run `qramsey search` "
-            "to regenerate the certificate"
+            f"format {version} upper-bound certificates are no longer accepted: the "
+            "branching order of the search changed; re-run `qramsey search` to "
+            "regenerate the certificate"
         )
     if kind not in (LOWER_BOUND, UPPER_BOUND):
         raise ValueError(f"unknown certificate kind {kind!r}")

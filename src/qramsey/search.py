@@ -4,8 +4,9 @@ The solver assigns colors to window elements by backtracking over the
 constraint groups of the candidate table ("these indices may not all share
 one color"):
 
-* assignment order is most-constrained-first (descending group count,
-  index as tie-break);
+* assignment order is smallest domain first: each node branches on the
+  uncolored element with the fewest open colors, ties broken by descending
+  group count, then by index (fail-first; DSATUR for graph coloring);
 * propagation is forced-color elimination: after an element takes color c,
   every group holding it is scanned, and a group whose members all have
   color c but one uncolored member has c struck from that member's domain;
@@ -143,8 +144,15 @@ class _Search:
     def _dfs(self, depth: int, used: int) -> bool:
         if depth == len(self.order):
             return True
-        e = self.order[depth]
-        trail, domain = self.trail, self.domain
+        colors, domain, trail = self.colors, self.domain, self.trail
+        e, best = -1, self.r + 1
+        for t in self.order:
+            if colors[t] < 0:
+                size = domain[t].bit_count()
+                if size < best:
+                    e, best = t, size
+                    if size == 1:
+                        break
         for c in range(min(used + 1, self.r)):
             if not (domain[e] >> c) & 1:
                 continue
@@ -152,7 +160,7 @@ class _Search:
             mark = len(trail)
             if self._apply(e, c) and self._dfs(depth + 1, max(used, c + 1)):
                 return True
-            self.colors[e] = -1
+            colors[e] = -1
             while len(trail) > mark:
                 t, bit = trail.pop()
                 domain[t] |= bit
@@ -206,10 +214,7 @@ def search_avoiding(
     except _BudgetHit:
         return result(BUDGET_EXCEEDED, None, search.nodes, None)
     if colors is None:
-        # Hashing the trace digest once more keeps every exhaustion hash equal
-        # to the single-worker value of versions that split the tree.
-        digest = hashlib.sha256(search.trace.digest()).hexdigest()
-        return result(EXHAUSTED, None, search.nodes, digest)
+        return result(EXHAUSTED, None, search.nodes, search.trace.hexdigest())
     coloring = Coloring(window, colors, r)
     if find_witness(family, coloring, table) is not None:
         raise RuntimeError("internal error: search returned a colorable witness")

@@ -435,3 +435,47 @@ def test_criterion_10_reproducibility():
         res = search_avoiding(family, window, 2)
         assert res.outcome == expected, window.spec_string()
     print("criterion 10: byte-identical JSON and expected outcomes")
+
+
+def _monochromatic_instances(family, coloring):
+    """Double-loop instances that the coloring paints in one color."""
+    colors = coloring.colors
+    return [
+        inst
+        for inst in _instances_by_double_loop(family, coloring.window)
+        if len({colors[i] for i in inst}) == 1
+        and not (family.require_distinct_values and len(set(inst)) < len(inst))
+    ]
+
+
+def test_criterion_11_schur_number_four():
+    # S(4) = 44 (Baumert, 1965): the first check of the value-symmetry rule
+    # under smallest-domain branching with four colors.
+    family = builtin_family("schur")
+    t0 = time.perf_counter()
+    res44 = search_avoiding(family, IntegerInterval(1, 44), 4)
+    res45 = search_avoiding(family, IntegerInterval(1, 45), 4)
+    elapsed = time.perf_counter() - t0
+    assert res44.outcome == AVOIDING
+    assert find_witness(family, res44.coloring) is None
+    assert _monochromatic_instances(family, res44.coloring) == []
+    assert res45.outcome == EXHAUSTED
+    assert res45.nodes == 387670
+    assert elapsed < 60.0, f"took {elapsed:.3f}s"
+    print(f"criterion 11: S(4) = 44, {res45.nodes} nodes at 45, {elapsed:.3f}s")
+
+
+def test_criterion_12_quotient_family_three_colors():
+    # The paper's family {x, x/y, x + y} with distinct values: some 3-coloring
+    # of farey:6 avoids it, none of farey:7 does.
+    family = parse_family("quotient-poly(1,[t])", require_distinct_values=True)
+    t0 = time.perf_counter()
+    res6 = search_avoiding(family, FareyWindow(6), 3)
+    res7 = search_avoiding(family, FareyWindow(7), 3)
+    elapsed = time.perf_counter() - t0
+    assert (res6.outcome, res6.nodes) == (AVOIDING, 817)
+    assert find_witness(family, res6.coloring) is None
+    assert _monochromatic_instances(family, res6.coloring) == []
+    assert (res7.outcome, res7.nodes) == (EXHAUSTED, 1353)
+    assert elapsed < 60.0, f"took {elapsed:.3f}s"
+    print(f"criterion 12: farey:6 avoiding, farey:7 exhausted at r=3, {elapsed:.3f}s")

@@ -70,7 +70,7 @@ class TestSearch:
 
     def test_node_budget_stops_at_exactly_n_nodes(self, tmp_path):
         code, payload = run_json(
-            ["search", "schur", "int:1..30", "-r", "3", "--nodes", "100",
+            ["search", "vdw(2)", "int:1..27", "-r", "3", "--nodes", "100",
              "--cert-dir", str(tmp_path)]
         )
         assert code == 0
@@ -92,14 +92,14 @@ class TestSearch:
             ["search", "x; x / y^1; x + t", "farey:3", "-r", "2", "--distinct"]
         )
         assert code == code2 == 0
-        assert payload["nodes"] == written_out["nodes"] == 34
+        assert payload["nodes"] == written_out["nodes"] == 14
         cert = json.loads((tmp_path / "qd.upper-bound.json").read_text())
         assert cert["family_flags"]["require_distinct_values"] is True
 
     def test_catalog_key_takes_strict_x(self):
         code, payload = run_json(["search", "schur", "int:-3..6", "-r", "2", "--strict-x"])
         assert code == 0
-        assert payload["nodes"] == 10
+        assert payload["nodes"] == 4
 
     @pytest.mark.parametrize("key", ["moreira(2,[t])", "quotient-poly(0)"])
     def test_bad_catalog_key_reports_reason(self, key, capsys):
@@ -185,23 +185,32 @@ class TestCertificates:
         assert code == 1
         assert payload["message"] == "re-run outcome was avoiding"
 
-    def test_format_1_upper_bound_rejected(self, tmp_path, capsys):
+    @staticmethod
+    def _assert_old_upper_bound_rejected(tmp_path, capsys, version, **exhaustion):
         run_json(
             ["search", "schur", "int:1..5", "-r", "2",
              "--cert-dir", str(tmp_path), "--cert-stem", "s5"]
         )
         path = tmp_path / "s5.upper-bound.json"
         cert = json.loads(path.read_text())
-        cert["format_version"] = 1
-        cert["exhaustion"]["workers"] = 1
+        cert["format_version"] = version
+        cert["exhaustion"].update(exhaustion)
         path.write_text(json.dumps(cert))
-        capsys.readouterr()
-        code, text = run_cli(["verify", str(path), "--rerun"])
-        assert code == 2
-        assert text == ""
-        err = capsys.readouterr().err
-        assert "format 1 upper-bound certificates are no longer accepted" in err
-        assert "re-run `qramsey search`" in err
+        for extra in ([], ["--rerun"]):
+            capsys.readouterr()
+            code, text = run_cli(["verify", str(path)] + extra)
+            assert code == 2
+            assert text == ""
+            err = capsys.readouterr().err
+            assert f"format {version} upper-bound certificates are no longer accepted" in err
+            assert "branching order of the search changed" in err
+            assert "re-run `qramsey search`" in err
+
+    def test_format_1_upper_bound_rejected(self, tmp_path, capsys):
+        self._assert_old_upper_bound_rejected(tmp_path, capsys, 1, workers=1)
+
+    def test_format_2_upper_bound_rejected(self, tmp_path, capsys):
+        self._assert_old_upper_bound_rejected(tmp_path, capsys, 2)
 
     @pytest.mark.parametrize(
         "edit",
@@ -277,7 +286,7 @@ class TestCertificates:
         lower = json.loads((tmp_path / "s4.lower-bound.json").read_text())
         upper = json.loads((tmp_path / "s5.upper-bound.json").read_text())
         assert lower["format_version"] == 1
-        assert upper["format_version"] == 2
+        assert upper["format_version"] == 3
         assert sorted(upper["exhaustion"]) == ["nodes", "proof_log_hash"]
 
 

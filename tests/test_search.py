@@ -91,10 +91,10 @@ class TestOutcomes:
 
     @pytest.mark.parametrize("max_nodes", [0, 10, 100, 194])
     def test_node_budget_is_exact(self, max_nodes):
-        # The full search takes 195 nodes.
+        # The full search takes 2611 nodes.
         res = search_avoiding(
-            builtin_family("schur"),
-            IntegerInterval(1, 14),
+            builtin_family("vdw(2)"),
+            IntegerInterval(1, 27),
             3,
             budget=SearchBudget(max_nodes=max_nodes),
         )
@@ -103,10 +103,11 @@ class TestOutcomes:
 
     def test_node_budget_equal_to_tree_size_completes(self):
         res = search_avoiding(
-            builtin_family("schur"), IntegerInterval(1, 14), 3, budget=SearchBudget(max_nodes=195)
+            builtin_family("vdw(2)"), IntegerInterval(1, 27), 3,
+            budget=SearchBudget(max_nodes=2611),
         )
         assert res.outcome == EXHAUSTED
-        assert res.nodes == 195
+        assert res.nodes == 2611
 
     @pytest.mark.parametrize(
         "budget",
@@ -127,9 +128,10 @@ class TestOutcomes:
             )
 
     def test_time_budget(self):
-        family = builtin_family("schur")
+        # The clock is read every 64 nodes; the full search takes 2611.
+        family = builtin_family("vdw(2)")
         res = search_avoiding(
-            family, IntegerInterval(1, 14), 3, budget=SearchBudget(max_seconds=0.0)
+            family, IntegerInterval(1, 27), 3, budget=SearchBudget(max_seconds=0.0)
         )
         assert res.outcome == BUDGET_EXCEEDED
 
@@ -142,7 +144,7 @@ class TestOutcomes:
         assert res.wall_time >= 0.0
 
 
-class TestDeterminismAndWorkers:
+class TestDeterminism:
     def test_repeat_runs_reproduce_digest(self):
         family = builtin_family("schur")
         a = search_avoiding(family, IntegerInterval(1, 5), 2)
@@ -158,16 +160,16 @@ class TestDeterminismAndWorkers:
         assert find_witness(family, res4.coloring) is None
 
     def test_pinned_exhaustion_trace(self):
-        # Node count and trace hash of the one sequential search: W(3;3) = 27,
-        # and the benchmark's int:1..45 refutation at r = 2.
+        # Node count and trace hash of the smallest-domain-first search:
+        # W(3;3) = 27, and the benchmark's int:1..45 refutation at r = 2.
         cases = [
             (
-                builtin_family("vdw(2)"), 27, 3, 18332,
-                "f544426b9f228652bf7107590c00f96c12eca129cf5a97020408f908ad0120eb",
+                builtin_family("vdw(2)"), 27, 3, 2611,
+                "24851e1729882c4650fc44908287366d33d632f1ccab22701f1f325d57300156",
             ),
             (
-                parse_family("x; x + t; x + 4*t; x + 5*t"), 45, 2, 144754,
-                "29cd8fb7243beae3c88f40543ffbd494250da9833b6da6a84a6ec577d9e61fc5",
+                parse_family("x; x + t; x + 4*t; x + 5*t"), 45, 2, 24103,
+                "dc66d16ba9554710da30e59275437680570c6f4f4e84d2a7ff80ac591e77c7dc",
             ),
         ]
         for family, n, r, nodes, digest in cases:
