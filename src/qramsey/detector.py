@@ -5,6 +5,17 @@ with the family's constraints satisfied; it is stored as window indices so a
 coloring check is pure integer work.  The table is built once per
 (family, window) and reused across colorings.
 
+The table is built over exact integer pairs, not Fractions.  Each term's
+``pair_parts`` evaluates, once per x and once per y, the part that depends on
+that variable alone: a window index for x, y, offset and y-free terms, a
+reduced (numerator, denominator) pair for the two halves of an affine or
+power term.  The join below then costs, per (x, y) pair and term that mixes
+x and y, one integer sum or product of two pairs, one gcd and one lookup in
+the window's pair index.
+A reduced pair with a positive denominator is exactly the numerator and
+denominator of its Fraction, so the lookup finds what ``index_of`` finds.
+Every witness is re-checked with ``Term.value`` through ``instantiate``.
+
 Families whose terms never mention y are special-cased: the y coordinate is
 pinned to the first nonzero window element, since term values do not depend
 on it.  This keeps tables for families like {x, x + 3} linear in the window
@@ -16,9 +27,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
+from operator import itemgetter
 
 from .colorings import Coloring
-from .patterns import Family, Witness, instantiate
+from .patterns import PRODUCT, X_ONLY, Y_ONLY, Family, Witness, instantiate
 from .windows import CapExceededError, Window
 
 PAIR_CAP = 25_000_000
@@ -67,39 +80,60 @@ def build_candidates(family: Family, window: Window) -> CandidateTable:
     """
     elems = window.elements()
     need_x = family.requires_nonzero_x
-    if family.uses_y:
-        if len(elems) * len(elems) > PAIR_CAP:
-            raise CapExceededError(
-                f"candidate table for {window.spec_string()} needs "
-                f"{len(elems) ** 2} pairs, cap is {PAIR_CAP}"
-            )
-        y_range = list(enumerate(elems))
+    xs = [i for i, v in enumerate(elems) if v != 0 or not need_x]
+    if family.uses_y and len(elems) * len(elems) > PAIR_CAP:
+        raise CapExceededError(
+            f"candidate table for {window.spec_string()} needs "
+            f"{len(elems) ** 2} pairs, cap is {PAIR_CAP}"
+        )
+    ys = [i for i, v in enumerate(elems) if v != 0]
+    if not family.uses_y:
+        del ys[1:]  # the terms ignore y: pin it to the first nonzero element
+
+    index = window.pair_index()
+    x_vals, y_vals = [elems[i] for i in xs], [elems[i] for i in ys]
+    parts = [t.pair_parts(x_vals, y_vals, index) for t in family.terms]
+    x_only = [k for k, p in enumerate(parts) if p.op == X_ONLY]
+    y_only = [k for k, p in enumerate(parts) if p.op == Y_ONLY]
+    mixed = [k for k, p in enumerate(parts) if p.op not in (X_ONLY, Y_ONLY)]
+    # Indices are gathered x-only, y-only, mixed; this restores term order.
+    gathered = x_only + y_only + mixed
+    if gathered == sorted(gathered):
+        in_term_order = tuple
     else:
-        y0 = next(((i, v) for i, v in enumerate(elems) if v != 0), None)
-        y_range = [y0] if y0 is not None else []
+        in_term_order = itemgetter(*(gathered.index(k) for k in range(len(parts))))
+    products = [parts[k].op == PRODUCT for k in mixed]
+
+    x_rows = []
+    for pos, i in enumerate(xs):
+        fixed = [parts[k].per_x[pos] for k in x_only]
+        if None not in fixed:
+            x_rows.append((i, fixed, [parts[k].per_x[pos] for k in mixed]))
+    y_rows = []
+    for pos, i in enumerate(ys):
+        fixed = [parts[k].per_y[pos] for k in y_only]
+        if None not in fixed:
+            y_rows.append((i, fixed, [parts[k].per_y[pos] for k in mixed]))
 
     entries: list[Candidate] = []
     distinct = family.require_distinct_values
-    terms = family.terms
-    for xi, x in enumerate(elems):
-        if need_x and x == 0:
-            continue
-        for yi, y in y_range:
-            if y == 0:
-                continue
-            idxs = []
-            ok = True
-            for t in terms:
-                j = window.index_of(t.value(x, y))
+    lookup = index.get
+    for xi, x_fixed, x_mixed in x_rows:
+        for yi, y_fixed, y_mixed in y_rows:
+            idxs = x_fixed + y_fixed
+            for product, (a, b), (c, d) in zip(products, x_mixed, y_mixed):
+                num = a * c if product else a * d + c * b
+                den = b * d
+                g = gcd(num, den)
+                j = lookup((num // g, den // g))
                 if j is None:
-                    ok = False
                     break
                 idxs.append(j)
-            if not ok:
-                continue
-            if distinct and len(set(idxs)) != len(idxs):
-                continue
-            entries.append(Candidate(xi, yi, tuple(idxs)))
+            else:
+                idxs = in_term_order(idxs)
+                if distinct and len(set(idxs)) != len(idxs):
+                    continue
+                entries.append(Candidate(xi, yi, idxs))
     return CandidateTable(family, window, tuple(entries))
 
 
@@ -151,5 +185,9 @@ def _witness(
 ) -> Witness:
     x, y = elems[entry.x_index], elems[entry.y_index]
     values = instantiate(family, x, y)
-    assert all(coloring.color_of(v) == color for v in values)
+    if any(coloring.color_of(v) != color for v in values):
+        raise RuntimeError(
+            f"candidate table entry {entry} is not monochromatic at "
+            f"x={x}, y={y}: values {', '.join(map(str, values))}"
+        )
     return Witness(x=x, y=y, color=color, values=values)

@@ -16,6 +16,13 @@ whenever a power term is present (or the family is marked strict).
 
 Family text is a catalog key (see builtin_family) or terms joined by ';',
 e.g. ``"x; y; x + t"`` or ``"x; x / y^1; x + t"``.
+
+Every term has two evaluations.  ``value`` is the exact Fraction reference.
+``pair_parts`` serves the candidate table: it evaluates, once per window
+element, whatever part of the term depends on x alone or on y alone, as
+window indices or as reduced (numerator, denominator) integer pairs, and
+names the integer operation (sum or product) that joins an x part and a y
+part.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 from .arith import (
     PolynomialQ,
@@ -32,6 +39,7 @@ from .arith import (
     parse_polynomial,
     parse_rational,
 )
+from .windows import Pair, pair_key
 
 
 class PatternSyntaxError(ValueError):
@@ -44,10 +52,30 @@ class InvalidInstantiationError(ValueError):
     pass
 
 
+Values = Sequence[Fraction]
+PairIndex = dict[Pair, int]
+
+# PairParts.op: the term depends on x only or y only (parts are window
+# indices, None when the value leaves the window), or it is the sum or the
+# product of an x part and a y part (parts are reduced pairs).
+X_ONLY, Y_ONLY, SUM, PRODUCT = "x", "y", "+", "*"
+
+
+class PairParts(NamedTuple):
+    """A term split into per-x and per-y parts, aligned with the given x and y values."""
+
+    op: str
+    per_x: list | None
+    per_y: list | None
+
+
 @dataclass(frozen=True)
 class VarX:
     def value(self, x: Fraction, y: Fraction) -> Fraction:
         return x
+
+    def pair_parts(self, xs: Values, ys: Values, index: PairIndex) -> PairParts:
+        return PairParts(X_ONLY, [index.get(pair_key(x)) for x in xs], None)
 
     uses_y = False
 
@@ -59,6 +87,9 @@ class VarX:
 class VarY:
     def value(self, x: Fraction, y: Fraction) -> Fraction:
         return y
+
+    def pair_parts(self, xs: Values, ys: Values, index: PairIndex) -> PairParts:
+        return PairParts(Y_ONLY, None, [index.get(pair_key(y)) for y in ys])
 
     uses_y = True
 
@@ -78,6 +109,11 @@ class PowerTerm:
 
     def value(self, x: Fraction, y: Fraction) -> Fraction:
         return x * y**self.exponent
+
+    def pair_parts(self, xs: Values, ys: Values, index: PairIndex) -> PairParts:
+        return PairParts(
+            PRODUCT, [pair_key(x) for x in xs], [pair_key(y**self.exponent) for y in ys]
+        )
 
     uses_y = True
 
@@ -106,6 +142,15 @@ class AffineTerm:
     def value(self, x: Fraction, y: Fraction) -> Fraction:
         return self.x_coef * x + self.poly.eval(self.y_coef * y)
 
+    def pair_parts(self, xs: Values, ys: Values, index: PairIndex) -> PairParts:
+        if not self.uses_y:
+            return PairParts(X_ONLY, [index.get(pair_key(self.x_coef * x)) for x in xs], None)
+        return PairParts(
+            SUM,
+            [pair_key(self.x_coef * x) for x in xs],
+            [pair_key(self.poly.eval(self.y_coef * y)) for y in ys],
+        )
+
     @property
     def uses_y(self) -> bool:
         return bool(self.poly.coeffs)
@@ -132,6 +177,9 @@ class OffsetTerm:
 
     def value(self, x: Fraction, y: Fraction) -> Fraction:
         return x + self.offset
+
+    def pair_parts(self, xs: Values, ys: Values, index: PairIndex) -> PairParts:
+        return PairParts(X_ONLY, [index.get(pair_key(x + self.offset)) for x in xs], None)
 
     uses_y = False
 

@@ -10,8 +10,11 @@ Three window kinds, each with a documented canonical enumeration order:
   bound, ordered by exponent vector; with signs enabled the negated block
   follows the positive one.  Never contains 0.
 
-Windows enumerate their elements and hash their membership index lazily, on
-first access.  Enumeration refuses windows of more than ELEMENT_CAP elements.
+Windows enumerate their elements and build their membership index lazily, on
+first access.  The index is keyed on (numerator, denominator) integer pairs,
+so a value reduced by gcd with a positive denominator is looked up without
+building a Fraction.  Enumeration refuses windows of more than ELEMENT_CAP
+elements.
 """
 
 from __future__ import annotations
@@ -33,6 +36,14 @@ class CapExceededError(WindowError):
     """Window too large to enumerate under ELEMENT_CAP."""
 
 
+Pair = tuple[int, int]
+
+
+def pair_key(q: Fraction | int) -> Pair:
+    """The index key of q: its numerator and its positive denominator, in lowest terms."""
+    return q.numerator, q.denominator
+
+
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -49,7 +60,7 @@ class Window:
 
     def __init__(self) -> None:
         self._elements: tuple[Fraction, ...] | None = None
-        self._index: dict[Fraction, int] | None = None
+        self._index: dict[Pair, int] | None = None
 
     def _enumerate(self) -> Iterator[Fraction]:
         raise NotImplementedError
@@ -75,11 +86,15 @@ class Window:
             self._elements = tuple(self._enumerate())
         return self._elements
 
+    def pair_index(self) -> dict[Pair, int]:
+        """Canonical position of each element, keyed on its pair_key."""
+        if self._index is None:
+            self._index = {pair_key(v): i for i, v in enumerate(self.elements())}
+        return self._index
+
     def index_of(self, q: Fraction | int) -> int | None:
         """Position of q (an int or a Fraction) in canonical order, None when absent."""
-        if self._index is None:
-            self._index = {v: i for i, v in enumerate(self.elements())}
-        return self._index.get(q)
+        return self.pair_index().get(pair_key(q))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Window) and self.spec_string() == other.spec_string()

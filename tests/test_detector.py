@@ -5,13 +5,20 @@ walks every (x, y) pair, evaluates terms through instantiate, and checks
 colors one value at a time.  Slow and obviously correct.
 """
 
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
 
 from qramsey.colorings import Coloring, random_coloring
-from qramsey.detector import all_witnesses, build_candidates, find_witness
+from qramsey.detector import (
+    Candidate,
+    CandidateTable,
+    all_witnesses,
+    build_candidates,
+    find_witness,
+)
 from qramsey.patterns import (
     InvalidInstantiationError,
     builtin_family,
@@ -127,6 +134,15 @@ class TestWitnessContents:
         assert all_witnesses(family, coloring, limit=0) == []
         assert len(all_witnesses(family, coloring, limit=1)) == 1
 
+    def test_wrong_table_entry_raises(self):
+        family = builtin_family("schur")
+        window = IntegerInterval(1, 6)
+        coloring = Coloring(window, [0, 0, 0, 1, 1, 1], 2)
+        # x = 1, y = 5 gives 1, 5, 6, but the entry names 1, 2, 3, all color 0.
+        wrong = CandidateTable(family, window, (Candidate(0, 4, (0, 1, 2)),))
+        with pytest.raises(RuntimeError, match="not monochromatic"):
+            find_witness(family, coloring, wrong)
+
     def test_no_witness_on_avoiding_coloring(self):
         family = builtin_family("schur")
         window = IntegerInterval(1, 4)
@@ -202,3 +218,25 @@ class TestTableStructure:
         for e in strict.entries:
             values = instantiate(fam_strict, elems[e.x_index], elems[e.y_index])
             assert len(set(values)) == len(values)
+
+
+# The benchmark's rational tables, pinned by entry count and the SHA-256 of
+# repr(entries) as the Fraction-built table gave them.  Their numerators and
+# denominators are larger than the fuzz windows reach.
+PINNED_TABLES = [
+    ("schur", "farey:12", 5932,
+     "499cd48fff4d798bb85aa81937a0d12bc9513bda917bc60bdd0f65498046d24b"),
+    ("question-hs", "farey:10", 956,
+     "76f629daa6558aeb3da1adc1b635cd6fe1493bc3e288b518bc8f018189f1985f"),
+    ("bowen-sabok(1)", "farey:12", 1536,
+     "cbefc80a0ce1d40f36007b551f48253f421b65af7b9c6c0394acca2983c72490"),
+    ("quotient-poly(1,[t])", "mgrid:2,3:6", 928,
+     "de2957cce0cbaf63d0e5bfe3b0a2761e1d77a2160b096442bf17df3472e96332"),
+]
+
+
+@pytest.mark.parametrize("key,spec,count,digest", PINNED_TABLES)
+def test_benchmark_table_pinned(key, spec, count, digest):
+    table = build_candidates(parse_family(key), parse_window(spec))
+    assert len(table.entries) == count
+    assert hashlib.sha256(repr(table.entries).encode()).hexdigest() == digest

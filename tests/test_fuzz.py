@@ -4,6 +4,9 @@ Families are drawn from the whole term grammar (affine terms of degree 1-2
 with scaled y, power terms, gated offsets, the distinct and strict flags),
 windows of at most 9 elements from all three kinds, and r in {1, 2, 3}.
 Each draw is seeded by its index, so a failing draw reproduces on its own.
+
+Every candidate table, of the draws and of the catalog on a few signed and
+fractional windows, is also compared with a Fraction-built reference.
 """
 
 import random
@@ -15,7 +18,7 @@ from qramsey.arith import PolynomialQ
 from qramsey.certificates import certificate_for_result, dumps_certificate
 from qramsey.cnf import export_cnf, import_assignment
 from qramsey.colorings import enumerate_colorings
-from qramsey.detector import build_candidates, find_witness
+from qramsey.detector import Candidate, build_candidates, find_witness
 from qramsey.patterns import (
     AffineTerm,
     Family,
@@ -23,6 +26,7 @@ from qramsey.patterns import (
     PowerTerm,
     VarX,
     VarY,
+    default_catalog,
     parse_family,
 )
 from qramsey.search import AVOIDING, EXHAUSTED, search_avoiding
@@ -82,6 +86,26 @@ def draw_window(rng):
     return parse_window(rng.choice(WINDOWS))
 
 
+def reference_entries(family, window):
+    """The candidate table by Fraction evaluation: Term.value, index_of, distinct filter."""
+    elems = window.elements()
+    y_range = [(i, y) for i, y in enumerate(elems) if y != 0]
+    if not family.uses_y:
+        y_range = y_range[:1]
+    entries = []
+    for xi, x in enumerate(elems):
+        if family.requires_nonzero_x and x == 0:
+            continue
+        for yi, y in y_range:
+            idxs = tuple(window.index_of(t.value(x, y)) for t in family.terms)
+            if None in idxs:
+                continue
+            if family.require_distinct_values and len(set(idxs)) != len(idxs):
+                continue
+            entries.append(Candidate(xi, yi, idxs))
+    return tuple(entries)
+
+
 def brute_force_avoidable(family, window, r, table):
     return any(
         find_witness(family, c, table) is None
@@ -106,6 +130,7 @@ def test_search_agrees_with_independent_deciders(draw):
     ) == family, case
 
     table = build_candidates(family, window)
+    assert table.entries == reference_entries(family, window), case
     res = search_avoiding(family, window, r, table=table)
     assert res.outcome in (AVOIDING, EXHAUSTED), case
     avoidable = brute_force_avoidable(family, window, r, table)
@@ -122,3 +147,26 @@ def test_search_agrees_with_independent_deciders(draw):
     assert dumps_certificate(certificate_for_result(res)) == dumps_certificate(
         certificate_for_result(again)
     ), case
+
+
+TABLE_WINDOWS = ["int:-4..4", "farey:4:-zero", "farey:4:-neg", "mgrid:2,3:1:+sign"]
+TABLE_FAMILIES = [
+    *default_catalog(),
+    "quotient-poly(2,[t;t^2])",
+    "product-poly(2,[t^2])",
+    "x; x / y^2; -1/2*x + (2*y)^2 - (2*y)",
+    "x * y^-1; -2*x + (1/2*y); y; x",
+    "x + 1/2; x + t; x - 2; 3*x + 0*t",
+]
+
+
+@pytest.mark.parametrize("spec", TABLE_WINDOWS)
+@pytest.mark.parametrize("text", TABLE_FAMILIES)
+@pytest.mark.parametrize("flags", [(False, False), (True, False), (False, True)])
+def test_table_matches_fraction_reference(text, spec, flags):
+    distinct, strict = flags
+    family = parse_family(
+        text, allow_offsets=True, require_distinct_values=distinct, strict_nonzero_x=strict
+    )
+    window = parse_window(spec)
+    assert build_candidates(family, window).entries == reference_entries(family, window)
