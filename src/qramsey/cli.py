@@ -242,8 +242,6 @@ def _cmd_largeset(args, out) -> int:
         if gens is not None:
             fs = finite_sums(IpSetSpec(gens, args.mode))
             payload["combination_count"] = len(fs)
-    else:
-        raise CliError(f"unknown check {args.check!r}")
     _emit(out, payload)
     return 0
 
@@ -322,7 +320,7 @@ def _cmd_catalog(args, out) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Parser assembly
+# Command table
 
 
 def _add_budget_args(p: argparse.ArgumentParser) -> None:
@@ -334,6 +332,108 @@ def _add_family_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--allow-offsets", action="store_true", help="permit x + c terms")
     p.add_argument("--distinct", action="store_true", help="require distinct tuple values")
     p.add_argument("--strict-x", action="store_true", help="forbid x = 0 in instantiations")
+
+
+def _detect_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("family", help="catalog key or family text")
+    p.add_argument("window", help="window spec, e.g. int:1..9")
+    p.add_argument("--colors", required=True, help="color list, e.g. [0,1,0,1]")
+    p.add_argument("-r", type=int, default=None, help="number of colors (default: max+1)")
+    _add_family_flags(p)
+
+
+def _search_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("family")
+    p.add_argument("window")
+    p.add_argument("-r", type=int, required=True)
+    p.add_argument("--cert-dir", default=None, help="write a certificate here")
+    p.add_argument("--cert-stem", default="result", help="certificate file stem")
+    _add_family_flags(p)
+    _add_budget_args(p)
+
+
+def _sweep_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("family")
+    p.add_argument("-r", type=int, required=True)
+    p.add_argument("--template", default="int", help="int, farey, or mgrid:p1,p2,...")
+    p.add_argument("--lo", type=int, required=True)
+    p.add_argument("--hi", type=int, required=True)
+    p.add_argument("--cert-dir", default=None)
+    p.add_argument("--stop-at-exhausted", action="store_true")
+    _add_family_flags(p)
+    _add_budget_args(p)
+
+
+def _rado_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("equation", help='e.g. "1*x1 + 1*x2 - 1*x3 = 0"')
+    p.add_argument("--validate", action="store_true", help="cross-check against search")
+    p.add_argument("-r", type=int, default=2)
+    p.add_argument("--n-max", type=int, default=20)
+    _add_budget_args(p)
+
+
+def _largeset_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("check", choices=["thick", "syndetic", "pws", "ip"])
+    p.add_argument("window")
+    p.add_argument("--set", default=None, help="comma-separated rationals")
+    p.add_argument("--shape", default=None, help="comma-separated shape elements")
+    p.add_argument("--mode", default="+", choices=["+", "*"])
+    p.add_argument("--core", default=None, help="syndetic core (default: interior)")
+    p.add_argument("--max-f", type=int, default=3)
+    p.add_argument("--ip-r", type=int, default=2)
+
+
+def _localize_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("window", help="mgrid window spec")
+    p.add_argument("--colors", required=True)
+    p.add_argument("-r", type=int, default=None)
+    p.add_argument("--shape", required=True, help="multiplicative thickness shape")
+    p.add_argument("--max-f", type=int, default=3)
+
+
+def _export_cnf_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("family")
+    p.add_argument("window")
+    p.add_argument("-r", type=int, required=True)
+    p.add_argument("--out", default=None)
+    _add_family_flags(p)
+
+
+def _import_sat_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("family")
+    p.add_argument("window")
+    p.add_argument("-r", type=int, required=True)
+    p.add_argument("assignment", help="file with DIMACS v-lines")
+    _add_family_flags(p)
+
+
+def _verify_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("certificate")
+    p.add_argument("--rerun", action="store_true", help="replay exhaustive searches")
+
+
+# name -> (help, handler, function that adds the command's arguments)
+COMMANDS = {
+    "detect": ("find a monochromatic instantiation", _cmd_detect, _detect_args),
+    "search": ("search for an avoiding coloring", _cmd_search, _search_args),
+    "sweep": ("run a window ladder and report outcomes", _cmd_sweep, _sweep_args),
+    "rado": ("columns condition for a linear equation", _cmd_rado, _rado_args),
+    "largeset": ("finite largeness checks", _cmd_largeset, _largeset_args),
+    "localize": ("localize colors over a multiplicative grid", _cmd_localize, _localize_args),
+    "export-cnf": ("write the avoidance problem as DIMACS", _cmd_export_cnf, _export_cnf_args),
+    "import-sat": ("read a solver model back as a coloring", _cmd_import_sat, _import_sat_args),
+    "verify": ("check a certificate file", _cmd_verify, _verify_args),
+    "catalog": ("list the built-in families", _cmd_catalog, lambda p: None),
+}
+
+
+def command_parser(name: str) -> argparse.ArgumentParser:
+    """The parser of one command's arguments, with ``func`` its handler."""
+    _, handler, add_arguments = COMMANDS[name]
+    parser = argparse.ArgumentParser(prog=f"qramsey {name}")
+    add_arguments(parser)
+    parser.set_defaults(func=handler)
+    return parser
 
 
 def _read_config(path: str) -> dict:
@@ -366,17 +466,16 @@ def _config_token(key: str, value, action: argparse.Action) -> str | None:
     raise CliError(f"config key {key} takes a string or a number, not {json.dumps(value)}")
 
 
-def _config_tokens(parser: argparse.ArgumentParser, config: dict, command: str) -> list[str]:
+def _config_tokens(config: dict, command: str) -> list[str]:
     """The tokens of ``command``'s options in the config.
 
     Each key must name an option (not a positional, and not help) of some
-    subcommand, with a value that suits it in every subcommand that has it;
+    command, with a value that suits it in every command that has it;
     otherwise CliError.
     """
-    commands = next(a for a in parser._actions if a.dest == "command").choices
     options: dict[str, dict[str, argparse.Action]] = {}
-    for name, child in commands.items():
-        for action in child._actions:
+    for name in COMMANDS:
+        for action in command_parser(name)._actions:
             if action.option_strings and action.dest != "help":
                 options.setdefault(action.dest, {})[name] = action
     unknown = sorted(set(config) - options.keys())
@@ -391,113 +490,33 @@ def _config_tokens(parser: argparse.ArgumentParser, config: dict, command: str) 
     return tokens
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+def parse_args(argv: list[str]) -> argparse.Namespace:
+    """``argv`` parsed as ``main`` parses it, into the named command's options.
+
+    Only that command's parser is built.  Config tokens go before the typed
+    ones, so typed options win.  Raises SystemExit or CliError on bad input.
+    """
+    top = argparse.ArgumentParser(
         prog="qramsey",
         description="finite partition-pattern search over rational windows",
+        epilog="commands:\n" + "".join(f"  {n:<22}{c[0]}\n" for n, c in COMMANDS.items()),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    parser.add_argument("--config", default=None, help="JSON file with option defaults")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("detect", help="find a monochromatic instantiation")
-    p.add_argument("family", help="catalog key or family text")
-    p.add_argument("window", help="window spec, e.g. int:1..9")
-    p.add_argument("--colors", required=True, help="color list, e.g. [0,1,0,1]")
-    p.add_argument("-r", type=int, default=None, help="number of colors (default: max+1)")
-    _add_family_flags(p)
-    p.set_defaults(func=_cmd_detect)
-
-    p = sub.add_parser("search", help="search for an avoiding coloring")
-    p.add_argument("family")
-    p.add_argument("window")
-    p.add_argument("-r", type=int, required=True)
-    p.add_argument("--cert-dir", default=None, help="write a certificate here")
-    p.add_argument("--cert-stem", default="result", help="certificate file stem")
-    _add_family_flags(p)
-    _add_budget_args(p)
-    p.set_defaults(func=_cmd_search)
-
-    p = sub.add_parser("sweep", help="run a window ladder and report outcomes")
-    p.add_argument("family")
-    p.add_argument("-r", type=int, required=True)
-    p.add_argument("--template", default="int", help="int, farey, or mgrid:p1,p2,...")
-    p.add_argument("--lo", type=int, required=True)
-    p.add_argument("--hi", type=int, required=True)
-    p.add_argument("--cert-dir", default=None)
-    p.add_argument("--stop-at-exhausted", action="store_true")
-    _add_family_flags(p)
-    _add_budget_args(p)
-    p.set_defaults(func=_cmd_sweep)
-
-    p = sub.add_parser("rado", help="columns condition for a linear equation")
-    p.add_argument("equation", help='e.g. "1*x1 + 1*x2 - 1*x3 = 0"')
-    p.add_argument("--validate", action="store_true", help="cross-check against search")
-    p.add_argument("-r", type=int, default=2)
-    p.add_argument("--n-max", type=int, default=20)
-    _add_budget_args(p)
-    p.set_defaults(func=_cmd_rado)
-
-    p = sub.add_parser("largeset", help="finite largeness checks")
-    p.add_argument("check", choices=["thick", "syndetic", "pws", "ip"])
-    p.add_argument("window")
-    p.add_argument("--set", default=None, help="comma-separated rationals")
-    p.add_argument("--shape", default=None, help="comma-separated shape elements")
-    p.add_argument("--mode", default="+", choices=["+", "*"])
-    p.add_argument("--core", default=None, help="syndetic core (default: interior)")
-    p.add_argument("--max-f", type=int, default=3)
-    p.add_argument("--ip-r", type=int, default=2)
-    p.set_defaults(func=_cmd_largeset)
-
-    p = sub.add_parser("localize", help="localize colors over a multiplicative grid")
-    p.add_argument("window", help="mgrid window spec")
-    p.add_argument("--colors", required=True)
-    p.add_argument("-r", type=int, default=None)
-    p.add_argument("--shape", required=True, help="multiplicative thickness shape")
-    p.add_argument("--max-f", type=int, default=3)
-    p.set_defaults(func=_cmd_localize)
-
-    p = sub.add_parser("export-cnf", help="write the avoidance problem as DIMACS")
-    p.add_argument("family")
-    p.add_argument("window")
-    p.add_argument("-r", type=int, required=True)
-    p.add_argument("--out", default=None)
-    _add_family_flags(p)
-    p.set_defaults(func=_cmd_export_cnf)
-
-    p = sub.add_parser("import-sat", help="read a solver model back as a coloring")
-    p.add_argument("family")
-    p.add_argument("window")
-    p.add_argument("-r", type=int, required=True)
-    p.add_argument("assignment", help="file with DIMACS v-lines")
-    _add_family_flags(p)
-    p.set_defaults(func=_cmd_import_sat)
-
-    p = sub.add_parser("verify", help="check a certificate file")
-    p.add_argument("certificate")
-    p.add_argument("--rerun", action="store_true", help="replay exhaustive searches")
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("catalog", help="list the built-in families")
-    p.set_defaults(func=_cmd_catalog)
-
-    return parser
+    top.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
+    top.add_argument("--config", help="JSON file with option defaults")
+    # PARSER, as a subparsers action takes it: a '--' stays with the command's tokens.
+    top.add_argument("command", nargs=argparse.PARSER, choices=COMMANDS,
+                     help="a command and its arguments (qramsey COMMAND -h)")
+    known = top.parse_args(argv)
+    name, *rest = known.command
+    tokens = _config_tokens(_read_config(known.config), name) if known.config else []
+    return command_parser(name).parse_args(tokens + rest)
 
 
 def main(argv: list[str] | None = None, out=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
     out = out or sys.stdout
-    parser = build_parser()
-    pre = argparse.ArgumentParser(add_help=False)
-    pre.add_argument("--config", default=None)
-    pre.add_argument("rest", nargs=argparse.REMAINDER)  # the subcommand and its arguments
-    known, _ = pre.parse_known_args(argv)
     try:
-        if known.config and known.rest:
-            # Right after the subcommand, so that options typed after it win.
-            at = len(argv) - len(known.rest) + 1
-            argv[at:at] = _config_tokens(parser, _read_config(known.config), known.rest[0])
-        args = parser.parse_args(argv)
+        args = parse_args(sys.argv[1:] if argv is None else argv)
         started = time.perf_counter()
         code = args.func(args, out)
         print(f"total wall time: {time.perf_counter() - started:.3f}s", file=sys.stderr)

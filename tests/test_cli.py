@@ -1,13 +1,18 @@
 """End-to-end runs of the command line interface."""
 
+import argparse
+import hashlib
 import io
 import json
 import os
 import shlex
+import subprocess
+import sys
 
 import pytest
 
-from qramsey.cli import build_parser, main
+from qramsey import cli
+from qramsey.cli import main, parse_args
 from qramsey.cnf import export_cnf
 from qramsey.patterns import builtin_family
 from qramsey.windows import IntegerInterval
@@ -691,9 +696,142 @@ class TestErrorPaths:
         assert code == 2
         assert text == ""
 
+    def test_config_without_value_returns_2(self):
+        assert run_cli(["--config"]) == (2, "")
+
     def test_version_exits_zero(self):
         code, _ = run_cli(["--version"])
         assert code == 0
+
+
+TOP_USAGE = (
+    "usage: qramsey [-h] [--version] [--config CONFIG]\n"
+    "               {detect,search,sweep,rado,largeset,localize,export-cnf,import-sat,verify,catalog}\n"
+    "               ..."
+)
+SEARCH = ["search", "schur", "int:1..5", "-r", "2"]
+
+
+def _digest(text):
+    """The first 16 hex digits of the SHA-256 of ``text``, or '' for no text."""
+    return hashlib.sha256(text.encode()).hexdigest()[:16] if text else ""
+
+
+class TestArgumentHandling:
+    """Exit codes and stdout of edge-case argument lists, recorded with the
+    earlier parser tree (argparse subparsers and a --config pre-parser).
+    Top-level help lists the commands in its own layout, so help is pinned
+    by its usage paragraph."""
+
+    @pytest.fixture
+    def configs(self, tmp_path):
+        paths = {}
+        for name, config in [("cfg", {"nodes": 2}), ("unknown", {"bogus": 1}),
+                             ("other", {"n_max": 5})]:
+            paths[name] = tmp_path / f"{name}.json"
+            paths[name].write_text(json.dumps(config))
+        return paths
+
+    @pytest.mark.parametrize(
+        "argv, code, stdout",
+        [
+            ([], 2, ""),
+            (["--version"], 0, "6387ed524f575620"),
+            (["nosuch"], 2, ""),
+            (["sea", "schur", "int:1..5", "-r", "2"], 2, ""),
+            (["catalog", "extra"], 2, ""),
+            (["largeset", "bad", "int:1..5"], 2, ""),
+            (["verify"], 2, ""),
+            (SEARCH + ["--version"], 2, ""),
+            (SEARCH + ["--", "x"], 2, ""),
+            (["search", "--", "schur", "int:1..5", "-r", "2"], 2, ""),
+            (["--", "search"] + SEARCH[1:], 2, ""),
+            (SEARCH + ["--nod", "3"], 0, "13f57729976f5793"),
+            (["--conf", "{cfg}"] + SEARCH, 0, "55e252f6dd07b91c"),
+            (["--config={cfg}"] + SEARCH, 0, "55e252f6dd07b91c"),
+            (["--config", "{cfg}"], 2, ""),
+            (SEARCH + ["--config", "{cfg}"], 2, ""),
+            (["--config", "{cfg}", "catalog"], 0, "0463879b35dbd398"),
+            (["--config", "{unknown}"] + SEARCH, 2, ""),
+            (["--config", "{other}"] + SEARCH, 0, "a6b2d972205012bc"),
+        ],
+        ids=lambda v: " ".join(v) if isinstance(v, list) else str(v),
+    )
+    def test_exit_code_and_stdout(self, configs, capsys, argv, code, stdout):
+        assert main([a.format(**configs) for a in argv]) == code
+        assert _digest(capsys.readouterr().out) == stdout
+
+    @pytest.mark.parametrize(
+        "argv, usage",
+        [
+            (["-h"], TOP_USAGE),
+            (["-h", "search"], TOP_USAGE),
+            (["search", "-h"],
+             "usage: qramsey search [-h] -r R [--cert-dir CERT_DIR] [--cert-stem CERT_STEM]\n"
+             "                      [--allow-offsets] [--distinct] [--strict-x]\n"
+             "                      [--nodes NODES] [--seconds SECONDS]\n"
+             "                      family window"),
+            (["verify", "-h"], "usage: qramsey verify [-h] [--rerun] certificate"),
+        ],
+        ids=["-h", "-h search", "search -h", "verify -h"],
+    )
+    def test_help_usage(self, monkeypatch, capsys, argv, usage):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert main(argv) == 0
+        assert capsys.readouterr().out.split("\n\n")[0] == usage
+
+
+class TestParsersBuilt:
+    """Each invocation builds the top-level parser and the invoked command's."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        names = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(parser, *args, **kwargs):
+            init(parser, *args, **kwargs)
+            names.append(parser.prog)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        return names
+
+    @pytest.fixture
+    def certificate(self, tmp_path):
+        argv = ["search", "schur", "int:1..4", "-r", "2", "--cert-dir", str(tmp_path),
+                "--cert-stem", "s4"]
+        assert main(argv, out=io.StringIO()) == 0
+        return str(tmp_path / "s4.lower-bound.json")
+
+    def test_verify_and_search(self, certificate, built):
+        assert main(["verify", certificate], out=io.StringIO()) == 0
+        assert main(SEARCH, out=io.StringIO()) == 0
+        assert built == ["qramsey", "qramsey verify", "qramsey", "qramsey search"]
+
+    def test_count_does_not_grow_with_the_table(self, certificate, built, monkeypatch):
+        for k in range(20):
+            monkeypatch.setitem(cli.COMMANDS, f"extra-{k}", ("", None, lambda p: None))
+        assert main(["verify", certificate], out=io.StringIO()) == 0
+        assert built == ["qramsey", "qramsey verify"]
+
+
+class TestModuleEntry:
+    def run_module(self, *argv):
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        return subprocess.run([sys.executable, "-m", "qramsey", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+
+    def test_catalog(self):
+        done = self.run_module("catalog")
+        assert done.returncode == 0
+        assert done.stdout == run_cli(["catalog"])[1]
+
+    def test_unknown_command_exits_2(self):
+        done = self.run_module("nosuch")
+        assert done.returncode == 2
+        assert done.stdout == ""
 
 
 class TestReadme:
@@ -703,4 +841,4 @@ class TestReadme:
             lines = [ln[len("$ qramsey "):] for ln in fh if ln.startswith("$ qramsey ")]
         assert len(lines) >= 10
         for line in lines:
-            build_parser().parse_args(shlex.split(line))
+            parse_args(shlex.split(line))
