@@ -5,13 +5,15 @@ timing fields, so identical inputs produce identical bytes.  Wall-clock
 timing goes to stderr.  Exit codes: 0 when the requested computation
 completed (whatever the mathematical outcome), 1 when a verification
 subcommand found a violation, 2 for bad configuration or arguments, 3 when
-``verify`` did not check the claim (an upper bound without ``--rerun``).
+``verify`` did not check the claim (an upper bound without ``--rerun``),
+141 (128 + SIGPIPE) when stdout was closed before the result was written.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -519,10 +521,17 @@ def main(argv: list[str] | None = None, out=None) -> int:
         args = parse_args(sys.argv[1:] if argv is None else argv)
         started = time.perf_counter()
         code = args.func(args, out)
+        out.flush()
         print(f"total wall time: {time.perf_counter() - started:.3f}s", file=sys.stderr)
         return code
     except SystemExit as exc:
         return 0 if exc.code == 0 else 2
+    except BrokenPipeError:
+        if out is sys.stdout:  # so that the interpreter's final flush does not raise
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        return 141
     except (CliError, ValueError, OSError, KeyError) as exc:
         # str() of a KeyError would quote the message
         message = exc.args[0] if isinstance(exc, KeyError) else exc
@@ -532,3 +541,7 @@ def main(argv: list[str] | None = None, out=None) -> int:
 
 def entry() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entry()

@@ -9,12 +9,21 @@ The table is built over exact integer pairs, not Fractions.  Each term's
 ``pair_parts`` evaluates, once per x and once per y, the part that depends on
 that variable alone: a window index for x, y, offset and y-free terms, a
 reduced (numerator, denominator) pair for the two halves of an affine or
-power term.  The join below then costs, per (x, y) pair and term that mixes
-x and y, one integer sum or product of two pairs, one gcd and one lookup in
-the window's pair index.
-A reduced pair with a positive denominator is exactly the numerator and
-denominator of its Fraction, so the lookup finds what ``index_of`` finds.
-Every witness is re-checked with ``Term.value`` through ``instantiate``.
+power term.
+
+The first sum term c1*x + P(c2*y), if there is one, is solved for y instead
+of scanning every pair.  Over D, the lcm of the window's denominators and of
+that term's part denominators, every window value and every part is an
+integer.  The y rows are grouped by their y part times D; for each x, the
+group keys shifted by (c1*x)*D meet the window's values times D in one
+C-level set intersection.  Only those pairs are visited, sorted by y position
+so that entries stay x-major with y in window order; a family with no sum
+term visits every y row in the same loop.  Each other mixed term costs, per
+visited pair, one integer sum or product of two pairs, one gcd and one
+lookup in the window's pair index.  A reduced pair with a positive
+denominator is exactly the numerator and denominator of its Fraction, so the
+lookup finds what ``index_of`` finds.  Every witness is re-checked with
+``Term.value`` through ``instantiate``.
 
 Families whose terms never mention y are special-cased: the y coordinate is
 pinned to the first nonzero window element, since term values do not depend
@@ -27,11 +36,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 from operator import itemgetter
 
 from .colorings import Coloring
-from .patterns import PRODUCT, X_ONLY, Y_ONLY, Family, Witness, instantiate
+from .patterns import PRODUCT, SUM, X_ONLY, Y_ONLY, Family, Witness, instantiate
 from .windows import CapExceededError, Window
 
 PAIR_CAP = 25_000_000
@@ -96,8 +105,10 @@ def build_candidates(family: Family, window: Window) -> CandidateTable:
     x_only = [k for k, p in enumerate(parts) if p.op == X_ONLY]
     y_only = [k for k, p in enumerate(parts) if p.op == Y_ONLY]
     mixed = [k for k, p in enumerate(parts) if p.op not in (X_ONLY, Y_ONLY)]
-    # Indices are gathered x-only, y-only, mixed; this restores term order.
-    gathered = x_only + y_only + mixed
+    solved = [k for k in mixed if parts[k].op == SUM][:1]  # the sum term solved for y
+    mixed = [k for k in mixed if k not in solved]
+    # Indices are gathered x-only, y-only, solved, mixed; this restores term order.
+    gathered = x_only + y_only + solved + mixed
     if gathered == sorted(gathered):
         in_term_order = tuple
     else:
@@ -108,18 +119,39 @@ def build_candidates(family: Family, window: Window) -> CandidateTable:
     for pos, i in enumerate(xs):
         fixed = [parts[k].per_x[pos] for k in x_only]
         if None not in fixed:
-            x_rows.append((i, fixed, [parts[k].per_x[pos] for k in mixed]))
+            x_rows.append((pos, i, fixed, [parts[k].per_x[pos] for k in mixed]))
     y_rows = []
     for pos, i in enumerate(ys):
         fixed = [parts[k].per_y[pos] for k in y_only]
         if None not in fixed:
-            y_rows.append((i, fixed, [parts[k].per_y[pos] for k in mixed]))
+            y_rows.append((pos, i, fixed, [parts[k].per_y[pos] for k in mixed]))
+
+    if solved:
+        # With D = big, c1*x + P(c2*y) is the window value w iff P(c2*y)*D == w*D - (c1*x)*D.
+        sx, sy = parts[solved[0]].per_x, parts[solved[0]].per_y
+        big = lcm(*{d for _, d in index}, *{d for _, d in sx}, *{d for _, d in sy})
+        targets = {n * (big // d): j for (n, d), j in index.items()}
+        by_key: dict[int, list] = {}
+        for row in y_rows:
+            n, d = sy[row[0]]
+            by_key.setdefault(n * (big // d), []).append(row)
 
     entries: list[Candidate] = []
     distinct = family.require_distinct_values
     lookup = index.get
-    for xi, x_fixed, x_mixed in x_rows:
-        for yi, y_fixed, y_mixed in y_rows:
+    for x_pos, xi, x_fixed, x_mixed in x_rows:
+        if not solved:
+            survivors = y_rows
+        else:
+            n, d = sx[x_pos]
+            shift = n * (big // d)
+            survivors = [
+                (pos, yi, y_fixed + [targets[w]], y_mixed)
+                for w in targets.keys() & map(shift.__add__, by_key)
+                for pos, yi, y_fixed, y_mixed in by_key[w - shift]
+            ]
+            survivors.sort(key=itemgetter(0))
+        for _, yi, y_fixed, y_mixed in survivors:
             idxs = x_fixed + y_fixed
             for product, (a, b), (c, d) in zip(products, x_mixed, y_mixed):
                 num = a * c if product else a * d + c * b

@@ -22,7 +22,10 @@ Every term has two evaluations.  ``value`` is the exact Fraction reference.
 element, whatever part of the term depends on x alone or on y alone, as
 window indices or as reduced (numerator, denominator) integer pairs, and
 names the integer operation (sum or product) that joins an x part and a y
-part.
+part.  It works on numerators and denominators with ``int`` arithmetic, no
+Fraction operations: ``c1*x`` and ``P(c2*y)`` cost one gcd per element (P is
+held as integer coefficients over one common denominator), and ``y^a`` of a
+reduced pair is already reduced, so it costs none.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Callable, NamedTuple, Sequence
 
 from .arith import (
@@ -67,6 +71,11 @@ class PairParts(NamedTuple):
     op: str
     per_x: list | None
     per_y: list | None
+
+
+def _reduced(num: int, den: int) -> Pair:
+    g = gcd(num, den)
+    return num // g, den // g
 
 
 @dataclass(frozen=True)
@@ -111,9 +120,13 @@ class PowerTerm:
         return x * y**self.exponent
 
     def pair_parts(self, xs: Values, ys: Values, index: PairIndex) -> PairParts:
-        return PairParts(
-            PRODUCT, [pair_key(x) for x in xs], [pair_key(y**self.exponent) for y in ys]
-        )
+        k = abs(self.exponent)
+        per_y = []
+        for p, q in map(pair_key, ys):
+            if self.exponent < 0:  # 1/y, the sign moved to the numerator
+                p, q = (q, p) if p > 0 else (-q, -p)
+            per_y.append((p**k, q**k))  # a power of a reduced pair is reduced
+        return PairParts(PRODUCT, [pair_key(x) for x in xs], per_y)
 
     uses_y = True
 
@@ -143,13 +156,23 @@ class AffineTerm:
         return self.x_coef * x + self.poly.eval(self.y_coef * y)
 
     def pair_parts(self, xs: Values, ys: Values, index: PairIndex) -> PairParts:
+        c, d = pair_key(self.x_coef)
+        per_x = [_reduced(c * x.numerator, d * x.denominator) for x in xs]
         if not self.uses_y:
-            return PairParts(X_ONLY, [index.get(pair_key(self.x_coef * x)) for x in xs], None)
-        return PairParts(
-            SUM,
-            [pair_key(self.x_coef * x) for x in xs],
-            [pair_key(self.poly.eval(self.y_coef * y)) for y in ys],
-        )
+            return PairParts(X_ONLY, [index.get(k) for k in per_x], None)
+        # P(c2*y) at y = p/q is sum(a_i p^i q^(deg-i)) / (m q^deg), a_i integers
+        scaled = self.poly.scale_argument(self.y_coef).coeffs
+        m = lcm(*(c.denominator for c in scaled))
+        coeffs = [c.numerator * (m // c.denominator) for c in scaled]
+        per_y = []
+        for y in ys:
+            p, q = y.numerator, y.denominator
+            num, q_pow = 0, 1
+            for a in reversed(coeffs):  # homogeneous Horner
+                num = num * p + a * q_pow
+                q_pow *= q
+            per_y.append(_reduced(num, m * q_pow // q))
+        return PairParts(SUM, per_x, per_y)
 
     @property
     def uses_y(self) -> bool:

@@ -816,12 +816,13 @@ class TestParsersBuilt:
 
 
 class TestModuleEntry:
-    def run_module(self, *argv):
+    def run_module(self, *argv, module="qramsey", **kwargs):
         src = os.path.dirname(os.path.dirname(cli.__file__))
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         env = dict(os.environ, PYTHONPATH=path)
-        return subprocess.run([sys.executable, "-m", "qramsey", *argv], env=env,
-                              capture_output=True, text=True, timeout=60)
+        kwargs.setdefault("stdout", subprocess.PIPE)
+        return subprocess.run([sys.executable, "-m", module, *argv], env=env,
+                              stderr=subprocess.PIPE, text=True, timeout=60, **kwargs)
 
     def test_catalog(self):
         done = self.run_module("catalog")
@@ -832,6 +833,22 @@ class TestModuleEntry:
         done = self.run_module("nosuch")
         assert done.returncode == 2
         assert done.stdout == ""
+
+    def test_cli_module_runs_the_cli(self):
+        done = self.run_module("catalog", module="qramsey.cli")
+        assert done.returncode == 0
+        assert done.stdout == self.run_module("catalog").stdout
+        assert self.run_module("nosuch", module="qramsey.cli").returncode == 2
+
+    def test_closed_stdout_exits_141_quietly(self):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = self.run_module("catalog", stdout=write_end)
+        finally:
+            os.close(write_end)
+        assert done.returncode == 141
+        assert done.stderr == ""
 
 
 class TestReadme:

@@ -240,3 +240,27 @@ def test_benchmark_table_pinned(key, spec, count, digest):
     table = build_candidates(parse_family(key), parse_window(spec))
     assert len(table.entries) == count
     assert hashlib.sha256(repr(table.entries).encode()).hexdigest() == digest
+
+
+# Paper-sized tables with --distinct, pinned as the pair-scanning join gave
+# them: larger windows, large common denominators, negative grid elements.
+PINNED_DISTINCT_TABLES = [
+    ("quotient-poly(1,[t])", "farey:16", 11635,
+     "9583be9a0ef26f77eb1873a500e714633ae904be1bd60d8f95ebdce33f7fd8bc"),
+    ("quotient-poly(2,[t;t^2])", "farey:16", 704,
+     "e08538b5ffd226f69ae52cc1484c1da6186432e0a38bd347410e3b51b5815026"),
+    ("product-poly(1,[t])", "mgrid:2,3:4:+sign", 814,
+     "60861eb46f3a00ea268680a8e47165232340f6c602bd42e5f00df5749fa54076"),
+    ("product-poly(2,[t^2])", "mgrid:2,3:4:+sign", 176,
+     "87850eb72d2d9e098abe2ee9ae407833f0b6708ee99cde04cfe26ad99f23ee8c"),
+    ("x; x / y^2; x + t", "farey:20", 3880,
+     "9529d788dec58a08b62a55ccf25a58834afb4203089f111415403e4964201a3c"),
+]
+
+
+@pytest.mark.parametrize("key,spec,count,digest", PINNED_DISTINCT_TABLES)
+def test_paper_table_pinned(key, spec, count, digest):
+    family = parse_family(key, require_distinct_values=True)
+    table = build_candidates(family, parse_window(spec))
+    assert len(table.entries) == count
+    assert hashlib.sha256(repr(table.entries).encode()).hexdigest() == digest

@@ -157,6 +157,11 @@ TABLE_FAMILIES = [
     "x; x / y^2; -1/2*x + (2*y)^2 - (2*y)",
     "x * y^-1; -2*x + (1/2*y); y; x",
     "x + 1/2; x + t; x - 2; 3*x + 0*t",
+    "x; x * y^2",
+    "x; x / y^3; y",
+    "x; 1/2*x + 1/2*(2*y)^3 - (2*y)",
+    "x; -1/2*x + 2*t^2 - 1/3*t",
+    "x; x / y^2; x + t; x - t^2",
 ]
 
 
