@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import select
 import sys
 import time
 from fractions import Fraction
@@ -515,6 +516,17 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
     return command_parser(name).parse_args(tokens + rest)
 
 
+def _reader_gone(stream) -> bool:
+    """Whether ``stream`` is a pipe or socket whose reading end was closed."""
+    try:
+        fd = stream.fileno()
+    except OSError:  # not backed by a descriptor
+        return False
+    poller = select.poll()
+    poller.register(fd, 0)  # POLLERR and POLLHUP are always reported
+    return any(ev & (select.POLLERR | select.POLLHUP) for _, ev in poller.poll(0))
+
+
 def main(argv: list[str] | None = None, out=None) -> int:
     out = out or sys.stdout
     try:
@@ -526,11 +538,14 @@ def main(argv: list[str] | None = None, out=None) -> int:
         return code
     except SystemExit as exc:
         return 0 if exc.code == 0 else 2
-    except BrokenPipeError:
-        if out is sys.stdout:  # so that the interpreter's final flush does not raise
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, sys.stdout.fileno())
-            os.close(devnull)
+    except BrokenPipeError as exc:
+        if out is not sys.stdout or not _reader_gone(sys.stdout):
+            print(f"error: {exc}", file=sys.stderr)  # a certificate or --out file
+            return 2
+        # so that the interpreter's final flush does not raise
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 141
     except (CliError, ValueError, OSError, KeyError) as exc:
         # str() of a KeyError would quote the message

@@ -164,6 +164,7 @@ class AffineTerm:
         scaled = self.poly.scale_argument(self.y_coef).coeffs
         m = lcm(*(c.denominator for c in scaled))
         coeffs = [c.numerator * (m // c.denominator) for c in scaled]
+        deg = max(len(coeffs) - 1, 0)  # a zero y_coef leaves no coefficients
         per_y = []
         for y in ys:
             p, q = y.numerator, y.denominator
@@ -171,7 +172,7 @@ class AffineTerm:
             for a in reversed(coeffs):  # homogeneous Horner
                 num = num * p + a * q_pow
                 q_pow *= q
-            per_y.append(_reduced(num, m * q_pow // q))
+            per_y.append(_reduced(num, m * q**deg))
         return PairParts(SUM, per_x, per_y)
 
     @property

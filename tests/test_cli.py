@@ -850,6 +850,18 @@ class TestModuleEntry:
         assert done.returncode == 141
         assert done.stderr == ""
 
+    def test_broken_pipe_on_an_output_file_is_an_error(self, tmp_path, monkeypatch, capsys):
+        def reader_gone(*args, **kwargs):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(cli, "open", reader_gone, raising=False)
+        with open(tmp_path / "stdout", "w", encoding="utf-8") as stdout:
+            monkeypatch.setattr(sys, "stdout", stdout)
+            code = main(["export-cnf", "schur", "int:1..4", "-r", "2",
+                         "--out", str(tmp_path / "out.cnf")])
+        assert code == 2
+        assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"
+
 
 class TestReadme:
     def test_readme_commands_parse(self):

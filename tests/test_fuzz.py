@@ -162,6 +162,8 @@ TABLE_FAMILIES = [
     "x; 1/2*x + 1/2*(2*y)^3 - (2*y)",
     "x; -1/2*x + 2*t^2 - 1/3*t",
     "x; x / y^2; x + t; x - t^2",
+    "x; x + (0*y)",
+    "x; x / y; x - (0*y)^2",
 ]
 
 
