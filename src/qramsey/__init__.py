@@ -18,7 +18,6 @@ from .arith import (
     PolynomialQ,
     PolynomialSyntaxError,
     Rational,
-    difference_degree_check,
     format_polynomial,
     format_rational,
     parse_polynomial,
@@ -35,14 +34,7 @@ from .certificates import (
     write_certificate,
 )
 from .cnf import CnfInstance, export_cnf, import_assignment, parse_assignment, to_dimacs
-from .colorings import (
-    Coloring,
-    enumerate_colorings,
-    count_colorings,
-    parse_coloring,
-    random_coloring,
-    serialize_coloring,
-)
+from .colorings import Coloring, serialize_coloring
 from .detector import CandidateTable, build_candidates, find_witness, all_witnesses
 from .patterns import (
     Family,
@@ -107,12 +99,9 @@ __all__ = [
     "builtin_family",
     "certificate_for_result",
     "columns_condition",
-    "count_colorings",
     "cross_validate",
     "default_catalog",
-    "difference_degree_check",
     "dumps_certificate",
-    "enumerate_colorings",
     "export_cnf",
     "find_witness",
     "format_polynomial",
@@ -122,13 +111,11 @@ __all__ = [
     "load_certificate",
     "lower_bound_certificate",
     "parse_assignment",
-    "parse_coloring",
     "parse_equation",
     "parse_family",
     "parse_polynomial",
     "parse_rational",
     "parse_window",
-    "random_coloring",
     "rational_make",
     "search_avoiding",
     "serialize_coloring",

@@ -7,15 +7,16 @@ Fraction directly is fine anywhere a zero denominator cannot occur.
 
 Polynomials are dense coefficient tuples, index i holding the coefficient of
 t^i.  Trailing zeros are stripped on construction, so the zero polynomial has
-an empty tuple and its degree is reported as None.
+an empty tuple and its degree is reported as None.  They carry what the term
+grammar needs and no ring algebra: exact evaluation, scaling of the argument,
+and the text form.
 """
 
 from __future__ import annotations
 
-import math
 import re
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 Rational = Fraction
 
@@ -92,43 +93,10 @@ class PolynomialQ:
             acc = acc * t + c
         return acc
 
-    def __add__(self, other: "PolynomialQ") -> "PolynomialQ":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return PolynomialQ(out)
-
-    def __sub__(self, other: "PolynomialQ") -> "PolynomialQ":
-        return self + (-other)
-
-    def __neg__(self) -> "PolynomialQ":
-        return PolynomialQ([-c for c in self.coeffs])
-
-    def scale(self, factor: Fraction | int) -> "PolynomialQ":
-        return PolynomialQ([c * factor for c in self.coeffs])
-
     def scale_argument(self, factor: Fraction | int) -> "PolynomialQ":
         """The polynomial t -> p(factor * t)."""
         f = Fraction(factor)
         return PolynomialQ([c * f**i for i, c in enumerate(self.coeffs)])
-
-    def shift_argument(self, offset: Fraction | int) -> "PolynomialQ":
-        """The polynomial t -> p(t + offset), expanded binomially."""
-        g = Fraction(offset)
-        out = [Fraction(0)] * len(self.coeffs)
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            for j in range(i + 1):
-                out[j] += c * math.comb(i, j) * g ** (i - j)
-        return PolynomialQ(out)
-
-    def difference(self, shift: Fraction | int) -> "PolynomialQ":
-        """The forward difference t -> p(t + shift) - p(t)."""
-        return self.shift_argument(shift) - self
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, PolynomialQ) and self.coeffs == other.coeffs
@@ -224,34 +192,3 @@ def parse_polynomial(text: str, var: str = "t") -> PolynomialQ:
     for e, c in coeffs.items():
         out[e] = c
     return PolynomialQ(out)
-
-
-def difference_degree_check(
-    p: PolynomialQ,
-    d: int,
-    samples: Sequence[tuple[Sequence[Fraction | int], Fraction | int]],
-) -> bool:
-    """Check that p behaves like a polynomial of degree at most d.
-
-    Each sample supplies d+1 nonzero shifts and an evaluation point.  The
-    shifts are applied as iterated forward differences; the check passes when
-    every iterated difference evaluates to zero at its sample point.  For a
-    genuine polynomial of degree <= d this is true for every choice of
-    shifts, and for degree exactly d+1 or more it fails on generic samples.
-    """
-    if d < 0:
-        raise ValueError("degree bound must be nonnegative")
-    if not samples:
-        raise ValueError("samples must be nonempty")
-    for shifts, point in samples:
-        shifts = tuple(Fraction(g) for g in shifts)
-        if len(shifts) != d + 1:
-            raise ValueError(f"expected {d + 1} shifts per sample, got {len(shifts)}")
-        if any(g == 0 for g in shifts):
-            raise ValueError("shifts must be nonzero")
-        q = p
-        for g in shifts:
-            q = q.difference(g)
-        if q.eval(point) != 0:
-            return False
-    return True

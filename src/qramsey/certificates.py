@@ -30,6 +30,7 @@ from . import __version__
 from .colorings import Coloring
 from .detector import find_witness
 from .patterns import Family, Witness, parse_family
+from .search import AVOIDING, EXHAUSTED, search_avoiding
 from .windows import parse_window
 
 FORMAT_VERSION = 3
@@ -96,9 +97,9 @@ def upper_bound_certificate(
 def certificate_for_result(result) -> dict:
     """Build the matching certificate for a decided SearchResult."""
     family = result.family
-    if result.outcome == "avoiding":
+    if result.outcome == AVOIDING:
         return lower_bound_certificate(family, result.window_spec, result.r, result.coloring)
-    if result.outcome == "exhausted":
+    if result.outcome == EXHAUSTED:
         return upper_bound_certificate(
             family,
             result.window_spec,
@@ -208,11 +209,9 @@ def verify_certificate(cert: dict, rerun: bool = False) -> VerificationResult:
             "upper bound not checked: it was not re-run (use --rerun)",
             checked=False,
         )
-    from .search import search_avoiding
-
     ex = cert["exhaustion"]
     res = search_avoiding(family, window, r)
-    if res.outcome != "exhausted":
+    if res.outcome != EXHAUSTED:
         return VerificationResult(False, f"re-run outcome was {res.outcome}")
     if res.proof_log_hash != ex["proof_log_hash"]:
         return VerificationResult(False, "re-run decision trace hash differs")

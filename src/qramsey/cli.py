@@ -6,7 +6,8 @@ timing goes to stderr.  Exit codes: 0 when the requested computation
 completed (whatever the mathematical outcome), 1 when a verification
 subcommand found a violation, 2 for bad configuration or arguments, 3 when
 ``verify`` did not check the claim (an upper bound without ``--rerun``),
-141 (128 + SIGPIPE) when stdout was closed before the result was written.
+141 (128 + SIGPIPE) when stdout was closed before the result, the help or
+the version was written.
 """
 
 from __future__ import annotations
@@ -537,21 +538,30 @@ def main(argv: list[str] | None = None, out=None) -> int:
         print(f"total wall time: {time.perf_counter() - started:.3f}s", file=sys.stderr)
         return code
     except SystemExit as exc:
-        return 0 if exc.code == 0 else 2
+        if exc.code != 0:
+            return 2
+        # -h and --version wrote to stdout, and argparse drops a write error
+        try:
+            sys.stdout.flush()
+        except BrokenPipeError:
+            pass
+        if not _reader_gone(sys.stdout):
+            return 0
     except BrokenPipeError as exc:
         if out is not sys.stdout or not _reader_gone(sys.stdout):
             print(f"error: {exc}", file=sys.stderr)  # a certificate or --out file
             return 2
-        # so that the interpreter's final flush does not raise
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-        return 141
     except (CliError, ValueError, OSError, KeyError) as exc:
         # str() of a KeyError would quote the message
         message = exc.args[0] if isinstance(exc, KeyError) else exc
         print(f"error: {message}", file=sys.stderr)
         return 2
+    # stdout's reader has gone; point stdout at os.devnull, so that the
+    # interpreter's final flush does not raise
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
+    return 141
 
 
 def entry() -> None:

@@ -17,7 +17,7 @@ least-index rule, so the instance is equisatisfiable with the search.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .colorings import Coloring
 from .detector import CandidateTable, build_candidates
@@ -121,6 +121,3 @@ def import_assignment(cnf: CnfInstance, literals: Iterable[int]) -> Coloring:
         colors.append(chosen)
     return Coloring(cnf.window, colors, r)
 
-
-def cnf_satisfied(cnf: CnfInstance, truth: Mapping[int, bool]) -> bool:
-    return all(any(truth.get(abs(l), False) == (l > 0) for l in cl) for cl in cnf.clauses)

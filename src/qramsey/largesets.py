@@ -7,8 +7,7 @@ under multiplication).
 * thick: some translate F o x sits inside A;
 * syndetic: finitely many translates of A cover a designated core;
 * piecewise syndetic: some small F makes F o A thick;
-* IP_r: r generators whose nonempty finite sums (or products) stay in A;
-* IP_r star: no IP_r structure inside the window avoids A.
+* IP_r: r generators whose nonempty finite sums (or products) stay in A.
 
 Polynomial mappings send finite subsets of an index set into the group: a
 monomial of degree d contributes the combination of its table values over
@@ -263,18 +262,6 @@ def _ip_dfs(
     return None
 
 
-def is_ip_r_star(
-    A: Iterable[Fraction], window: Window, r: int, mode: str = MODE_ADD
-) -> bool:
-    """True when no IP_r with generators and sums inside the window avoids A.
-
-    Exact for every r, since find_ip_r is exhaustive.
-    """
-    aset = {Fraction(v) for v in A}
-    complement = [v for v in _window_iter(window, mode) if v not in aset]
-    return find_ip_r(complement, r, mode) is None
-
-
 def _subset_of_window(A: Iterable[Fraction], window: Window) -> frozenset[Fraction]:
     aset = frozenset(Fraction(v) for v in A)
     bad = next((v for v in aset if not window.contains(v)), None)
@@ -340,15 +327,6 @@ def evaluate_mapping(pm: PolynomialMapping, subset: Iterable[Fraction]) -> Fract
         for key in product(alpha, repeat=mono.degree):
             acc = group_op(pm.mode, acc, mono.values[key])
     return acc
-
-
-def degree_upper_bound(pm: PolynomialMapping) -> int:
-    """Largest monomial degree of this representation.
-
-    An upper bound only: another representation of the same mapping may use
-    lower degrees, and no minimization is attempted.
-    """
-    return max((m.degree for m in pm.monomials), default=0)
 
 
 # ---------------------------------------------------------------------------

@@ -277,7 +277,7 @@ def threshold_sweep(
     No monotonicity is assumed: the minimal exhausted n is reported but rows
     after it are still computed unless stop_at_exhausted is set.
     """
-    from . import certificates  # local import keeps module dependencies one-way
+    from . import certificates  # local import: certificates imports this module
 
     rows: list[SweepRow] = []
     minimal: int | None = None

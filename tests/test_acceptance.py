@@ -1,9 +1,9 @@
 """Acceptance gate: one test per criterion, each run at its stated tolerance.
 
 Every test times itself and fails when it exceeds the budget for the
-criterion it covers.  Expected values come from brute-force enumeration
-oracles in this file or from the classical threshold anchors reproduced by
-the package's own exhaustive search.
+criterion it covers.  Expected values come from the brute-force oracle in
+``_brute`` or from the classical threshold anchors reproduced by the
+package's own exhaustive search.
 """
 
 import io
@@ -33,7 +33,7 @@ from qramsey.largesets import (
     localize_colors,
     piecewise_syndetic_witness,
 )
-from qramsey.patterns import PowerTerm, builtin_family, default_catalog, parse_family
+from qramsey.patterns import builtin_family, default_catalog, parse_family
 from qramsey.rado import LinearSystem, columns_condition, cross_validate, system_to_family
 from qramsey.search import (
     AVOIDING,
@@ -46,44 +46,10 @@ from qramsey.search import (
 from qramsey.certificates import load_certificate, verify_certificate
 from qramsey.windows import FareyWindow, IntegerInterval, MultiplicativeGrid
 
+import _brute
 from _dpll import model_literals, solve
 
 F = Fraction
-
-
-# ---------------------------------------------------------------------------
-# Independent helpers (no reuse of the code paths under test)
-
-
-def _instances_by_double_loop(family, window):
-    """All valid instantiations as index tuples, by direct pair enumeration."""
-    elems = window.elements()
-    index = {v: i for i, v in enumerate(elems)}
-    x_nonzero = family.strict_nonzero_x or any(
-        isinstance(t, PowerTerm) for t in family.terms
-    )
-    out = []
-    for x in elems:
-        if x_nonzero and x == 0:
-            continue
-        for y in elems:
-            if y == 0:
-                continue
-            vals = [t.value(x, y) for t in family.terms]
-            idxs = [index.get(v) for v in vals]
-            if all(i is not None for i in idxs):
-                out.append(tuple(idxs))
-    return out
-
-
-def _every_coloring_hits(family, window, r):
-    """Brute enumeration: does every r-coloring contain a monochromatic tuple?"""
-    instances = _instances_by_double_loop(family, window)
-    n = window.size()
-    for colors in itertools.product(range(r), repeat=n):
-        if not any(len({colors[i] for i in inst}) == 1 for inst in instances):
-            return False
-    return True
 
 
 def _run_cli(argv):
@@ -104,8 +70,8 @@ def test_criterion_01_schur_threshold_anchor():
     assert res4.outcome == AVOIDING
     assert find_witness(family, res4.coloring) is None
     assert res5.outcome == EXHAUSTED
-    assert _every_coloring_hits(family, IntegerInterval(1, 5), 2)
-    assert not _every_coloring_hits(family, IntegerInterval(1, 4), 2)
+    assert not _brute.avoidable(family, IntegerInterval(1, 5), 2)
+    assert _brute.avoidable(family, IntegerInterval(1, 4), 2)
     assert small < 1.0, f"two-color anchor took {small:.3f}s"
 
     t0 = time.perf_counter()
@@ -128,8 +94,8 @@ def test_criterion_02_progression_threshold_anchor():
     assert res8.outcome == AVOIDING
     assert find_witness(family, res8.coloring) is None
     assert res9.outcome == EXHAUSTED
-    assert _every_coloring_hits(family, IntegerInterval(1, 9), 2)
-    assert not _every_coloring_hits(family, IntegerInterval(1, 8), 2)
+    assert not _brute.avoidable(family, IntegerInterval(1, 9), 2)
+    assert _brute.avoidable(family, IntegerInterval(1, 8), 2)
     assert elapsed < 1.0, f"took {elapsed:.3f}s"
     print(f"criterion 2: threshold 8/9 in {elapsed:.3f}s")
 
@@ -219,22 +185,20 @@ def test_criterion_06_detector_agrees_with_oracle():
         assert window.size() <= 40
         family = builtin_family(key)
         table = build_candidates(family, window)
-        instances = _instances_by_double_loop(family, window)
+        instances = _brute.instances(family, window)
         rng = random.Random(sum(map(ord, key)))
         n = window.size()
         for i in range(1000):
             r = 2 if i % 2 == 0 else 3
             coloring = Coloring(window, [rng.randrange(r) for _ in range(n)], r)
             witness = find_witness(family, coloring, table)
-            oracle = any(
-                len({coloring.colors[j] for j in inst}) == 1 for inst in instances
-            )
-            assert (witness is not None) == oracle, (key, i)
+            oracle = _brute.monochromatic(instances, coloring.colors)
+            assert (witness is not None) == bool(oracle), (key, i)
             if witness is not None:
                 assert len({coloring.color_of(v) for v in witness.values}) == 1
     elapsed = time.perf_counter() - t0
     assert elapsed < 60.0, f"took {elapsed:.3f}s"
-    print(f"criterion 6: 7000 colorings agree with the double loop, {elapsed:.3f}s")
+    print(f"criterion 6: 7000 colorings agree with the brute force, {elapsed:.3f}s")
 
 
 def test_criterion_07_farey_sweep_with_certificates(tmp_path):
@@ -437,17 +401,6 @@ def test_criterion_10_reproducibility():
     print("criterion 10: byte-identical JSON and expected outcomes")
 
 
-def _monochromatic_instances(family, coloring):
-    """Double-loop instances that the coloring paints in one color."""
-    colors = coloring.colors
-    return [
-        inst
-        for inst in _instances_by_double_loop(family, coloring.window)
-        if len({colors[i] for i in inst}) == 1
-        and not (family.require_distinct_values and len(set(inst)) < len(inst))
-    ]
-
-
 def test_criterion_11_schur_number_four():
     # S(4) = 44 (Baumert, 1965): the first check of the value-symmetry rule
     # under smallest-domain branching with four colors.
@@ -458,7 +411,8 @@ def test_criterion_11_schur_number_four():
     elapsed = time.perf_counter() - t0
     assert res44.outcome == AVOIDING
     assert find_witness(family, res44.coloring) is None
-    assert _monochromatic_instances(family, res44.coloring) == []
+    assert _brute.monochromatic(_brute.instances(family, res44.coloring.window),
+                                res44.coloring.colors) == []
     assert res45.outcome == EXHAUSTED
     assert res45.nodes == 387670
     assert elapsed < 60.0, f"took {elapsed:.3f}s"
@@ -475,7 +429,8 @@ def test_criterion_12_quotient_family_three_colors():
     elapsed = time.perf_counter() - t0
     assert (res6.outcome, res6.nodes) == (AVOIDING, 817)
     assert find_witness(family, res6.coloring) is None
-    assert _monochromatic_instances(family, res6.coloring) == []
+    assert _brute.monochromatic(_brute.instances(family, res6.coloring.window),
+                                res6.coloring.colors) == []
     assert (res7.outcome, res7.nodes) == (EXHAUSTED, 1353)
     assert elapsed < 60.0, f"took {elapsed:.3f}s"
     print(f"criterion 12: farey:6 avoiding, farey:7 exhausted at r=3, {elapsed:.3f}s")

@@ -841,14 +841,15 @@ class TestModuleEntry:
         assert self.run_module("nosuch", module="qramsey.cli").returncode == 2
 
     def test_closed_stdout_exits_141_quietly(self):
-        read_end, write_end = os.pipe()
-        os.close(read_end)
-        try:
-            done = self.run_module("catalog", stdout=write_end)
-        finally:
-            os.close(write_end)
-        assert done.returncode == 141
-        assert done.stderr == ""
+        # argparse drops the write error of -h and --version itself
+        for argv in (["catalog"], ["-h"], ["search", "-h"], ["--version"]):
+            read_end, write_end = os.pipe()
+            os.close(read_end)
+            try:
+                done = self.run_module(*argv, stdout=write_end)
+            finally:
+                os.close(write_end)
+            assert (done.returncode, done.stderr) == (141, ""), argv
 
     def test_broken_pipe_on_an_output_file_is_an_error(self, tmp_path, monkeypatch, capsys):
         def reader_gone(*args, **kwargs):

@@ -4,7 +4,6 @@ import pytest
 
 from qramsey.cnf import (
     AssignmentError,
-    cnf_satisfied,
     export_cnf,
     import_assignment,
     parse_assignment,
@@ -15,6 +14,7 @@ from qramsey.patterns import builtin_family, default_catalog
 from qramsey.search import AVOIDING, EXHAUSTED, search_avoiding
 from qramsey.windows import FareyWindow, IntegerInterval
 
+import _brute
 from _dpll import model_literals, solve
 
 
@@ -74,9 +74,10 @@ class TestOracleEquivalence:
                 assert res.outcome == EXHAUSTED
                 assert model is None, (key, window.spec_string())
             if model is not None:
-                assert cnf_satisfied(cnf, model)
                 coloring = import_assignment(cnf, model_literals(model))
                 assert find_witness(family, coloring, table) is None
+                instances = _brute.instances(family, window)
+                assert _brute.monochromatic(instances, coloring.colors) == []
 
 
 class TestAssignmentText:

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from qramsey.colorings import Coloring, random_coloring
+from qramsey.colorings import Coloring
 from qramsey.detector import (
     Candidate,
     CandidateTable,
@@ -74,7 +74,7 @@ class TestAgainstOracle:
         rng = random.Random(sum(map(ord, key)))
         for i in range(150):
             r = 2 if i % 2 == 0 else 3
-            coloring = random_coloring(window, r, rng)
+            coloring = Coloring(window, [rng.randrange(r) for _ in range(window.size())], r)
             got = find_witness(family, coloring, table)
             want = oracle_has_witness(family, coloring)
             assert (got is not None) == want, (key, coloring)
@@ -85,7 +85,7 @@ class TestAgainstOracle:
         table = build_candidates(family, window)
         rng = random.Random(99)
         for _ in range(100):
-            coloring = random_coloring(window, 2, rng)
+            coloring = Coloring(window, [rng.randrange(2) for _ in range(window.size())], 2)
             got = find_witness(family, coloring, table)
             assert (got is not None) == oracle_has_witness(family, coloring)
 
@@ -95,7 +95,7 @@ class TestAgainstOracle:
         table = build_candidates(family, window)
         rng = random.Random(17)
         for _ in range(100):
-            coloring = random_coloring(window, 2, rng)
+            coloring = Coloring(window, [rng.randrange(2) for _ in range(window.size())], 2)
             got = find_witness(family, coloring, table)
             assert (got is not None) == oracle_has_witness(family, coloring)
 

@@ -4,9 +4,11 @@ Families are drawn from the whole term grammar (affine terms of degree 1-2
 with scaled y, power terms, gated offsets, the distinct and strict flags),
 windows of at most 9 elements from all three kinds, and r in {1, 2, 3}.
 Each draw is seeded by its index, so a failing draw reproduces on its own.
+The brute force (``_brute``) tries every coloring, with no symmetry rule.
 
 Every candidate table, of the draws and of the catalog on a few signed and
-fractional windows, is also compared with a Fraction-built reference.
+fractional windows, is also compared with the brute force's Fraction-built
+entries.
 """
 
 import random
@@ -17,8 +19,7 @@ import pytest
 from qramsey.arith import PolynomialQ
 from qramsey.certificates import certificate_for_result, dumps_certificate
 from qramsey.cnf import export_cnf, import_assignment
-from qramsey.colorings import enumerate_colorings
-from qramsey.detector import Candidate, build_candidates, find_witness
+from qramsey.detector import build_candidates, find_witness
 from qramsey.patterns import (
     AffineTerm,
     Family,
@@ -32,6 +33,7 @@ from qramsey.patterns import (
 from qramsey.search import AVOIDING, EXHAUSTED, search_avoiding
 from qramsey.windows import parse_window
 
+import _brute
 from _dpll import model_literals, solve
 
 DRAWS = 300
@@ -86,31 +88,8 @@ def draw_window(rng):
     return parse_window(rng.choice(WINDOWS))
 
 
-def reference_entries(family, window):
-    """The candidate table by Fraction evaluation: Term.value, index_of, distinct filter."""
-    elems = window.elements()
-    y_range = [(i, y) for i, y in enumerate(elems) if y != 0]
-    if not family.uses_y:
-        y_range = y_range[:1]
-    entries = []
-    for xi, x in enumerate(elems):
-        if family.requires_nonzero_x and x == 0:
-            continue
-        for yi, y in y_range:
-            idxs = tuple(window.index_of(t.value(x, y)) for t in family.terms)
-            if None in idxs:
-                continue
-            if family.require_distinct_values and len(set(idxs)) != len(idxs):
-                continue
-            entries.append(Candidate(xi, yi, idxs))
-    return tuple(entries)
-
-
-def brute_force_avoidable(family, window, r, table):
-    return any(
-        find_witness(family, c, table) is None
-        for c in enumerate_colorings(window, r, symmetry=True)
-    )
+def entry_tuples(table):
+    return [(c.x_index, c.y_index, c.value_indices) for c in table.entries]
 
 
 @pytest.mark.parametrize("draw", range(DRAWS))
@@ -130,10 +109,10 @@ def test_search_agrees_with_independent_deciders(draw):
     ) == family, case
 
     table = build_candidates(family, window)
-    assert table.entries == reference_entries(family, window), case
+    assert entry_tuples(table) == _brute.entries(family, window), case
     res = search_avoiding(family, window, r, table=table)
     assert res.outcome in (AVOIDING, EXHAUSTED), case
-    avoidable = brute_force_avoidable(family, window, r, table)
+    avoidable = _brute.avoidable(family, window, r)
     assert (res.outcome == AVOIDING) == avoidable, case
 
     cnf = export_cnf(family, window, r, table=table)
@@ -176,4 +155,4 @@ def test_table_matches_fraction_reference(text, spec, flags):
         text, allow_offsets=True, require_distinct_values=distinct, strict_nonzero_x=strict
     )
     window = parse_window(spec)
-    assert build_candidates(family, window).entries == reference_entries(family, window)
+    assert entry_tuples(build_candidates(family, window)) == _brute.entries(family, window)

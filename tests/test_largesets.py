@@ -18,7 +18,6 @@ from qramsey.largesets import (
     Monomial,
     PolynomialMapping,
     ShapeF,
-    degree_upper_bound,
     evaluate_mapping,
     find_ip_r,
     finite_sums,
@@ -26,7 +25,6 @@ from qramsey.largesets import (
     group_op,
     group_untranslate,
     interior,
-    is_ip_r_star,
     is_syndetic_for,
     is_thick_for,
     localize_colors,
@@ -350,16 +348,6 @@ class TestIpStructure:
             assert finite_sums(IpSetSpec(gens)) <= A
 
 
-class TestIpStar:
-    def test_evens_meet_every_pair_structure(self):
-        w = IntegerInterval(1, 10)
-        assert is_ip_r_star({2, 4, 6, 8, 10}, w, 2) is True
-
-    def test_odds_miss_one(self):
-        w = IntegerInterval(1, 10)
-        assert is_ip_r_star({1, 3, 5, 7, 9}, w, 2) is False
-
-
 class TestPolynomialMappings:
     def _linear(self):
         mono = Monomial(1, {(F(1),): F(3), (F(2),): F(5)})
@@ -411,12 +399,6 @@ class TestPolynomialMappings:
     def test_negative_degree_rejected(self):
         with pytest.raises(LargeSetError, match="degree"):
             Monomial(-1, {})
-
-    def test_degree_upper_bound(self):
-        pm = self._linear()
-        assert degree_upper_bound(pm) == 1
-        empty = PolynomialMapping((F(1),), ())
-        assert degree_upper_bound(empty) == 0
 
     def test_empty_set_maps_to_identity(self):
         rng = random.Random(808)

@@ -1,11 +1,10 @@
-"""Backtracking search: correctness against enumeration, budgets, sweeps."""
+"""Backtracking search: correctness against brute force, budgets, sweeps."""
 
 import os
 import random
 
 import pytest
 
-from qramsey.colorings import enumerate_colorings
 from qramsey.detector import build_candidates, find_witness
 from qramsey.patterns import builtin_family, default_catalog, parse_family
 from qramsey.search import (
@@ -19,12 +18,7 @@ from qramsey.search import (
 )
 from qramsey.windows import FareyWindow, IntegerInterval, MultiplicativeGrid, parse_window
 
-
-def brute_force_avoidable(family, window, r, table):
-    return any(
-        find_witness(family, c, table) is None
-        for c in enumerate_colorings(window, r, symmetry=True)
-    )
+import _brute
 
 
 class TestAgainstEnumeration:
@@ -36,7 +30,7 @@ class TestAgainstEnumeration:
             window = IntegerInterval(1, n)
             table = build_candidates(family, window)
             res = search_avoiding(family, window, r, table=table)
-            want = AVOIDING if brute_force_avoidable(family, window, r, table) else EXHAUSTED
+            want = AVOIDING if _brute.avoidable(family, window, r) else EXHAUSTED
             assert res.outcome == want, (key, r, n)
 
     def test_small_farey_windows(self):
@@ -45,7 +39,7 @@ class TestAgainstEnumeration:
             window = FareyWindow(n)
             table = build_candidates(family, window)
             res = search_avoiding(family, window, 2, table=table)
-            want = AVOIDING if brute_force_avoidable(family, window, 2, table) else EXHAUSTED
+            want = AVOIDING if _brute.avoidable(family, window, 2) else EXHAUSTED
             assert res.outcome == want, n
 
 
