@@ -51,6 +51,8 @@ def _var(element: int, color: int, r: int) -> int:
 def export_cnf(
     family: Family, window: Window, r: int, table: CandidateTable | None = None
 ) -> CnfInstance:
+    if r < 1:
+        raise ValueError(f"need at least one color, got r={r}")
     if table is None:
         table = build_candidates(family, window)
     n = window.size()

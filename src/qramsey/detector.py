@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, groupby
 from math import gcd, lcm
 from operator import itemgetter
 
@@ -66,19 +66,21 @@ class CandidateTable:
         superset of a kept group is implied by it, so only the minimal sets
         survive.  Sorted by (size, indices); deterministic.
         """
-        groups = sorted(
-            {tuple(sorted(set(e.value_indices))) for e in self.entries},
-            key=lambda g: (len(g), g),
-        )
+        groups = sorted({tuple(sorted(set(e.value_indices))) for e in self.entries})
+        groups.sort(key=len)  # stable: by (size, indices)
         kept: list[tuple[int, ...]] = []
         kept_set: set[tuple[int, ...]] = set()
-        for g in groups:
+        sizes: list[int] = []  # the sizes among kept groups, all below the current one
+        for size, same in groupby(groups, len):
             # combinations of a sorted tuple are sorted, so they match kept tuples
-            if not any(
-                sub in kept_set for size in range(1, len(g)) for sub in combinations(g, size)
-            ):
-                kept.append(g)
-                kept_set.add(g)
+            new = [
+                g for g in same
+                if not any(sub in kept_set for k in sizes for sub in combinations(g, k))
+            ]
+            if new:
+                kept += new
+                kept_set.update(new)
+                sizes.append(size)
         return tuple(kept)
 
 

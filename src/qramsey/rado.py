@@ -265,6 +265,8 @@ def cross_validate(
     """
     if r < 1:
         raise ValueError(f"need at least one color, got r={r}")
+    if n_max < 1:
+        raise ValueError(f"need at least one window, got n_max={n_max}")
     condition = columns_condition(system)
     family, note = system_to_family(system)
     if family is None:

@@ -15,9 +15,18 @@ one color"):
   admits a brand-new color directly after the existing ones.
 
 The search state is the color of each element, a bitmask domain of the
-colors still open to it, and one trail of struck (element, color bit) pairs;
-backtracking uncolors the element and restores the strikes made since it
-was colored.  Constraint state is read from the groups themselves.
+colors still open to it, the uncolored elements in degree order (a level
+takes out the element it branches on and puts it back before it returns),
+and one trail of struck elements.  Every strike a node makes is of that
+node's own color bit, so backtracking uncolors the element and sets that bit
+again on each element struck since it was colored.  Constraint state is read
+from the groups themselves.  An element propagates through the shared group
+tuples that hold it until the search first backtracks over it, and from then
+on through each group's other members, so that it no longer reads itself;
+either form skips the members of the node's own color.  Shallow searches
+never backtrack over most elements and so never build those lists.  A node's
+count, budget check, trace entry, propagation and undo run inline in
+``_dfs``, without a call per node.
 
 Outcomes: an avoiding coloring (re-checked through the detector before it is
 returned), exhaustion of the tree (with node count and a hash of the decision
@@ -82,16 +91,20 @@ class _BudgetHit(Exception):
 
 
 class _Search:
-    """Backtracking state: colors, domains and the trail of struck colors."""
+    """Backtracking state: colors, domains, uncolored elements and the trail of strikes."""
 
     def __init__(
         self, groups: tuple[tuple[int, ...], ...], n: int, r: int, budget: SearchBudget
     ) -> None:
+        # cons_of[e] holds the groups that contain e until the search first
+        # backtracks over e, and from then on each group's other members.
         self.cons_of: list[list[tuple[int, ...]]] = [[] for _ in range(n)]
         for group in groups:
             for e in group:
                 self.cons_of[e].append(group)
-        self.order = sorted(
+        self.split = bytearray(n)
+        # the uncolored elements that are in some group, by descending degree
+        self.todo = sorted(
             (e for e in range(n) if self.cons_of[e]), key=lambda e: (-len(self.cons_of[e]), e)
         )
         self.r = r
@@ -101,74 +114,79 @@ class _Search:
         )
         self.colors = [-1] * n
         self.domain = [(1 << r) - 1] * n
-        self.trail: list[tuple[int, int]] = []
+        self.trail: list[int] = []
+        self.labels: list[list[bytes] | None] = [None] * n
         self.nodes = 0
         self.trace = hashlib.sha256()
 
-    def _node(self, e: int, c: int) -> None:
-        if self.nodes == self.max_nodes:
-            raise _BudgetHit
-        self.nodes += 1
-        self.trace.update(b"%d:%d;" % (e, c))
-        if (
-            self.deadline is not None
-            and self.nodes % _CHECK_EVERY == 0
-            and time.monotonic() > self.deadline
-        ):
-            raise _BudgetHit
-
-    def _apply(self, e: int, c: int) -> bool:
-        """Color e with c and propagate; False on a conflict."""
-        colors, domain = self.colors, self.domain
-        colors[e] = c
-        bit = 1 << c
-        for group in self.cons_of[e]:
-            free = -1
-            for t in group:
-                ct = colors[t]
-                if ct == c:
-                    continue
-                if ct >= 0 or free >= 0:
-                    break  # another color, or a second uncolored member
-                free = t
-            else:
-                if free < 0:
-                    return False  # the whole group has color c
-                if domain[free] & bit:
-                    domain[free] ^= bit
-                    self.trail.append((free, bit))
-                    if not domain[free]:
-                        return False
-        return True
-
-    def _dfs(self, depth: int, used: int) -> bool:
-        if depth == len(self.order):
+    def _dfs(self, used: int) -> bool:
+        todo = self.todo
+        if not todo:
             return True
-        colors, domain, trail = self.colors, self.domain, self.trail
+        colors, domain, trail, cons_of = self.colors, self.domain, self.trail, self.cons_of
         e, best = -1, self.r + 1
-        for t in self.order:
-            if colors[t] < 0:
-                size = domain[t].bit_count()
-                if size < best:
-                    e, best = t, size
-                    if size == 1:
-                        break
+        for t in todo:
+            size = domain[t].bit_count()
+            if size < best:
+                e, best = t, size
+                if size == 1:
+                    break
+        at = todo.index(e)
+        del todo[at]
+        labels = self.labels[e]
+        if labels is None:
+            labels = [b"%d:%d;" % (e, c) for c in range(min(self.r, len(colors)))]
+            self.labels[e] = labels
         for c in range(min(used + 1, self.r)):
-            if not (domain[e] >> c) & 1:
+            bit = 1 << c
+            if not domain[e] & bit:
                 continue
-            self._node(e, c)
+            if self.nodes == self.max_nodes:
+                raise _BudgetHit
+            self.nodes += 1
+            self.trace.update(labels[c])
+            if (
+                self.deadline is not None
+                and self.nodes % _CHECK_EVERY == 0
+                and time.monotonic() > self.deadline
+            ):
+                raise _BudgetHit
+            colors[e] = c
             mark = len(trail)
-            if self._apply(e, c) and self._dfs(depth + 1, max(used, c + 1)):
-                return True
+            for group in cons_of[e]:
+                free = -1
+                for t in group:
+                    ct = colors[t]
+                    if ct == c:
+                        continue
+                    if ct >= 0 or free >= 0:
+                        break  # another color, or a second uncolored member
+                    free = t
+                else:
+                    if free < 0:
+                        break  # conflict: the whole group has color c
+                    d = domain[free]
+                    if d & bit:
+                        domain[free] = d ^ bit
+                        trail.append(free)
+                        if d == bit:
+                            break  # conflict: free has no color left
+            else:
+                if self._dfs(max(used, c + 1)):
+                    return True
             colors[e] = -1
-            while len(trail) > mark:
-                t, bit = trail.pop()
+            for t in trail[mark:]:
                 domain[t] |= bit
+            del trail[mark:]
+            if not self.split[e]:
+                self.split[e] = 1
+                cons_of[e] = [g[:i] + g[i + 1:] for g in cons_of[e] for i in (g.index(e),)]
+        todo.insert(at, e)
         return False
 
     def run(self) -> list[int] | None:
         """Colors of an avoiding coloring, or None once the tree is exhausted."""
-        if self._dfs(0, 0):
+        if self._dfs(0):
             return [c if c >= 0 else 0 for c in self.colors]
         return None
 
@@ -279,6 +297,8 @@ def threshold_sweep(
     """
     from . import certificates  # local import: certificates imports this module
 
+    if n_lo > n_hi:
+        raise ValueError(f"empty sweep: lo={n_lo} is above hi={n_hi}")
     rows: list[SweepRow] = []
     minimal: int | None = None
     for n in range(n_lo, n_hi + 1):

@@ -415,6 +415,9 @@ def test_criterion_11_schur_number_four():
                                 res44.coloring.colors) == []
     assert res45.outcome == EXHAUSTED
     assert res45.nodes == 387670
+    assert res45.proof_log_hash == (
+        "e039413d3157009b06c719fc90981a0a08ab62e70cc0578cd924c8cf680faf77"
+    )
     assert elapsed < 60.0, f"took {elapsed:.3f}s"
     print(f"criterion 11: S(4) = 44, {res45.nodes} nodes at 45, {elapsed:.3f}s")
 

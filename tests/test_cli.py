@@ -653,15 +653,38 @@ class TestErrorPaths:
             ["search", "schur", "int:1..4", "--cert-dir", "{dir}"],
             ["sweep", "schur", "--lo", "1", "--hi", "5", "--cert-dir", "{dir}"],
             ["rado", "x1 + x2 - x3 = 0", "--validate", "--n-max", "5"],
+            ["export-cnf", "schur", "int:1..5"],
+            ["import-sat", "schur", "int:1..5", "{sat}"],
         ],
-        ids=["search", "sweep", "rado"],
+        ids=["search", "sweep", "rado", "export-cnf", "import-sat"],
     )
-    def test_zero_colors_rejected(self, tmp_path, argv):
+    def test_zero_colors_rejected(self, tmp_path, capsys, argv):
         cert_dir = tmp_path / "certs"
-        code, text = run_cli([a.format(dir=cert_dir) for a in argv] + ["-r", "0"])
+        sat = tmp_path / "model.txt"
+        sat.write_text("v 1 0\n")
+        code, text = run_cli([a.format(dir=cert_dir, sat=sat) for a in argv] + ["-r", "0"])
         assert code == 2
         assert text == ""
         assert not cert_dir.exists()
+        assert "need at least one color, got r=0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["sweep", "schur", "-r", "2", "--lo", "5", "--hi", "3", "--cert-dir", "{dir}"],
+             "empty sweep: lo=5 is above hi=3"),
+            (["rado", "x1 + x2 - x3 = 0", "--validate", "--n-max", "0"],
+             "need at least one window, got n_max=0"),
+        ],
+        ids=["sweep", "rado"],
+    )
+    def test_empty_ladder_rejected(self, tmp_path, capsys, argv, message):
+        cert_dir = tmp_path / "certs"
+        code, text = run_cli([a.format(dir=cert_dir) for a in argv])
+        assert code == 2
+        assert text == ""
+        assert not cert_dir.exists()
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv",

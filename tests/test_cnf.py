@@ -55,6 +55,11 @@ class TestStructure:
         assert len(clause_lines) == nc == len(cnf.clauses)
         assert all(l.endswith(" 0") for l in clause_lines)
 
+    @pytest.mark.parametrize("r", [0, -1])
+    def test_no_colors_rejected(self, r):
+        with pytest.raises(ValueError, match=f"need at least one color, got r={r}"):
+            export_cnf(builtin_family("schur"), IntegerInterval(1, 5), r)
+
 
 SMALL_WINDOWS = [IntegerInterval(1, 6), IntegerInterval(1, 10), FareyWindow(2)]
 

@@ -22,7 +22,6 @@ from qramsey.detector import (
 from qramsey.patterns import (
     InvalidInstantiationError,
     builtin_family,
-    default_catalog,
     instantiate,
     parse_family,
 )

@@ -92,12 +92,16 @@ def entry_tuples(table):
     return [(c.x_index, c.y_index, c.value_indices) for c in table.entries]
 
 
-@pytest.mark.parametrize("draw", range(DRAWS))
-def test_search_agrees_with_independent_deciders(draw):
+def draw_case(draw):
     rng = random.Random(7001 + draw)
     family = draw_family(rng)
     window = draw_window(rng)
-    r = rng.choice([1, 2, 2, 3])
+    return family, window, rng.choice([1, 2, 2, 3])
+
+
+@pytest.mark.parametrize("draw", range(DRAWS))
+def test_search_agrees_with_independent_deciders(draw):
+    family, window, r = draw_case(draw)
     assert window.size() <= 9
     case = (family.serialize(), window.spec_string(), r)
 
@@ -156,3 +160,26 @@ def test_table_matches_fraction_reference(text, spec, flags):
     )
     window = parse_window(spec)
     assert entry_tuples(build_candidates(family, window)) == _brute.entries(family, window)
+
+
+def naive_groups(entries):
+    """Distinct index sets with a proper subset among them dropped, by (size, indices)."""
+    sets = {frozenset(indices) for _, _, indices in entries}
+    minimal = [tuple(sorted(g)) for g in sets if not any(h < g for h in sets)]
+    return sorted(minimal, key=lambda g: (len(g), g))
+
+
+def test_constraint_groups_match_naive_filter():
+    cases = [draw_case(draw)[:2] for draw in range(DRAWS)]
+    cases += [
+        (parse_family(text, allow_offsets=True), parse_window(spec))
+        for text in TABLE_FAMILIES
+        for spec in TABLE_WINDOWS
+    ]
+    pruned = 0
+    for family, window in cases:
+        entries = _brute.entries(family, window)
+        groups = build_candidates(family, window).constraint_groups()
+        assert list(groups) == naive_groups(entries), (family.serialize(), window.spec_string())
+        pruned += len(groups) < len({frozenset(indices) for _, _, indices in entries})
+    assert pruned > 50  # the filter has supersets to drop

@@ -40,3 +40,35 @@ def test_oracle_imports_nothing_from_qramsey(name):
             imported.append("." * node.level + (node.module or ""))
     assert imported, name  # the walk saw the imports
     assert [m for m in imported if m.split(".")[0] in ("qramsey", "")] == [], name
+
+
+def _unused_imports(path):
+    """Module-level imports of the file that it never reads or exports."""
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    bound = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound += [(alias.asname or alias.name).split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [alias.asname or alias.name for alias in node.names]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:  # names exported through __all__ count as read
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            read |= set(ast.literal_eval(node.value))
+    return [name for name in bound if name not in read]
+
+
+def test_no_unused_module_level_imports():
+    src = os.path.dirname(qramsey.__file__)
+    files = {
+        f"{os.path.basename(folder)}/{name}": os.path.join(folder, name)
+        for folder in (src, TESTS)
+        for name in os.listdir(folder)
+        if name.endswith(".py")
+    }
+    assert {"qramsey/cli.py", "tests/_brute.py"} <= files.keys()
+    unused = {key: names for key, path in files.items() if (names := _unused_imports(path))}
+    assert unused == {}

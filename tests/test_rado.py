@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from qramsey.arith import PolynomialQ
-from qramsey.patterns import AffineTerm, VarX, VarY
+from qramsey.patterns import AffineTerm, VarX
 from qramsey.rado import (
     LinearSystem,
     RadoError,
@@ -279,6 +279,14 @@ class TestCrossValidate:
         outcomes = [row.outcome for row in report.rows]
         assert outcomes == [AVOIDING] * 8 + [EXHAUSTED]
         assert report.note == "non-regular; unavoidable from n=9 at r=2"
+
+    @pytest.mark.parametrize(
+        "coeffs", [[1, 1, -1], [1, 1, 1, -1]], ids=["supported", "unsupported"]
+    )
+    @pytest.mark.parametrize("n_max", [0, -2])
+    def test_no_window_rejected(self, coeffs, n_max):
+        with pytest.raises(ValueError, match=f"need at least one window, got n_max={n_max}"):
+            cross_validate(LinearSystem.single(coeffs), r=2, n_max=n_max)
 
     def test_unsupported_shape_reported(self):
         report = cross_validate(LinearSystem.single([1, 1, 1, -1]), r=2, n_max=4)

@@ -1,7 +1,6 @@
 """Backtracking search: correctness against brute force, budgets, sweeps."""
 
 import os
-import random
 
 import pytest
 
@@ -16,7 +15,7 @@ from qramsey.search import (
     threshold_sweep,
     window_for_template,
 )
-from qramsey.windows import FareyWindow, IntegerInterval, MultiplicativeGrid, parse_window
+from qramsey.windows import FareyWindow, IntegerInterval, MultiplicativeGrid
 
 import _brute
 
@@ -59,6 +58,16 @@ class TestOutcomes:
         assert len(res.proof_log_hash) == 64
         assert res.nodes > 0
 
+    @pytest.mark.parametrize("r", [3, 7, 200])
+    def test_more_colors_than_elements(self, r):
+        # One group, {1, 2}; symmetry breaking opens only colors 0 and 1.
+        family = builtin_family("schur")
+        res = search_avoiding(family, IntegerInterval(1, 3), r)
+        assert res.outcome == AVOIDING
+        assert res.nodes == 2
+        assert res.coloring.colors == (0, 1, 0)
+        assert res.coloring.r == r
+
     def test_no_candidates_means_trivially_avoiding(self):
         # x + y overflows the window for every pair, so no constraints exist.
         family = builtin_family("schur")
@@ -83,9 +92,11 @@ class TestOutcomes:
         assert res.coloring is None
         assert res.proof_log_hash is None
 
-    @pytest.mark.parametrize("max_nodes", [0, 10, 100, 194])
+    @pytest.mark.parametrize("max_nodes", [0, 10, 20, 21, 100, 194, 2610])
     def test_node_budget_is_exact(self, max_nodes):
-        # The full search takes 2611 nodes.
+        # The full search takes 2611 nodes.  It first backtracks after node 20,
+        # so node 21 is the first to propagate through other-member groups;
+        # the root element, of top degree, is backtracked over after node 2611.
         res = search_avoiding(
             builtin_family("vdw(2)"),
             IntegerInterval(1, 27),
@@ -155,19 +166,25 @@ class TestDeterminism:
 
     def test_pinned_exhaustion_trace(self):
         # Node count and trace hash of the smallest-domain-first search:
-        # W(3;3) = 27, and the benchmark's int:1..45 refutation at r = 2.
+        # W(3;3) = 27, the benchmark's int:1..45 refutation at r = 2, and the
+        # quotient family {x, x/y, x + y} with distinct values on farey:7.
         cases = [
             (
-                builtin_family("vdw(2)"), 27, 3, 2611,
+                builtin_family("vdw(2)"), IntegerInterval(1, 27), 3, 2611,
                 "24851e1729882c4650fc44908287366d33d632f1ccab22701f1f325d57300156",
             ),
             (
-                parse_family("x; x + t; x + 4*t; x + 5*t"), 45, 2, 24103,
+                parse_family("x; x + t; x + 4*t; x + 5*t"), IntegerInterval(1, 45), 2, 24103,
                 "dc66d16ba9554710da30e59275437680570c6f4f4e84d2a7ff80ac591e77c7dc",
             ),
+            (
+                parse_family("x; x / y^1; x + t", require_distinct_values=True),
+                FareyWindow(7), 3, 1353,
+                "4a6873015486a7d225eecf1a7825fd765668749de68464dd20925d989204b1da",
+            ),
         ]
-        for family, n, r, nodes, digest in cases:
-            res = search_avoiding(family, IntegerInterval(1, n), r)
+        for family, window, r, nodes, digest in cases:
+            res = search_avoiding(family, window, r)
             assert res.outcome == EXHAUSTED
             assert res.nodes == nodes
             assert res.proof_log_hash == digest
@@ -203,6 +220,11 @@ class TestThresholdSweep:
         report = threshold_sweep(family, 2, "int", 1, 9, stop_at_exhausted=True)
         assert [row.n for row in report.rows] == [1, 2, 3, 4, 5]
         assert report.minimal_exhausted_n == 5
+
+    def test_empty_ladder_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="empty sweep: lo=5 is above hi=3"):
+            threshold_sweep(builtin_family("schur"), 2, "int", 5, 3, cert_dir=str(tmp_path))
+        assert os.listdir(tmp_path) == []
 
     def test_budget_rows_have_no_certificate(self, tmp_path):
         family = builtin_family("schur")

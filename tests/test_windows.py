@@ -1,7 +1,6 @@
 """Window kinds: enumeration order, membership, spec round trips."""
 
 from fractions import Fraction
-from math import gcd
 
 import pytest
 
