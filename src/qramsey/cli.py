@@ -8,17 +8,26 @@ subcommand found a violation, 2 for bad configuration or arguments, 3 when
 ``verify`` did not check the claim (an upper bound without ``--rerun``),
 141 (128 + SIGPIPE) when stdout was closed before the result, the help or
 the version was written.
+
+Arguments are read by hand from ``COMMANDS``, where each command lists its
+positionals and options as data (``Arg``).  The reader accepts and rejects
+what argparse does: a long option by a unique prefix, ``--opt=value``,
+``-r2``, ``--`` to end the options, and a negative number as a value.
+argparse is imported only for ``-h``, to print the help of a parser built
+from the same table.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
+import re
 import select
 import sys
 import time
 from fractions import Fraction
+from types import SimpleNamespace
+from typing import NamedTuple
 
 from . import __version__
 from .arith import format_rational, parse_rational
@@ -63,7 +72,7 @@ def _emit(out, payload: dict) -> None:
     out.write("\n")
 
 
-def _resolve_family(args: argparse.Namespace) -> Family:
+def _resolve_family(args: SimpleNamespace) -> Family:
     return parse_family(
         args.family,
         allow_offsets=args.allow_offsets,
@@ -88,7 +97,7 @@ def _parse_rational_list(text: str) -> list[Fraction]:
     return [parse_rational(t) for t in toks]
 
 
-def _budget(args: argparse.Namespace) -> SearchBudget:
+def _budget(args: SimpleNamespace) -> SearchBudget:
     return SearchBudget(max_nodes=args.nodes, max_seconds=args.seconds)
 
 
@@ -119,7 +128,7 @@ def _result_json(res) -> dict:
     }
 
 
-def _coloring_from_args(window: Window, args: argparse.Namespace) -> Coloring:
+def _coloring_from_args(window: Window, args: SimpleNamespace) -> Coloring:
     colors = _parse_colors(args.colors)
     r = args.r if args.r is not None else (max(colors) + 1 if colors else 1)
     return Coloring(window, colors, r)
@@ -182,8 +191,13 @@ def _cmd_sweep(args, out) -> int:
 
 def _cmd_rado(args, out) -> int:
     system = parse_equation(args.equation)
+    budget = _budget(args)
+    if args.r < 1:
+        raise CliError(f"need at least one color, got r={args.r}")
+    if args.n_max < 1:
+        raise CliError(f"need at least one window, got n_max={args.n_max}")
     if args.validate:
-        report = cross_validate(system, args.r, args.n_max, budget=_budget(args))
+        report = cross_validate(system, args.r, args.n_max, budget=budget)
         cond = report.condition
         details = {
             "supported": report.supported,
@@ -214,6 +228,10 @@ def _cmd_largeset(args, out) -> int:
     window = parse_window(args.window)
     aset = _parse_rational_list(args.set) if args.set else []
     payload: dict = {"check": args.check, "window": window.spec_string()}
+    if args.max_f < 1:
+        raise CliError("max_f must be at least 1")
+    if args.ip_r < 1:
+        raise CliError("r must be at least 1")
     if args.check in ("thick", "syndetic", "pws"):
         if args.shape is None:
             raise CliError(f"--shape is required for {args.check}")
@@ -327,117 +345,213 @@ def _cmd_catalog(args, out) -> int:
 # Command table
 
 
-def _add_budget_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--nodes", type=int, default=None, help="node budget for the search")
-    p.add_argument("--seconds", type=float, default=None, help="time budget in seconds")
+class Arg(NamedTuple):
+    """A command's argument: a positional when its first flag lacks a '-'.
+    ``kind`` converts the value; bool marks a flag, which takes none."""
+
+    flags: tuple[str, ...]
+    kind: type = str
+    default: object = None
+    required: bool = False
+    choices: tuple | None = None
+    help: str | None = None
+
+    @property
+    def positional(self) -> bool:
+        return self.flags[0][0] != "-"
+
+    @property
+    def dest(self) -> str:
+        return self.flags[-1].lstrip("-").replace("-", "_")
 
 
-def _add_family_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--allow-offsets", action="store_true", help="permit x + c terms")
-    p.add_argument("--distinct", action="store_true", help="require distinct tuple values")
-    p.add_argument("--strict-x", action="store_true", help="forbid x = 0 in instantiations")
+_FAMILY_FLAGS = (
+    Arg(("--allow-offsets",), bool, help="permit x + c terms"),
+    Arg(("--distinct",), bool, help="require distinct tuple values"),
+    Arg(("--strict-x",), bool, help="forbid x = 0 in instantiations"),
+)
+_BUDGET = (
+    Arg(("--nodes",), int, help="node budget for the search"),
+    Arg(("--seconds",), float, help="time budget in seconds"),
+)
+_FAMILY, _WINDOW, _R = Arg(("family",)), Arg(("window",)), Arg(("-r",), int, required=True)
 
-
-def _detect_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("family", help="catalog key or family text")
-    p.add_argument("window", help="window spec, e.g. int:1..9")
-    p.add_argument("--colors", required=True, help="color list, e.g. [0,1,0,1]")
-    p.add_argument("-r", type=int, default=None, help="number of colors (default: max+1)")
-    _add_family_flags(p)
-
-
-def _search_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("family")
-    p.add_argument("window")
-    p.add_argument("-r", type=int, required=True)
-    p.add_argument("--cert-dir", default=None, help="write a certificate here")
-    p.add_argument("--cert-stem", default="result", help="certificate file stem")
-    _add_family_flags(p)
-    _add_budget_args(p)
-
-
-def _sweep_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("family")
-    p.add_argument("-r", type=int, required=True)
-    p.add_argument("--template", default="int", help="int, farey, or mgrid:p1,p2,...")
-    p.add_argument("--lo", type=int, required=True)
-    p.add_argument("--hi", type=int, required=True)
-    p.add_argument("--cert-dir", default=None)
-    p.add_argument("--stop-at-exhausted", action="store_true")
-    _add_family_flags(p)
-    _add_budget_args(p)
-
-
-def _rado_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("equation", help='e.g. "1*x1 + 1*x2 - 1*x3 = 0"')
-    p.add_argument("--validate", action="store_true", help="cross-check against search")
-    p.add_argument("-r", type=int, default=2)
-    p.add_argument("--n-max", type=int, default=20)
-    _add_budget_args(p)
-
-
-def _largeset_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("check", choices=["thick", "syndetic", "pws", "ip"])
-    p.add_argument("window")
-    p.add_argument("--set", default=None, help="comma-separated rationals")
-    p.add_argument("--shape", default=None, help="comma-separated shape elements")
-    p.add_argument("--mode", default="+", choices=["+", "*"])
-    p.add_argument("--core", default=None, help="syndetic core (default: interior)")
-    p.add_argument("--max-f", type=int, default=3)
-    p.add_argument("--ip-r", type=int, default=2)
-
-
-def _localize_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("window", help="mgrid window spec")
-    p.add_argument("--colors", required=True)
-    p.add_argument("-r", type=int, default=None)
-    p.add_argument("--shape", required=True, help="multiplicative thickness shape")
-    p.add_argument("--max-f", type=int, default=3)
-
-
-def _export_cnf_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("family")
-    p.add_argument("window")
-    p.add_argument("-r", type=int, required=True)
-    p.add_argument("--out", default=None)
-    _add_family_flags(p)
-
-
-def _import_sat_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("family")
-    p.add_argument("window")
-    p.add_argument("-r", type=int, required=True)
-    p.add_argument("assignment", help="file with DIMACS v-lines")
-    _add_family_flags(p)
-
-
-def _verify_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("certificate")
-    p.add_argument("--rerun", action="store_true", help="replay exhaustive searches")
-
-
-# name -> (help, handler, function that adds the command's arguments)
+# name -> (help, handler, arguments in the order that help lists them)
 COMMANDS = {
-    "detect": ("find a monochromatic instantiation", _cmd_detect, _detect_args),
-    "search": ("search for an avoiding coloring", _cmd_search, _search_args),
-    "sweep": ("run a window ladder and report outcomes", _cmd_sweep, _sweep_args),
-    "rado": ("columns condition for a linear equation", _cmd_rado, _rado_args),
-    "largeset": ("finite largeness checks", _cmd_largeset, _largeset_args),
-    "localize": ("localize colors over a multiplicative grid", _cmd_localize, _localize_args),
-    "export-cnf": ("write the avoidance problem as DIMACS", _cmd_export_cnf, _export_cnf_args),
-    "import-sat": ("read a solver model back as a coloring", _cmd_import_sat, _import_sat_args),
-    "verify": ("check a certificate file", _cmd_verify, _verify_args),
-    "catalog": ("list the built-in families", _cmd_catalog, lambda p: None),
+    "detect": ("find a monochromatic instantiation", _cmd_detect, (
+        Arg(("family",), help="catalog key or family text"),
+        Arg(("window",), help="window spec, e.g. int:1..9"),
+        Arg(("--colors",), required=True, help="color list, e.g. [0,1,0,1]"),
+        Arg(("-r",), int, help="number of colors (default: max+1)"),
+        *_FAMILY_FLAGS,
+    )),
+    "search": ("search for an avoiding coloring", _cmd_search, (
+        _FAMILY, _WINDOW, _R,
+        Arg(("--cert-dir",), help="write a certificate here"),
+        Arg(("--cert-stem",), default="result", help="certificate file stem"),
+        *_FAMILY_FLAGS, *_BUDGET,
+    )),
+    "sweep": ("run a window ladder and report outcomes", _cmd_sweep, (
+        _FAMILY, _R,
+        Arg(("--template",), default="int", help="int, farey, or mgrid:p1,p2,..."),
+        Arg(("--lo",), int, required=True), Arg(("--hi",), int, required=True),
+        Arg(("--cert-dir",)), Arg(("--stop-at-exhausted",), bool),
+        *_FAMILY_FLAGS, *_BUDGET,
+    )),
+    "rado": ("columns condition for a linear equation", _cmd_rado, (
+        Arg(("equation",), help='e.g. "1*x1 + 1*x2 - 1*x3 = 0"'),
+        Arg(("--validate",), bool, help="cross-check against search"),
+        Arg(("-r",), int, default=2), Arg(("--n-max",), int, default=20),
+        *_BUDGET,
+    )),
+    "largeset": ("finite largeness checks", _cmd_largeset, (
+        Arg(("check",), choices=("thick", "syndetic", "pws", "ip")), _WINDOW,
+        Arg(("--set",), help="comma-separated rationals"),
+        Arg(("--shape",), help="comma-separated shape elements"),
+        Arg(("--mode",), default="+", choices=("+", "*")),
+        Arg(("--core",), help="syndetic core (default: interior)"),
+        Arg(("--max-f",), int, default=3), Arg(("--ip-r",), int, default=2),
+    )),
+    "localize": ("localize colors over a multiplicative grid", _cmd_localize, (
+        Arg(("window",), help="mgrid window spec"),
+        Arg(("--colors",), required=True), Arg(("-r",), int),
+        Arg(("--shape",), required=True, help="multiplicative thickness shape"),
+        Arg(("--max-f",), int, default=3),
+    )),
+    "export-cnf": ("write the avoidance problem as DIMACS", _cmd_export_cnf, (
+        _FAMILY, _WINDOW, _R, Arg(("--out",)), *_FAMILY_FLAGS,
+    )),
+    "import-sat": ("read a solver model back as a coloring", _cmd_import_sat, (
+        _FAMILY, _WINDOW, _R, Arg(("assignment",), help="file with DIMACS v-lines"),
+        *_FAMILY_FLAGS,
+    )),
+    "verify": ("check a certificate file", _cmd_verify, (
+        Arg(("certificate",)), Arg(("--rerun",), bool, help="replay exhaustive searches"),
+    )),
+    "catalog": ("list the built-in families", _cmd_catalog, ()),
 }
+_HELP, _VERSION = Arg(("-h", "--help"), bool), Arg(("--version",), bool)
+_CONFIG = Arg(("--config",), help="JSON file with option defaults")
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
 
-def command_parser(name: str) -> argparse.ArgumentParser:
-    """The parser of one command's arguments, with ``func`` its handler."""
-    _, handler, add_arguments = COMMANDS[name]
+def _parser(name: str | None):
+    """The argparse parser of command ``name``, or the top-level one for None.
+    Only help builds one."""
+    import argparse
+
+    if name is None:
+        parser = argparse.ArgumentParser(
+            prog="qramsey",
+            description="finite partition-pattern search over rational windows",
+            epilog="commands:\n" + "".join(f"  {n:<22}{c[0]}\n" for n, c in COMMANDS.items()),
+            formatter_class=argparse.RawDescriptionHelpFormatter,
+        )
+        parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
+        parser.add_argument(*_CONFIG.flags, help=_CONFIG.help)
+        parser.add_argument("command", nargs=argparse.PARSER, choices=COMMANDS,
+                            help="a command and its arguments (qramsey COMMAND -h)")
+        return parser
     parser = argparse.ArgumentParser(prog=f"qramsey {name}")
-    add_arguments(parser)
-    parser.set_defaults(func=handler)
+    for arg in COMMANDS[name][2]:
+        if arg.kind is bool:
+            parser.add_argument(*arg.flags, action="store_true", help=arg.help)
+        else:  # a positional takes no 'required'
+            parser.add_argument(*arg.flags, type=arg.kind, default=arg.default,
+                                choices=arg.choices, help=arg.help,
+                                **({"required": True} if arg.required else {}))
     return parser
+
+
+def _options(arguments) -> dict[str, Arg]:
+    """Flag -> argument, over -h and the options among ``arguments``."""
+    return {f: a for a in (_HELP, *arguments) if not a.positional for f in a.flags}
+
+
+def _lookup(token: str, options: dict[str, Arg]):
+    """What argparse makes of ``token`` (not '--'): None for a positional,
+    else (argument or None if unknown, flag, attached value or None), where
+    a long flag may be a unique prefix (``--nod=3``) and a short one may
+    carry its value (``-r2``)."""
+    if token[:1] != "-" or token == "-":
+        return None
+    if token in options:
+        return options[token], token, None
+    flag, eq, value = token.partition("=")
+    if eq and flag in options:
+        return options[flag], flag, value
+    if token[1] == "-":
+        matches, value = [f for f in options if f.startswith(flag)], value if eq else None
+    else:
+        matches, value = [f for f in options if f == token[:2]], token[2:]
+    if len(matches) > 1:
+        raise CliError(f"ambiguous option: {token} could match {', '.join(matches)}")
+    if matches:
+        return options[matches[0]], matches[0], value
+    return None if _NEGATIVE_NUMBER.match(token) or " " in token else (None, token, None)
+
+
+def _convert(arg: Arg, name: str, text: str):
+    try:
+        value = arg.kind(text)
+    except ValueError:
+        raise CliError(f"argument {name}: invalid {arg.kind.__name__} value: {text!r}") from None
+    if arg.choices and value not in arg.choices:
+        raise CliError(f"argument {name}: invalid choice: {value!r} (choose from {arg.choices})")
+    return value
+
+
+def _read_option(arg: Arg, flag: str, value, tokens: list[str], i: int, options):
+    """The value of option ``arg``, typed as ``flag`` before ``tokens[i]``
+    with ``value`` attached or None, and the index of the next token."""
+    if arg.kind is bool:
+        if value is not None:
+            raise CliError(f"argument {flag}: ignored explicit argument {value!r}")
+        return True, i
+    if value is None:
+        if i == len(tokens) or tokens[i] == "--" or _lookup(tokens[i], options) is not None:
+            raise CliError(f"argument {flag}: expected one argument")
+        value, i = tokens[i], i + 1
+    return _convert(arg, flag, value), i
+
+
+def _read_command(name: str, tokens: list[str]) -> SimpleNamespace:
+    """``tokens`` read into command ``name``'s arguments, as argparse reads
+    them; after the first '--' every token is a positional."""
+    _, handler, arguments = COMMANDS[name]
+    options = _options(arguments)
+    values = {a.dest: False if a.kind is bool else a.default for a in arguments
+              if not (a.positional or a.required)}
+    positionals, extras = [], []
+    end = tokens.index("--") if "--" in tokens else len(tokens)
+    i, after_positional = 0, False
+    while i < end:
+        found = _lookup(tokens[i], options)
+        i += 1
+        after_positional = found is None
+        if found is None:
+            positionals.append(tokens[i - 1])
+        elif found[0] is None:
+            extras.append(found[1])
+        elif found[0] is _HELP:
+            _parser(name).parse_args(tokens)  # prints the help and exits
+        else:
+            values[found[0].dest], i = _read_option(*found, tokens, i, options)
+    slots = [arg for arg in arguments if arg.positional]
+    if end < len(tokens):
+        # argparse keeps this '--' only next to a positional that it fills
+        if not (after_positional or len(positionals) < len(slots) and end + 1 < len(tokens)):
+            extras.append("--")
+        positionals += tokens[end + 1:]
+    for arg, token in zip(slots, positionals):
+        values[arg.dest] = _convert(arg, arg.dest, token)
+    missing = ["/".join(a.flags) for a in arguments if a.dest not in values]
+    if missing:
+        raise CliError(f"the following arguments are required: {', '.join(missing)}")
+    extras += positionals[len(slots):]
+    if extras:
+        raise CliError(f"unrecognized arguments: {' '.join(extras)}")
+    return SimpleNamespace(func=handler, **values)
 
 
 def _read_config(path: str) -> dict:
@@ -452,16 +566,16 @@ def _read_config(path: str) -> dict:
     return {k.replace("-", "_"): v for k, v in config.items()}
 
 
-def _config_token(key: str, value, action: argparse.Action) -> str | None:
-    """The token that sets ``action`` to a config value, as if typed.
+def _config_token(key: str, value, arg: Arg) -> str | None:
+    """The token that sets option ``arg`` to a config value, as if typed.
 
     A flag takes only JSON true (the flag) or false (no token).  An option
-    that takes a value gets ``--option=value``, so argparse converts it with
-    the option's own type, and a value that starts with '-' stays a value.
-    Anything else raises CliError.
+    that takes a value gets ``--option=value``, so it is converted like a
+    typed value, and a value that starts with '-' stays a value.  Anything
+    else raises CliError.
     """
-    option = action.option_strings[-1]
-    if action.nargs == 0:
+    option = arg.flags[-1]
+    if arg.kind is bool:
         if isinstance(value, bool):
             return option if value else None
         raise CliError(f"config key {key} is a flag: use true or false, not {json.dumps(value)}")
@@ -477,44 +591,51 @@ def _config_tokens(config: dict, command: str) -> list[str]:
     command, with a value that suits it in every command that has it;
     otherwise CliError.
     """
-    options: dict[str, dict[str, argparse.Action]] = {}
-    for name in COMMANDS:
-        for action in command_parser(name)._actions:
-            if action.option_strings and action.dest != "help":
-                options.setdefault(action.dest, {})[name] = action
+    options: dict[str, dict[str, Arg]] = {}
+    for name, (_, _, arguments) in COMMANDS.items():
+        for arg in arguments:
+            if not arg.positional:
+                options.setdefault(arg.dest, {})[name] = arg
     unknown = sorted(set(config) - options.keys())
     if unknown:
         raise CliError(f"unknown config keys: {', '.join(unknown)}")
     tokens = []
     for key, value in config.items():
-        for name, action in options[key].items():
-            token = _config_token(key, value, action)
+        for name, arg in options[key].items():
+            token = _config_token(key, value, arg)
             if name == command and token is not None:
                 tokens.append(token)
     return tokens
 
 
-def parse_args(argv: list[str]) -> argparse.Namespace:
-    """``argv`` parsed as ``main`` parses it, into the named command's options.
+def parse_args(argv: list[str]) -> SimpleNamespace:
+    """``argv`` read as ``main`` reads it, into the named command's arguments.
 
-    Only that command's parser is built.  Config tokens go before the typed
-    ones, so typed options win.  Raises SystemExit or CliError on bad input.
+    The top-level options (-h, --version, --config) go before the command.
+    Config tokens go before the typed ones, so typed options win.  Raises
+    CliError on bad input, SystemExit after the help or the version.
     """
-    top = argparse.ArgumentParser(
-        prog="qramsey",
-        description="finite partition-pattern search over rational windows",
-        epilog="commands:\n" + "".join(f"  {n:<22}{c[0]}\n" for n, c in COMMANDS.items()),
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
-    top.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    top.add_argument("--config", help="JSON file with option defaults")
-    # PARSER, as a subparsers action takes it: a '--' stays with the command's tokens.
-    top.add_argument("command", nargs=argparse.PARSER, choices=COMMANDS,
-                     help="a command and its arguments (qramsey COMMAND -h)")
-    known = top.parse_args(argv)
-    name, *rest = known.command
-    tokens = _config_tokens(_read_config(known.config), name) if known.config else []
-    return command_parser(name).parse_args(tokens + rest)
+    options = _options((_VERSION, _CONFIG))
+    config, unknown, i = None, [], 0
+    while i < len(argv) and argv[i] != "--" and (found := _lookup(argv[i], options)):
+        arg, flag, value = found
+        i += 1
+        if arg is None:
+            unknown.append(flag)
+        elif arg is _HELP:
+            _parser(None).parse_args(argv)  # prints the help and exits
+        elif arg is _VERSION:
+            _read_option(arg, flag, value, argv, i, options)
+            print(f"qramsey {__version__}")
+            raise SystemExit(0)
+        else:
+            config, i = _read_option(arg, flag, value, argv, i, options)
+    if i == len(argv) or argv[i] not in COMMANDS:
+        raise CliError(f"expected a command: {', '.join(COMMANDS)}")
+    if unknown:
+        raise CliError(f"unrecognized arguments: {' '.join(unknown)}")
+    tokens = _config_tokens(_read_config(config), argv[i]) if config else []
+    return _read_command(argv[i], tokens + argv[i + 1:])
 
 
 def _reader_gone(stream) -> bool:
@@ -540,7 +661,8 @@ def main(argv: list[str] | None = None, out=None) -> int:
     except SystemExit as exc:
         if exc.code != 0:
             return 2
-        # -h and --version wrote to stdout, and argparse drops a write error
+        # -h or --version wrote to stdout: a write error shows here, if
+        # argparse did not drop it
         try:
             sys.stdout.flush()
         except BrokenPipeError:

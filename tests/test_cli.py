@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import shlex
 import subprocess
 import sys
@@ -653,10 +654,11 @@ class TestErrorPaths:
             ["search", "schur", "int:1..4", "--cert-dir", "{dir}"],
             ["sweep", "schur", "--lo", "1", "--hi", "5", "--cert-dir", "{dir}"],
             ["rado", "x1 + x2 - x3 = 0", "--validate", "--n-max", "5"],
+            ["rado", "x1 + x2 - x3 = 0"],
             ["export-cnf", "schur", "int:1..5"],
             ["import-sat", "schur", "int:1..5", "{sat}"],
         ],
-        ids=["search", "sweep", "rado", "export-cnf", "import-sat"],
+        ids=["search", "sweep", "rado", "rado-plain", "export-cnf", "import-sat"],
     )
     def test_zero_colors_rejected(self, tmp_path, capsys, argv):
         cert_dir = tmp_path / "certs"
@@ -675,8 +677,10 @@ class TestErrorPaths:
              "empty sweep: lo=5 is above hi=3"),
             (["rado", "x1 + x2 - x3 = 0", "--validate", "--n-max", "0"],
              "need at least one window, got n_max=0"),
+            (["rado", "x1 + x2 - x3 = 0", "--n-max", "0"],
+             "need at least one window, got n_max=0"),
         ],
-        ids=["sweep", "rado"],
+        ids=["sweep", "rado", "rado-plain"],
     )
     def test_empty_ladder_rejected(self, tmp_path, capsys, argv, message):
         cert_dir = tmp_path / "certs"
@@ -692,8 +696,9 @@ class TestErrorPaths:
             ["search", "schur", "int:1..30", "-r", "3", "--cert-dir", "{dir}"],
             ["sweep", "schur", "-r", "2", "--lo", "1", "--hi", "5", "--cert-dir", "{dir}"],
             ["rado", "x1 + x2 - x3 = 0", "--validate", "--n-max", "5"],
+            ["rado", "x1 + x2 - x3 = 0"],
         ],
-        ids=["search", "sweep", "rado"],
+        ids=["search", "sweep", "rado", "rado-plain"],
     )
     @pytest.mark.parametrize("budget", [["--nodes", "-1"], ["--seconds", "-1"]],
                              ids=["nodes", "seconds"])
@@ -703,6 +708,22 @@ class TestErrorPaths:
         assert code == 2
         assert text == ""
         assert not cert_dir.exists()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["thick", "--max-f", "-5"], "max_f must be at least 1"),
+            (["syndetic", "--max-f", "0"], "max_f must be at least 1"),
+            (["thick", "--ip-r", "0"], "r must be at least 1"),
+            (["pws", "--ip-r", "-1"], "r must be at least 1"),
+        ],
+        ids=["thick-max-f", "syndetic-max-f", "thick-ip-r", "pws-ip-r"],
+    )
+    def test_largeset_bounds_rejected_in_every_check(self, capsys, argv, message):
+        check, *options = argv
+        code, text = run_cli(["largeset", check, "int:1..9", "--shape", "0,1"] + options)
+        assert (code, text) == (2, "")
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv",
@@ -741,10 +762,10 @@ def _digest(text):
 
 
 class TestArgumentHandling:
-    """Exit codes and stdout of edge-case argument lists, recorded with the
-    earlier parser tree (argparse subparsers and a --config pre-parser).
-    Top-level help lists the commands in its own layout, so help is pinned
-    by its usage paragraph."""
+    """Exit codes and stdout of edge-case argument lists, recorded when
+    argparse read every invocation (the first rows with argparse subparsers
+    and a --config pre-parser).  Help is pinned by its usage paragraph and
+    by the digest of its whole text, recorded the same way."""
 
     @pytest.fixture
     def configs(self, tmp_path):
@@ -777,6 +798,23 @@ class TestArgumentHandling:
             (["--config", "{cfg}", "catalog"], 0, "0463879b35dbd398"),
             (["--config", "{unknown}"] + SEARCH, 2, ""),
             (["--config", "{other}"] + SEARCH, 0, "a6b2d972205012bc"),
+            (SEARCH + ["--cert-dir", "--distinct"], 2, ""),
+            (["search", "schur", "int:1..5", "-r", "x"], 2, ""),
+            (["search", "schur", "int:1..5", "-r2"], 0, "a6b2d972205012bc"),
+            (["sweep", "schur", "-r", "2", "--lo", "-3", "--hi", "2"], 2, ""),
+            (["sweep", "schur", "-r", "2", "--lo=-3", "--hi", "2"], 2, ""),
+            (SEARCH + ["--s", "1"], 2, ""),
+            (SEARCH + ["--distinct=1"], 2, ""),
+            (SEARCH + ["-r", "3"], 0, "5e901ed4712835a7"),
+            (["largeset", "thick", "int:1..5", "--mode", "/"], 2, ""),
+            (["rado", "x1 + x2 - x3 = 0", "extra"], 2, ""),
+            (["largeset", "thick", "int:-3..3", "--set", "-2", "--shape", "0,1"], 0,
+             "ac6a30537ee216b9"),
+            (["rado", "-x1 + x2 - x3 = 0"], 0, "47ea4dc6806dfed5"),
+            (["rado", "--", "-x1 - x2 + x3 = 0"], 0, "d5aad13307983a4d"),
+            (SEARCH + ["--cert-dir", "--"], 2, ""),
+            (SEARCH + ["--"], 2, ""),
+            (["search", "-r", "2", "schur", "int:1..5", "--"], 0, "a6b2d972205012bc"),
         ],
         ids=lambda v: " ".join(v) if isinstance(v, list) else str(v),
     )
@@ -803,9 +841,74 @@ class TestArgumentHandling:
         assert main(argv) == 0
         assert capsys.readouterr().out.split("\n\n")[0] == usage
 
+    @pytest.mark.parametrize(
+        "command, digest",
+        [
+            (None, "375d5d3fa7a30a44aebaa151c2a8a9549d1f4ff8ca62746dca3a13540c3cd1a4"),
+            ("detect", "a127c4db1ea8cc0dcb3137b58cf89362951df09a65eb57ffc9719047329c36b6"),
+            ("search", "a8ce933a54763f4c25375496ae6fa43788a433271a8ecf755fc9318e48329c9e"),
+            ("sweep", "bc3a2a7d8871941b6bee0cb93cb1b1bfc02a1f8d1993fc3a01b9f5cd5cb32940"),
+            ("rado", "c0c45948d8fe9b29bed7e44b1bad9c68325cb319299ca2deb708f7e6788722ce"),
+            ("largeset", "0fa97514c34ab108d1d0591a88cd7bad2ecbe65398b713b3d79addcd777037b6"),
+            ("localize", "341dab0feef8d96f4a8f839c54487b4375f8dc3fbe7307599de97bdbcb74dbaf"),
+            ("export-cnf", "4e474951b7fa09ceace2229fc90f2b2a8dee6edd54539063d5986fbb34c6398a"),
+            ("import-sat", "17205c6bba2086a97cfa0c30faa3e2a29bcd224d4683e93105c0f9fb5233f123"),
+            ("verify", "0c94215e8c700f8f855df7617b2bec0da84bc658dd2500251dcdd53b503c0aba"),
+            ("catalog", "0b4439ac56c6664efc0cff998fd57f5e49f6c1de8c6575a33b5b9e2bf0a39fcc"),
+        ],
+        ids=["top", "detect", "search", "sweep", "rado", "largeset", "localize", "export-cnf",
+             "import-sat", "verify", "catalog"],
+    )
+    def test_full_help(self, monkeypatch, capsys, command, digest):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert main(["-h"] if command is None else [command, "-h"]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+    def test_reader_matches_argparse(self, capsys):
+        """Seeded token lists read by parse_args and by an argparse parser built
+        from the same table agree: both reject, or both give the same values.
+        Each list is a valid one with random tokens put in.  It holds one '--'
+        at most: argparse turns a later '--' read as a value into an empty list."""
+        rng = random.Random(7)
+        pool = ["2", "-3", "-0.5", "-1e5", "x", "", "-", "-x y", "thick", "*", "/", "-2,-1",
+                "--", "--", "--bogus", "-q", "--s", "--c", "--n", "-r=", "--distinct=1",
+                "--hi=3", "=", "a=b"]
+        accepted = 0
+        for _ in range(3000):
+            name = rng.choice(list(cli.COMMANDS))
+            arguments = cli.COMMANDS[name][2]
+            tokens = [arg.choices[0] if arg.choices else "a" for arg in arguments
+                      if arg.positional]
+            if tokens and rng.random() < 0.3:
+                del tokens[rng.randrange(len(tokens))]  # a slot for a token of the pool
+            tokens += [t for arg in arguments if arg.required for t in (arg.flags[0], "2")]
+            flags = [f for arg in arguments for f in arg.flags if f[0] == "-"]
+            for _ in range(rng.randint(0, 4)):
+                token = rng.choice(flags + pool)
+                if token.startswith("--") and len(token) > 3 and rng.random() < 0.2:
+                    token = token[:rng.randint(3, len(token))]  # an abbreviation
+                if token[:1] == "-" and token != "--" and rng.random() < 0.2:
+                    token += rng.choice(["=", ""]) + rng.choice(["2", "x", "-3"])
+                if token != "--" or "--" not in tokens:
+                    tokens.insert(rng.randint(0, len(tokens)), token)
+            outcome = _outcome(cli.parse_args, [name] + tokens)
+            assert outcome == _outcome(cli._parser(name).parse_args, tokens), (name, tokens)
+            accepted += outcome is not None
+        assert accepted > 500
+        capsys.readouterr()
+
+
+def _outcome(parse, tokens):
+    """The values that ``parse`` reads from ``tokens``, or None if it rejects them."""
+    try:
+        args = vars(parse(tokens))
+    except (SystemExit, cli.CliError, ValueError):
+        return None
+    return {k: v for k, v in args.items() if k != "func"}
+
 
 class TestParsersBuilt:
-    """Each invocation builds the top-level parser and the invoked command's."""
+    """Only help builds an argparse parser: the one of the command asked about."""
 
     @pytest.fixture
     def built(self, monkeypatch):
@@ -829,22 +932,32 @@ class TestParsersBuilt:
     def test_verify_and_search(self, certificate, built):
         assert main(["verify", certificate], out=io.StringIO()) == 0
         assert main(SEARCH, out=io.StringIO()) == 0
-        assert built == ["qramsey", "qramsey verify", "qramsey", "qramsey search"]
+        assert built == []
 
-    def test_count_does_not_grow_with_the_table(self, certificate, built, monkeypatch):
+    def test_count_does_not_grow_with_the_table(self, certificate, built, monkeypatch,
+                                                tmp_path):
         for k in range(20):
-            monkeypatch.setitem(cli.COMMANDS, f"extra-{k}", ("", None, lambda p: None))
-        assert main(["verify", certificate], out=io.StringIO()) == 0
-        assert built == ["qramsey", "qramsey verify"]
+            monkeypatch.setitem(cli.COMMANDS, f"extra-{k}", ("", None, (cli.Arg(("--x",)),)))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"rerun": True, "nodes": 5, "x": "1"}))
+        assert main(["--config", str(cfg), "verify", certificate], out=io.StringIO()) == 0
+        assert built == []
+
+    def test_help_builds_the_command_parser_only(self, built, capsys):
+        assert main(["search", "-h"]) == 0
+        assert built == ["qramsey search"]
+        capsys.readouterr()
 
 
 class TestModuleEntry:
     def run_module(self, *argv, module="qramsey", **kwargs):
+        """Run ``python -m module argv``, or ``python argv`` for module None."""
         src = os.path.dirname(os.path.dirname(cli.__file__))
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         env = dict(os.environ, PYTHONPATH=path)
         kwargs.setdefault("stdout", subprocess.PIPE)
-        return subprocess.run([sys.executable, "-m", module, *argv], env=env,
+        command = [sys.executable, *(["-m", module] if module else []), *argv]
+        return subprocess.run(command, env=env,
                               stderr=subprocess.PIPE, text=True, timeout=60, **kwargs)
 
     def test_catalog(self):
@@ -863,8 +976,18 @@ class TestModuleEntry:
         assert done.stdout == self.run_module("catalog").stdout
         assert self.run_module("nosuch", module="qramsey.cli").returncode == 2
 
+    def test_verify_imports_no_argparse(self, tmp_path):
+        argv = ["search", "schur", "int:1..4", "-r", "2", "--cert-dir", str(tmp_path)]
+        assert main(argv, out=io.StringIO()) == 0
+        code = ("import io, sys; from qramsey.cli import main; "
+                f"code = main(['verify', {str(tmp_path / 'result.lower-bound.json')!r}], "
+                "out=io.StringIO()); "
+                "print(code, sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))")
+        done = self.run_module("-c", code, module=None)
+        assert (done.returncode, done.stdout) == (0, "0 []\n")
+
     def test_closed_stdout_exits_141_quietly(self):
-        # argparse drops the write error of -h and --version itself
+        # argparse drops the write error of -h itself
         for argv in (["catalog"], ["-h"], ["search", "-h"], ["--version"]):
             read_end, write_end = os.pipe()
             os.close(read_end)
