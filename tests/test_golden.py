@@ -7,7 +7,8 @@ and the bytes of every file the step created or changed.  The commands are
 every offline ``$ qramsey`` example of README.md (the SAT model that the
 README gets from ``minisat`` is a fixed file here), one ``search --cert-dir``
 on each window kind, one on a catalog key with ``--distinct``, a sweep with
-certificates and ``verify`` of every certificate written.
+certificates, sweeps on the farey and mgrid ladders, ``rado --validate`` of
+a family without y, and ``verify`` of every certificate written.
 
 After a deliberate change of output, rewrite the records with
 
@@ -84,6 +85,20 @@ COMMANDS = [
     "verify certs/farey-1.lower-bound.json",
     "verify certs/farey-2.upper-bound.json --rerun",
     "verify certs/farey-3.upper-bound.json --rerun",
+    # window ladders: sweeps on the farey and mgrid ladders, one of a family
+    # without y, rado --validate on the int ladder, and verify of every
+    # certificate the sweeps wrote
+    'sweep "quotient-poly(1,[t])" --template farey -r 2 --lo 1 --hi 4 --cert-dir ladders',
+    "sweep question-hs --template mgrid:2,3 -r 2 --lo 0 --hi 2 --cert-dir ladders",
+    'sweep "quotient-poly(1,[t])" --template mgrid:2,3 -r 2 --lo 0 --hi 2 --cert-dir grids',
+    'sweep "x; 2*x + 0" --strict-x --template farey -r 2 --lo 1 --hi 3 --cert-dir pins',
+    'rado "x1 - 2*x2 = 0" --validate -r 2 --n-max 8',
+    *(f"verify ladders/farey-{n}.lower-bound.json" for n in (1, 2)),
+    *(f"verify ladders/farey-{n}.upper-bound.json --rerun" for n in (3, 4)),
+    *(f"verify ladders/mgrid_2_3-{n}.lower-bound.json" for n in range(3)),
+    "verify grids/mgrid_2_3-0.lower-bound.json",
+    *(f"verify grids/mgrid_2_3-{n}.upper-bound.json --rerun" for n in (1, 2)),
+    *(f"verify pins/farey-{n}.lower-bound.json" for n in range(1, 4)),
 ]
 
 
