@@ -40,17 +40,6 @@ from .certificates import (
 from .cnf import export_cnf, import_assignment, parse_assignment, to_dimacs
 from .colorings import Coloring
 from .detector import build_candidates, find_witness
-from .largesets import (
-    IpSetSpec,
-    ShapeF,
-    find_ip_r,
-    finite_sums,
-    interior,
-    is_syndetic_for,
-    is_thick_for,
-    localize_colors,
-    piecewise_syndetic_witness,
-)
 from .patterns import Family, default_catalog, parse_family
 from .rado import columns_condition, cross_validate, parse_equation, system_to_family
 from .search import (
@@ -225,6 +214,17 @@ def _cmd_rado(args, out) -> int:
 
 
 def _cmd_largeset(args, out) -> int:
+    from .largesets import (  # imported here, not at the top: no other command needs it
+        IpSetSpec,
+        ShapeF,
+        find_ip_r,
+        finite_sums,
+        interior,
+        is_syndetic_for,
+        is_thick_for,
+        piecewise_syndetic_witness,
+    )
+
     window = parse_window(args.window)
     aset = _parse_rational_list(args.set) if args.set else []
     payload: dict = {"check": args.check, "window": window.spec_string()}
@@ -269,6 +269,8 @@ def _cmd_largeset(args, out) -> int:
 
 
 def _cmd_localize(args, out) -> int:
+    from .largesets import ShapeF, localize_colors
+
     window = parse_window(args.window)
     coloring = _coloring_from_args(window, args)
     shape = ShapeF(tuple(_parse_rational_list(args.shape)), "*")
@@ -634,7 +636,7 @@ def parse_args(argv: list[str]) -> SimpleNamespace:
         raise CliError(f"expected a command: {', '.join(COMMANDS)}")
     if unknown:
         raise CliError(f"unrecognized arguments: {' '.join(unknown)}")
-    tokens = _config_tokens(_read_config(config), argv[i]) if config else []
+    tokens = _config_tokens(_read_config(config), argv[i]) if config is not None else []
     return _read_command(argv[i], tokens + argv[i + 1:])
 
 

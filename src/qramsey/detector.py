@@ -3,7 +3,11 @@
 A candidate is a pair (x, y) whose full term list lands inside the window
 with the family's constraints satisfied; it is stored as window indices so a
 coloring check is pure integer work.  The table is built once per
-(family, window) and reused across colorings.
+(family, window) and reused across colorings.  A sweep builds one table per
+window ladder, its top row's, and ``CandidateTable.restrict`` cuts it down to
+each lower row: whether a pair is a candidate depends only on its values, so
+the entries inside a sub-window are that window's table.  Under
+``--stop-at-exhausted`` each row builds its own table.
 
 The table is built over exact integer pairs, not Fractions.  Each term's
 ``pair_parts`` evaluates, once per x and once per y, the part that depends on
@@ -82,6 +86,39 @@ class CandidateTable:
                 kept_set.update(new)
                 sizes.append(size)
         return tuple(kept)
+
+    def restrict(self, window: Window) -> CandidateTable:
+        """This table cut down to a sub-window: what ``build_candidates`` builds there.
+
+        Keeps the entries whose x, y and values all lie in ``window`` and
+        re-indexes them into it, in the same order.  A family without y has
+        y pinned again, to the first nonzero element of ``window``.  Raises
+        ValueError unless every element of ``window`` lies in this table's
+        window, in the same relative order, which is what keeps the entry
+        order x-major with y in window order.
+        """
+        where = [window.index_of(v) for v in self.window.elements()]
+        if [j for j in where if j is not None] != list(range(window.size())):
+            raise ValueError(
+                f"{window.spec_string()} is not a sub-window of {self.window.spec_string()}"
+            )
+        pin = None
+        if not self.family.uses_y:
+            pin = next((j for j, v in enumerate(window.elements()) if v != 0), None)
+            if pin is None:
+                return CandidateTable(self.family, window, ())
+        get = where.__getitem__
+        entries: list[Candidate] = []
+        for entry in self.entries:
+            x = where[entry.x_index]
+            y = where[entry.y_index] if pin is None else pin
+            if x is None or y is None:
+                continue
+            values = tuple(map(get, entry.value_indices))
+            if None in values:
+                continue
+            entries.append(Candidate(x, y, values))
+        return CandidateTable(self.family, window, tuple(entries))
 
 
 def build_candidates(family: Family, window: Window) -> CandidateTable:

@@ -520,6 +520,12 @@ class TestConfig:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [["--config="], ["--config", ""]], ids=["joined", "apart"])
+    def test_empty_config_path(self, capsys, argv):
+        code, text = run_cli(argv + ["search", "schur", "int:1..5", "-r", "2"])
+        assert (code, text) == (2, "")
+        assert "cannot read config" in capsys.readouterr().err
+
     def test_malformed_config(self, tmp_path):
         cfg = tmp_path / "bad.json"
         cfg.write_text("not json at all")
@@ -982,7 +988,8 @@ class TestModuleEntry:
         code = ("import io, sys; from qramsey.cli import main; "
                 f"code = main(['verify', {str(tmp_path / 'result.lower-bound.json')!r}], "
                 "out=io.StringIO()); "
-                "print(code, sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))")
+                "print(code, sorted({'argparse', 'gettext', 'locale', 'qramsey.largesets'}"
+                " & set(sys.modules)))")
         done = self.run_module("-c", code, module=None)
         assert (done.returncode, done.stdout) == (0, "0 []\n")
 

@@ -8,7 +8,8 @@ The brute force (``_brute``) tries every coloring, with no symmetry rule.
 
 Every candidate table, of the draws and of the catalog on a few signed and
 fractional windows, is also compared with the brute force's Fraction-built
-entries.
+entries.  The top table of each sweep ladder, restricted to each row, is
+compared with that row's own table.
 """
 
 import random
@@ -30,7 +31,7 @@ from qramsey.patterns import (
     default_catalog,
     parse_family,
 )
-from qramsey.search import AVOIDING, EXHAUSTED, search_avoiding
+from qramsey.search import AVOIDING, EXHAUSTED, search_avoiding, window_for_template
 from qramsey.windows import parse_window
 
 import _brute
@@ -150,9 +151,12 @@ TABLE_FAMILIES = [
 ]
 
 
+FLAGS = [(False, False), (True, False), (False, True)]  # (--distinct, --strict-x)
+
+
 @pytest.mark.parametrize("spec", TABLE_WINDOWS)
 @pytest.mark.parametrize("text", TABLE_FAMILIES)
-@pytest.mark.parametrize("flags", [(False, False), (True, False), (False, True)])
+@pytest.mark.parametrize("flags", FLAGS)
 def test_table_matches_fraction_reference(text, spec, flags):
     distinct, strict = flags
     family = parse_family(
@@ -183,3 +187,43 @@ def test_constraint_groups_match_naive_filter():
         assert list(groups) == naive_groups(entries), (family.serialize(), window.spec_string())
         pruned += len(groups) < len({frozenset(indices) for _, _, indices in entries})
     assert pruned > 50  # the filter has supersets to drop
+
+
+LADDERS = [("int", 1, 9), ("farey", 1, 4), ("mgrid:2,3", 0, 2)]
+NO_Y_FAMILIES = ["x; 2*x + 0", "x; -1*x + 0; x + 1/2"]
+
+
+@pytest.mark.parametrize("template, lo, hi", LADDERS)
+def test_restricted_table_matches_direct_build(template, lo, hi):
+    families = [draw_case(draw)[0] for draw in range(DRAWS)]
+    families += [
+        parse_family(
+            text, allow_offsets=True, require_distinct_values=distinct, strict_nonzero_x=strict
+        )
+        for text in TABLE_FAMILIES + NO_Y_FAMILIES
+        for distinct, strict in FLAGS
+    ]
+    for family in families:
+        top = build_candidates(family, window_for_template(template, hi))
+        for n in range(lo, hi + 1):
+            row = window_for_template(template, n)
+            assert top.restrict(row) == build_candidates(family, row), (
+                family.serialize(), row.spec_string()
+            )
+    assert sum(not family.uses_y for family in families) > len(NO_Y_FAMILIES) * len(FLAGS)
+
+
+@pytest.mark.parametrize(
+    "outer, inner",
+    [
+        ("int:1..9", "int:0..3"),  # 0 lies outside
+        ("farey:3", "farey:4"),
+        ("farey:3:-neg", "farey:2"),
+        ("mgrid:2,3:2", "mgrid:3,2:1"),  # the same elements in another order
+    ],
+)
+def test_restrict_rejects_a_window_not_inside_in_order(outer, inner):
+    for text in ("schur", "x; 2*x + 0"):
+        table = build_candidates(parse_family(text), parse_window(outer))
+        with pytest.raises(ValueError, match="is not a sub-window of"):
+            table.restrict(parse_window(inner))

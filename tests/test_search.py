@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from qramsey import detector
 from qramsey.detector import build_candidates, find_witness
 from qramsey.patterns import builtin_family, default_catalog, parse_family
 from qramsey.search import (
@@ -15,7 +16,7 @@ from qramsey.search import (
     threshold_sweep,
     window_for_template,
 )
-from qramsey.windows import FareyWindow, IntegerInterval, MultiplicativeGrid
+from qramsey.windows import CapExceededError, FareyWindow, IntegerInterval, MultiplicativeGrid
 
 import _brute
 
@@ -220,6 +221,14 @@ class TestThresholdSweep:
         report = threshold_sweep(family, 2, "int", 1, 9, stop_at_exhausted=True)
         assert [row.n for row in report.rows] == [1, 2, 3, 4, 5]
         assert report.minimal_exhausted_n == 5
+
+    def test_rows_below_the_pair_cap_run_before_the_first_row_over_it(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(detector, "PAIR_CAP", 50)  # int:1..7 has 49 pairs
+        with pytest.raises(CapExceededError, match="int:1..8 needs 64 pairs"):
+            threshold_sweep(builtin_family("schur"), 2, "int", 1, 9, cert_dir=str(tmp_path))
+        assert len(os.listdir(tmp_path)) == 7
 
     def test_empty_ladder_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="empty sweep: lo=5 is above hi=3"):
