@@ -6,8 +6,9 @@ coloring check is pure integer work.  The table is built once per
 (family, window) and reused across colorings.  A sweep builds one table per
 window ladder, its top row's, and ``CandidateTable.restrict`` cuts it down to
 each lower row: whether a pair is a candidate depends only on its values, so
-the entries inside a sub-window are that window's table.  Under
-``--stop-at-exhausted`` each row builds its own table.
+the entries inside a sub-window are that window's table.  An entry whose
+indices do not move is shared with the top table, so an ``int:1..n`` ladder,
+whose rows are prefixes, holds about one table's entries, not two.
 
 The table is built over exact integer pairs, not Fractions.  Each term's
 ``pair_parts`` evaluates, once per x and once per y, the part that depends on
@@ -117,7 +118,10 @@ class CandidateTable:
             values = tuple(map(get, entry.value_indices))
             if None in values:
                 continue
-            entries.append(Candidate(x, y, values))
+            if x == entry.x_index and y == entry.y_index and values == entry.value_indices:
+                entries.append(entry)  # frozen, so shared: a prefix window adds no entries
+            else:
+                entries.append(Candidate(x, y, values))
         return CandidateTable(self.family, window, tuple(entries))
 
 

@@ -297,31 +297,31 @@ def threshold_sweep(
 
     Each row's window lies inside the top row's, in the same order, so the
     sweep builds one candidate table, the top row's, and restricts it to
-    each lower row.  With stop_at_exhausted, which may stop far below the
-    top, each row builds its own table instead, and so it does when the top
-    row is over the pair or element cap: the rows below the cap still run,
-    and the first row over it fails as it would on its own.
+    each lower row.  When the top row is over the pair or element cap, each
+    row builds its own table instead: the rows below the cap still run, and
+    the first row over it fails as it would on its own.
     """
     from . import certificates  # local import: certificates imports this module
 
     if n_lo > n_hi:
         raise ValueError(f"empty sweep: lo={n_lo} is above hi={n_hi}")
-    # Cheap: windows enumerate on first use.  The lowest row with a bad bound fails first.
-    windows = [window_for_template(template, n) for n in range(n_lo, n_hi + 1)]
-    top = None
-    if not stop_at_exhausted:
-        try:
-            top = build_candidates(family, windows[-1])
-        except CapExceededError:
-            pass
+    window_for_template(template, n_lo)  # a bad bound fails before the top table is built
+    try:
+        top = build_candidates(family, window_for_template(template, n_hi))
+    except CapExceededError:
+        top = None
     rows: list[SweepRow] = []
     minimal: int | None = None
-    for n, window in enumerate(windows, n_lo):
-        if top is None or n == n_hi:
-            table = top
-        else:
-            table = top.restrict(window)
-        res = search_avoiding(family, window, r, budget=budget, table=table)
+    for n in range(n_lo, n_hi + 1):
+        window = window_for_template(template, n)
+        # Not kept: a row's restricted table is freed when its search returns.
+        res = search_avoiding(
+            family,
+            window,
+            r,
+            budget=budget,
+            table=top if top is None or n == n_hi else top.restrict(window),
+        )
         cert_path = ""
         if cert_dir is not None and res.outcome in (AVOIDING, EXHAUSTED):
             cert = certificates.certificate_for_result(res)

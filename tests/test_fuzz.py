@@ -227,3 +227,13 @@ def test_restrict_rejects_a_window_not_inside_in_order(outer, inner):
         table = build_candidates(parse_family(text), parse_window(outer))
         with pytest.raises(ValueError, match="is not a sub-window of"):
             table.restrict(parse_window(inner))
+
+
+def test_restrict_to_a_prefix_shares_every_entry():
+    # An int row is a prefix of the top row, so no index moves and the row
+    # holds the top table's own entries rather than copies of them.
+    for text in ("schur", "x; 2*x + 0"):
+        top = build_candidates(parse_family(text), parse_window("int:1..30"))
+        row = top.restrict(parse_window("int:1..20"))
+        shared = {id(entry) for entry in top.entries}
+        assert row.entries and all(id(entry) in shared for entry in row.entries)
