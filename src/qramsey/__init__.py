@@ -28,8 +28,6 @@ from .certificates import (
     certificate_for_result,
     dumps_certificate,
     load_certificate,
-    lower_bound_certificate,
-    upper_bound_certificate,
     verify_certificate,
     write_certificate,
 )
@@ -109,7 +107,6 @@ __all__ = [
     "import_assignment",
     "instantiate",
     "load_certificate",
-    "lower_bound_certificate",
     "parse_assignment",
     "parse_equation",
     "parse_family",
@@ -122,7 +119,6 @@ __all__ = [
     "system_to_family",
     "threshold_sweep",
     "to_dimacs",
-    "upper_bound_certificate",
     "verify_certificate",
     "window_for_template",
     "write_certificate",

@@ -14,6 +14,12 @@ format 2 (static order) upper bounds cannot be re-run to the same counts,
 so they are rejected and have to be regenerated with a fresh search.  Lower
 bounds kept their layout, so they are still written and read as format 1.
 
+``certificate_for_result`` builds either kind from a decided SearchResult;
+the caller decides where it goes (the command line writes one for
+``search`` and for each decided ``sweep`` row).  ``family_flags`` holds
+exactly parse_family's three flags, and any other key is rejected: a
+misspelt flag would otherwise verify a different family.
+
 The JSON layout is stable and fully ordered; byte-identical output for
 identical inputs is part of the contract, so no timestamps or volatile fields
 go in.
@@ -29,8 +35,8 @@ from typing import Any
 from . import __version__
 from .colorings import Coloring
 from .detector import find_witness
-from .patterns import Family, Witness, parse_family
-from .search import AVOIDING, EXHAUSTED, search_avoiding
+from .patterns import Witness, parse_family
+from .search import AVOIDING, EXHAUSTED, SearchResult, search_avoiding
 from .windows import parse_window
 
 FORMAT_VERSION = 3
@@ -38,76 +44,38 @@ LOWER_BOUND_FORMAT = 1
 
 LOWER_BOUND = "lower-bound"
 UPPER_BOUND = "upper-bound"
+# the keys of "family_flags": parse_family's keyword arguments
+FAMILY_FLAGS = ("allow_offsets", "require_distinct_values", "strict_nonzero_x")
 
 
-def _family_fields(family: Family) -> dict[str, Any]:
+def certificate_for_result(result: SearchResult) -> dict:
+    """The certificate of a decided SearchResult: a lower bound for an
+    avoiding coloring, an upper bound for an exhausted tree."""
+    if result.outcome == AVOIDING:
+        version, kind, evidence = LOWER_BOUND_FORMAT, LOWER_BOUND, {
+            "coloring": list(result.coloring.colors),
+        }
+    elif result.outcome == EXHAUSTED:
+        version, kind, evidence = FORMAT_VERSION, UPPER_BOUND, {
+            "exhaustion": {"nodes": result.nodes, "proof_log_hash": result.proof_log_hash or ""},
+        }
+    else:
+        raise ValueError(f"no certificate for outcome {result.outcome!r}")
+    family = result.family
     return {
+        "format_version": version,
+        "tool_version": __version__,
+        "kind": kind,
         "family": family.serialize(),
         "family_flags": {
             "allow_offsets": family.has_offsets(),
             "require_distinct_values": family.require_distinct_values,
             "strict_nonzero_x": family.strict_nonzero_x,
         },
+        "window": result.window_spec,
+        "r": result.r,
+        **evidence,
     }
-
-
-def family_from_fields(cert: dict[str, Any]) -> Family:
-    flags = cert.get("family_flags", {})
-    return parse_family(
-        cert["family"],
-        allow_offsets=flags.get("allow_offsets", False),
-        require_distinct_values=flags.get("require_distinct_values", False),
-        strict_nonzero_x=flags.get("strict_nonzero_x", False),
-    )
-
-
-def lower_bound_certificate(family: Family, window_spec: str, r: int, coloring: Coloring) -> dict:
-    return {
-        "format_version": LOWER_BOUND_FORMAT,
-        "tool_version": __version__,
-        "kind": LOWER_BOUND,
-        **_family_fields(family),
-        "window": window_spec,
-        "r": r,
-        "coloring": list(coloring.colors),
-    }
-
-
-def upper_bound_certificate(
-    family: Family,
-    window_spec: str,
-    r: int,
-    nodes: int,
-    proof_log_hash: str,
-) -> dict:
-    return {
-        "format_version": FORMAT_VERSION,
-        "tool_version": __version__,
-        "kind": UPPER_BOUND,
-        **_family_fields(family),
-        "window": window_spec,
-        "r": r,
-        "exhaustion": {
-            "nodes": nodes,
-            "proof_log_hash": proof_log_hash,
-        },
-    }
-
-
-def certificate_for_result(result) -> dict:
-    """Build the matching certificate for a decided SearchResult."""
-    family = result.family
-    if result.outcome == AVOIDING:
-        return lower_bound_certificate(family, result.window_spec, result.r, result.coloring)
-    if result.outcome == EXHAUSTED:
-        return upper_bound_certificate(
-            family,
-            result.window_spec,
-            result.r,
-            result.nodes,
-            result.proof_log_hash or "",
-        )
-    raise ValueError(f"no certificate for outcome {result.outcome!r}")
 
 
 def dumps_certificate(cert: dict) -> str:
@@ -156,6 +124,8 @@ def check_certificate(cert: Any) -> None:
         _field(cert, "tool_version", str)
     flags = _field(cert, "family_flags", dict) if "family_flags" in cert else {}
     for name in flags:
+        if name not in FAMILY_FLAGS:
+            raise ValueError(f"unknown family flag {name!r} in certificate")
         _field(flags, name, bool)
     if kind == LOWER_BOUND:
         if any(type(c) is not int for c in _field(cert, "coloring", list)):
@@ -190,7 +160,7 @@ def verify_certificate(cert: dict, rerun: bool = False) -> VerificationResult:
     untested, so the result is not ok and has checked=False.
     """
     check_certificate(cert)
-    family = family_from_fields(cert)
+    family = parse_family(cert["family"], **cert.get("family_flags", {}))
     window = parse_window(cert["window"])
     r = cert["r"]
     if cert["kind"] == LOWER_BOUND:

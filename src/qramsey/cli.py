@@ -143,12 +143,20 @@ def _cmd_detect(args, out) -> int:
     return 0
 
 
+def _write_certificate(res, cert_dir: str | None, stem: str) -> str:
+    """Write the certificate of an avoiding or exhausted result into
+    ``cert_dir``; its path, or "" when nothing was written."""
+    if cert_dir is None or res.outcome not in (AVOIDING, EXHAUSTED):
+        return ""
+    return write_certificate(certificate_for_result(res), cert_dir, stem)
+
+
 def _cmd_search(args, out) -> int:
     family = _resolve_family(args)
     window = parse_window(args.window)
     res = search_avoiding(family, window, args.r, budget=_budget(args))
-    if args.cert_dir and res.outcome in (AVOIDING, EXHAUSTED):
-        path = write_certificate(certificate_for_result(res), args.cert_dir, args.cert_stem)
+    path = _write_certificate(res, args.cert_dir, args.cert_stem)
+    if path:
         print(f"certificate: {path}", file=sys.stderr)
     _emit(out, _result_json(res))
     print(f"search wall time: {res.wall_time:.3f}s", file=sys.stderr)
@@ -157,24 +165,22 @@ def _cmd_search(args, out) -> int:
 
 def _cmd_sweep(args, out) -> int:
     family = _resolve_family(args)
-    report = threshold_sweep(
-        family,
-        args.r,
-        args.template,
-        args.lo,
-        args.hi,
-        budget=_budget(args),
-        cert_dir=args.cert_dir,
-        stop_at_exhausted=args.stop_at_exhausted,
-    )
-    out.write("n,window_size,outcome,nodes,certificate_path\n")
-    for row in report.rows:
-        out.write(
-            f"{row.n},{row.window_size},{row.outcome},{row.nodes},{row.certificate_path}\n"
-        )
-        print(f"n={row.n} search wall time: {row.seconds:.3f}s", file=sys.stderr)
-    if report.minimal_exhausted_n is not None:
-        print(f"minimal exhausted n: {report.minimal_exhausted_n}", file=sys.stderr)
+    stem = args.template.replace(":", "_").replace(",", "_")
+    rows = ["n,window_size,outcome,nodes,certificate_path\n"]
+    minimal = None
+    for n, window, res in threshold_sweep(
+        family, args.r, args.template, args.lo, args.hi, budget=_budget(args)
+    ):
+        path = _write_certificate(res, args.cert_dir, f"{stem}-{n}")
+        rows.append(f"{n},{window.size()},{res.outcome},{res.nodes},{path}\n")
+        print(f"n={n} search wall time: {res.wall_time:.3f}s", file=sys.stderr)
+        if res.outcome == EXHAUSTED and minimal is None:
+            minimal = n
+            if args.stop_at_exhausted:
+                break
+    out.writelines(rows)  # only once every row is decided: a failing row leaves stdout empty
+    if minimal is not None:
+        print(f"minimal exhausted n: {minimal}", file=sys.stderr)
     return 0
 
 

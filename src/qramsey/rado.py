@@ -28,7 +28,7 @@ from typing import Sequence
 
 from .arith import PolynomialQ, format_rational, parse_rational, signed_chunks
 from .patterns import AffineTerm, Family, VarX, VarY
-from .search import BUDGET_EXCEEDED, EXHAUSTED, SearchBudget, SweepRow, threshold_sweep
+from .search import BUDGET_EXCEEDED, EXHAUSTED, SearchBudget, threshold_sweep
 
 
 MAX_COLUMNS = 20
@@ -212,11 +212,18 @@ def _general(system: LinearSystem) -> ColumnsConditionResult:
 
 
 @dataclass(frozen=True)
+class ValidationRow:
+    n: int
+    outcome: str
+    nodes: int
+
+
+@dataclass(frozen=True)
 class ConsistencyReport:
     condition: ColumnsConditionResult
     supported: bool
     family_text: str | None
-    rows: tuple[SweepRow, ...]
+    rows: tuple[ValidationRow, ...]
     consistent: bool
     note: str
 
@@ -278,12 +285,15 @@ def cross_validate(
             consistent=True,
             note=note,
         )
-    report = threshold_sweep(family, r, "int", 1, n_max, budget=budget)
+    rows = tuple(
+        ValidationRow(n, res.outcome, res.nodes)
+        for n, _, res in threshold_sweep(family, r, "int", 1, n_max, budget=budget)
+    )
     verdict = "regular" if condition.holds else "non-regular"
-    exhausted = [row.n for row in report.rows if row.outcome == EXHAUSTED]
+    exhausted = [row.n for row in rows if row.outcome == EXHAUSTED]
     if exhausted:
         note = f"{verdict}; unavoidable from n={exhausted[0]} at r={r}"
-    elif any(row.outcome == BUDGET_EXCEEDED for row in report.rows):
+    elif any(row.outcome == BUDGET_EXCEEDED for row in rows):
         note = f"{verdict}; search budget exhausted before a threshold was found"
     elif condition.holds:
         note = f"regular; still avoidable at every n <= {n_max} with r={r}"
@@ -293,7 +303,7 @@ def cross_validate(
         condition=condition,
         supported=True,
         family_text=family.serialize(),
-        rows=report.rows,
+        rows=rows,
         consistent=True,
         note=note,
     )

@@ -33,12 +33,17 @@ returned), exhaustion of the tree (with node count and a hash of the decision
 trace), or budget exceeded.  The search is one sequential depth-first pass
 from the root, so the node count and the trace hash depend only on the
 instance.  A node budget of N stops the search with exactly N nodes counted.
+
+``threshold_sweep`` runs the search over a window ladder and yields each
+row's result as it is decided.  It writes nothing: certificates are built
+from a result by the ``certificates`` module, which imports this one.
 """
 
 from __future__ import annotations
 
 import hashlib
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .colorings import Coloring
@@ -243,26 +248,6 @@ def search_avoiding(
 # Threshold sweeps
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    n: int
-    window_spec: str
-    window_size: int
-    outcome: str
-    nodes: int
-    seconds: float
-    certificate_path: str
-
-
-@dataclass(frozen=True)
-class ThresholdReport:
-    family_text: str
-    r: int
-    template: str
-    rows: tuple[SweepRow, ...]
-    minimal_exhausted_n: int | None
-
-
 def window_for_template(template: str, n: int) -> Window:
     """Instantiate the n-th window of a sweep template.
 
@@ -287,13 +272,12 @@ def threshold_sweep(
     n_lo: int,
     n_hi: int,
     budget: SearchBudget | None = None,
-    cert_dir: str | None = None,
-    stop_at_exhausted: bool = False,
-) -> ThresholdReport:
-    """Run search_avoiding over a window ladder, one row per size parameter.
+) -> Iterator[tuple[int, Window, SearchResult]]:
+    """Yield (n, window, result) for each row of a window ladder, lowest n first.
 
-    No monotonicity is assumed: the minimal exhausted n is reported but rows
-    after it are still computed unless stop_at_exhausted is set.
+    No monotonicity is assumed and nothing is stored: the caller keeps what
+    it needs and may stop at any row, for example the first exhausted one.
+    A bad ladder raises on the first ``next()``.
 
     Each row's window lies inside the top row's, in the same order, so the
     sweep builds one candidate table, the top row's, and restricts it to
@@ -301,8 +285,6 @@ def threshold_sweep(
     row builds its own table instead: the rows below the cap still run, and
     the first row over it fails as it would on its own.
     """
-    from . import certificates  # local import: certificates imports this module
-
     if n_lo > n_hi:
         raise ValueError(f"empty sweep: lo={n_lo} is above hi={n_hi}")
     window_for_template(template, n_lo)  # a bad bound fails before the top table is built
@@ -310,43 +292,13 @@ def threshold_sweep(
         top = build_candidates(family, window_for_template(template, n_hi))
     except CapExceededError:
         top = None
-    rows: list[SweepRow] = []
-    minimal: int | None = None
     for n in range(n_lo, n_hi + 1):
         window = window_for_template(template, n)
         # Not kept: a row's restricted table is freed when its search returns.
-        res = search_avoiding(
+        yield n, window, search_avoiding(
             family,
             window,
             r,
             budget=budget,
             table=top if top is None or n == n_hi else top.restrict(window),
         )
-        cert_path = ""
-        if cert_dir is not None and res.outcome in (AVOIDING, EXHAUSTED):
-            cert = certificates.certificate_for_result(res)
-            cert_path = certificates.write_certificate(
-                cert, cert_dir, f"{template.replace(':', '_').replace(',', '_')}-{n}"
-            )
-        rows.append(
-            SweepRow(
-                n=n,
-                window_spec=window.spec_string(),
-                window_size=window.size(),
-                outcome=res.outcome,
-                nodes=res.nodes,
-                seconds=res.wall_time,
-                certificate_path=cert_path,
-            )
-        )
-        if res.outcome == EXHAUSTED and minimal is None:
-            minimal = n
-            if stop_at_exhausted:
-                break
-    return ThresholdReport(
-        family_text=family.serialize(),
-        r=r,
-        template=template,
-        rows=tuple(rows),
-        minimal_exhausted_n=minimal,
-    )

@@ -13,6 +13,8 @@ import random
 import time
 from fractions import Fraction
 
+import pytest
+
 from qramsey.cli import main as cli_main
 from qramsey.cnf import export_cnf, import_assignment
 from qramsey.colorings import Coloring
@@ -43,7 +45,12 @@ from qramsey.search import (
     search_avoiding,
     threshold_sweep,
 )
-from qramsey.certificates import load_certificate, verify_certificate
+from qramsey.certificates import (
+    certificate_for_result,
+    load_certificate,
+    verify_certificate,
+    write_certificate,
+)
 from qramsey.windows import FareyWindow, IntegerInterval, MultiplicativeGrid
 
 import _brute
@@ -204,25 +211,28 @@ def test_criterion_06_detector_agrees_with_oracle():
 def test_criterion_07_farey_sweep_with_certificates(tmp_path):
     t0 = time.perf_counter()
     budget = SearchBudget(max_seconds=60.0)
-    reports = {}
+    minima = {}
     for key in ("quotient-poly(1,[t])", "product-poly(1,[t])"):
         family = builtin_family(key)
         cert_dir = tmp_path / key.replace("(", "_").replace(")", "").replace(",", "-")
-        report = threshold_sweep(
-            family, 2, "farey", 1, 8, budget=budget, cert_dir=str(cert_dir)
-        )
-        reports[key] = report
-        assert len(report.rows) == 8
-        for row in report.rows:
-            if row.outcome == BUDGET_EXCEEDED:
-                print(f"criterion 7: honest budget-exceeded at {key} n={row.n}")
-                assert row.certificate_path == ""
+        ns, exhausted = [], []
+        for n, window, res in threshold_sweep(family, 2, "farey", 1, 8, budget=budget):
+            ns.append(n)
+            assert window == FareyWindow(n)
+            if res.outcome == BUDGET_EXCEEDED:
+                print(f"criterion 7: honest budget-exceeded at {key} n={n}")
+                with pytest.raises(ValueError, match="no certificate"):
+                    certificate_for_result(res)
                 continue
-            assert row.outcome in (AVOIDING, EXHAUSTED)
-            assert row.certificate_path, f"missing certificate for {key} n={row.n}"
-            cert = load_certificate(row.certificate_path)
+            assert res.outcome in (AVOIDING, EXHAUSTED)
+            if res.outcome == EXHAUSTED:
+                exhausted.append(n)
+            path = write_certificate(certificate_for_result(res), str(cert_dir), f"farey-{n}")
+            cert = load_certificate(path)
             check = verify_certificate(cert, rerun=True)
-            assert check.ok, f"{key} n={row.n}: {check.message}"
+            assert check.ok, f"{key} n={n}: {check.message}"
+        assert ns == list(range(1, 9))
+        minima[key] = exhausted[0] if exhausted else None
 
     quotient = builtin_family("quotient-poly(1,[t])")
     product = builtin_family("product-poly(1,[t])")
@@ -243,7 +253,6 @@ def test_criterion_07_farey_sweep_with_certificates(tmp_path):
             agree_affine_at_inverse += 1
     elapsed = time.perf_counter() - t0
     assert elapsed < 600.0, f"took {elapsed:.3f}s"
-    minima = {k: rep.minimal_exhausted_n for k, rep in reports.items()}
     print(f"criterion 7: sweeps verified, minima {minima}, {elapsed:.3f}s")
 
 

@@ -12,7 +12,7 @@ import sys
 
 import pytest
 
-from qramsey import cli
+from qramsey import cli, detector
 from qramsey.cli import main, parse_args
 from qramsey.cnf import export_cnf
 from qramsey.patterns import builtin_family
@@ -228,9 +228,10 @@ class TestCertificates:
             lambda cert: {**cert, "coloring": [0, 1, 1, 0.0]},
             lambda cert: {**cert, "format_version": True},
             lambda cert: {k: v for k, v in cert.items() if k != "coloring"},
+            lambda cert: {**cert, "family_flags": {"require_distinct_value": True}},
         ],
         ids=["number", "string", "flags-list", "flag-int", "float-color", "bool-version",
-             "no-coloring"],
+             "no-coloring", "flag-unknown"],
     )
     def test_malformed_certificate_exits_2(self, tmp_path, capsys, edit):
         run_json(
@@ -320,6 +321,41 @@ class TestSweep:
         rows = text.strip().split("\n")[1:]
         assert len(rows) == 5
         assert rows[-1].split(",")[2] == "exhausted"
+
+    def test_rows_below_the_pair_cap_run_before_the_first_row_over_it(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(detector, "PAIR_CAP", 50)  # int:1..7 has 49 pairs
+        code, text = run_cli(
+            ["sweep", "schur", "-r", "2", "--lo", "1", "--hi", "9", "--cert-dir", str(tmp_path)]
+        )
+        assert code == 2
+        assert text == ""
+        assert "int:1..8 needs 64 pairs" in capsys.readouterr().err
+        assert len(os.listdir(tmp_path)) == 7
+
+    def test_budget_row_has_no_certificate(self, tmp_path):
+        cert_dir = tmp_path / "certs"
+        code, text = run_cli(
+            ["sweep", "schur", "-r", "3", "--lo", "14", "--hi", "14", "--nodes", "1",
+             "--cert-dir", str(cert_dir)]
+        )
+        assert code == 0
+        assert text.split("\n")[1] == "14,14,budget-exceeded,1,"
+        assert not cert_dir.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["search", "schur", "int:1..4", "-r", "2"],
+            ["sweep", "schur", "-r", "2", "--lo", "1", "--hi", "4"],
+        ],
+        ids=["search", "sweep"],
+    )
+    def test_empty_cert_dir_rejected(self, argv):
+        code, text = run_cli(argv + ["--cert-dir", ""])
+        assert code == 2
+        assert text == ""
 
 
     def test_byte_identical_stdout(self, tmp_path):

@@ -72,3 +72,39 @@ def test_no_unused_module_level_imports():
     assert {"qramsey/cli.py", "tests/_brute.py"} <= files.keys()
     unused = {key: names for key, path in files.items() if (names := _unused_imports(path))}
     assert unused == {}
+
+
+def _package_imports(path, modules):
+    """The package modules that the file imports relatively, at module level
+    or inside a function."""
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module:
+                found.add(node.module.split(".")[0])
+            else:  # from . import name: a module, or a name of __init__
+                found |= {alias.name for alias in node.names}
+    return found & modules
+
+
+def test_package_import_graph_is_acyclic():
+    # __init__ imports every module to re-export it, so it is not a node
+    src = os.path.dirname(qramsey.__file__)
+    modules = {name[:-3] for name in os.listdir(src) if name.endswith(".py")} - {"__init__"}
+    graph = {m: _package_imports(os.path.join(src, f"{m}.py"), modules) for m in modules}
+    assert {"search", "detector"} <= graph["certificates"]  # the walk saw the imports
+    assert "largesets" in graph["cli"]  # and the imports inside functions
+
+    def reachable(start):
+        seen, todo = set(), list(graph[start])
+        while todo:
+            m = todo.pop()
+            if m not in seen:
+                seen.add(m)
+                todo += graph[m]
+        return seen
+
+    on_cycle = {m: sorted(graph[m]) for m in sorted(modules) if m in reachable(m)}
+    assert on_cycle == {}

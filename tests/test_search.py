@@ -4,7 +4,13 @@ import os
 
 import pytest
 
-from qramsey import detector
+from qramsey import search
+from qramsey.certificates import (
+    certificate_for_result,
+    load_certificate,
+    verify_certificate,
+    write_certificate,
+)
 from qramsey.detector import build_candidates, find_witness
 from qramsey.patterns import builtin_family, default_catalog, parse_family
 from qramsey.search import (
@@ -16,7 +22,7 @@ from qramsey.search import (
     threshold_sweep,
     window_for_template,
 )
-from qramsey.windows import CapExceededError, FareyWindow, IntegerInterval, MultiplicativeGrid
+from qramsey.windows import FareyWindow, IntegerInterval, MultiplicativeGrid
 
 import _brute
 
@@ -205,48 +211,44 @@ class TestWindowTemplates:
 class TestThresholdSweep:
     def test_schur_ladder(self, tmp_path):
         family = builtin_family("schur")
-        report = threshold_sweep(
-            family, 2, "int", 1, 6, cert_dir=str(tmp_path)
-        )
-        outcomes = [row.outcome for row in report.rows]
-        assert outcomes == [AVOIDING] * 4 + [EXHAUSTED] * 2
-        assert report.minimal_exhausted_n == 5
-        for row in report.rows:
-            assert row.certificate_path
-            assert os.path.exists(row.certificate_path)
-        assert [row.window_size for row in report.rows] == [1, 2, 3, 4, 5, 6]
+        rows = list(threshold_sweep(family, 2, "int", 1, 6))
+        assert [n for n, _, _ in rows] == [1, 2, 3, 4, 5, 6]
+        assert [res.outcome for _, _, res in rows] == [AVOIDING] * 4 + [EXHAUSTED] * 2
+        assert min(n for n, _, res in rows if res.outcome == EXHAUSTED) == 5
+        for n, window, res in rows:
+            assert window == IntegerInterval(1, n)
+            path = write_certificate(certificate_for_result(res), str(tmp_path), f"int-{n}")
+            assert os.path.exists(path)
+            assert verify_certificate(load_certificate(path), rerun=True).ok, n
+        assert [window.size() for _, window, _ in rows] == [1, 2, 3, 4, 5, 6]
 
-    def test_stop_at_exhausted(self):
-        family = builtin_family("schur")
-        report = threshold_sweep(family, 2, "int", 1, 9, stop_at_exhausted=True)
-        assert [row.n for row in report.rows] == [1, 2, 3, 4, 5]
-        assert report.minimal_exhausted_n == 5
+    def test_stop_at_exhausted(self, monkeypatch):
+        searched = []
 
-    def test_rows_below_the_pair_cap_run_before_the_first_row_over_it(
-        self, tmp_path, monkeypatch
-    ):
-        monkeypatch.setattr(detector, "PAIR_CAP", 50)  # int:1..7 has 49 pairs
-        with pytest.raises(CapExceededError, match="int:1..8 needs 64 pairs"):
-            threshold_sweep(builtin_family("schur"), 2, "int", 1, 9, cert_dir=str(tmp_path))
-        assert len(os.listdir(tmp_path)) == 7
+        def counting(family, window, *args, **kwargs):
+            searched.append(window.size())
+            return search_avoiding(family, window, *args, **kwargs)
 
-    def test_empty_ladder_rejected(self, tmp_path):
+        monkeypatch.setattr(search, "search_avoiding", counting)
+        rows = []
+        for n, _, res in threshold_sweep(builtin_family("schur"), 2, "int", 1, 9):
+            rows.append(n)
+            if res.outcome == EXHAUSTED:
+                break
+        assert rows == [1, 2, 3, 4, 5]
+        assert searched == [1, 2, 3, 4, 5]  # the rows above the stop are never searched
+
+    def test_empty_ladder_rejected(self):
+        rows = threshold_sweep(builtin_family("schur"), 2, "int", 5, 3)
         with pytest.raises(ValueError, match="empty sweep: lo=5 is above hi=3"):
-            threshold_sweep(builtin_family("schur"), 2, "int", 5, 3, cert_dir=str(tmp_path))
-        assert os.listdir(tmp_path) == []
+            next(rows)
 
-    def test_budget_rows_have_no_certificate(self, tmp_path):
+    def test_budget_rows_have_no_certificate(self):
         family = builtin_family("schur")
-        report = threshold_sweep(
-            family,
-            3,
-            "int",
-            14,
-            14,
-            budget=SearchBudget(max_nodes=1),
-            cert_dir=str(tmp_path),
+        ((n, _, res),) = threshold_sweep(
+            family, 3, "int", 14, 14, budget=SearchBudget(max_nodes=1)
         )
-        (row,) = report.rows
-        assert row.outcome == BUDGET_EXCEEDED
-        assert row.certificate_path == ""
-        assert report.minimal_exhausted_n is None
+        assert n == 14
+        assert res.outcome == BUDGET_EXCEEDED
+        with pytest.raises(ValueError, match="no certificate for outcome 'budget-exceeded'"):
+            certificate_for_result(res)
