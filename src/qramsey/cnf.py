@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .colorings import Coloring
-from .detector import CandidateTable, build_candidates
+from .detector import CandidateTable, build_candidates, check_table
 from .patterns import Family
 from .windows import Window
 
@@ -55,6 +55,8 @@ def export_cnf(
         raise ValueError(f"need at least one color, got r={r}")
     if table is None:
         table = build_candidates(family, window)
+    else:
+        check_table(family, window, table)
     n = window.size()
     clauses: list[tuple[int, ...]] = []
     for e in range(n):

@@ -3,12 +3,15 @@
 A candidate is a pair (x, y) whose full term list lands inside the window
 with the family's constraints satisfied; it is stored as window indices so a
 coloring check is pure integer work.  The table is built once per
-(family, window) and reused across colorings.  A sweep builds one table per
-window ladder, its top row's, and ``CandidateTable.restrict`` cuts it down to
-each lower row: whether a pair is a candidate depends only on its values, so
-the entries inside a sub-window are that window's table.  An entry whose
-indices do not move is shared with the top table, so an ``int:1..n`` ladder,
-whose rows are prefixes, holds about one table's entries, not two.
+(family, window) and reused across colorings; wherever a table is taken
+(``find_witness``, ``search_avoiding``, ``export_cnf``), ``check_table``
+rejects one built for another family or window.  A sweep builds one table
+per window ladder, its top row's, and ``CandidateTable.restrict`` cuts it
+down to each lower row: whether a pair is a candidate depends only on its
+values, so the entries inside a sub-window are that window's table.  An
+entry whose indices do not move is shared with the top table, so an
+``int:1..n`` ladder, whose rows are prefixes, holds about one table's
+entries, not two.
 
 The table is built over exact integer pairs, not Fractions.  Each term's
 ``pair_parts`` evaluates, once per x and once per y, the part that depends on
@@ -233,7 +236,7 @@ def all_witnesses(
     """Up to ``limit`` witnesses in table order."""
     if table is None:
         table = build_candidates(family, coloring.window)
-    _check_table(family, coloring, table)
+    check_table(family, coloring.window, table)
     colors = coloring.colors
     elems = coloring.window.elements()
     out: list[Witness] = []
@@ -246,8 +249,9 @@ def all_witnesses(
     return out
 
 
-def _check_table(family: Family, coloring: Coloring, table: CandidateTable) -> None:
-    if table.family != family or table.window != coloring.window:
+def check_table(family: Family, window: Window, table: CandidateTable) -> None:
+    """Raise ValueError unless ``table`` was built for this family and window."""
+    if table.family != family or table.window != window:
         raise ValueError("candidate table built for a different family or window")
 
 

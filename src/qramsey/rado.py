@@ -1,22 +1,19 @@
-"""Columns condition for linear systems, with search cross-validation.
+"""Columns condition for one linear equation, with search cross-validation.
 
-A system A x = 0 satisfies the columns condition when its columns split into
-ordered blocks B_1, ..., B_t such that the B_1 columns sum to zero and every
-later block's column sum lies in the rational span of all earlier columns.
+By Rado's theorem the equation c_1 x_1 + ... + c_m x_m = 0 is partition
+regular exactly when it satisfies the columns condition: some nonempty
+subset of its nonzero coefficients sums to zero.  (Zero coefficients are
+free variables; counting them would wrongly certify equations like
+0*x1 + x2 = 0.)  columns_condition tries the subsets in bitmask order, so
+an equation has at most MAX_COLUMNS columns.  Its witness is the block
+partition of the condition: the zero-sum subset, then every other column.
+A LinearSystem is one equation, held as a one-row coefficient matrix; a
+system of more rows raises RadoError.
 
-For a single equation this reduces to: some nonempty subset of the nonzero
-coefficients sums to zero.  (Zero coefficients are free variables; counting
-them would wrongly certify systems like 0*x1 + x2 = 0.)  columns_condition
-takes that shortcut for a single equation and the general path for a system
-of two or more rows.  The general path enumerates first blocks and then
-greedily absorbs zero-excess subsets; the greedy step is complete because
-the spans only grow.  Both paths enumerate column subsets, so systems are
-limited to MAX_COLUMNS columns.
-
-cross_validate maps small single equations onto two-variable pattern
-families and compares the verdict with finite search outcomes.  Only
-equations with two or three active variables fit the pattern grammar; other
-shapes are reported as unsupported rather than guessed at.
+cross_validate maps small equations onto two-variable pattern families and
+compares the verdict with finite search outcomes.  Only equations with two
+or three active variables fit the pattern grammar; other shapes are
+reported as unsupported rather than guessed at.
 """
 
 from __future__ import annotations
@@ -45,27 +42,14 @@ class LinearSystem:
     def __post_init__(self) -> None:
         rows = tuple(tuple(Fraction(c) for c in row) for row in self.rows)
         object.__setattr__(self, "rows", rows)
-        if not rows:
-            raise RadoError("system needs at least one row")
-        width = len(rows[0])
-        if any(len(row) != width for row in rows):
-            raise RadoError("ragged coefficient matrix")
-        if width == 0:
-            raise RadoError("system needs at least one column")
-        for i, row in enumerate(rows):
-            if all(c == 0 for c in row):
-                raise RadoError(f"row {i} is all zero")
+        if len(rows) != 1:
+            raise RadoError(f"a system is one equation, got {len(rows)} rows")
+        if not any(rows[0]):
+            raise RadoError("row 0 is all zero")
 
     @classmethod
     def single(cls, coeffs: Sequence[Fraction | int]) -> "LinearSystem":
         return cls((tuple(Fraction(c) for c in coeffs),))
-
-    @property
-    def num_columns(self) -> int:
-        return len(self.rows[0])
-
-    def column(self, j: int) -> tuple[Fraction, ...]:
-        return tuple(row[j] for row in self.rows)
 
 
 _EQ_TERM_RE = re.compile(r"^(?P<coef>-?\d+(?:/\d+)?)?\s*\*?\s*x(?P<idx>\d+)$")
@@ -100,50 +84,11 @@ class ColumnsConditionResult:
     note: str
 
 
-def _reduce(vec: tuple[Fraction, ...], basis: list[tuple[Fraction, ...]]) -> list[Fraction]:
-    """What is left of vec after elimination by the basis rows.
-
-    The basis rows are kept in echelon form (leading entries normalized).
-    """
-    residue = list(vec)
-    for brow in basis:
-        lead = next(i for i, v in enumerate(brow) if v != 0)
-        if residue[lead] != 0:
-            f = residue[lead]
-            for i in range(len(residue)):
-                residue[i] -= f * brow[i]
-    return residue
-
-
-def _in_span(vec: tuple[Fraction, ...], basis: list[tuple[Fraction, ...]]) -> bool:
-    return not any(_reduce(vec, basis))
-
-
-def _extend_basis(
-    basis: list[tuple[Fraction, ...]], vec: tuple[Fraction, ...]
-) -> list[tuple[Fraction, ...]]:
-    residue = _reduce(vec, basis)
-    lead = next((i for i, v in enumerate(residue) if v != 0), None)
-    if lead is None:
-        return basis
-    f = residue[lead]
-    return basis + [tuple(v / f for v in residue)]
-
-
 def columns_condition(system: LinearSystem) -> ColumnsConditionResult:
-    """Decide the columns condition and produce a block partition witness.
-
-    A single equation takes the subset-sum shortcut, a system the general
-    block search.
-    """
-    if system.num_columns > MAX_COLUMNS:
-        raise RadoError(f"{system.num_columns} columns exceed the cap {MAX_COLUMNS}")
-    if len(system.rows) == 1:
-        return _shortcut(system.rows[0])
-    return _general(system)
-
-
-def _shortcut(coeffs: tuple[Fraction, ...]) -> ColumnsConditionResult:
+    """Decide the columns condition and produce a block partition witness."""
+    coeffs = system.rows[0]
+    if len(coeffs) > MAX_COLUMNS:
+        raise RadoError(f"{len(coeffs)} columns exceed the cap {MAX_COLUMNS}")
     nonzero = [j for j, c in enumerate(coeffs) if c != 0]
     # Subset-sum over nonzero coefficients, smallest bitmask first.
     for mask in range(1, 1 << len(nonzero)):
@@ -154,56 +99,6 @@ def _shortcut(coeffs: tuple[Fraction, ...]) -> ColumnsConditionResult:
             return ColumnsConditionResult(True, partition, "nonzero subset sums to zero")
     return ColumnsConditionResult(
         False, None, f"no nonzero coefficient subset of {len(nonzero)} sums to zero"
-    )
-
-
-def _general(system: LinearSystem) -> ColumnsConditionResult:
-    n = system.num_columns
-    cols = [system.column(j) for j in range(n)]
-    zero = tuple(Fraction(0) for _ in system.rows)
-    # Subset sums once per call; masks index subsets of all columns.
-    sums: list[tuple[Fraction, ...]] = [zero] * (1 << n)
-    for mask in range(1, 1 << n):
-        low = mask & -mask
-        j = low.bit_length() - 1
-        prev = sums[mask ^ low]
-        sums[mask] = tuple(p + c for p, c in zip(prev, cols[j]))
-
-    full = (1 << n) - 1
-    first_blocks = [m for m in range(1, 1 << n) if sums[m] == zero]
-    for b1 in first_blocks:
-        blocks = [b1]
-        used = b1
-        basis: list[tuple[Fraction, ...]] = []
-        for j in range(n):
-            if b1 >> j & 1:
-                basis = _extend_basis(basis, cols[j])
-        while used != full:
-            rem = full ^ used
-            # Any nonempty subset of the remainder whose sum lies in the
-            # current span can be the next block; spans only grow, so taking
-            # the first one found never loses a completion.
-            sub = rem
-            chosen = 0
-            while sub:
-                if _in_span(sums[sub], basis):
-                    chosen = sub
-                    break
-                sub = (sub - 1) & rem
-            if not chosen:
-                break
-            blocks.append(chosen)
-            used |= chosen
-            for j in range(n):
-                if chosen >> j & 1:
-                    basis = _extend_basis(basis, cols[j])
-        if used == full:
-            partition = tuple(
-                tuple(j for j in range(n) if b >> j & 1) for b in blocks
-            )
-            return ColumnsConditionResult(True, partition, "block partition found")
-    return ColumnsConditionResult(
-        False, None, f"exhausted {len(first_blocks)} candidate first blocks"
     )
 
 
@@ -229,13 +124,11 @@ class ConsistencyReport:
 
 
 def system_to_family(system: LinearSystem) -> tuple[Family | None, str]:
-    """Express a single equation as a two-variable family, if its shape fits.
+    """Express the equation as a two-variable family, if its shape fits.
 
     Zero coefficients are dropped: a free variable can repeat another
     solution value, so it never affects monochromatic solvability.
     """
-    if len(system.rows) != 1:
-        return None, "multi-row systems are outside the pattern fragment"
     coeffs = system.rows[0]
     active = [(j, c) for j, c in enumerate(coeffs) if c != 0]
     if len(active) < 2:

@@ -42,14 +42,15 @@ from a result by the ``certificates`` module, which imports this one.
 from __future__ import annotations
 
 import hashlib
+import sys
 import time
 from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .colorings import Coloring
-from .detector import CandidateTable, build_candidates, find_witness
+from .detector import CandidateTable, build_candidates, check_table, find_witness
 from .patterns import Family
-from .windows import CapExceededError, Window, parse_window
+from .windows import Window, parse_window
 
 AVOIDING = "avoiding"
 EXHAUSTED = "exhausted"
@@ -62,7 +63,7 @@ _CHECK_EVERY = 64
 
 @dataclass(frozen=True)
 class SearchBudget:
-    """Stop after max_nodes nodes, or once max_seconds have passed."""
+    """Stop after max_nodes nodes, or once max_seconds (finite) have passed."""
 
     max_nodes: int | None = None
     max_seconds: float | None = None
@@ -72,9 +73,11 @@ class SearchBudget:
         if nodes is not None and (type(nodes) is not int or nodes < 0):
             raise ValueError(f"node budget must be a non-negative integer, got {nodes!r}")
         if seconds is not None and (
-            type(seconds) not in (int, float) or not seconds >= 0
+            type(seconds) not in (int, float) or not 0 <= seconds <= sys.float_info.max
         ):
-            raise ValueError(f"time budget must be a non-negative number, got {seconds!r}")
+            raise ValueError(
+                f"time budget must be a finite non-negative number, got {seconds!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -203,13 +206,18 @@ def search_avoiding(
     budget: SearchBudget | None = None,
     table: CandidateTable | None = None,
 ) -> SearchResult:
-    """Decide whether an r-coloring of the window avoids the family."""
+    """Decide whether an r-coloring of the window avoids the family.
+
+    A given table must be the one built for this family and window.
+    """
     if r < 1:
         raise ValueError(f"need at least one color, got r={r}")
     budget = budget or SearchBudget()
     start = time.perf_counter()
     if table is None:
         table = build_candidates(family, window)
+    else:
+        check_table(family, window, table)
     groups = table.constraint_groups()
 
     def result(outcome: str, coloring: Coloring | None, nodes: int, digest: str | None) -> SearchResult:
@@ -281,17 +289,13 @@ def threshold_sweep(
 
     Each row's window lies inside the top row's, in the same order, so the
     sweep builds one candidate table, the top row's, and restricts it to
-    each lower row.  When the top row is over the pair or element cap, each
-    row builds its own table instead: the rows below the cap still run, and
-    the first row over it fails as it would on its own.
+    each lower row.  A top row over the pair or element cap raises
+    CapExceededError before any row is searched.
     """
     if n_lo > n_hi:
         raise ValueError(f"empty sweep: lo={n_lo} is above hi={n_hi}")
     window_for_template(template, n_lo)  # a bad bound fails before the top table is built
-    try:
-        top = build_candidates(family, window_for_template(template, n_hi))
-    except CapExceededError:
-        top = None
+    top = build_candidates(family, window_for_template(template, n_hi))
     for n in range(n_lo, n_hi + 1):
         window = window_for_template(template, n)
         # Not kept: a row's restricted table is freed when its search returns.
@@ -300,5 +304,5 @@ def threshold_sweep(
             window,
             r,
             budget=budget,
-            table=top if top is None or n == n_hi else top.restrict(window),
+            table=top if n == n_hi else top.restrict(window),
         )

@@ -12,7 +12,7 @@ import sys
 
 import pytest
 
-from qramsey import cli, detector
+from qramsey import cli, detector, search
 from qramsey.cli import main, parse_args
 from qramsey.cnf import export_cnf
 from qramsey.patterns import builtin_family
@@ -297,6 +297,17 @@ class TestCertificates:
         assert sorted(upper["exhaustion"]) == ["nodes", "proof_log_hash"]
 
 
+def _check_over_the_pair_cap(argv, capsys, monkeypatch):
+    """``argv``, on the int:1..9 ladder under a pair cap that int:1..7 is
+    below and int:1..9 over, fails on the top row before any search."""
+    monkeypatch.setattr(detector, "PAIR_CAP", 50)  # int:1..7 has 49 pairs
+    calls = []
+    monkeypatch.setattr(search, "search_avoiding", lambda *args, **kwargs: calls.append(args))
+    assert run_cli(argv) == (2, "")
+    assert "error: candidate table for int:1..9 needs 81 pairs" in capsys.readouterr().err
+    assert calls == []
+
+
 class TestSweep:
     def test_schur_ladder(self, tmp_path):
         code, text = run_cli(
@@ -322,17 +333,13 @@ class TestSweep:
         assert len(rows) == 5
         assert rows[-1].split(",")[2] == "exhausted"
 
-    def test_rows_below_the_pair_cap_run_before_the_first_row_over_it(
+    def test_top_row_over_the_pair_cap_ends_the_sweep_before_any_row(
         self, tmp_path, capsys, monkeypatch
     ):
-        monkeypatch.setattr(detector, "PAIR_CAP", 50)  # int:1..7 has 49 pairs
-        code, text = run_cli(
-            ["sweep", "schur", "-r", "2", "--lo", "1", "--hi", "9", "--cert-dir", str(tmp_path)]
-        )
-        assert code == 2
-        assert text == ""
-        assert "int:1..8 needs 64 pairs" in capsys.readouterr().err
-        assert len(os.listdir(tmp_path)) == 7
+        cert_dir = tmp_path / "certs"
+        argv = ["sweep", "schur", "-r", "2", "--lo", "1", "--hi", "9", "--cert-dir", str(cert_dir)]
+        _check_over_the_pair_cap(argv, capsys, monkeypatch)
+        assert not cert_dir.exists()
 
     def test_budget_row_has_no_certificate(self, tmp_path):
         cert_dir = tmp_path / "certs"
@@ -389,6 +396,12 @@ class TestRado:
         assert code == 0
         assert payload["columns_condition"] is False
         assert payload["partition"] is None
+
+    def test_top_row_over_the_pair_cap_ends_validation_before_any_row(
+        self, capsys, monkeypatch
+    ):
+        argv = ["rado", "x1 + x2 - x3 = 0", "--validate", "-r", "2", "--n-max", "9"]
+        _check_over_the_pair_cap(argv, capsys, monkeypatch)
 
 
 class TestLargeset:
@@ -750,6 +763,25 @@ class TestErrorPaths:
         assert code == 2
         assert text == ""
         assert not cert_dir.exists()
+
+    @pytest.mark.parametrize(
+        "budget, config",
+        [(["--seconds", "inf"], None), (["--seconds", "1e999"], None),
+         ([], '{"seconds": Infinity}')],
+        ids=["inf", "overflow", "config"],
+    )
+    def test_non_finite_seconds_rejected(self, tmp_path, capsys, budget, config):
+        # Infinity is not JSON, so it must never reach the budget in stdout.
+        cert_dir = tmp_path / "certs"
+        top = []
+        if config is not None:
+            (tmp_path / "run.json").write_text(config)
+            top = ["--config", str(tmp_path / "run.json")]
+        code, text = run_cli(top + ["search", "schur", "int:1..4", "-r", "2",
+                                    "--cert-dir", str(cert_dir)] + budget)
+        assert (code, text) == (2, "")
+        assert not cert_dir.exists()
+        assert "time budget must be a finite non-negative number" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv, message",

@@ -60,6 +60,12 @@ class TestStructure:
         with pytest.raises(ValueError, match=f"need at least one color, got r={r}"):
             export_cnf(builtin_family("schur"), IntegerInterval(1, 5), r)
 
+    def test_table_of_another_family_rejected(self):
+        window = IntegerInterval(1, 8)
+        table = build_candidates(builtin_family("schur"), window)
+        with pytest.raises(ValueError, match="different family or window"):
+            export_cnf(builtin_family("vdw(2)"), window, 2, table=table)
+
 
 SMALL_WINDOWS = [IntegerInterval(1, 6), IntegerInterval(1, 10), FareyWindow(2)]
 

@@ -10,6 +10,9 @@ on each window kind, one on a catalog key with ``--distinct``, a sweep with
 certificates, sweeps on the farey and mgrid ladders, ``rado --validate`` of
 a family without y, and ``verify`` of every certificate written.
 
+Every JSON stdout and JSON file must be strict JSON: ``json.dumps`` writes
+``Infinity`` and ``NaN``, which are not JSON, and no record may hold them.
+
 After a deliberate change of output, rewrite the records with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -148,15 +151,34 @@ def expected():
         return json.load(fh)
 
 
+def _reject_constant(name: str):
+    raise ValueError(f"{name} is not JSON")
+
+
+def check_strict_json(records: list[dict]) -> None:
+    """Parse every JSON stdout and JSON file in ``records``; raise on Infinity or NaN."""
+    for record in records:
+        texts = [record["stdout"]] if record["stdout"].startswith("{") else []
+        texts += [text for path, text in record["files"].items() if path.endswith(".json")]
+        for text in texts:
+            json.loads(text, parse_constant=_reject_constant)
+
+
 @pytest.mark.parametrize("step", range(len(COMMANDS)), ids=COMMANDS)
 def test_step_matches_golden(produced, expected, step):
     assert len(expected) == len(COMMANDS)
     assert produced[step] == expected[step]
 
 
+def test_json_is_strict(produced, expected):
+    check_strict_json(produced)
+    check_strict_json(expected)
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as root:
         records = run_steps(root)
+    check_strict_json(records)
     with open(GOLDEN, "w", encoding="utf-8") as fh:
         json.dump(records, fh, indent=1, sort_keys=True)
         fh.write("\n")

@@ -1,5 +1,6 @@
 """Backtracking search: correctness against brute force, budgets, sweeps."""
 
+import math
 import os
 
 import pytest
@@ -129,9 +130,14 @@ class TestOutcomes:
             {"max_nodes": 2.5},
             {"max_nodes": True},
             {"max_seconds": "60"},
+            {"max_seconds": math.inf},
+            {"max_seconds": float("1e999")},
+            {"max_seconds": math.nan},
+            {"max_seconds": 10**400},
         ],
         ids=["negative-nodes", "negative-seconds", "fractional-nodes", "bool-nodes",
-             "text-seconds"],
+             "text-seconds", "infinite-seconds", "overflowing-seconds", "nan-seconds",
+             "huge-int-seconds"],
     )
     def test_invalid_budget_rejected(self, budget):
         with pytest.raises(ValueError, match="budget"):
@@ -154,6 +160,20 @@ class TestOutcomes:
         assert res.window_spec == "int:1..8"
         assert res.r == 2
         assert res.wall_time >= 0.0
+
+    def test_table_of_another_family_rejected(self):
+        # With schur's table, vdw(2) on 1..8 would read as exhausted; it is avoidable.
+        window = IntegerInterval(1, 8)
+        table = build_candidates(builtin_family("schur"), window)
+        with pytest.raises(ValueError, match="different family or window"):
+            search_avoiding(builtin_family("vdw(2)"), window, 2, table=table)
+        assert search_avoiding(builtin_family("vdw(2)"), window, 2).outcome == AVOIDING
+
+    def test_table_of_another_window_rejected(self):
+        family = builtin_family("schur")
+        table = build_candidates(family, IntegerInterval(1, 5))
+        with pytest.raises(ValueError, match="different family or window"):
+            search_avoiding(family, IntegerInterval(1, 6), 2, table=table)
 
 
 class TestDeterminism:
