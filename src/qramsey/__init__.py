@@ -17,7 +17,6 @@ from .arith import (
     DegenerateRationalError,
     PolynomialQ,
     PolynomialSyntaxError,
-    Rational,
     format_polynomial,
     format_rational,
     parse_polynomial,
@@ -33,7 +32,7 @@ from .certificates import (
 )
 from .cnf import CnfInstance, export_cnf, import_assignment, parse_assignment, to_dimacs
 from .colorings import Coloring, serialize_coloring
-from .detector import CandidateTable, build_candidates, find_witness, all_witnesses
+from .detector import CandidateTable, build_candidates, find_witness
 from .patterns import (
     Family,
     InvalidInstantiationError,
@@ -86,13 +85,11 @@ __all__ = [
     "MultiplicativeGrid",
     "PolynomialQ",
     "PolynomialSyntaxError",
-    "Rational",
     "SearchBudget",
     "SearchResult",
     "Window",
     "WindowError",
     "Witness",
-    "all_witnesses",
     "build_candidates",
     "builtin_family",
     "certificate_for_result",

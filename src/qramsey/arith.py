@@ -18,8 +18,6 @@ import re
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-Rational = Fraction
-
 
 class DegenerateRationalError(ValueError):
     """Zero denominator."""

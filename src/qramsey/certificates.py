@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 from dataclasses import dataclass
 from typing import Any
 
@@ -46,6 +47,7 @@ LOWER_BOUND = "lower-bound"
 UPPER_BOUND = "upper-bound"
 # the keys of "family_flags": parse_family's keyword arguments
 FAMILY_FLAGS = ("allow_offsets", "require_distinct_values", "strict_nonzero_x")
+_SHA256 = re.compile(r"[0-9a-f]{64}")
 
 
 def certificate_for_result(result: SearchResult) -> dict:
@@ -57,7 +59,7 @@ def certificate_for_result(result: SearchResult) -> dict:
         }
     elif result.outcome == EXHAUSTED:
         version, kind, evidence = FORMAT_VERSION, UPPER_BOUND, {
-            "exhaustion": {"nodes": result.nodes, "proof_log_hash": result.proof_log_hash or ""},
+            "exhaustion": {"nodes": result.nodes, "proof_log_hash": result.proof_log_hash},
         }
     else:
         raise ValueError(f"no certificate for outcome {result.outcome!r}")
@@ -103,13 +105,17 @@ def _field(record: dict, name: str, kind: type) -> Any:
 
 
 def check_certificate(cert: Any) -> None:
-    """Raise ValueError unless ``cert`` has the fields and field types of its kind."""
+    """Raise ValueError unless ``cert`` has the fields, field types and value
+    ranges of its kind: r >= 1, and for an upper bound nodes >= 0 and a
+    SHA-256 hex digest."""
     if type(cert) is not dict:
         raise ValueError(f"certificate must be a JSON object, not {type(cert).__name__}")
     version = _field(cert, "format_version", int)
     kind = _field(cert, "kind", str)
-    for name, field_kind in (("family", str), ("window", str), ("r", int)):
-        _field(cert, name, field_kind)
+    _field(cert, "family", str)
+    _field(cert, "window", str)
+    if _field(cert, "r", int) < 1:
+        raise ValueError(f"certificate field 'r' must be at least 1, not {cert['r']}")
     if kind == UPPER_BOUND and version < FORMAT_VERSION:
         raise ValueError(
             f"format {version} upper-bound certificates are no longer accepted: the "
@@ -132,8 +138,10 @@ def check_certificate(cert: Any) -> None:
             raise ValueError("certificate field 'coloring' must hold integers only")
     else:
         ex = _field(cert, "exhaustion", dict)
-        _field(ex, "nodes", int)
-        _field(ex, "proof_log_hash", str)
+        if _field(ex, "nodes", int) < 0:
+            raise ValueError(f"certificate field 'nodes' must not be negative, not {ex['nodes']}")
+        if not _SHA256.fullmatch(_field(ex, "proof_log_hash", str)):
+            raise ValueError("certificate field 'proof_log_hash' must be 64 lowercase hex digits")
 
 
 def load_certificate(path: str) -> dict:

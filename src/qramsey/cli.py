@@ -195,9 +195,9 @@ def _cmd_rado(args, out) -> int:
         report = cross_validate(system, args.r, args.n_max, budget=budget)
         cond = report.condition
         details = {
-            "supported": report.supported,
+            "supported": report.family_text is not None,
             "family": report.family_text,
-            "consistent": report.consistent,
+            "consistent": True,  # no finite outcome contradicts either verdict
             "note": report.note,
             "rows": [
                 {"n": r.n, "outcome": r.outcome, "nodes": r.nodes} for r in report.rows
@@ -205,10 +205,10 @@ def _cmd_rado(args, out) -> int:
         }
     else:
         cond = columns_condition(system)
-        family, note = system_to_family(system)
+        family, _ = system_to_family(system)
         details = {
             "family": None if family is None else family.serialize(),
-            "note": cond.note or note,
+            "note": cond.note,
         }
     _emit(out, {
         "equation": args.equation,
@@ -596,24 +596,18 @@ def _config_tokens(config: dict, command: str) -> list[str]:
     """The tokens of ``command``'s options in the config.
 
     Each key must name an option (not a positional, and not help) of some
-    command, with a value that suits it in every command that has it;
-    otherwise CliError.
+    command, with a value that suits it; otherwise CliError.  An option has
+    the same flag, kind and choices in every command that has it, so each
+    key is checked once.
     """
-    options: dict[str, dict[str, Arg]] = {}
-    for name, (_, _, arguments) in COMMANDS.items():
-        for arg in arguments:
-            if not arg.positional:
-                options.setdefault(arg.dest, {})[name] = arg
+    options = {a.dest: a for _, _, arguments in COMMANDS.values()
+               for a in arguments if not a.positional}
     unknown = sorted(set(config) - options.keys())
     if unknown:
         raise CliError(f"unknown config keys: {', '.join(unknown)}")
-    tokens = []
-    for key, value in config.items():
-        for name, arg in options[key].items():
-            token = _config_token(key, value, arg)
-            if name == command and token is not None:
-                tokens.append(token)
-    return tokens
+    own = {a.dest for a in COMMANDS[command][2]}
+    tokens = [(key, _config_token(key, value, options[key])) for key, value in config.items()]
+    return [token for key, token in tokens if key in own and token is not None]
 
 
 def parse_args(argv: list[str]) -> SimpleNamespace:

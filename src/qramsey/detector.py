@@ -2,8 +2,9 @@
 
 A candidate is a pair (x, y) whose full term list lands inside the window
 with the family's constraints satisfied; it is stored as window indices so a
-coloring check is pure integer work.  The table is built once per
-(family, window) and reused across colorings; wherever a table is taken
+coloring check is pure integer work: ``find_witness`` returns the first
+entry in table order whose values share one color.  The table is built once
+per (family, window) and reused across colorings; wherever a table is taken
 (``find_witness``, ``search_avoiding``, ``export_cnf``), ``check_table``
 rejects one built for another family or window.  A sweep builds one table
 per window ladder, its top row's, and ``CandidateTable.restrict`` cuts it
@@ -42,7 +43,6 @@ size instead of quadratic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations, groupby
 from math import gcd, lcm
 from operator import itemgetter
@@ -221,47 +221,19 @@ def find_witness(
     """First monochromatic candidate in table order, or None.
 
     Complete relative to the table: no witness is missed among in-window
-    instantiations.
+    instantiations.  The witness is re-checked through ``instantiate``.
     """
-    found = all_witnesses(family, coloring, limit=1, table=table)
-    return found[0] if found else None
-
-
-def all_witnesses(
-    family: Family,
-    coloring: Coloring,
-    limit: int = 1000,
-    table: CandidateTable | None = None,
-) -> list[Witness]:
-    """Up to ``limit`` witnesses in table order."""
     if table is None:
         table = build_candidates(family, coloring.window)
     check_table(family, coloring.window, table)
     colors = coloring.colors
-    elems = coloring.window.elements()
-    out: list[Witness] = []
     for entry in table.entries:
-        if len(out) >= limit:
-            break
         color = colors[entry.value_indices[0]]
         if all(colors[j] == color for j in entry.value_indices):
-            out.append(_witness(family, coloring, elems, entry, color))
-    return out
-
-
-def check_table(family: Family, window: Window, table: CandidateTable) -> None:
-    """Raise ValueError unless ``table`` was built for this family and window."""
-    if table.family != family or table.window != window:
-        raise ValueError("candidate table built for a different family or window")
-
-
-def _witness(
-    family: Family,
-    coloring: Coloring,
-    elems: tuple[Fraction, ...],
-    entry: Candidate,
-    color: int,
-) -> Witness:
+            break
+    else:
+        return None
+    elems = coloring.window.elements()
     x, y = elems[entry.x_index], elems[entry.y_index]
     values = instantiate(family, x, y)
     if any(coloring.color_of(v) != color for v in values):
@@ -270,3 +242,9 @@ def _witness(
             f"x={x}, y={y}: values {', '.join(map(str, values))}"
         )
     return Witness(x=x, y=y, color=color, values=values)
+
+
+def check_table(family: Family, window: Window, table: CandidateTable) -> None:
+    """Raise ValueError unless ``table`` was built for this family and window."""
+    if table.family != family or table.window != window:
+        raise ValueError("candidate table built for a different family or window")

@@ -107,10 +107,6 @@ class IpSetSpec:
             raise LargeSetError("multiplicative generators cannot include zero")
         object.__setattr__(self, "generators", gens)
 
-    @property
-    def r(self) -> int:
-        return len(self.generators)
-
 
 def finite_sums(spec: IpSetSpec) -> frozenset[Fraction]:
     """All nonempty-subset combinations of the generators; duplicates collapse."""

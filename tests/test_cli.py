@@ -115,6 +115,11 @@ class TestSearch:
         assert f"error: bad catalog key '{key}': " in capsys.readouterr().err
 
 
+def _exhaustion(**fields):
+    """An edit of an upper bound that changes fields of its exhaustion record."""
+    return lambda cert: {**cert, "exhaustion": {**cert["exhaustion"], **fields}}
+
+
 class TestCertificates:
     def test_upper_bound_verifies(self, tmp_path):
         code, _ = run_json(
@@ -229,9 +234,11 @@ class TestCertificates:
             lambda cert: {**cert, "format_version": True},
             lambda cert: {k: v for k, v in cert.items() if k != "coloring"},
             lambda cert: {**cert, "family_flags": {"require_distinct_value": True}},
+            lambda cert: {**cert, "r": 0},
+            lambda cert: {**cert, "r": -2},
         ],
         ids=["number", "string", "flags-list", "flag-int", "float-color", "bool-version",
-             "no-coloring", "flag-unknown"],
+             "no-coloring", "flag-unknown", "zero-r", "negative-r"],
     )
     def test_malformed_certificate_exits_2(self, tmp_path, capsys, edit):
         run_json(
@@ -249,11 +256,19 @@ class TestCertificates:
     @pytest.mark.parametrize(
         "edit",
         [
-            lambda ex: {**ex, "nodes": False},
-            lambda ex: {**ex, "proof_log_hash": None},
-            lambda ex: {"proof_log_hash": ex["proof_log_hash"]},
+            _exhaustion(nodes=False),
+            _exhaustion(proof_log_hash=None),
+            lambda cert: {**cert, "exhaustion": {
+                "proof_log_hash": cert["exhaustion"]["proof_log_hash"]}},
+            lambda cert: {**cert, "r": 0},
+            lambda cert: {**cert, "r": -2},
+            _exhaustion(nodes=-5),
+            _exhaustion(proof_log_hash="zz"),
+            _exhaustion(proof_log_hash="A" * 64),
+            _exhaustion(proof_log_hash="0" * 65),
         ],
-        ids=["bool-nodes", "null-hash", "no-nodes"],
+        ids=["bool-nodes", "null-hash", "no-nodes", "zero-r", "negative-r", "negative-nodes",
+             "short-hash", "upper-hash", "long-hash"],
     )
     def test_malformed_exhaustion_exits_2(self, tmp_path, edit):
         run_json(
@@ -261,9 +276,7 @@ class TestCertificates:
              "--cert-dir", str(tmp_path), "--cert-stem", "s5"]
         )
         path = tmp_path / "s5.upper-bound.json"
-        cert = json.loads(path.read_text())
-        cert["exhaustion"] = edit(cert["exhaustion"])
-        path.write_text(json.dumps(cert))
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
         for argv in (["verify", str(path)], ["verify", str(path), "--rerun"]):
             code, text = run_cli(argv)
             assert code == 2
@@ -390,6 +403,12 @@ class TestRado:
         assert payload["consistent"] is True
         assert payload["note"] == "regular; unavoidable from n=5 at r=2"
         assert [row["outcome"] for row in payload["rows"]].count("exhausted") == 2
+
+    def test_over_the_column_cap(self, capsys):
+        # rejected as it is parsed, before a million-long coefficient tuple
+        code, text = run_cli(["rado", "x1 - x1000000 = 0"])
+        assert (code, text) == (2, "")
+        assert capsys.readouterr().err == "error: 1000000 columns exceed the cap 20\n"
 
     def test_non_regular(self):
         code, payload = run_json(["rado", "2*x1 - x2 = 0"])
@@ -587,8 +606,10 @@ class TestConfig:
             ({"r": 2.5}, ["rado", "x1 + x2 - x3 = 0", "--validate", "--n-max", "5"]),
             ({"distinct": "no"},
              ["search", "x; y; x + t", "int:1..5", "-r", "2", "--cert-dir", "{dir}"]),
+            ({"rerun": "yes"},
+             ["search", "x; y; x + t", "int:1..5", "-r", "2", "--cert-dir", "{dir}"]),
         ],
-        ids=["fractional-r", "text-flag"],
+        ids=["fractional-r", "text-flag", "other-command-flag"],
     )
     def test_value_of_wrong_kind_rejected(self, tmp_path, config, argv):
         cfg = tmp_path / "cfg.json"
@@ -671,6 +692,16 @@ class TestConfig:
         code, payload = run_json(["--config", str(cfg), "search", "schur", "int:1..5", "-r", "2"])
         assert code == 0
         assert payload["outcome"] == "exhausted"
+
+    def test_an_option_is_alike_in_every_command(self):
+        # a config key is checked once, so it must convert alike wherever it is
+        shapes: dict[str, set] = {}
+        for _, _, arguments in cli.COMMANDS.values():
+            for arg in arguments:
+                if not arg.positional:
+                    shapes.setdefault(arg.dest, set()).add((arg.flags[-1], arg.kind, arg.choices))
+        assert {"r", "nodes", "mode", "rerun"} <= shapes.keys()  # the walk saw the options
+        assert {dest: shape for dest, shape in shapes.items() if len(shape) > 1} == {}
 
     def test_config_does_not_fill_positionals(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -1,8 +1,8 @@
-"""Witness detection against an independent double-loop oracle.
+"""Witness detection against the independent brute-force oracle.
 
-The oracle below shares nothing with the candidate-table machinery: it
-walks every (x, y) pair, evaluates terms through instantiate, and checks
-colors one value at a time.  Slow and obviously correct.
+``_brute`` imports nothing from qramsey: it walks every (x, y) pair,
+evaluates each term's exact value and matches it to a window position with
+a plain dict.  Slow and obviously correct.
 """
 
 import hashlib
@@ -11,20 +11,10 @@ from fractions import Fraction
 
 import pytest
 
+import _brute
 from qramsey.colorings import Coloring
-from qramsey.detector import (
-    Candidate,
-    CandidateTable,
-    all_witnesses,
-    build_candidates,
-    find_witness,
-)
-from qramsey.patterns import (
-    InvalidInstantiationError,
-    builtin_family,
-    instantiate,
-    parse_family,
-)
+from qramsey.detector import Candidate, CandidateTable, build_candidates, find_witness
+from qramsey.patterns import builtin_family, instantiate, parse_family
 from qramsey.windows import (
     CapExceededError,
     FareyWindow,
@@ -35,23 +25,9 @@ from qramsey.windows import (
 
 
 def oracle_has_witness(family, coloring):
-    """Exhaustive pair scan; True iff some instantiation is monochromatic."""
-    window = coloring.window
-    elems = window.elements()
-    for x in elems:
-        for y in elems:
-            try:
-                values = instantiate(family, x, y)
-            except InvalidInstantiationError:
-                continue
-            if not all(window.contains(v) for v in values):
-                continue
-            if family.require_distinct_values and len(set(values)) != len(values):
-                continue
-            colors = {coloring.color_of(v) for v in values}
-            if len(colors) == 1:
-                return True
-    return False
+    """True iff some instance of the family is monochromatic."""
+    instances = _brute.instances(family, coloring.window)
+    return bool(_brute.monochromatic(instances, coloring.colors))
 
 
 ORACLE_SETUPS = [
@@ -117,21 +93,22 @@ class TestWitnessContents:
         # x-major, y-inner: smallest x then smallest y; 1 + 1 = 2 leads.
         assert (w.x, w.y) == (Fraction(1), Fraction(1))
 
-    def test_all_witnesses_limit_and_order(self):
-        family = builtin_family("schur")
-        window = IntegerInterval(1, 9)
-        coloring = Coloring(window, [0] * 9, 1)
-        top = all_witnesses(family, coloring, limit=5)
-        assert len(top) == 5
-        full = all_witnesses(family, coloring, limit=10**6)
-        assert top == full[:5]
-        assert all(len({coloring.color_of(v) for v in w.values}) == 1 for w in full)
-
-    def test_all_witnesses_limit_zero(self):
-        family = builtin_family("schur")
-        coloring = Coloring(IntegerInterval(1, 5), [0] * 5, 1)
-        assert all_witnesses(family, coloring, limit=0) == []
-        assert len(all_witnesses(family, coloring, limit=1)) == 1
+    @pytest.mark.parametrize("key,window", ORACLE_SETUPS, ids=[k for k, _ in ORACLE_SETUPS])
+    def test_first_monochromatic_brute_entry(self, key, window):
+        family = builtin_family(key)
+        table = build_candidates(family, window)
+        entries = _brute.entries(family, window)
+        elems = window.elements()
+        rng = random.Random(sum(map(ord, key)) + 1)
+        for i in range(60):
+            r = 2 if i % 2 == 0 else 3
+            colors = [rng.randrange(r) for _ in range(window.size())]
+            got = find_witness(family, Coloring(window, colors, r), table)
+            first = next((e for e in entries if len({colors[j] for j in e[2]}) == 1), None)
+            if first is None:
+                assert got is None, (key, colors)
+            else:
+                assert (got.x, got.y) == (elems[first[0]], elems[first[1]]), (key, colors)
 
     def test_wrong_table_entry_raises(self):
         family = builtin_family("schur")
@@ -147,7 +124,6 @@ class TestWitnessContents:
         window = IntegerInterval(1, 4)
         coloring = Coloring(window, [0, 1, 1, 0], 2)
         assert find_witness(family, coloring) is None
-        assert all_witnesses(family, coloring) == []
 
 
 class TestTableStructure:

@@ -108,3 +108,23 @@ def test_package_import_graph_is_acyclic():
 
     on_cycle = {m: sorted(graph[m]) for m in sorted(modules) if m in reachable(m)}
     assert on_cycle == {}
+
+
+def test_every_exported_name_is_read_inside_the_package():
+    # A name that only tests read belongs in the tests, not in src/.
+    src = os.path.dirname(qramsey.__file__)
+    read = set()
+    for name in os.listdir(src):
+        if not name.endswith(".py") or name == "__init__.py":
+            continue
+        with open(os.path.join(src, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read |= {alias.name for alias in node.names}
+    assert {"find_witness", "__version__"} <= read  # the walk saw calls and imports
+    assert [name for name in qramsey.__all__ if name not in read] == []
