@@ -4,7 +4,7 @@ Machine-readable results go to stdout as JSON with sorted keys and no
 timing fields, so identical inputs produce identical bytes.  Wall-clock
 timing goes to stderr.  Exit codes: 0 when the requested computation
 completed (whatever the mathematical outcome), 1 when a verification
-subcommand found a violation, 2 for bad configuration or arguments, 3 when
+subcommand found a violation, 2 for bad arguments, 3 when
 ``verify`` did not check the claim (an upper bound without ``--rerun``),
 141 (128 + SIGPIPE) when stdout was closed before the result, the help or
 the version was written.
@@ -439,7 +439,6 @@ COMMANDS = {
     "catalog": ("list the built-in families", _cmd_catalog, ()),
 }
 _HELP, _VERSION = Arg(("-h", "--help"), bool), Arg(("--version",), bool)
-_CONFIG = Arg(("--config",), help="JSON file with option defaults")
 _NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
 
@@ -456,7 +455,6 @@ def _parser(name: str | None):
             formatter_class=argparse.RawDescriptionHelpFormatter,
         )
         parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-        parser.add_argument(*_CONFIG.flags, help=_CONFIG.help)
         parser.add_argument("command", nargs=argparse.PARSER, choices=COMMANDS,
                             help="a command and its arguments (qramsey COMMAND -h)")
         return parser
@@ -562,63 +560,14 @@ def _read_command(name: str, tokens: list[str]) -> SimpleNamespace:
     return SimpleNamespace(func=handler, **values)
 
 
-def _read_config(path: str) -> dict:
-    """The JSON object in ``path``, with '-' in keys spelled '_'."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            config = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise CliError(f"cannot read config: {exc}") from None
-    if not isinstance(config, dict):
-        raise CliError("config must be a JSON object")
-    return {k.replace("-", "_"): v for k, v in config.items()}
-
-
-def _config_token(key: str, value, arg: Arg) -> str | None:
-    """The token that sets option ``arg`` to a config value, as if typed.
-
-    A flag takes only JSON true (the flag) or false (no token).  An option
-    that takes a value gets ``--option=value``, so it is converted like a
-    typed value, and a value that starts with '-' stays a value.  Anything
-    else raises CliError.
-    """
-    option = arg.flags[-1]
-    if arg.kind is bool:
-        if isinstance(value, bool):
-            return option if value else None
-        raise CliError(f"config key {key} is a flag: use true or false, not {json.dumps(value)}")
-    if isinstance(value, (str, int, float)) and not isinstance(value, bool):
-        return f"{option}={value}"
-    raise CliError(f"config key {key} takes a string or a number, not {json.dumps(value)}")
-
-
-def _config_tokens(config: dict, command: str) -> list[str]:
-    """The tokens of ``command``'s options in the config.
-
-    Each key must name an option (not a positional, and not help) of some
-    command, with a value that suits it; otherwise CliError.  An option has
-    the same flag, kind and choices in every command that has it, so each
-    key is checked once.
-    """
-    options = {a.dest: a for _, _, arguments in COMMANDS.values()
-               for a in arguments if not a.positional}
-    unknown = sorted(set(config) - options.keys())
-    if unknown:
-        raise CliError(f"unknown config keys: {', '.join(unknown)}")
-    own = {a.dest for a in COMMANDS[command][2]}
-    tokens = [(key, _config_token(key, value, options[key])) for key, value in config.items()]
-    return [token for key, token in tokens if key in own and token is not None]
-
-
 def parse_args(argv: list[str]) -> SimpleNamespace:
     """``argv`` read as ``main`` reads it, into the named command's arguments.
 
-    The top-level options (-h, --version, --config) go before the command.
-    Config tokens go before the typed ones, so typed options win.  Raises
+    The top-level options (-h, --version) go before the command.  Raises
     CliError on bad input, SystemExit after the help or the version.
     """
-    options = _options((_VERSION, _CONFIG))
-    config, unknown, i = None, [], 0
+    options = _options((_VERSION,))
+    unknown, i = [], 0
     while i < len(argv) and argv[i] != "--" and (found := _lookup(argv[i], options)):
         arg, flag, value = found
         i += 1
@@ -626,18 +575,15 @@ def parse_args(argv: list[str]) -> SimpleNamespace:
             unknown.append(flag)
         elif arg is _HELP:
             _parser(None).parse_args(argv)  # prints the help and exits
-        elif arg is _VERSION:
-            _read_option(arg, flag, value, argv, i, options)
+        else:
+            _read_option(arg, flag, value, argv, i, options)  # rejects --version=x
             print(f"qramsey {__version__}")
             raise SystemExit(0)
-        else:
-            config, i = _read_option(arg, flag, value, argv, i, options)
     if i == len(argv) or argv[i] not in COMMANDS:
         raise CliError(f"expected a command: {', '.join(COMMANDS)}")
     if unknown:
         raise CliError(f"unrecognized arguments: {' '.join(unknown)}")
-    tokens = _config_tokens(_read_config(config), argv[i]) if config is not None else []
-    return _read_command(argv[i], tokens + argv[i + 1:])
+    return _read_command(argv[i], argv[i + 1:])
 
 
 def _reader_gone(stream) -> bool:

@@ -143,7 +143,7 @@ class _Search:
         del todo[at]
         labels = self.labels[e]
         if labels is None:
-            labels = [b"%d:%d;" % (e, c) for c in range(min(self.r, len(colors)))]
+            labels = [b"%d:%d;" % (e, c) for c in range(self.r)]
             self.labels[e] = labels
         for c in range(min(used + 1, self.r)):
             bit = 1 << c
@@ -239,7 +239,10 @@ def search_avoiding(
         digest = hashlib.sha256(b"singleton:%d" % groups[0][0]).hexdigest()
         return result(EXHAUSTED, None, 0, digest)
 
-    search = _Search(groups, window.size(), r, budget)
+    # No child takes a color >= n, nor does any domain lose all colors < n: at
+    # most n - 1 elements are colored.  So min(r, n) colors give r's tree.
+    n = window.size()
+    search = _Search(groups, n, min(r, n), budget)
     try:
         colors = search.run()
     except _BudgetHit:

@@ -146,12 +146,19 @@ class FareyWindow(Window):
 
     def size(self) -> int:
         if self._size is None:
-            positives = sum(
-                1
-                for b in range(1, self.n + 1)
-                for a in range(1, self.n + 1)
-                if gcd(a, b) == 1
-            )
+            # Over n^2 / 2 pairs are coprime (under 0.46 n^2 share a prime),
+            # so a window this large is refused before its pairs are counted.
+            if self.n * self.n > 2 * ELEMENT_CAP:
+                raise CapExceededError(
+                    f"window {self.spec_string()} has over {self.n * self.n // 2} elements,"
+                    f" cap is {ELEMENT_CAP}"
+                )
+            phi = list(range(self.n + 1))  # Euler's totient, by a sieve
+            for p in range(2, self.n + 1):
+                if phi[p] == p:
+                    for k in range(p, self.n + 1, p):
+                        phi[k] -= phi[k] // p
+            positives = 2 * sum(phi[1:]) - 1  # coprime pairs (a, b), 1 <= a, b <= n
             total = positives * (2 if self.include_negatives else 1)
             if self.include_zero:
                 total += 1

@@ -1,6 +1,7 @@
 """End-to-end runs of the command line interface."""
 
 import argparse
+import ast
 import hashlib
 import io
 import json
@@ -9,6 +10,7 @@ import random
 import shlex
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -310,6 +312,24 @@ class TestCertificates:
         assert sorted(upper["exhaustion"]) == ["nodes", "proof_log_hash"]
 
 
+    @pytest.mark.parametrize("kind, evidence", [
+        ("lower-bound", {"coloring": [0]}),
+        ("upper-bound", {"exhaustion": {"nodes": 1, "proof_log_hash": "0" * 64}}),
+    ])
+    def test_farey_window_over_the_cap_exits_2_at_once(self, tmp_path, capsys, kind,
+                                                        evidence):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({
+            "format_version": 1 if kind == "lower-bound" else 3, "kind": kind,
+            "family": "x; y; x + t", "window": "farey:1000000", "r": 2, **evidence,
+        }))
+        start = time.perf_counter()
+        assert run_cli(["verify", str(path), "--rerun"]) == (2, "")
+        assert run_cli(["search", "schur", "farey:1000000", "-r", "2"]) == (2, "")
+        assert time.perf_counter() - start < 1
+        assert "window farey:1000000 has over" in capsys.readouterr().err
+
+
 def _check_over_the_pair_cap(argv, capsys, monkeypatch):
     """``argv``, on the int:1..9 ladder under a pair cap that int:1..7 is
     below and int:1..9 over, fails on the top row before any search."""
@@ -550,173 +570,6 @@ class TestCatalog:
         assert payload["question-hs"] == "x; y; x * y^1; x + t"
 
 
-class TestConfig:
-    def test_config_fills_defaults(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"nodes": 500, "seconds": 60}))
-        code, payload = run_json(
-            ["--config", str(cfg), "search", "schur", "int:1..5", "-r", "2"]
-        )
-        assert code == 0
-        assert payload["budget"]["max_seconds"] == 60
-        assert payload["budget"]["max_nodes"] == 500
-
-    def test_flags_beat_config(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"nodes": 500, "seconds": 60}))
-        code, payload = run_json(
-            ["--config", str(cfg), "search", "schur", "int:1..5", "-r", "2",
-             "--nodes", "7"]
-        )
-        assert code == 0
-        assert payload["budget"]["max_nodes"] == 7
-        assert payload["budget"]["max_seconds"] == 60
-
-    def test_unknown_keys_rejected(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"workers": 4, "nodez": 10}))
-        code, text = run_cli(
-            ["--config", str(cfg), "search", "schur", "int:1..5", "-r", "2"]
-        )
-        assert code == 2
-        assert text == ""
-        assert "unknown config keys: nodez, workers" in capsys.readouterr().err
-
-    def test_unreadable_config(self, tmp_path):
-        code, _ = run_cli(
-            ["--config", str(tmp_path / "missing.json"), "catalog"]
-        )
-        assert code == 2
-
-    @pytest.mark.parametrize("argv", [["--config="], ["--config", ""]], ids=["joined", "apart"])
-    def test_empty_config_path(self, capsys, argv):
-        code, text = run_cli(argv + ["search", "schur", "int:1..5", "-r", "2"])
-        assert (code, text) == (2, "")
-        assert "cannot read config" in capsys.readouterr().err
-
-    def test_malformed_config(self, tmp_path):
-        cfg = tmp_path / "bad.json"
-        cfg.write_text("not json at all")
-        code, _ = run_cli(["--config", str(cfg), "catalog"])
-        assert code == 2
-
-    @pytest.mark.parametrize(
-        "config, argv",
-        [
-            ({"r": 2.5}, ["rado", "x1 + x2 - x3 = 0", "--validate", "--n-max", "5"]),
-            ({"distinct": "no"},
-             ["search", "x; y; x + t", "int:1..5", "-r", "2", "--cert-dir", "{dir}"]),
-            ({"rerun": "yes"},
-             ["search", "x; y; x + t", "int:1..5", "-r", "2", "--cert-dir", "{dir}"]),
-        ],
-        ids=["fractional-r", "text-flag", "other-command-flag"],
-    )
-    def test_value_of_wrong_kind_rejected(self, tmp_path, config, argv):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(config))
-        cert_dir = tmp_path / "certs"
-        code, text = run_cli(["--config", str(cfg)] + [a.format(dir=cert_dir) for a in argv])
-        assert code == 2
-        assert text == ""
-        assert not cert_dir.exists()
-
-    def test_config_values_convert_like_flags(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"r": "3", "n_max": 4, "distinct": False}))
-        code, payload = run_json(["--config", str(cfg), "rado", "x1 + x2 - x3 = 0", "--validate"])
-        assert code == 0
-        assert [row["n"] for row in payload["rows"]] == [1, 2, 3, 4]
-
-    def test_config_fills_required_option(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"r": 2}))
-        code, payload = run_json(["--config", str(cfg), "search", "schur", "int:1..5"])
-        assert code == 0
-        assert payload["r"] == 2
-        assert payload["outcome"] == "exhausted"
-
-    def test_config_fills_sweep_range(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"r": 2, "lo": 1, "hi": 5}))
-        code, text = run_cli(["--config", str(cfg), "sweep", "schur"])
-        assert code == 0
-        assert len(text.splitlines()) == 1 + 5
-
-    def test_flag_beats_config_for_required_option(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"r": 2}))
-        code, payload = run_json(
-            ["--config", str(cfg), "search", "schur", "int:1..5", "-r", "3"]
-        )
-        assert code == 0
-        assert payload["r"] == 3
-        assert payload["outcome"] == "avoiding"
-
-    def test_required_option_without_config(self):
-        code, text = run_cli(["search", "schur", "int:1..5"])
-        assert code == 2
-        assert text == ""
-
-    @pytest.mark.parametrize(
-        "config, unknown",
-        [
-            ({"window": "int:1..9", "family": "vdw(2)"}, "family, window"),
-            ({"config": "x"}, "config"),
-            ({"help": True, "version": "1", "command": "search"}, "command, help, version"),
-        ],
-        ids=["positionals", "config", "top-level"],
-    )
-    def test_positional_and_top_level_keys_rejected(self, tmp_path, capsys, config, unknown):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(config))
-        cert_dir = tmp_path / "certs"
-        code, text = run_cli(
-            ["--config", str(cfg), "search", "schur", "int:1..5", "-r", "2",
-             "--cert-dir", str(cert_dir)]
-        )
-        assert code == 2
-        assert text == ""
-        assert not cert_dir.exists()
-        assert f"unknown config keys: {unknown}" in capsys.readouterr().err
-
-    def test_config_value_starting_with_dash_stays_a_value(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"set": "-2,-1", "shape": "0,1"}))
-        code, payload = run_json(["--config", str(cfg), "largeset", "thick", "int:-3..3"])
-        assert code == 0
-        assert payload["witness"] == "-2"
-
-    def test_key_of_another_subcommand_is_skipped(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"rerun": True, "n-max": 4}))
-        code, payload = run_json(["--config", str(cfg), "search", "schur", "int:1..5", "-r", "2"])
-        assert code == 0
-        assert payload["outcome"] == "exhausted"
-
-    def test_an_option_is_alike_in_every_command(self):
-        # a config key is checked once, so it must convert alike wherever it is
-        shapes: dict[str, set] = {}
-        for _, _, arguments in cli.COMMANDS.values():
-            for arg in arguments:
-                if not arg.positional:
-                    shapes.setdefault(arg.dest, set()).add((arg.flags[-1], arg.kind, arg.choices))
-        assert {"r", "nodes", "mode", "rerun"} <= shapes.keys()  # the walk saw the options
-        assert {dest: shape for dest, shape in shapes.items() if len(shape) > 1} == {}
-
-    def test_config_does_not_fill_positionals(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"window": "int:1..5"}))
-        code, text = run_cli(["--config", str(cfg), "search", "schur", "-r", "2"])
-        assert code == 2
-        assert text == ""
-
-    def test_non_object_config(self, tmp_path):
-        cfg = tmp_path / "list.json"
-        cfg.write_text("[1, 2]")
-        code, _ = run_cli(["--config", str(cfg), "catalog"])
-        assert code == 2
-
-
 class TestErrorPaths:
     def test_bad_window(self):
         code, _ = run_cli(["detect", "schur", "notawindow", "--colors", "0"])
@@ -795,21 +648,13 @@ class TestErrorPaths:
         assert text == ""
         assert not cert_dir.exists()
 
-    @pytest.mark.parametrize(
-        "budget, config",
-        [(["--seconds", "inf"], None), (["--seconds", "1e999"], None),
-         ([], '{"seconds": Infinity}')],
-        ids=["inf", "overflow", "config"],
-    )
-    def test_non_finite_seconds_rejected(self, tmp_path, capsys, budget, config):
+    @pytest.mark.parametrize("budget", [["--seconds", "inf"], ["--seconds", "1e999"]],
+                             ids=["inf", "overflow"])
+    def test_non_finite_seconds_rejected(self, tmp_path, capsys, budget):
         # Infinity is not JSON, so it must never reach the budget in stdout.
         cert_dir = tmp_path / "certs"
-        top = []
-        if config is not None:
-            (tmp_path / "run.json").write_text(config)
-            top = ["--config", str(tmp_path / "run.json")]
-        code, text = run_cli(top + ["search", "schur", "int:1..4", "-r", "2",
-                                    "--cert-dir", str(cert_dir)] + budget)
+        code, text = run_cli(["search", "schur", "int:1..4", "-r", "2",
+                              "--cert-dir", str(cert_dir)] + budget)
         assert (code, text) == (2, "")
         assert not cert_dir.exists()
         assert "time budget must be a finite non-negative number" in capsys.readouterr().err
@@ -837,16 +682,14 @@ class TestErrorPaths:
             ["localize", "mgrid:2,3:1", "--colors", "[0,0,0,0,0,0,0,0,0]",
              "--shape", "1,2", "--exhaustive", "2"],
             ["largeset", "ip", "int:1..16", "--set", "1,2", "--seed", "1"],
+            ["--config", "run.json", "search", "schur", "int:1..5", "-r", "2"],
         ],
-        ids=["method", "exhaustive", "seed"],
+        ids=["method", "exhaustive", "seed", "config"],
     )
     def test_removed_options_rejected(self, argv):
         code, text = run_cli(argv)
         assert code == 2
         assert text == ""
-
-    def test_config_without_value_returns_2(self):
-        assert run_cli(["--config"]) == (2, "")
 
     def test_version_exits_zero(self):
         code, _ = run_cli(["--version"])
@@ -854,7 +697,7 @@ class TestErrorPaths:
 
 
 TOP_USAGE = (
-    "usage: qramsey [-h] [--version] [--config CONFIG]\n"
+    "usage: qramsey [-h] [--version]\n"
     "               {detect,search,sweep,rado,largeset,localize,export-cnf,import-sat,verify,catalog}\n"
     "               ..."
 )
@@ -868,18 +711,9 @@ def _digest(text):
 
 class TestArgumentHandling:
     """Exit codes and stdout of edge-case argument lists, recorded when
-    argparse read every invocation (the first rows with argparse subparsers
-    and a --config pre-parser).  Help is pinned by its usage paragraph and
-    by the digest of its whole text, recorded the same way."""
-
-    @pytest.fixture
-    def configs(self, tmp_path):
-        paths = {}
-        for name, config in [("cfg", {"nodes": 2}), ("unknown", {"bogus": 1}),
-                             ("other", {"n_max": 5})]:
-            paths[name] = tmp_path / f"{name}.json"
-            paths[name].write_text(json.dumps(config))
-        return paths
+    argparse read every invocation (the first rows with argparse subparsers).
+    Help is pinned by its usage paragraph and by the digest of its whole
+    text, recorded the same way."""
 
     @pytest.mark.parametrize(
         "argv, code, stdout",
@@ -891,18 +725,12 @@ class TestArgumentHandling:
             (["catalog", "extra"], 2, ""),
             (["largeset", "bad", "int:1..5"], 2, ""),
             (["verify"], 2, ""),
+            (["search", "schur", "int:1..5"], 2, ""),
             (SEARCH + ["--version"], 2, ""),
             (SEARCH + ["--", "x"], 2, ""),
             (["search", "--", "schur", "int:1..5", "-r", "2"], 2, ""),
             (["--", "search"] + SEARCH[1:], 2, ""),
             (SEARCH + ["--nod", "3"], 0, "13f57729976f5793"),
-            (["--conf", "{cfg}"] + SEARCH, 0, "55e252f6dd07b91c"),
-            (["--config={cfg}"] + SEARCH, 0, "55e252f6dd07b91c"),
-            (["--config", "{cfg}"], 2, ""),
-            (SEARCH + ["--config", "{cfg}"], 2, ""),
-            (["--config", "{cfg}", "catalog"], 0, "0463879b35dbd398"),
-            (["--config", "{unknown}"] + SEARCH, 2, ""),
-            (["--config", "{other}"] + SEARCH, 0, "a6b2d972205012bc"),
             (SEARCH + ["--cert-dir", "--distinct"], 2, ""),
             (["search", "schur", "int:1..5", "-r", "x"], 2, ""),
             (["search", "schur", "int:1..5", "-r2"], 0, "a6b2d972205012bc"),
@@ -923,8 +751,8 @@ class TestArgumentHandling:
         ],
         ids=lambda v: " ".join(v) if isinstance(v, list) else str(v),
     )
-    def test_exit_code_and_stdout(self, configs, capsys, argv, code, stdout):
-        assert main([a.format(**configs) for a in argv]) == code
+    def test_exit_code_and_stdout(self, capsys, argv, code, stdout):
+        assert main(argv) == code
         assert _digest(capsys.readouterr().out) == stdout
 
     @pytest.mark.parametrize(
@@ -949,7 +777,7 @@ class TestArgumentHandling:
     @pytest.mark.parametrize(
         "command, digest",
         [
-            (None, "375d5d3fa7a30a44aebaa151c2a8a9549d1f4ff8ca62746dca3a13540c3cd1a4"),
+            (None, "864c47b7ed7ff0b619903f7cab7f0c8bb682c53ccb40f5218903c951b8acf470"),
             ("detect", "a127c4db1ea8cc0dcb3137b58cf89362951df09a65eb57ffc9719047329c36b6"),
             ("search", "a8ce933a54763f4c25375496ae6fa43788a433271a8ecf755fc9318e48329c9e"),
             ("sweep", "bc3a2a7d8871941b6bee0cb93cb1b1bfc02a1f8d1993fc3a01b9f5cd5cb32940"),
@@ -1012,6 +840,30 @@ def _outcome(parse, tokens):
     return {k: v for k, v in args.items() if k != "func"}
 
 
+class TestCommandTable:
+    def test_every_option_is_read_and_every_read_is_declared(self):
+        """The ``args.<name>`` that each handler reads, itself or through the
+        module-level functions it calls, are the dests of its arguments."""
+        with open(cli.__file__, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+        def reads(name, seen):
+            seen.add(name)
+            found = set()
+            for node in ast.walk(functions[name]):
+                if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                        and node.value.id == "args"):
+                    found.add(node.attr)
+                elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                        and node.func.id in functions and node.func.id not in seen):
+                    found |= reads(node.func.id, seen)
+            return found
+
+        for name, (_, handler, arguments) in cli.COMMANDS.items():
+            assert reads(handler.__name__, set()) == {a.dest for a in arguments}, name
+
+
 class TestParsersBuilt:
     """Only help builds an argparse parser: the one of the command asked about."""
 
@@ -1039,13 +891,10 @@ class TestParsersBuilt:
         assert main(SEARCH, out=io.StringIO()) == 0
         assert built == []
 
-    def test_count_does_not_grow_with_the_table(self, certificate, built, monkeypatch,
-                                                tmp_path):
+    def test_count_does_not_grow_with_the_table(self, certificate, built, monkeypatch):
         for k in range(20):
             monkeypatch.setitem(cli.COMMANDS, f"extra-{k}", ("", None, (cli.Arg(("--x",)),)))
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"rerun": True, "nodes": 5, "x": "1"}))
-        assert main(["--config", str(cfg), "verify", certificate], out=io.StringIO()) == 0
+        assert main(["verify", certificate], out=io.StringIO()) == 0
         assert built == []
 
     def test_help_builds_the_command_parser_only(self, built, capsys):

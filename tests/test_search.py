@@ -2,6 +2,7 @@
 
 import math
 import os
+import time
 
 import pytest
 
@@ -23,7 +24,7 @@ from qramsey.search import (
     threshold_sweep,
     window_for_template,
 )
-from qramsey.windows import FareyWindow, IntegerInterval, MultiplicativeGrid
+from qramsey.windows import FareyWindow, IntegerInterval, MultiplicativeGrid, parse_window
 
 import _brute
 
@@ -75,6 +76,36 @@ class TestOutcomes:
         assert res.nodes == 2
         assert res.coloring.colors == (0, 1, 0)
         assert res.coloring.r == r
+
+    def test_colors_beyond_the_window_change_nothing(self):
+        # The search never opens more colors than the window has elements.
+        family = builtin_family("schur")
+        window = IntegerInterval(1, 60)
+        start = time.perf_counter()
+        res = search_avoiding(family, window, 4 * 10**6)
+        assert time.perf_counter() - start < 0.5
+        want = search_avoiding(family, window, 60)
+        assert (res.outcome, res.nodes, res.coloring.colors) == (
+            want.outcome, want.nodes, want.coloring.colors)
+        assert (res.r, res.coloring.r) == (4 * 10**6, 4 * 10**6)
+
+    @pytest.mark.parametrize("spec, text", [
+        ("int:1..9", "vdw(3)"), ("farey:3", "x; x / y^1; x + t"), ("int:1..5", "schur"),
+    ])
+    def test_tree_is_the_one_with_every_color(self, spec, text):
+        family = parse_family(text, require_distinct_values=True)
+        window = parse_window(spec)
+        groups = build_candidates(family, window).constraint_groups()
+        n = window.size()
+        for r in (n - 1, n, n + 1, n + 7):
+            full = search._Search(groups, n, r, SearchBudget())
+            colors = full.run()
+            res = search_avoiding(family, window, r)
+            assert res.nodes == full.nodes
+            if colors is None:
+                assert res.proof_log_hash == full.trace.hexdigest()
+            else:
+                assert list(res.coloring.colors) == colors
 
     def test_no_candidates_means_trivially_avoiding(self):
         # x + y overflows the window for every pair, so no constraints exist.

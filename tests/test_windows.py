@@ -1,6 +1,8 @@
 """Window kinds: enumeration order, membership, spec round trips."""
 
+import time
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -59,6 +61,14 @@ class TestFareyWindow:
     def test_frozen_sizes(self, n, size):
         # Cross-checked below against the brute-force set.
         assert FareyWindow(n).size() == size
+
+    @pytest.mark.parametrize("include_zero", [True, False])
+    @pytest.mark.parametrize("include_negatives", [True, False])
+    def test_size_is_the_coprime_count(self, include_zero, include_negatives):
+        for n in range(1, 61):
+            pairs = sum(gcd(a, b) == 1 for a in range(1, n + 1) for b in range(1, n + 1))
+            w = FareyWindow(n, include_zero, include_negatives)
+            assert w.size() == pairs * (2 if include_negatives else 1) + include_zero
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
     def test_matches_brute_force_set(self, n):
@@ -191,3 +201,10 @@ class TestCap:
         assert w.size() == 10**8
         with pytest.raises(CapExceededError):
             w.elements()
+
+    @pytest.mark.parametrize("spec", ["farey:4473", "farey:1000000", "farey:1000000:-zero:-neg"])
+    def test_farey_window_over_the_cap_is_refused_before_counting(self, spec):
+        start = time.perf_counter()
+        with pytest.raises(CapExceededError, match="cap is 10000000"):
+            parse_window(spec).elements()
+        assert time.perf_counter() - start < 1
