@@ -1,8 +1,9 @@
 """Serializable certificates for search outcomes.
 
 Two kinds.  A lower-bound certificate carries an avoiding coloring and is
-re-verified by running the detector over it, which is linear in the candidate
-table.  An upper-bound certificate records that the search tree was exhausted:
+re-verified by ``find_witness`` without a table: the detector joins the
+family once per color class of the coloring and builds no candidate table.
+An upper-bound certificate records that the search tree was exhausted:
 the parameters, the node count and a hash of the decision trace.  At desk
 scale re-running the search is cheaper than checking a proof log, so an upper
 bound is checked only by a re-run; without one it is reported as not checked.
@@ -162,10 +163,11 @@ class VerificationResult:
 def verify_certificate(cert: dict, rerun: bool = False) -> VerificationResult:
     """Check a certificate; a malformed one raises ValueError.
 
-    Lower bounds re-run the detector over the stored coloring.  With
-    rerun=True an upper bound's search is repeated and must exhaust again
-    with the same node count and trace hash.  Without a re-run the claim is
-    untested, so the result is not ok and has checked=False.
+    Lower bounds are checked by the detector's per-color join over the
+    stored coloring.  With rerun=True an upper bound's search is repeated
+    and must exhaust again with the same node count and trace hash.  Without
+    a re-run the claim is untested, so the result is not ok and has
+    checked=False.
     """
     check_certificate(cert)
     family = parse_family(cert["family"], **cert.get("family_flags", {}))

@@ -1,6 +1,10 @@
 """CNF export of the avoiding-coloring decision, DIMACS style.
 
-Variable v(e, c) = e*r + c + 1 asserts "element e has color c".  Clauses:
+Of r colors, k = min(r, n) are encoded for a window of n elements, as the
+search does: a coloring of n elements uses at most n colors, and colors are
+interchangeable, so an avoiding r-coloring exists exactly when an avoiding
+k-coloring does.  Variable v(e, c) = e*k + c + 1 asserts "element e has
+color c".  Clauses:
 
 * one at-least-one clause per element;
 * for every candidate constraint and every color, a clause forbidding all
@@ -37,11 +41,16 @@ class CnfInstance:
     clauses: tuple[tuple[int, ...], ...]
 
     @property
+    def colors(self) -> int:
+        """The colors encoded: min(r, window size)."""
+        return min(self.r, self.window.size())
+
+    @property
     def num_vars(self) -> int:
-        return self.window.size() * self.r
+        return self.window.size() * self.colors
 
     def var(self, element: int, color: int) -> int:
-        return _var(element, color, self.r)
+        return _var(element, color, self.colors)
 
 
 def _var(element: int, color: int, r: int) -> int:
@@ -58,20 +67,26 @@ def export_cnf(
     else:
         check_table(family, window, table)
     n = window.size()
+    k = min(r, n)
     clauses: list[tuple[int, ...]] = []
     for e in range(n):
-        clauses.append(tuple(_var(e, c, r) for c in range(r)))
+        clauses.append(tuple(_var(e, c, k) for c in range(k)))
     for group in table.constraint_groups():
-        for c in range(r):
-            clauses.append(tuple(-_var(e, c, r) for e in group))
+        for c in range(k):
+            clauses.append(tuple(-_var(e, c, k) for e in group))
     return CnfInstance(family=family, window=window, r=r, clauses=tuple(clauses))
 
 
 def to_dimacs(cnf: CnfInstance) -> str:
+    k = cnf.colors
+    if k == cnf.r:
+        colors = f"{k}; var(e,c) = e*r + c + 1"
+    else:
+        colors = f"{k} of {cnf.r}; var(e,c) = e*{k} + c + 1"
     lines = [
         f"c family: {cnf.family.serialize()}",
         f"c window: {cnf.window.spec_string()}",
-        f"c colors: {cnf.r}; var(e,c) = e*r + c + 1",
+        f"c colors: {colors}",
         f"p cnf {cnf.num_vars} {len(cnf.clauses)}",
     ]
     for clause in cnf.clauses:
@@ -102,8 +117,9 @@ def parse_assignment(text: str) -> list[int]:
 def import_assignment(cnf: CnfInstance, literals: Iterable[int]) -> Coloring:
     """Read a total satisfying assignment back into a coloring.
 
-    Each element takes its least true color.  An element with no true color
-    violates the at-least-one clause and is rejected.
+    Each element takes its least true color among the encoded ones.  An
+    element with no true color violates the at-least-one clause and is
+    rejected.
     """
     truth: dict[int, bool] = {}
     for lit in literals:
@@ -115,13 +131,12 @@ def import_assignment(cnf: CnfInstance, literals: Iterable[int]) -> Coloring:
     if missing is not None:
         raise AssignmentError(f"assignment not total: variable {missing} unset")
     colors = []
-    r = cnf.r
     for e in range(cnf.window.size()):
-        chosen = next((c for c in range(r) if truth[cnf.var(e, c)]), None)
+        chosen = next((c for c in range(cnf.colors) if truth[cnf.var(e, c)]), None)
         if chosen is None:
             raise AssignmentError(
                 f"assignment violates at-least-one clause for element {e}"
             )
         colors.append(chosen)
-    return Coloring(cnf.window, colors, r)
+    return Coloring(cnf.window, colors, cnf.r)
 

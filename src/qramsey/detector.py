@@ -34,6 +34,18 @@ denominator is exactly the numerator and denominator of its Fraction, so the
 lookup finds what ``index_of`` finds.  Every witness is re-checked with
 ``Term.value`` through ``instantiate``.
 
+The join takes a pair index.  ``build_candidates`` feeds it the whole
+window's; ``find_witness`` without a table builds none and feeds it each
+color class's part instead.  A candidate is monochromatic in color c exactly
+when all its values lie in class c, and the join over class c drops the x and
+y rows whose x-only or y-only values (x and y themselves, when they are
+terms) leave the class, and finds the solved term's targets and the other
+terms' values only in the class.  So it yields exactly the table's entries
+of color c, in table order, and the least first entry over the classes is
+the table scan's first hit.  The term parts, the lcm and the y-key grouping
+are computed once for all classes.  Callers that hold a table
+(``search_avoiding``, ``detect``, ``import-sat``) scan it instead.
+
 Families whose terms never mention y are special-cased: the y coordinate is
 pinned to the first nonzero window element, since term values do not depend
 on it.  This keeps tables for families like {x, x + 3} linear in the window
@@ -45,10 +57,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, groupby
 from math import gcd, lcm
-from operator import itemgetter
+from operator import attrgetter, itemgetter
+from typing import Callable, NamedTuple
 
 from .colorings import Coloring
-from .patterns import PRODUCT, SUM, X_ONLY, Y_ONLY, Family, Witness, instantiate
+from .patterns import (
+    PRODUCT,
+    SUM,
+    X_ONLY,
+    Y_ONLY,
+    Family,
+    PairIndex,
+    Witness,
+    instantiate,
+)
 from .windows import CapExceededError, Window
 
 PAIR_CAP = 25_000_000
@@ -128,11 +150,23 @@ class CandidateTable:
         return CandidateTable(self.family, window, tuple(entries))
 
 
-def build_candidates(family: Family, window: Window) -> CandidateTable:
-    """Enumerate all in-window instantiations, x-major then y in window order.
+class _JoinPlan(NamedTuple):
+    """What the join needs besides a pair index, computed once per family and
+    window: the x and y rows and, for the solved sum term, its x parts, the
+    lcm D and the y rows grouped by their y part times D."""
 
-    A family that uses y needs at most PAIR_CAP (x, y) pairs.
-    """
+    x_rows: list
+    y_rows: list
+    solved_x: list | None
+    big: int
+    by_key: dict[int, list]
+    products: list[bool]
+    in_term_order: Callable
+    distinct: bool
+
+
+def _join_plan(family: Family, window: Window) -> _JoinPlan:
+    """Check the pair cap, evaluate each term's parts and arrange the rows."""
     elems = window.elements()
     need_x = family.requires_nonzero_x
     xs = [i for i, v in enumerate(elems) if v != 0 or not need_x]
@@ -159,7 +193,6 @@ def build_candidates(family: Family, window: Window) -> CandidateTable:
         in_term_order = tuple
     else:
         in_term_order = itemgetter(*(gathered.index(k) for k in range(len(parts))))
-    products = [parts[k].op == PRODUCT for k in mixed]
 
     x_rows = []
     for pos, i in enumerate(xs):
@@ -172,24 +205,46 @@ def build_candidates(family: Family, window: Window) -> CandidateTable:
         if None not in fixed:
             y_rows.append((pos, i, fixed, [parts[k].per_y[pos] for k in mixed]))
 
+    solved_x, big, by_key = None, 1, {}
     if solved:
         # With D = big, c1*x + P(c2*y) is the window value w iff P(c2*y)*D == w*D - (c1*x)*D.
-        sx, sy = parts[solved[0]].per_x, parts[solved[0]].per_y
-        big = lcm(*{d for _, d in index}, *{d for _, d in sx}, *{d for _, d in sy})
-        targets = {n * (big // d): j for (n, d), j in index.items()}
-        by_key: dict[int, list] = {}
+        solved_x, sy = parts[solved[0]].per_x, parts[solved[0]].per_y
+        big = lcm(*{d for _, d in index}, *{d for _, d in solved_x}, *{d for _, d in sy})
         for row in y_rows:
             n, d = sy[row[0]]
             by_key.setdefault(n * (big // d), []).append(row)
+    return _JoinPlan(
+        x_rows, y_rows, solved_x, big, by_key, [parts[k].op == PRODUCT for k in mixed],
+        in_term_order, family.require_distinct_values,
+    )
 
+
+def _join(plan: _JoinPlan, index: PairIndex) -> list[Candidate]:
+    """The candidates whose values all lie in ``index``, in table order.
+
+    ``index`` is the window's pair index or a part of it.  The x and y rows
+    whose x-only or y-only values leave it are dropped; the solved term's
+    targets and the other mixed terms' lookups see only its values.
+    """
+    inside = set(index.values())
+    x_rows = [row for row in plan.x_rows if inside.issuperset(row[2])]
+    solved_x, big = plan.solved_x, plan.big
+    if solved_x is None:
+        y_rows = [row for row in plan.y_rows if inside.issuperset(row[2])]
+    else:
+        targets = {n * (big // d): j for (n, d), j in index.items()}
+        by_key = {}
+        for key, rows in plan.by_key.items():
+            if kept := [row for row in rows if inside.issuperset(row[2])]:
+                by_key[key] = kept
+    products, in_term_order, distinct = plan.products, plan.in_term_order, plan.distinct
     entries: list[Candidate] = []
-    distinct = family.require_distinct_values
     lookup = index.get
     for x_pos, xi, x_fixed, x_mixed in x_rows:
-        if not solved:
+        if solved_x is None:
             survivors = y_rows
         else:
-            n, d = sx[x_pos]
+            n, d = solved_x[x_pos]
             shift = n * (big // d)
             survivors = [
                 (pos, yi, y_fixed + [targets[w]], y_mixed)
@@ -212,6 +267,15 @@ def build_candidates(family: Family, window: Window) -> CandidateTable:
                 if distinct and len(set(idxs)) != len(idxs):
                     continue
                 entries.append(Candidate(xi, yi, idxs))
+    return entries
+
+
+def build_candidates(family: Family, window: Window) -> CandidateTable:
+    """Enumerate all in-window instantiations, x-major then y in window order.
+
+    A family that uses y needs at most PAIR_CAP (x, y) pairs.
+    """
+    entries = _join(_join_plan(family, window), window.pair_index())
     return CandidateTable(family, window, tuple(entries))
 
 
@@ -221,18 +285,31 @@ def find_witness(
     """First monochromatic candidate in table order, or None.
 
     Complete relative to the table: no witness is missed among in-window
-    instantiations.  The witness is re-checked through ``instantiate``.
+    instantiations.  A given table is scanned.  Without one, the join runs
+    once per color class, over the class's part of the pair index: it finds
+    exactly the table's entries of that color, in table order, so the least
+    first entry over the classes is the scan's.  The witness is re-checked
+    through ``instantiate``.
     """
-    if table is None:
-        table = build_candidates(family, coloring.window)
-    check_table(family, coloring.window, table)
     colors = coloring.colors
-    for entry in table.entries:
+    if table is None:
+        plan = _join_plan(family, coloring.window)
+        classes: dict[int, PairIndex] = {}
+        for pair, j in coloring.window.pair_index().items():
+            classes.setdefault(colors[j], {})[pair] = j
+        firsts = [found[0] for part in classes.values() if (found := _join(plan, part))]
+        if not firsts:
+            return None
+        entry = min(firsts, key=attrgetter("x_index", "y_index"))
         color = colors[entry.value_indices[0]]
-        if all(colors[j] == color for j in entry.value_indices):
-            break
     else:
-        return None
+        check_table(family, coloring.window, table)
+        for entry in table.entries:
+            color = colors[entry.value_indices[0]]
+            if all(colors[j] == color for j in entry.value_indices):
+                break
+        else:
+            return None
     elems = coloring.window.elements()
     x, y = elems[entry.x_index], elems[entry.y_index]
     values = instantiate(family, x, y)

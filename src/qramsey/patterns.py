@@ -277,6 +277,31 @@ _AFFINE_RE = re.compile(rf"^(?:(?P<c1>{_RAT})\s*\*\s*)?x\s*(?P<op>[+-])\s*(?P<re
 _Y_ATOM_RE = re.compile(rf"\(\s*(?P<c2>{_RAT})\s*\*\s*y\s*\)")
 
 
+def _is_word_char(ch: str) -> bool:
+    return ch.isalnum() or ch == "_"  # what \w matches in a str pattern
+
+
+def _standalone(text: str, letter: str) -> list[int]:
+    """The positions of ``letter`` with no word character on either side:
+    where ``re.finditer(rf"\\b{letter}\\b", text)`` finds it, without
+    compiling a pattern."""
+    last = len(text) - 1
+    return [
+        i for i, ch in enumerate(text)
+        if ch == letter
+        and (i == 0 or not _is_word_char(text[i - 1]))
+        and (i == last or not _is_word_char(text[i + 1]))
+    ]
+
+
+def _rename(text: str, positions: list[int], letter: str) -> str:
+    """``text`` with the one-character words at ``positions`` replaced by ``letter``."""
+    chars = list(text)
+    for i in positions:
+        chars[i] = letter
+    return "".join(chars)
+
+
 def _parse_term(chunk: str, offset: int, allow_offsets: bool) -> PatternTerm:
     s = chunk.strip()
     offset += len(chunk) - len(chunk.lstrip())
@@ -308,16 +333,15 @@ def _parse_term(chunk: str, offset: int, allow_offsets: bool) -> PatternTerm:
         if atoms:
             y_coef = parse_rational(atoms.pop())
             body = _Y_ATOM_RE.sub("u", rest)
-            if re.search(r"\b[ty]\b", body):
+            if _standalone(body, "t") or _standalone(body, "y"):
                 raise PatternSyntaxError("mix of scaled and bare variables", offset)
             var = "u"
         else:
             y_coef = Fraction(1)
-            has_t = re.search(r"\bt\b", rest)
-            has_y = re.search(r"\by\b", rest)
-            if has_t and has_y:
+            ys = _standalone(rest, "y")
+            if ys and _standalone(rest, "t"):
                 raise PatternSyntaxError("mix of t and y in polynomial part", offset)
-            body = re.sub(r"\by\b", "t", rest) if has_y else rest
+            body = _rename(rest, ys, "t")
             var = "t"
         try:
             poly = parse_polynomial(body, var=var)

@@ -329,6 +329,20 @@ class TestCertificates:
         assert time.perf_counter() - start < 1
         assert "window farey:1000000 has over" in capsys.readouterr().err
 
+    def test_lower_bound_over_the_pair_cap_exits_2_before_any_join(self, tmp_path, capsys,
+                                                                  monkeypatch):
+        path = tmp_path / "big.lower-bound.json"
+        path.write_text(json.dumps({
+            "format_version": 1, "kind": "lower-bound", "family": "x; y; x + t",
+            "window": "int:1..9", "r": 2, "coloring": [0, 1] * 4 + [0],
+        }))
+        monkeypatch.setattr(detector, "PAIR_CAP", 50)  # int:1..9 has 81 pairs
+        joins = []
+        monkeypatch.setattr(detector, "_join", lambda *args: joins.append(args) or [])
+        assert run_cli(["verify", str(path)]) == (2, "")
+        assert "error: candidate table for int:1..9 needs 81 pairs" in capsys.readouterr().err
+        assert joins == []
+
 
 def _check_over_the_pair_cap(argv, capsys, monkeypatch):
     """``argv``, on the int:1..9 ladder under a pair cap that int:1..7 is
@@ -530,6 +544,30 @@ class TestCnfFlow:
         assert code == 0
         assert text.startswith("c family:")
         assert "p cnf " in text
+
+    def test_colors_past_the_window_size_are_not_encoded(self):
+        # 30 elements use at most 30 colors, so -r 3000 writes -r 30's
+        # variables and clauses; only the colors comment says otherwise.
+        code, many = run_cli(["export-cnf", "schur", "int:1..30", "-r", "3000"])
+        assert code == 0
+        code, enough = run_cli(["export-cnf", "schur", "int:1..30", "-r", "30"])
+        assert code == 0
+        differ = [(a, b) for a, b in zip(many.split("\n"), enough.split("\n")) if a != b]
+        assert len(many.split("\n")) == len(enough.split("\n"))
+        assert differ == [(
+            "c colors: 30 of 3000; var(e,c) = e*30 + c + 1",
+            "c colors: 30; var(e,c) = e*r + c + 1",
+        )]
+
+    def test_import_past_the_window_size(self, tmp_path):
+        cnf = export_cnf(builtin_family("schur"), IntegerInterval(1, 4), 9)
+        assert (cnf.colors, cnf.num_vars) == (4, 16)
+        model = solve(cnf.num_vars, cnf.clauses)
+        sol = tmp_path / "model.txt"
+        sol.write_text("v " + " ".join(str(l) for l in model_literals(model)) + " 0\n")
+        code, payload = run_json(["import-sat", "schur", "int:1..4", "-r", "9", str(sol)])
+        assert (code, payload["r"], payload["witness"]) == (0, 9, None)
+        assert max(payload["coloring"]) < 4
 
     def test_export_import_round_trip(self, tmp_path):
         cnf = export_cnf(builtin_family("schur"), IntegerInterval(1, 4), 2)

@@ -9,7 +9,8 @@ The brute force (``_brute``) tries every coloring, with no symmetry rule.
 Every candidate table, of the draws and of the catalog on a few signed and
 fractional windows, is also compared with the brute force's Fraction-built
 entries.  The top table of each sweep ladder, restricted to each row, is
-compared with that row's own table.
+compared with that row's own table.  The per-color-class check of
+``find_witness`` without a table is compared with the scan of the table.
 """
 
 import random
@@ -17,9 +18,11 @@ from fractions import Fraction
 
 import pytest
 
+from qramsey import detector
 from qramsey.arith import PolynomialQ
 from qramsey.certificates import certificate_for_result, dumps_certificate
 from qramsey.cnf import export_cnf, import_assignment
+from qramsey.colorings import Coloring
 from qramsey.detector import build_candidates, find_witness
 from qramsey.patterns import (
     AffineTerm,
@@ -131,6 +134,53 @@ def test_search_agrees_with_independent_deciders(draw):
     assert dumps_certificate(certificate_for_result(res)) == dumps_certificate(
         certificate_for_result(again)
     ), case
+
+
+def per_color_disagreements():
+    """The draws' colorings on which find_witness without a table, which
+    joins once per color class, differs from the scan of the whole table;
+    and how many of the colorings have a witness."""
+    differ, witnesses = [], 0
+    for draw in range(DRAWS):
+        family, window, r = draw_case(draw)
+        table = build_candidates(family, window)
+        rng = random.Random(9001 + draw)
+        colorings = [
+            Coloring(window, [rng.randrange(k) for _ in range(window.size())], k)
+            for k in (1, 2, 3, 4)
+        ]
+        res = search_avoiding(family, window, r, table=table)
+        if res.outcome == AVOIDING:
+            colorings.append(res.coloring)
+        for coloring in colorings:
+            scanned = find_witness(family, coloring, table)
+            witnesses += scanned is not None
+            if find_witness(family, coloring) != scanned:
+                differ.append((family.serialize(), repr(coloring)))
+    return differ, witnesses
+
+
+def test_per_color_check_matches_the_table_scan():
+    differ, witnesses = per_color_disagreements()
+    assert differ == []
+    assert witnesses > 500  # x, y, color and values are compared, not only None
+
+
+def _skips_classes(join):
+    # Only the class of the window's first element is joined; the whole
+    # window's index holds position 0 too, so build_candidates is unharmed.
+    return lambda plan, index: join(plan, index) if 0 in index.values() else []
+
+
+def _last_hit_first(join):
+    return lambda plan, index: join(plan, index)[::-1]
+
+
+@pytest.mark.parametrize("mutant", [_skips_classes, _last_hit_first])
+def test_per_color_gate_catches_a_broken_join(monkeypatch, mutant):
+    monkeypatch.setattr(detector, "_join", mutant(detector._join))
+    differ, _ = per_color_disagreements()
+    assert differ
 
 
 TABLE_WINDOWS = ["int:-4..4", "farey:4:-zero", "farey:4:-neg", "mgrid:2,3:1:+sign"]

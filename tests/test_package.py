@@ -128,3 +128,45 @@ def test_every_exported_name_is_read_inside_the_package():
                 read |= {alias.name for alias in node.names}
     assert {"find_witness", "__version__"} <= read  # the walk saw calls and imports
     assert [name for name in qramsey.__all__ if name not in read] == []
+
+
+def _regex_calls(path):
+    """Each call of a ``re`` module function in the file, as (name, whether it
+    runs at module level, outside every function and class), and the names of
+    any ``from re import``."""
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    inside = {
+        id(node)
+        for scope in ast.walk(tree)
+        if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef))
+        for node in ast.walk(scope)
+    }
+    calls = [
+        (node.func.attr, id(node) not in inside)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "re"
+    ]
+    from_re = [
+        alias.name for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "re"
+        for alias in node.names
+    ]
+    return calls, from_re
+
+
+def test_regular_expressions_compile_at_import_only():
+    # re.search(pattern, text) and its kin compile, or look up, the pattern on
+    # every call; a command pays that once per process, on each invocation.
+    src = os.path.dirname(qramsey.__file__)
+    found = {}
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            calls, from_re = _regex_calls(os.path.join(src, name))
+            found[name] = calls
+            assert from_re == [], name
+            assert [c for c in calls if c != ("compile", True)] == [], name
+    assert ("compile", True) in found["patterns.py"]  # the walk saw the compiles

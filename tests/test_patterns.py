@@ -1,5 +1,8 @@
 """Family term grammar, instantiation rules, and the built-in catalog."""
 
+import random
+import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -14,6 +17,9 @@ from qramsey.patterns import (
     PowerTerm,
     VarX,
     VarY,
+    _is_word_char,
+    _rename,
+    _standalone,
     builtin_family,
     default_catalog,
     instantiate,
@@ -253,3 +259,59 @@ class TestCatalog:
     def test_y_usage_flag(self):
         assert builtin_family("schur").uses_y
         assert not parse_family("x; x + 3", allow_offsets=True).uses_y
+
+
+# A t or y is the variable only as a word of its own: next to a digit, a
+# letter, an underscore or a non-ASCII letter it is part of a longer word.
+# These outcomes are pinned, accepted text and error message alike.  The
+# ``unknown`` and ``monomial`` errors come from the polynomial parser, whose
+# own position is relative to the polynomial part.
+BOUNDARY_TEXTS = [
+    ("x + 2t", "x + 2*t", None),
+    ("x + 2y", None, "bad polynomial part: unknown variable 'y', expected 't' (position 0)"),
+    ("x + tt", None, "bad polynomial part: unknown variable 'tt', expected 't' (position 0)"),
+    ("x + t_1", None, "bad polynomial part: unknown variable 't_1', expected 't' (position 0)"),
+    ("x + t + y", None, "mix of t and y in polynomial part"),
+    ("x + (2*y) + t", None, "mix of scaled and bare variables"),
+    ("x + (2*y)^2", "x + (2*y)^2", None),
+    ("x + tµ", None, "bad polynomial part: unknown variable 'tµ', expected 't' (position 0)"),
+    ("x + µt", None, "bad polynomial part: bad monomial 'µt' (position 0)"),
+    ("x + é*t", None, "bad polynomial part: bad monomial 'é*t' (position 0)"),
+    ("x + y_t", None, "bad polynomial part: unknown variable 'y_t', expected 't' (position 0)"),
+    ("x + t*y", None, "mix of t and y in polynomial part"),
+]
+
+
+class TestStandaloneWords:
+    @pytest.mark.parametrize("text, accepted, error", BOUNDARY_TEXTS)
+    @pytest.mark.parametrize("prefix", ["", "y; "])
+    def test_boundary_texts(self, prefix, text, accepted, error):
+        if accepted is not None:
+            assert parse_family(prefix + text).serialize() == prefix + accepted
+            return
+        with pytest.raises(PatternSyntaxError) as ei:
+            parse_family(prefix + text)
+        assert str(ei.value) == f"{error} (position {len(prefix)})"
+        assert ei.value.position == len(prefix)
+
+    def test_word_characters_are_those_of_backslash_w(self):
+        word = re.compile(r"\w")
+        differ = [
+            cp for cp in range(sys.maxunicode + 1)
+            if _is_word_char(chr(cp)) != bool(word.match(chr(cp)))
+        ]
+        assert differ == []
+
+    def test_scan_agrees_with_the_regular_expressions(self):
+        rng = random.Random(1901)
+        alphabet = "ty tyx2_*+-^() éµ²٣ßT"
+        tried = set()
+        for _ in range(20000):
+            text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 7)))
+            tried.add(text)
+            for letter in "ty":
+                found = [m.start() for m in re.finditer(rf"\b{letter}\b", text)]
+                assert _standalone(text, letter) == found, (text, letter)
+            ys = _standalone(text, "y")
+            assert _rename(text, ys, "t") == re.sub(r"\by\b", "t", text), text
+        assert sum(bool(_standalone(text, "y")) for text in tried) > 1000
