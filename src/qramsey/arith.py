@@ -27,8 +27,11 @@ class PolynomialSyntaxError(ValueError):
     """Unparseable polynomial text; carries the offending offset."""
 
     def __init__(self, message: str, position: int) -> None:
-        super().__init__(f"{message} (position {position})")
+        super().__init__(message)
         self.position = position
+
+    def __str__(self) -> str:
+        return f"{self.args[0]} (position {self.position})"
 
 
 def rational_make(numerator: int, denominator: int = 1) -> Fraction:
@@ -133,7 +136,8 @@ def format_polynomial(p: PolynomialQ, var: str = "t") -> str:
 _MONOMIAL_RE = re.compile(
     r"""^\s*
     (?:(?P<coef>\d+(?:\s*/\s*\d+)?)\s*(?:\*\s*)?)?   # optional unsigned coefficient
-    (?:(?P<var>[A-Za-z]\w*)\s*(?:\^\s*(?P<exp>\d+))?)?  # optional variable power
+    (?:(?P<var>[A-Za-z]\w*|\([^()]*\))               # optional variable: a word or (...)
+    \s*(?:\^\s*(?P<exp>\d+))?)?                       # and its optional power
     \s*$""",
     re.VERBOSE,
 )
@@ -143,8 +147,9 @@ def signed_chunks(text: str) -> Iterator[tuple[int, str, int]]:
     """Split a sum such as '2*t - t^3' into (sign, chunk, offset) triples.
 
     A chunk runs from just after its optional leading '+' or '-' up to the
-    next sign; offset is where it starts in text.  Whitespace before a sign
-    is skipped, whitespace inside a chunk is kept.
+    next sign outside parentheses, so '(-1*y)' stays whole; offset is where
+    it starts in text.  Whitespace before a sign is skipped, whitespace
+    inside a chunk is kept.
     """
     pos, n = 0, len(text)
     while pos < n:
@@ -154,39 +159,49 @@ def signed_chunks(text: str) -> Iterator[tuple[int, str, int]]:
         if pos < n and text[pos] in "+-":
             sign = -1 if text[pos] == "-" else 1
             pos += 1
-        start = pos
-        while pos < n and text[pos] not in "+-":
+        start, depth = pos, 0
+        while pos < n and (depth or text[pos] not in "+-"):
+            depth += (text[pos] == "(") - (text[pos] == ")")
             pos += 1
         yield sign, text[start:pos], start
 
 
-def parse_polynomial(text: str, var: str = "t") -> PolynomialQ:
-    """Parse polynomial text such as 't^2 - 3/2*t'.
+def read_monomials(text: str) -> Iterator[tuple[str | None, int, Fraction | int, int]]:
+    """Read polynomial text such as 't^2 - 3/2*(2*y)' one monomial at a time.
 
-    Accepted monomials: 'c', 'c*t^k', 'c*t', 't^k', 't' with c a nonnegative
-    rational; signs come from the joining + and - operators.  Repeated
-    exponents accumulate.
+    Yields (variable, exponent, signed coefficient, offset) per monomial
+    'c', 'c*v^k', 'c*v', 'cv', 'v^k' or 'v', with c a nonnegative rational
+    and the sign taken from the joining + or -.  A variable is a word or a
+    parenthesized token; a constant has variable None and exponent 0.
     """
     s = text.rstrip()
     if not s.strip():
         raise PolynomialSyntaxError("empty polynomial", 0)
-    coeffs: dict[int, Fraction] = {}
     for sign, chunk, start in signed_chunks(s):
         m = _MONOMIAL_RE.match(chunk)
         if m is None or (m.group("coef") is None and m.group("var") is None):
             raise PolynomialSyntaxError(f"bad monomial {chunk.strip()!r}", start)
-        if m.group("var") is not None and m.group("var") != var:
-            raise PolynomialSyntaxError(
-                f"unknown variable {m.group('var')!r}, expected {var!r}", start
-            )
-        coef = Fraction(1)
-        if m.group("coef") is not None:
-            coef = parse_rational(m.group("coef"))
+        coef = parse_rational(m.group("coef")) if m.group("coef") is not None else 1
         exp = 0
         if m.group("var") is not None:
             exp = int(m.group("exp")) if m.group("exp") is not None else 1
-        coeffs[exp] = coeffs.get(exp, Fraction(0)) + sign * coef
-    out = [Fraction(0)] * (max(coeffs) + 1)
-    for e, c in coeffs.items():
-        out[e] = c
-    return PolynomialQ(out)
+        yield m.group("var"), exp, sign * coef, start
+
+
+def from_exponents(coeffs: dict[int, Fraction]) -> PolynomialQ:
+    """The polynomial with coefficient coeffs[i] at t^i; coeffs is nonempty."""
+    return PolynomialQ([coeffs.get(e, 0) for e in range(max(coeffs) + 1)])
+
+
+def parse_polynomial(text: str, var: str = "t") -> PolynomialQ:
+    """Parse polynomial text such as 't^2 - 3/2*t' in the variable var.
+
+    Accepted monomials are those of read_monomials; repeated exponents
+    accumulate.
+    """
+    coeffs: dict[int, Fraction] = {}
+    for name, exp, coef, start in read_monomials(text):
+        if name is not None and name != var:
+            raise PolynomialSyntaxError(f"unknown variable {name!r}, expected {var!r}", start)
+        coeffs[exp] = coeffs.get(exp, 0) + coef
+    return from_exponents(coeffs)

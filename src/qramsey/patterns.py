@@ -40,8 +40,10 @@ from .arith import (
     PolynomialQ,
     format_polynomial,
     format_rational,
+    from_exponents,
     parse_polynomial,
     parse_rational,
+    read_monomials,
 )
 from .windows import Pair, pair_key
 
@@ -146,7 +148,8 @@ class AffineTerm:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "x_coef", Fraction(self.x_coef))
-        object.__setattr__(self, "y_coef", Fraction(self.y_coef))
+        # a zero polynomial has no y to scale, and its text "0" names no scaling
+        object.__setattr__(self, "y_coef", Fraction(self.y_coef if self.poly.coeffs else 1))
         if self.x_coef == 0:
             raise ValueError("affine term needs a nonzero x coefficient")
         if not self.poly.has_zero_constant_term:
@@ -277,31 +280,6 @@ _AFFINE_RE = re.compile(rf"^(?:(?P<c1>{_RAT})\s*\*\s*)?x\s*(?P<op>[+-])\s*(?P<re
 _Y_ATOM_RE = re.compile(rf"\(\s*(?P<c2>{_RAT})\s*\*\s*y\s*\)")
 
 
-def _is_word_char(ch: str) -> bool:
-    return ch.isalnum() or ch == "_"  # what \w matches in a str pattern
-
-
-def _standalone(text: str, letter: str) -> list[int]:
-    """The positions of ``letter`` with no word character on either side:
-    where ``re.finditer(rf"\\b{letter}\\b", text)`` finds it, without
-    compiling a pattern."""
-    last = len(text) - 1
-    return [
-        i for i, ch in enumerate(text)
-        if ch == letter
-        and (i == 0 or not _is_word_char(text[i - 1]))
-        and (i == last or not _is_word_char(text[i + 1]))
-    ]
-
-
-def _rename(text: str, positions: list[int], letter: str) -> str:
-    """``text`` with the one-character words at ``positions`` replaced by ``letter``."""
-    chars = list(text)
-    for i in positions:
-        chars[i] = letter
-    return "".join(chars)
-
-
 def _parse_term(chunk: str, offset: int, allow_offsets: bool) -> PatternTerm:
     s = chunk.strip()
     offset += len(chunk) - len(chunk.lstrip())
@@ -327,26 +305,28 @@ def _parse_term(chunk: str, offset: int, allow_offsets: bool) -> PatternTerm:
         rest = m.group("rest").strip()
         if m.group("op") == "-":
             rest = "-" + rest
-        atoms = {a.group("c2") for a in _Y_ATOM_RE.finditer(rest)}
-        if len(atoms) > 1:
-            raise PatternSyntaxError("mixed y scalings in one term", offset)
-        if atoms:
-            y_coef = parse_rational(atoms.pop())
-            body = _Y_ATOM_RE.sub("u", rest)
-            if _standalone(body, "t") or _standalone(body, "y"):
-                raise PatternSyntaxError("mix of scaled and bare variables", offset)
-            var = "u"
-        else:
-            y_coef = Fraction(1)
-            ys = _standalone(rest, "y")
-            if ys and _standalone(rest, "t"):
-                raise PatternSyntaxError("mix of t and y in polynomial part", offset)
-            body = _rename(rest, ys, "t")
-            var = "t"
+        bare, scalings = set(), set()  # the names t, y and the c of each (c*y)
+        coeffs: dict[int, Fraction] = {}
         try:
-            poly = parse_polynomial(body, var=var)
+            for name, exp, coef, _ in read_monomials(rest):
+                if name in ("t", "y"):
+                    bare.add(name)
+                elif name is not None:
+                    atom = _Y_ATOM_RE.fullmatch(name)
+                    if atom is None:
+                        raise ValueError(f"unknown variable {name!r}, expected t, y or (c*y)")
+                    scalings.add(parse_rational(atom.group("c2")))
+                coeffs[exp] = coeffs.get(exp, 0) + coef
         except ValueError as exc:
-            raise PatternSyntaxError(f"bad polynomial part: {exc}", offset) from None
+            raise PatternSyntaxError(f"bad polynomial part: {exc.args[0]}", offset) from None
+        if len(scalings) > 1:
+            raise PatternSyntaxError("mixed y scalings in one term", offset)
+        if scalings and bare:
+            raise PatternSyntaxError("mix of scaled and bare variables", offset)
+        if len(bare) > 1:
+            raise PatternSyntaxError("mix of t and y in polynomial part", offset)
+        y_coef = scalings.pop() if scalings else Fraction(1)
+        poly = from_exponents(coeffs)
         if poly.has_zero_constant_term:
             return AffineTerm(c1, poly, y_coef)
         if poly.degree == 0 and c1 == 1 and y_coef == 1:

@@ -14,7 +14,7 @@ Windows enumerate their elements and build their membership index lazily, on
 first access.  The index is keyed on (numerator, denominator) integer pairs,
 so a value reduced by gcd with a positive denominator is looked up without
 building a Fraction.  Enumeration refuses windows of more than ELEMENT_CAP
-elements.
+elements, and a grid refuses primes of 2^32 and above.
 """
 
 from __future__ import annotations
@@ -205,6 +205,8 @@ class MultiplicativeGrid(Window):
         if len(set(ps)) != len(ps):
             raise WindowError(f"primes must be distinct: {ps}")
         for p in ps:
+            if p >= 1 << 32:  # trial division then takes under 2^16 steps
+                raise WindowError(f"grid prime {p} is not below 2^32")
             if not _is_prime(p):
                 raise WindowError(f"{p} is not prime")
         if bound < 0:

@@ -329,6 +329,22 @@ class TestCertificates:
         assert time.perf_counter() - start < 1
         assert "window farey:1000000 has over" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("window", [
+        "mgrid:1000000016000000063:1",  # (10^9 + 7)(10^9 + 9)
+        "mgrid:1000000000000000003:1",
+    ])
+    def test_grid_prime_over_the_cap_exits_2_at_once(self, tmp_path, capsys, window):
+        path = tmp_path / "big.lower-bound.json"
+        path.write_text(json.dumps({
+            "format_version": 1, "kind": "lower-bound", "family": "x; y; x + t",
+            "window": window, "r": 2, "coloring": [0, 0, 0],
+        }))
+        start = time.perf_counter()
+        assert run_cli(["verify", str(path)]) == (2, "")
+        assert run_cli(["search", "schur", window, "-r", "2"]) == (2, "")
+        assert time.perf_counter() - start < 1
+        assert "is not below 2^32" in capsys.readouterr().err
+
     def test_lower_bound_over_the_pair_cap_exits_2_before_any_join(self, tmp_path, capsys,
                                                                   monkeypatch):
         path = tmp_path / "big.lower-bound.json"
@@ -646,6 +662,14 @@ class TestErrorPaths:
         assert text == ""
         assert not cert_dir.exists()
         assert "need at least one color, got r=0" in capsys.readouterr().err
+
+    def test_unknown_name_beside_a_scaled_atom_rejected(self, tmp_path, capsys):
+        cert_dir = tmp_path / "certs"
+        code, text = run_cli(["search", "x; x + (2*y) + u", "farey:3", "-r", "2",
+                              "--cert-dir", str(cert_dir)])
+        assert (code, text) == (2, "")
+        assert not cert_dir.exists()
+        assert "unknown variable 'u'" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv, message",

@@ -164,6 +164,14 @@ class TestMultiplicativeGrid:
         with pytest.raises(WindowError):
             MultiplicativeGrid([2], -1)
 
+    def test_primes_of_2_to_the_32_and_above_rejected_at_once(self):
+        start = time.perf_counter()
+        assert MultiplicativeGrid([4294967291], 1).size() == 3  # the largest prime below 2^32
+        for p in (2**32 + 15, 1000000016000000063, 1000000000000000003):
+            with pytest.raises(WindowError, match="is not below 2"):
+                MultiplicativeGrid([p], 1)
+        assert time.perf_counter() - start < 1
+
     def test_spec_round_trips(self):
         for w in (MultiplicativeGrid([2, 3], 2), MultiplicativeGrid([5], 1, True)):
             assert parse_window(w.spec_string()) == w
