@@ -4,9 +4,8 @@ The package answers questions of the form: color a finite window of
 rationals with r colors; must some instantiation of a pattern family
 (Schur triples, arithmetic progressions, product-shifted tuples, ...)
 land inside a single color class?  It provides witness detection,
-exhaustive avoidance search with certificates, CNF export, a regularity
-test for single linear equations, and finite analogues of the largeness
-notions (thick, syndetic, IP_r) that drive the infinite theory.
+exhaustive avoidance search with certificates, CNF export, and a
+regularity test for single linear equations.
 """
 
 from __future__ import annotations

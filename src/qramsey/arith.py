@@ -133,6 +133,24 @@ def format_polynomial(p: PolynomialQ, var: str = "t") -> str:
     return " ".join(parts)
 
 
+# The largest exponent that polynomial and family text may write, and the
+# largest integer argument of a catalog key.  t^k builds k + 1 coefficients
+# and y^a an exact power per element, so without a cap a single input could
+# run unbounded; every exponent in use is far below it.
+MAX_EXPONENT = 64
+
+
+def read_exponent(digits: str) -> int:
+    """The exponent written as decimal digits; ValueError above MAX_EXPONENT.
+
+    The digits are checked before they are converted, so a huge exponent
+    costs nothing.
+    """
+    if len(digits.lstrip("0")) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
+        raise ValueError(f"exponent above the cap {MAX_EXPONENT}")
+    return int(digits)
+
+
 _MONOMIAL_RE = re.compile(
     r"""^\s*
     (?:(?P<coef>\d+(?:\s*/\s*\d+)?)\s*(?:\*\s*)?)?   # optional unsigned coefficient
@@ -172,7 +190,8 @@ def read_monomials(text: str) -> Iterator[tuple[str | None, int, Fraction | int,
     Yields (variable, exponent, signed coefficient, offset) per monomial
     'c', 'c*v^k', 'c*v', 'cv', 'v^k' or 'v', with c a nonnegative rational
     and the sign taken from the joining + or -.  A variable is a word or a
-    parenthesized token; a constant has variable None and exponent 0.
+    parenthesized token; a constant has variable None and exponent 0.  An
+    exponent above MAX_EXPONENT is an error.
     """
     s = text.rstrip()
     if not s.strip():
@@ -184,7 +203,10 @@ def read_monomials(text: str) -> Iterator[tuple[str | None, int, Fraction | int,
         coef = parse_rational(m.group("coef")) if m.group("coef") is not None else 1
         exp = 0
         if m.group("var") is not None:
-            exp = int(m.group("exp")) if m.group("exp") is not None else 1
+            try:
+                exp = read_exponent(m.group("exp") or "1")
+            except ValueError as exc:
+                raise PolynomialSyntaxError(exc.args[0], start) from None
         yield m.group("var"), exp, sign * coef, start
 
 

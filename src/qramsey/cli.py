@@ -25,12 +25,11 @@ import re
 import select
 import sys
 import time
-from fractions import Fraction
 from types import SimpleNamespace
 from typing import NamedTuple
 
 from . import __version__
-from .arith import format_rational, parse_rational
+from .arith import format_rational
 from .certificates import (
     certificate_for_result,
     load_certificate,
@@ -77,13 +76,6 @@ def _parse_colors(text: str) -> list[int]:
     if not body.strip():
         raise CliError("empty color list")
     return [int(tok) for tok in body.replace(",", " ").split()]
-
-
-def _parse_rational_list(text: str) -> list[Fraction]:
-    toks = [t for t in text.replace(",", " ").split() if t]
-    if not toks:
-        raise CliError("empty rational list")
-    return [parse_rational(t) for t in toks]
 
 
 def _budget(args: SimpleNamespace) -> SearchBudget:
@@ -219,82 +211,6 @@ def _cmd_rado(args, out) -> int:
     return 0
 
 
-def _cmd_largeset(args, out) -> int:
-    from .largesets import (  # imported here, not at the top: no other command needs it
-        IpSetSpec,
-        ShapeF,
-        find_ip_r,
-        finite_sums,
-        interior,
-        is_syndetic_for,
-        is_thick_for,
-        piecewise_syndetic_witness,
-    )
-
-    window = parse_window(args.window)
-    aset = _parse_rational_list(args.set) if args.set else []
-    payload: dict = {"check": args.check, "window": window.spec_string()}
-    if args.max_f < 1:
-        raise CliError("max_f must be at least 1")
-    if args.ip_r < 1:
-        raise CliError("r must be at least 1")
-    if args.check in ("thick", "syndetic", "pws"):
-        if args.shape is None:
-            raise CliError(f"--shape is required for {args.check}")
-        shape = ShapeF(tuple(_parse_rational_list(args.shape)), args.mode)
-    if args.check == "thick":
-        witness = is_thick_for(aset, window, shape)
-        payload["thick"] = witness is not None
-        payload["witness"] = None if witness is None else format_rational(witness)
-    elif args.check == "syndetic":
-        if args.core is not None:
-            core = _parse_rational_list(args.core)
-        else:
-            core = interior(window, shape)
-        ok, uncovered = is_syndetic_for(aset, window, shape, core)
-        payload["syndetic"] = ok
-        payload["core_size"] = len(core)
-        payload["uncovered"] = [format_rational(x) for x in uncovered]
-    elif args.check == "pws":
-        found = piecewise_syndetic_witness(aset, window, args.max_f, shape)
-        payload["piecewise_syndetic"] = found is not None
-        payload["translates"] = (
-            None if found is None else [format_rational(f) for f in found.elements]
-        )
-    elif args.check == "ip":
-        gens = find_ip_r(aset, args.ip_r, args.mode)
-        payload["found"] = gens is not None
-        payload["generators"] = (
-            None if gens is None else [format_rational(g) for g in gens]
-        )
-        if gens is not None:
-            fs = finite_sums(IpSetSpec(gens, args.mode))
-            payload["combination_count"] = len(fs)
-    _emit(out, payload)
-    return 0
-
-
-def _cmd_localize(args, out) -> int:
-    from .largesets import ShapeF, localize_colors
-
-    window = parse_window(args.window)
-    coloring = _coloring_from_args(window, args)
-    shape = ShapeF(tuple(_parse_rational_list(args.shape)), "*")
-    report = localize_colors(coloring, shape, args.max_f)
-    if report is None:
-        _emit(out, {"localized": False, "window": window.spec_string()})
-        return 0
-    _emit(out, {
-        "localized": True,
-        "window": window.spec_string(),
-        "color_sets": [list(sub) for sub in report.color_sets],
-        "translates": [format_rational(f) for f in report.translates.elements],
-        "core_size": len(report.core),
-        "thickness_witnesses": [format_rational(w) for w in report.thickness_witnesses],
-    })
-    return 0
-
-
 def _cmd_export_cnf(args, out) -> int:
     family = _resolve_family(args)
     window = parse_window(args.window)
@@ -361,7 +277,6 @@ class Arg(NamedTuple):
     kind: type = str
     default: object = None
     required: bool = False
-    choices: tuple | None = None
     help: str | None = None
 
     @property
@@ -412,20 +327,6 @@ COMMANDS = {
         Arg(("-r",), int, default=2), Arg(("--n-max",), int, default=20),
         *_BUDGET,
     )),
-    "largeset": ("finite largeness checks", _cmd_largeset, (
-        Arg(("check",), choices=("thick", "syndetic", "pws", "ip")), _WINDOW,
-        Arg(("--set",), help="comma-separated rationals"),
-        Arg(("--shape",), help="comma-separated shape elements"),
-        Arg(("--mode",), default="+", choices=("+", "*")),
-        Arg(("--core",), help="syndetic core (default: interior)"),
-        Arg(("--max-f",), int, default=3), Arg(("--ip-r",), int, default=2),
-    )),
-    "localize": ("localize colors over a multiplicative grid", _cmd_localize, (
-        Arg(("window",), help="mgrid window spec"),
-        Arg(("--colors",), required=True), Arg(("-r",), int),
-        Arg(("--shape",), required=True, help="multiplicative thickness shape"),
-        Arg(("--max-f",), int, default=3),
-    )),
     "export-cnf": ("write the avoidance problem as DIMACS", _cmd_export_cnf, (
         _FAMILY, _WINDOW, _R, Arg(("--out",)), *_FAMILY_FLAGS,
     )),
@@ -463,8 +364,7 @@ def _parser(name: str | None):
         if arg.kind is bool:
             parser.add_argument(*arg.flags, action="store_true", help=arg.help)
         else:  # a positional takes no 'required'
-            parser.add_argument(*arg.flags, type=arg.kind, default=arg.default,
-                                choices=arg.choices, help=arg.help,
+            parser.add_argument(*arg.flags, type=arg.kind, default=arg.default, help=arg.help,
                                 **({"required": True} if arg.required else {}))
     return parser
 
@@ -499,12 +399,9 @@ def _lookup(token: str, options: dict[str, Arg]):
 
 def _convert(arg: Arg, name: str, text: str):
     try:
-        value = arg.kind(text)
+        return arg.kind(text)
     except ValueError:
         raise CliError(f"argument {name}: invalid {arg.kind.__name__} value: {text!r}") from None
-    if arg.choices and value not in arg.choices:
-        raise CliError(f"argument {name}: invalid choice: {value!r} (choose from {arg.choices})")
-    return value
 
 
 def _read_option(arg: Arg, flag: str, value, tokens: list[str], i: int, options):

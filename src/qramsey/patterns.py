@@ -5,7 +5,8 @@ A family is a finite set of terms in the variables x and y.  Term shapes:
 * ``x`` and ``y`` themselves;
 * affine terms ``c1*x + P(c2*y)`` with c1 nonzero and P a polynomial with
   zero constant term (written in ``t`` or ``y``, e.g. ``x + t^2 - t``);
-* power terms ``x * y^a`` / ``x / y^a`` with nonzero integer exponent;
+* power terms ``x * y^a`` / ``x / y^a`` with 1 <= a <= MAX_EXPONENT, the cap
+  on a polynomial degree and a catalog argument too;
 * offset terms ``x + c`` with c a nonzero constant.  These sit outside the
   affine grammar on purpose and parse only when explicitly enabled; they
   exist so that deliberately non-partition-regular families like
@@ -37,12 +38,14 @@ from math import gcd, lcm
 from typing import Callable, NamedTuple, Sequence
 
 from .arith import (
+    MAX_EXPONENT,
     PolynomialQ,
     format_polynomial,
     format_rational,
     from_exponents,
     parse_polynomial,
     parse_rational,
+    read_exponent,
     read_monomials,
 )
 from .windows import Pair, pair_key
@@ -110,7 +113,13 @@ class VarY:
 
 @dataclass(frozen=True)
 class PowerTerm:
-    """x * y^exponent; negative exponents divide."""
+    """x * y^exponent; negative exponents divide.
+
+    y = ±1 realizes every exponent a.  Another y realizes a only while 2^a is
+    at most the largest |value| of an integer window, a <= 2 log2 N in
+    farey:N (y's numerator, to the power a, cancels against a denominator of
+    at most N) and a <= 2E in a grid of exponent bound E.
+    """
 
     exponent: int
 
@@ -275,7 +284,7 @@ def instantiate(family: Family, x: Fraction | int, y: Fraction | int) -> tuple[F
 
 
 _RAT = r"-?\d+(?:/\d+)?"
-_POWER_RE = re.compile(rf"^x\s*(?P<op>[*/])\s*y\s*(?:\^\s*(?P<exp>-?\d+))?$")
+_POWER_RE = re.compile(rf"^x\s*(?P<op>[*/])\s*y\s*(?:\^\s*(?P<neg>-?)(?P<exp>\d+))?$")
 _AFFINE_RE = re.compile(rf"^(?:(?P<c1>{_RAT})\s*\*\s*)?x\s*(?P<op>[+-])\s*(?P<rest>.+)$")
 _Y_ATOM_RE = re.compile(rf"\(\s*(?P<c2>{_RAT})\s*\*\s*y\s*\)")
 
@@ -291,8 +300,11 @@ def _parse_term(chunk: str, offset: int, allow_offsets: bool) -> PatternTerm:
         return VarY()
     m = _POWER_RE.match(s)
     if m:
-        exp = int(m.group("exp")) if m.group("exp") is not None else 1
-        if m.group("op") == "/":
+        try:
+            exp = read_exponent(m.group("exp") or "1")
+        except ValueError as exc:
+            raise PatternSyntaxError(exc.args[0], offset) from None
+        if (m.group("op") == "/") != bool(m.group("neg")):
             exp = -exp
         if exp == 0:
             raise PatternSyntaxError("exponent must be nonzero", offset)
@@ -415,6 +427,8 @@ def builtin_family(key: str) -> Family:
             raise ValueError("wrong arguments")
         if any(n < 1 for n in ints):
             raise ValueError(f"{name} needs an argument >= 1")
+        if any(n > MAX_EXPONENT for n in ints):  # before vdw(k) builds k terms
+            raise ValueError(f"{name} argument above the cap {MAX_EXPONENT}")
         if polys is None:
             polys = entry.tail(*ints)
         elif entry.polys == "k" and len(polys) != ints[0]:

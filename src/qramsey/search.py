@@ -243,10 +243,16 @@ def search_avoiding(
     # most n - 1 elements are colored.  So min(r, n) colors give r's tree.
     n = window.size()
     search = _Search(groups, n, min(r, n), budget)
+    # _dfs recurses once per colored element: allow that many frames on top
+    # of the caller's, once per search.
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + len(search.todo))
     try:
         colors = search.run()
     except _BudgetHit:
         return result(BUDGET_EXCEEDED, None, search.nodes, None)
+    finally:
+        sys.setrecursionlimit(limit)
     if colors is None:
         return result(EXHAUSTED, None, search.nodes, search.trace.hexdigest())
     coloring = Coloring(window, colors, r)

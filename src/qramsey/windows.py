@@ -56,7 +56,7 @@ def _is_prime(n: int) -> bool:
 
 
 class Window:
-    """Common interface: elements(), size(), contains(), index_of(), spec_string()."""
+    """Common interface: elements(), size(), index_of(), spec_string()."""
 
     def __init__(self) -> None:
         self._elements: tuple[Fraction, ...] | None = None
@@ -66,9 +66,6 @@ class Window:
         raise NotImplementedError
 
     def size(self) -> int:
-        raise NotImplementedError
-
-    def contains(self, q: Fraction | int) -> bool:
         raise NotImplementedError
 
     def spec_string(self) -> str:
@@ -117,10 +114,6 @@ class IntegerInterval(Window):
     def size(self) -> int:
         return self.hi - self.lo + 1
 
-    def contains(self, q: Fraction | int) -> bool:
-        q = Fraction(q)
-        return q.denominator == 1 and self.lo <= q.numerator <= self.hi
-
     def _enumerate(self) -> Iterator[Fraction]:
         for n in range(self.lo, self.hi + 1):
             yield Fraction(n)
@@ -164,14 +157,6 @@ class FareyWindow(Window):
                 total += 1
             self._size = total
         return self._size
-
-    def contains(self, q: Fraction | int) -> bool:
-        q = Fraction(q)
-        if q == 0:
-            return self.include_zero
-        if q < 0 and not self.include_negatives:
-            return False
-        return abs(q.numerator) <= self.n and q.denominator <= self.n
 
     def _enumerate(self) -> Iterator[Fraction]:
         if self.include_zero:
@@ -218,32 +203,6 @@ class MultiplicativeGrid(Window):
     def size(self) -> int:
         block = (2 * self.bound + 1) ** len(self.primes)
         return block * 2 if self.include_sign else block
-
-    def _exponents_of(self, q: Fraction) -> tuple[int, ...] | None:
-        # Factor q over self.primes; None when another prime divides it.
-        exps = []
-        num, den = q.numerator, q.denominator
-        for p in self.primes:
-            e = 0
-            while num % p == 0:
-                num //= p
-                e += 1
-            while den % p == 0:
-                den //= p
-                e -= 1
-            exps.append(e)
-        if abs(num) != 1 or den != 1:
-            return None
-        return tuple(exps)
-
-    def contains(self, q: Fraction | int) -> bool:
-        q = Fraction(q)
-        if q == 0:
-            return False
-        if q < 0 and not self.include_sign:
-            return False
-        exps = self._exponents_of(abs(q))
-        return exps is not None and all(abs(e) <= self.bound for e in exps)
 
     def _enumerate(self) -> Iterator[Fraction]:
         signs = (1, -1) if self.include_sign else (1,)

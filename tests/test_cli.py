@@ -18,7 +18,7 @@ from qramsey import cli, detector, search
 from qramsey.cli import main, parse_args
 from qramsey.cnf import export_cnf
 from qramsey.patterns import builtin_family
-from qramsey.windows import IntegerInterval
+from qramsey.windows import IntegerInterval, parse_window
 
 from _dpll import model_literals, solve
 
@@ -115,6 +115,55 @@ class TestSearch:
         assert code == 2
         assert text == ""
         assert f"error: bad catalog key '{key}': " in capsys.readouterr().err
+
+    def test_deeper_than_the_default_recursion_limit(self, tmp_path):
+        # _dfs recurses once per colored element: 3000 of them
+        limit = sys.getrecursionlimit()
+        code, payload = run_json(
+            ["search", "x; x + 1", "int:1..3000", "-r", "2", "--allow-offsets",
+             "--cert-dir", str(tmp_path), "--cert-stem", "deep"]
+        )
+        assert sys.getrecursionlimit() == limit
+        assert (code, payload["outcome"]) == (0, "avoiding")
+        code, check = run_json(["verify", str(tmp_path / "deep.lower-bound.json")])
+        assert (code, check["ok"]) == (0, True)
+
+
+# Each runs without bound if its exponent or catalog argument is read as given.
+UNBOUNDED = [
+    ("x; x * y^1000", "farey:30"),
+    ("x; x * y^10000", "farey:10"),
+    ("x; x * y^100000000", "int:1..5"),
+    ("x; x + t^1000000", "int:1..5"),
+    ("vdw(100000)", "int:1..5"),
+    ("vdw(100000000)", "int:1..5"),
+    ("moreira(100000000)", "int:1..5"),
+    ("quotient-poly(100000000)", "int:1..5"),
+    ("quotient-poly(1,[t^1000000])", "int:1..5"),
+]
+
+
+class TestUnboundedInputs:
+    """An exponent or catalog argument above the cap 64 exits 2 at once,
+    under every command that reads a family."""
+
+    @pytest.mark.parametrize("family, window", UNBOUNDED)
+    @pytest.mark.parametrize("command", ["search", "detect", "export-cnf", "verify"])
+    def test_refused_within_a_second(self, tmp_path, capsys, command, family, window):
+        if command == "verify":
+            cert = {"format_version": 1, "kind": "lower-bound", "family": family,
+                    "window": window, "r": 2, "coloring": [0] * parse_window(window).size()}
+            path = tmp_path / "cert.json"
+            path.write_text(json.dumps(cert))
+            argv = ["verify", str(path)]
+        else:
+            argv = [command, family, window,
+                    *(["--colors", "[0,1,0,1,0]"] if command == "detect" else ["-r", "2"])]
+        started = time.perf_counter()
+        code, text = run_cli(argv)
+        assert time.perf_counter() - started < 1.0
+        assert (code, text) == (2, "")
+        assert "above the cap 64" in capsys.readouterr().err
 
 
 def _exhaustion(**fields):
@@ -473,87 +522,6 @@ class TestRado:
         _check_over_the_pair_cap(argv, capsys, monkeypatch)
 
 
-class TestLargeset:
-    def test_thick(self):
-        code, payload = run_json(
-            ["largeset", "thick", "int:1..10", "--set", "3,4,5,6", "--shape", "0,1"]
-        )
-        assert code == 0
-        assert payload["thick"] is True
-        assert payload["witness"] == "3"
-
-    def test_syndetic_default_core(self):
-        code, payload = run_json(
-            ["largeset", "syndetic", "int:1..10", "--set", "2,4,6,8,10",
-             "--shape", "0,1"]
-        )
-        assert code == 0
-        assert payload["syndetic"] is True
-        assert payload["core_size"] == 9
-        assert payload["uncovered"] == []
-
-    def test_syndetic_given_core(self):
-        code, payload = run_json(
-            ["largeset", "syndetic", "int:1..12", "--set", "2,4,6,8,10",
-             "--shape", "0,1", "--core", "3,4,5"]
-        )
-        assert code == 0
-        assert payload["syndetic"] is True
-        assert payload["core_size"] == 3
-        assert payload["uncovered"] == []
-
-    def test_pws(self):
-        code, payload = run_json(
-            ["largeset", "pws", "int:1..10", "--set", "1,3,5,7,9",
-             "--shape", "0,1", "--max-f", "2"]
-        )
-        assert code == 0
-        assert payload["piecewise_syndetic"] is True
-        assert payload["translates"] == ["0", "1"]
-
-    def test_ip(self):
-        code, payload = run_json(
-            ["largeset", "ip", "int:1..16", "--set", "1,2,3,4", "--ip-r", "2"]
-        )
-        assert code == 0
-        assert payload["found"] is True
-        assert payload["generators"] == ["1", "1"]
-        assert payload["combination_count"] == 2
-
-    def test_shape_required(self):
-        code, _ = run_cli(["largeset", "thick", "int:1..4", "--set", "1"])
-        assert code == 2
-
-    def test_ip_five_generators(self):
-        members = ",".join(str(v) for v in [*range(1, 6), *range(100, 201)])
-        code, payload = run_json(
-            ["largeset", "ip", "int:1..200", "--set", members, "--ip-r", "5"]
-        )
-        assert code == 0
-        assert payload["found"] is True
-        assert payload["generators"] == ["1"] * 5
-        assert payload["combination_count"] == 5
-
-
-class TestLocalize:
-    def test_single_color_grid(self):
-        code, payload = run_json(
-            ["localize", "mgrid:2,3:1", "--colors", "[" + ",".join("0" * 9) + "]",
-             "--shape", "1,2", "--max-f", "2"]
-        )
-        assert code == 0
-        assert payload["localized"] is True
-        assert payload["color_sets"] == [[0]]
-        assert payload["core_size"] >= 1
-
-    def test_no_translate_set_found(self):
-        code, payload = run_json(
-            ["localize", "mgrid:2:1", "--colors", "[0,1,0]", "--shape", "1,2,4", "--max-f", "1"]
-        )
-        assert code == 0
-        assert payload == {"localized": False, "window": "mgrid:2:1"}
-
-
 class TestCnfFlow:
     def test_export_to_stdout(self):
         code, text = run_cli(["export-cnf", "schur", "int:1..4", "-r", "2"])
@@ -722,22 +690,6 @@ class TestErrorPaths:
         assert "time budget must be a finite non-negative number" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "argv, message",
-        [
-            (["thick", "--max-f", "-5"], "max_f must be at least 1"),
-            (["syndetic", "--max-f", "0"], "max_f must be at least 1"),
-            (["thick", "--ip-r", "0"], "r must be at least 1"),
-            (["pws", "--ip-r", "-1"], "r must be at least 1"),
-        ],
-        ids=["thick-max-f", "syndetic-max-f", "thick-ip-r", "pws-ip-r"],
-    )
-    def test_largeset_bounds_rejected_in_every_check(self, capsys, argv, message):
-        check, *options = argv
-        code, text = run_cli(["largeset", check, "int:1..9", "--shape", "0,1"] + options)
-        assert (code, text) == (2, "")
-        assert message in capsys.readouterr().err
-
-    @pytest.mark.parametrize(
         "argv",
         [
             ["rado", "x1 + x2 - x3 = 0", "--method", "general"],
@@ -745,8 +697,10 @@ class TestErrorPaths:
              "--shape", "1,2", "--exhaustive", "2"],
             ["largeset", "ip", "int:1..16", "--set", "1,2", "--seed", "1"],
             ["--config", "run.json", "search", "schur", "int:1..5", "-r", "2"],
+            ["largeset", "thick", "int:1..10", "--set", "3", "--shape", "0,1"],
+            ["localize", "mgrid:2,3:1", "--colors", "[0]", "--shape", "1,2"],
         ],
-        ids=["method", "exhaustive", "seed", "config"],
+        ids=["method", "exhaustive", "seed", "config", "largeset", "localize"],
     )
     def test_removed_options_rejected(self, argv):
         code, text = run_cli(argv)
@@ -760,7 +714,7 @@ class TestErrorPaths:
 
 TOP_USAGE = (
     "usage: qramsey [-h] [--version]\n"
-    "               {detect,search,sweep,rado,largeset,localize,export-cnf,import-sat,verify,catalog}\n"
+    "               {detect,search,sweep,rado,export-cnf,import-sat,verify,catalog}\n"
     "               ..."
 )
 SEARCH = ["search", "schur", "int:1..5", "-r", "2"]
@@ -785,7 +739,6 @@ class TestArgumentHandling:
             (["nosuch"], 2, ""),
             (["sea", "schur", "int:1..5", "-r", "2"], 2, ""),
             (["catalog", "extra"], 2, ""),
-            (["largeset", "bad", "int:1..5"], 2, ""),
             (["verify"], 2, ""),
             (["search", "schur", "int:1..5"], 2, ""),
             (SEARCH + ["--version"], 2, ""),
@@ -801,10 +754,7 @@ class TestArgumentHandling:
             (SEARCH + ["--s", "1"], 2, ""),
             (SEARCH + ["--distinct=1"], 2, ""),
             (SEARCH + ["-r", "3"], 0, "5e901ed4712835a7"),
-            (["largeset", "thick", "int:1..5", "--mode", "/"], 2, ""),
             (["rado", "x1 + x2 - x3 = 0", "extra"], 2, ""),
-            (["largeset", "thick", "int:-3..3", "--set", "-2", "--shape", "0,1"], 0,
-             "ac6a30537ee216b9"),
             (["rado", "-x1 + x2 - x3 = 0"], 0, "47ea4dc6806dfed5"),
             (["rado", "--", "-x1 - x2 + x3 = 0"], 0, "d5aad13307983a4d"),
             (SEARCH + ["--cert-dir", "--"], 2, ""),
@@ -839,20 +789,18 @@ class TestArgumentHandling:
     @pytest.mark.parametrize(
         "command, digest",
         [
-            (None, "864c47b7ed7ff0b619903f7cab7f0c8bb682c53ccb40f5218903c951b8acf470"),
+            (None, "4394a374d4f627480382847cf1b03ef882a609ba3c05d37422da365e5aa57cff"),
             ("detect", "a127c4db1ea8cc0dcb3137b58cf89362951df09a65eb57ffc9719047329c36b6"),
             ("search", "a8ce933a54763f4c25375496ae6fa43788a433271a8ecf755fc9318e48329c9e"),
             ("sweep", "bc3a2a7d8871941b6bee0cb93cb1b1bfc02a1f8d1993fc3a01b9f5cd5cb32940"),
             ("rado", "c0c45948d8fe9b29bed7e44b1bad9c68325cb319299ca2deb708f7e6788722ce"),
-            ("largeset", "0fa97514c34ab108d1d0591a88cd7bad2ecbe65398b713b3d79addcd777037b6"),
-            ("localize", "341dab0feef8d96f4a8f839c54487b4375f8dc3fbe7307599de97bdbcb74dbaf"),
             ("export-cnf", "4e474951b7fa09ceace2229fc90f2b2a8dee6edd54539063d5986fbb34c6398a"),
             ("import-sat", "17205c6bba2086a97cfa0c30faa3e2a29bcd224d4683e93105c0f9fb5233f123"),
             ("verify", "0c94215e8c700f8f855df7617b2bec0da84bc658dd2500251dcdd53b503c0aba"),
             ("catalog", "0b4439ac56c6664efc0cff998fd57f5e49f6c1de8c6575a33b5b9e2bf0a39fcc"),
         ],
-        ids=["top", "detect", "search", "sweep", "rado", "largeset", "localize", "export-cnf",
-             "import-sat", "verify", "catalog"],
+        ids=["top", "detect", "search", "sweep", "rado", "export-cnf", "import-sat", "verify",
+             "catalog"],
     )
     def test_full_help(self, monkeypatch, capsys, command, digest):
         monkeypatch.setenv("COLUMNS", "80")
@@ -872,8 +820,7 @@ class TestArgumentHandling:
         for _ in range(3000):
             name = rng.choice(list(cli.COMMANDS))
             arguments = cli.COMMANDS[name][2]
-            tokens = [arg.choices[0] if arg.choices else "a" for arg in arguments
-                      if arg.positional]
+            tokens = ["a" for arg in arguments if arg.positional]
             if tokens and rng.random() < 0.3:
                 del tokens[rng.randrange(len(tokens))]  # a slot for a token of the pool
             tokens += [t for arg in arguments if arg.required for t in (arg.flags[0], "2")]
@@ -998,8 +945,7 @@ class TestModuleEntry:
         code = ("import io, sys; from qramsey.cli import main; "
                 f"code = main(['verify', {str(tmp_path / 'result.lower-bound.json')!r}], "
                 "out=io.StringIO()); "
-                "print(code, sorted({'argparse', 'gettext', 'locale', 'qramsey.largesets'}"
-                " & set(sys.modules)))")
+                "print(code, sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))")
         done = self.run_module("-c", code, module=None)
         assert (done.returncode, done.stdout) == (0, "0 []\n")
 

@@ -56,9 +56,6 @@ COMMANDS = [
     'rado "x1 + x2 - 3*x3 = 0" --validate -r 2 --n-max 12',
     'export-cnf "question-hs" int:1..12 -r 2 --out q.cnf',
     'import-sat "question-hs" int:1..12 -r 2 q.out',
-    "largeset thick int:1..10 --set 3,4,5,6 --shape 0,1",
-    "largeset ip int:1..16 --set 1,2,3,4 --ip-r 2",
-    "localize mgrid:2,3:1 --colors [0,1,2,0,1,2,0,1,2] --shape 1,2",
     "catalog",
     # one search with certificates on each window kind, catalog keys with lists
     'search "quotient-poly(1,[t])" int:1..12 -r 2 --cert-dir certs --cert-stem qp',

@@ -144,6 +144,26 @@ class TestParse:
             parse_family("x; y; qq")
         assert ei.value.position == 6
 
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            ("x * y^65", "exponent above the cap 64"),
+            ("x / y^100000000", "exponent above the cap 64"),
+            ("x * y^-" + "9" * 5000, "exponent above the cap 64"),  # never converted
+            ("x + t^65", "bad polynomial part: exponent above the cap 64"),
+            ("x + (2*y)^1000000", "bad polynomial part: exponent above the cap 64"),
+        ],
+    )
+    def test_exponent_over_the_cap_rejected(self, text, error):
+        with pytest.raises(PatternSyntaxError) as ei:
+            parse_family("y; " + text)
+        assert str(ei.value) == f"{error} (position 3)"
+
+    def test_exponent_at_the_cap_accepted(self):
+        text = "x; x * y^64; x / y^64; x + t^64 - t"
+        assert parse_family(text).serialize() == text
+        assert parse_family("x * y^-064").terms == (PowerTerm(-64),)
+
     def test_empty_term_rejected(self):
         with pytest.raises(PatternSyntaxError, match="empty term"):
             parse_family("x;; y")
@@ -241,11 +261,20 @@ class TestCatalog:
             "product-poly(0)",
             "bowen-sabok(1,[t])",
             "quotient-poly(1,[t],[t])",
+            "vdw(65)",
+            "moreira(100000000)",
+            "bowen-sabok(65)",
+            "quotient-poly(100000000)",
+            "product-poly(1,[t^65])",
         ],
     )
     def test_bad_keys_raise_keyerror(self, bad):
         with pytest.raises(KeyError):
             builtin_family(bad)
+
+    def test_arguments_at_the_cap_accepted(self):
+        assert len(builtin_family("vdw(64)").terms) == 65
+        assert builtin_family("product-poly(64,[t^64])").serialize() == "x; x * y^64; x + t^64"
 
     def test_power_families_require_nonzero_x(self):
         assert builtin_family("moreira(1)").requires_nonzero_x

@@ -36,9 +36,9 @@ class TestIntegerInterval:
         w = IntegerInterval(-2, 3)
         assert w.size() == 6
         assert list(w.elements()) == [Fraction(k) for k in range(-2, 4)]
-        assert w.contains(0) and w.contains(-2) and w.contains(3)
-        assert not w.contains(4)
-        assert not w.contains(Fraction(1, 2))
+        assert all(w.index_of(q) is not None for q in (0, -2, 3))
+        assert w.index_of(4) is None
+        assert w.index_of(Fraction(1, 2)) is None
 
     def test_index_of_matches_enumeration(self):
         w = IntegerInterval(5, 25)
@@ -89,17 +89,17 @@ class TestFareyWindow:
     def test_flags(self):
         w = FareyWindow(2, include_zero=False, include_negatives=False)
         assert set(w.elements()) == brute_farey_set(2, False, False)
-        assert not w.contains(0)
-        assert not w.contains(Fraction(-1, 2))
-        assert w.contains(Fraction(1, 2))
+        assert w.index_of(0) is None
+        assert w.index_of(Fraction(-1, 2)) is None
+        assert w.index_of(Fraction(1, 2)) is not None
 
     def test_contains_checks_lowest_terms_bound(self):
         w = FareyWindow(3)
-        assert w.contains(Fraction(2, 3))
-        assert not w.contains(Fraction(1, 4))
-        assert not w.contains(4)
+        assert w.index_of(Fraction(2, 3)) is not None
+        assert w.index_of(Fraction(1, 4)) is None
+        assert w.index_of(4) is None
         # 2/4 normalizes to 1/2, which is inside.
-        assert w.contains(Fraction(2, 4))
+        assert w.index_of(Fraction(2, 4)) is not None
 
     def test_index_of_matches_enumeration(self):
         w = FareyWindow(4)
@@ -133,12 +133,12 @@ class TestMultiplicativeGrid:
 
     def test_contains(self):
         w = MultiplicativeGrid([2, 3], 2)
-        assert w.contains(Fraction(4, 9))
-        assert w.contains(12)  # 2^2 * 3
-        assert not w.contains(8)  # exponent 3 over bound
-        assert not w.contains(5)
-        assert not w.contains(0)
-        assert not w.contains(-2)
+        assert w.index_of(Fraction(4, 9)) is not None
+        assert w.index_of(12) is not None  # 2^2 * 3
+        assert w.index_of(8) is None  # exponent 3 over bound
+        assert w.index_of(5) is None
+        assert w.index_of(0) is None
+        assert w.index_of(-2) is None
 
     def test_signed_grid(self):
         w = MultiplicativeGrid([2], 1, include_sign=True)
@@ -146,12 +146,12 @@ class TestMultiplicativeGrid:
             Fraction(1, 2), Fraction(1), Fraction(2),
             Fraction(-1, 2), Fraction(-1), Fraction(-2),
         ]
-        assert w.contains(-2)
-        assert not w.contains(0)
+        assert w.index_of(-2) is not None
+        assert w.index_of(0) is None
 
     def test_never_contains_zero(self):
         for w in (MultiplicativeGrid([5], 3), MultiplicativeGrid([2, 7], 1, True)):
-            assert not w.contains(0)
+            assert w.index_of(0) is None
             assert Fraction(0) not in w.elements()
 
     def test_validation(self):
