@@ -8,8 +8,7 @@ Fraction directly is fine anywhere a zero denominator cannot occur.
 Polynomials are dense coefficient tuples, index i holding the coefficient of
 t^i.  Trailing zeros are stripped on construction, so the zero polynomial has
 an empty tuple and its degree is reported as None.  They carry what the term
-grammar needs and no ring algebra: exact evaluation, scaling of the argument,
-and the text form.
+grammar needs and no ring algebra: exact evaluation and the text form.
 """
 
 from __future__ import annotations
@@ -93,11 +92,6 @@ class PolynomialQ:
         for c in reversed(self.coeffs):
             acc = acc * t + c
         return acc
-
-    def scale_argument(self, factor: Fraction | int) -> "PolynomialQ":
-        """The polynomial t -> p(factor * t)."""
-        f = Fraction(factor)
-        return PolynomialQ([c * f**i for i, c in enumerate(self.coeffs)])
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, PolynomialQ) and self.coeffs == other.coeffs

@@ -73,9 +73,10 @@ def _parse_colors(text: str) -> list[int]:
     body = text.strip()
     if body.startswith("[") and body.endswith("]"):
         body = body[1:-1]
-    if not body.strip():
+    colors = [int(tok) for tok in body.replace(",", " ").split()]
+    if not colors:
         raise CliError("empty color list")
-    return [int(tok) for tok in body.replace(",", " ").split()]
+    return colors
 
 
 def _budget(args: SimpleNamespace) -> SearchBudget:
@@ -111,7 +112,7 @@ def _result_json(res) -> dict:
 
 def _coloring_from_args(window: Window, args: SimpleNamespace) -> Coloring:
     colors = _parse_colors(args.colors)
-    r = args.r if args.r is not None else (max(colors) + 1 if colors else 1)
+    r = args.r if args.r is not None else max(max(colors), 0) + 1
     return Coloring(window, colors, r)
 
 

@@ -94,16 +94,25 @@ def to_dimacs(cnf: CnfInstance) -> str:
     return "\n".join(lines) + "\n"
 
 
+# Status lines that come with no model: minisat's result file (UNSAT, INDET)
+# and the competition format (s ...).
+_NO_MODEL = (["UNSAT"], ["INDET"], ["s", "UNSATISFIABLE"], ["s", "UNKNOWN"])
+
+
 def parse_assignment(text: str) -> list[int]:
     """Collect signed literals from solver output.
 
     Accepts raw literal lines as well as minisat/picosat style 'v ' lines;
-    comment lines, status lines and the trailing 0 are ignored.
+    comment lines, status lines (minisat's result file opens with SAT) and
+    the trailing 0 are ignored.  A status without a model (UNSAT, or INDET
+    when the solver gave up) raises AssignmentError.
     """
     lits: list[int] = []
     for line in text.splitlines():
         line = line.strip()
-        if not line or line.startswith(("c", "s")):
+        if line.split() in _NO_MODEL:
+            raise AssignmentError(f"the solver found no model ({line})")
+        if not line or line == "SAT" or line.startswith(("c", "s")):
             continue
         if line.startswith("v"):
             line = line[1:]

@@ -16,11 +16,11 @@ entries, not two.
 
 The table is built over exact integer pairs, not Fractions.  Each term's
 ``pair_parts`` evaluates, once per x and once per y, the part that depends on
-that variable alone: a window index for x, y, offset and y-free terms, a
-reduced (numerator, denominator) pair for the two halves of an affine or
-power term.
+that variable alone: a window index for y and for the terms free of y (x
+itself, c*x and x + c), a reduced (numerator, denominator) pair for the two
+halves of an affine term in y or a power term.
 
-The first sum term c1*x + P(c2*y), if there is one, is solved for y instead
+The first sum term c1*x + P(y), if there is one, is solved for y instead
 of scanning every pair.  Over D, the lcm of the window's denominators and of
 that term's part denominators, every window value and every part is an
 integer.  The y rows are grouped by their y part times D; for each x, the
@@ -207,7 +207,7 @@ def _join_plan(family: Family, window: Window) -> _JoinPlan:
 
     solved_x, big, by_key = None, 1, {}
     if solved:
-        # With D = big, c1*x + P(c2*y) is the window value w iff P(c2*y)*D == w*D - (c1*x)*D.
+        # With D = big, c1*x + P(y) is the window value w iff P(y)*D == w*D - (c1*x)*D.
         solved_x, sy = parts[solved[0]].per_x, parts[solved[0]].per_y
         big = lcm(*{d for _, d in index}, *{d for _, d in solved_x}, *{d for _, d in sy})
         for row in y_rows:

@@ -2,15 +2,17 @@
 
 A family is a finite set of terms in the variables x and y.  Term shapes:
 
-* ``x`` and ``y`` themselves;
-* affine terms ``c1*x + P(c2*y)`` with c1 nonzero and P a polynomial with
-  zero constant term (written in ``t`` or ``y``, e.g. ``x + t^2 - t``);
+* ``y`` itself;
+* affine terms ``c*x + P(y)`` with c nonzero and P a polynomial with zero
+  constant term, written in ``t`` or ``y`` (e.g. ``x + t^2 - t``) or in one
+  scaled atom ``(c2*y)``, whose powers are expanded into P's coefficients
+  (the term prints in ``t``); ``x`` itself is the affine term with P = 0;
 * power terms ``x * y^a`` / ``x / y^a`` with 1 <= a <= MAX_EXPONENT, the cap
   on a polynomial degree and a catalog argument too;
-* offset terms ``x + c`` with c a nonzero constant.  These sit outside the
-  affine grammar on purpose and parse only when explicitly enabled; they
-  exist so that deliberately non-partition-regular families like
-  ``{x, x + 3}`` can be expressed.
+* offset terms ``x + c`` with c a nonzero constant: the affine term whose P
+  is the constant c.  These sit outside the paper's families on purpose and
+  parse only when explicitly enabled; they exist so that deliberately
+  non-partition-regular families like ``{x, x + 3}`` can be expressed.
 
 Instantiating a family at a point (x, y) requires y nonzero, and x nonzero
 whenever a power term is present (or the family is marked strict).
@@ -24,15 +26,15 @@ element, whatever part of the term depends on x alone or on y alone, as
 window indices or as reduced (numerator, denominator) integer pairs, and
 names the integer operation (sum or product) that joins an x part and a y
 part.  It works on numerators and denominators with ``int`` arithmetic, no
-Fraction operations: ``c1*x`` and ``P(c2*y)`` cost one gcd per element (P is
-held as integer coefficients over one common denominator), and ``y^a`` of a
-reduced pair is already reduced, so it costs none.
+Fraction operations: ``c*x`` (plus an offset) and ``P(y)`` cost one gcd per
+element (P is held as integer coefficients over one common denominator), and
+``x`` and ``y^a`` of a reduced pair are already reduced, so they cost none.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Callable, NamedTuple, Sequence
@@ -81,20 +83,6 @@ class PairParts(NamedTuple):
 def _reduced(num: int, den: int) -> Pair:
     g = gcd(num, den)
     return num // g, den // g
-
-
-@dataclass(frozen=True)
-class VarX:
-    def value(self, x: Fraction, y: Fraction) -> Fraction:
-        return x
-
-    def pair_parts(self, xs: Values, ys: Values, index: PairIndex) -> PairParts:
-        return PairParts(X_ONLY, [index.get(pair_key(x)) for x in xs], None)
-
-    uses_y = False
-
-    def text(self) -> str:
-        return "x"
 
 
 @dataclass(frozen=True)
@@ -149,34 +137,39 @@ class PowerTerm:
 
 @dataclass(frozen=True)
 class AffineTerm:
-    """x_coef * x + poly(y_coef * y), with poly constant-free."""
+    """x_coef * x + poly(y).
+
+    poly has a nonzero constant only when it is that constant and x_coef is
+    1: the offset term x + c.
+    """
 
     x_coef: Fraction
-    poly: PolynomialQ
-    y_coef: Fraction = field(default=Fraction(1))
+    poly: PolynomialQ = PolynomialQ()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "x_coef", Fraction(self.x_coef))
-        # a zero polynomial has no y to scale, and its text "0" names no scaling
-        object.__setattr__(self, "y_coef", Fraction(self.y_coef if self.poly.coeffs else 1))
         if self.x_coef == 0:
             raise ValueError("affine term needs a nonzero x coefficient")
-        if not self.poly.has_zero_constant_term:
+        if self.poly.constant_term and (self.uses_y or self.x_coef != 1):
             raise ValueError("affine term polynomial must have zero constant term")
 
     def value(self, x: Fraction, y: Fraction) -> Fraction:
-        return self.x_coef * x + self.poly.eval(self.y_coef * y)
+        return self.x_coef * x + self.poly.eval(y)
 
     def pair_parts(self, xs: Values, ys: Values, index: PairIndex) -> PairParts:
         c, d = pair_key(self.x_coef)
-        per_x = [_reduced(c * x.numerator, d * x.denominator) for x in xs]
+        a, b = pair_key(self.poly.constant_term)  # nonzero only in x + a/b
+        if (c, d, a) == (1, 1, 0):  # the x part is x itself, already reduced
+            per_x = list(map(pair_key, xs))
+        else:
+            c, a, d = c * b, a * d, d * b  # x_coef*x + a/b is (c*b*x + a*d) / (d*b)
+            per_x = [_reduced(c * x.numerator + a * x.denominator, d * x.denominator) for x in xs]
         if not self.uses_y:
             return PairParts(X_ONLY, [index.get(k) for k in per_x], None)
-        # P(c2*y) at y = p/q is sum(a_i p^i q^(deg-i)) / (m q^deg), a_i integers
-        scaled = self.poly.scale_argument(self.y_coef).coeffs
-        m = lcm(*(c.denominator for c in scaled))
-        coeffs = [c.numerator * (m // c.denominator) for c in scaled]
-        deg = max(len(coeffs) - 1, 0)  # a zero y_coef leaves no coefficients
+        # P(y) at y = p/q is sum(a_i p^i q^(deg-i)) / (m q^deg), a_i integers
+        m = lcm(*(c.denominator for c in self.poly.coeffs))
+        coeffs = [c.numerator * (m // c.denominator) for c in self.poly.coeffs]
+        deg = len(coeffs) - 1
         per_y = []
         for y in ys:
             p, q = y.numerator, y.denominator
@@ -189,43 +182,22 @@ class AffineTerm:
 
     @property
     def uses_y(self) -> bool:
-        return bool(self.poly.coeffs)
+        return len(self.poly.coeffs) > 1
 
     def text(self) -> str:
+        if self == X:
+            return "x"
         xpart = "x" if self.x_coef == 1 else f"{format_rational(self.x_coef)}*x"
-        var = "t" if self.y_coef == 1 else f"({format_rational(self.y_coef)}*y)"
-        ptext = format_polynomial(self.poly, var)
+        ptext = format_polynomial(self.poly)
         if ptext.startswith("-"):
             return f"{xpart} - {ptext[1:].lstrip()}"
         return f"{xpart} + {ptext}"
 
 
-@dataclass(frozen=True)
-class OffsetTerm:
-    """x + offset, the gated constant-offset variant."""
-
-    offset: Fraction
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "offset", Fraction(self.offset))
-        if self.offset == 0:
-            raise ValueError("offset must be nonzero")
-
-    def value(self, x: Fraction, y: Fraction) -> Fraction:
-        return x + self.offset
-
-    def pair_parts(self, xs: Values, ys: Values, index: PairIndex) -> PairParts:
-        return PairParts(X_ONLY, [index.get(pair_key(x + self.offset)) for x in xs], None)
-
-    uses_y = False
-
-    def text(self) -> str:
-        if self.offset > 0:
-            return f"x + {format_rational(self.offset)}"
-        return f"x - {format_rational(-self.offset)}"
+X = AffineTerm(1)
 
 
-PatternTerm = VarX | VarY | PowerTerm | AffineTerm | OffsetTerm
+PatternTerm = VarY | PowerTerm | AffineTerm
 
 
 @dataclass(frozen=True)
@@ -252,7 +224,7 @@ class Family:
         return any(t.uses_y for t in self.terms)
 
     def has_offsets(self) -> bool:
-        return any(isinstance(t, OffsetTerm) for t in self.terms)
+        return any(isinstance(t, AffineTerm) and t.poly.constant_term for t in self.terms)
 
     def serialize(self) -> str:
         return "; ".join(t.text() for t in self.terms)
@@ -295,7 +267,7 @@ def _parse_term(chunk: str, offset: int, allow_offsets: bool) -> PatternTerm:
     if not s:
         raise PatternSyntaxError("empty term", offset)
     if s == "x":
-        return VarX()
+        return X
     if s == "y":
         return VarY()
     m = _POWER_RE.match(s)
@@ -327,7 +299,9 @@ def _parse_term(chunk: str, offset: int, allow_offsets: bool) -> PatternTerm:
                     atom = _Y_ATOM_RE.fullmatch(name)
                     if atom is None:
                         raise ValueError(f"unknown variable {name!r}, expected t, y or (c*y)")
-                    scalings.add(parse_rational(atom.group("c2")))
+                    scale = parse_rational(atom.group("c2"))
+                    scalings.add(scale)
+                    coef *= scale**exp  # c*(c2*y)^k is c*c2^k * y^k
                 coeffs[exp] = coeffs.get(exp, 0) + coef
         except ValueError as exc:
             raise PatternSyntaxError(f"bad polynomial part: {exc.args[0]}", offset) from None
@@ -337,13 +311,12 @@ def _parse_term(chunk: str, offset: int, allow_offsets: bool) -> PatternTerm:
             raise PatternSyntaxError("mix of scaled and bare variables", offset)
         if len(bare) > 1:
             raise PatternSyntaxError("mix of t and y in polynomial part", offset)
-        y_coef = scalings.pop() if scalings else Fraction(1)
         poly = from_exponents(coeffs)
         if poly.has_zero_constant_term:
-            return AffineTerm(c1, poly, y_coef)
-        if poly.degree == 0 and c1 == 1 and y_coef == 1:
+            return AffineTerm(c1, poly)
+        if poly.degree == 0 and c1 == 1 and scalings <= {1}:
             if allow_offsets:
-                return OffsetTerm(poly.constant_term)
+                return AffineTerm(1, poly)
             raise PatternSyntaxError(
                 "constant term must be zero (offset terms are disabled)", offset
             )
@@ -394,13 +367,13 @@ class _Entry(NamedTuple):
 
 
 _CATALOG = {
-    "schur": _Entry(0, "", lambda: (VarX(), VarY()), lambda: _linears(1)),
-    "vdw": _Entry(1, "", lambda k: (VarX(),), _linears),
-    "moreira": _Entry(1, "k", lambda k: (VarX(), PowerTerm(1)), _linears),
-    "bowen-sabok": _Entry(1, "", lambda k: (VarX(), VarY(), PowerTerm(1)), _linears),
-    "quotient-poly": _Entry(1, "any", lambda a: (VarX(), PowerTerm(-a)), lambda a: _linears(1)),
-    "product-poly": _Entry(1, "any", lambda a: (VarX(), PowerTerm(a)), lambda a: _linears(1)),
-    "question-hs": _Entry(0, "", lambda: (VarX(), VarY(), PowerTerm(1)), lambda: _linears(1)),
+    "schur": _Entry(0, "", lambda: (X, VarY()), lambda: _linears(1)),
+    "vdw": _Entry(1, "", lambda k: (X,), _linears),
+    "moreira": _Entry(1, "k", lambda k: (X, PowerTerm(1)), _linears),
+    "bowen-sabok": _Entry(1, "", lambda k: (X, VarY(), PowerTerm(1)), _linears),
+    "quotient-poly": _Entry(1, "any", lambda a: (X, PowerTerm(-a)), lambda a: _linears(1)),
+    "product-poly": _Entry(1, "any", lambda a: (X, PowerTerm(a)), lambda a: _linears(1)),
+    "question-hs": _Entry(0, "", lambda: (X, VarY(), PowerTerm(1)), lambda: _linears(1)),
 }
 
 _KEY_RE = re.compile(r"^(?P<name>[a-z-]+)(?:\((?P<args>.*)\))?$")
@@ -433,6 +406,8 @@ def builtin_family(key: str) -> Family:
             polys = entry.tail(*ints)
         elif entry.polys == "k" and len(polys) != ints[0]:
             raise ValueError(f"{name} got k={ints[0]} but {len(polys)} polynomials")
+        if any(p.constant_term for p in polys):  # x + c is an offset, not a catalog term
+            raise ValueError("affine term polynomial must have zero constant term")
         return Family(entry.head(*ints) + tuple(AffineTerm(1, p) for p in polys))
     except ValueError as exc:
         raise KeyError(f"bad catalog key {key!r}: {exc}") from None

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import PolynomialQ, format_rational, parse_rational, signed_chunks
-from .patterns import AffineTerm, Family, VarX, VarY
+from .patterns import X, AffineTerm, Family, VarY
 from .search import BUDGET_EXCEEDED, EXHAUSTED, SearchBudget, threshold_sweep
 
 
@@ -134,15 +134,13 @@ def system_to_family(system: LinearSystem) -> tuple[Family | None, str]:
     if len(active) == 2:
         (_, c1), (_, c2) = active
         q = -c1 / c2
-        family = Family((VarX(), AffineTerm(q, PolynomialQ(), Fraction(1))))
+        family = Family((X,) if q == 1 else (X, AffineTerm(q)))
         return family, f"x2 = {format_rational(q)} * x1"
     if len(active) == 3:
         (_, c1), (_, c2), (_, c3) = active
         xc = -c1 / c3
         yc = -c2 / c3
-        family = Family(
-            (VarX(), VarY(), AffineTerm(xc, PolynomialQ([Fraction(0), yc]), Fraction(1)))
-        )
+        family = Family((X, VarY(), AffineTerm(xc, PolynomialQ([0, yc]))))
         return family, "x3 solved in terms of x1, x2"
     return None, "more than three active variables do not fit the pattern grammar"
 

@@ -171,6 +171,24 @@ def _exhaustion(**fields):
     return lambda cert: {**cert, "exhaustion": {**cert["exhaustion"], **fields}}
 
 
+# Certificates written before a scaled atom (c*y) was read as the polynomial
+# in t it denotes: their family text keeps the atom.
+SCALED_ATOM_CERTIFICATES = [
+    {"coloring": [1, 1, 0, 0, 1, 1, 0, 0, 1, 1, 0, 0], "family": "x; x + (1/2*y); x + (-1*y)",
+     "family_flags": {"allow_offsets": False, "require_distinct_values": False,
+                      "strict_nonzero_x": False},
+     "format_version": 1, "kind": "lower-bound", "r": 2, "tool_version": "0.1.0",
+     "window": "int:1..12"},
+    {"exhaustion": {"nodes": 24, "proof_log_hash":
+                    "f95a8e904b0ae0738898b80b865311fe069290449e2e1a05567ec3ec1f3cb805"},
+     "family": "x; x + (1/2*y); x + (-1*y)",
+     "family_flags": {"allow_offsets": False, "require_distinct_values": False,
+                      "strict_nonzero_x": False},
+     "format_version": 3, "kind": "upper-bound", "r": 2, "tool_version": "0.1.0",
+     "window": "int:1..16"},
+]
+
+
 class TestCertificates:
     def test_upper_bound_verifies(self, tmp_path):
         code, _ = run_json(
@@ -188,6 +206,19 @@ class TestCertificates:
         assert code == 0
         assert payload["ok"] is True
         assert "matching trace hash" in payload["message"]
+
+    @pytest.mark.parametrize("cert", SCALED_ATOM_CERTIFICATES, ids=["lower", "upper"])
+    def test_scaled_atom_certificate_still_verifies(self, tmp_path, cert):
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(cert))
+        code, payload = run_json(["verify", str(path), "--rerun"])
+        assert (code, payload["ok"]) == (0, True)
+        # a fresh search writes the same certificate, its family text in t
+        code, _ = run_cli(["search", cert["family"], cert["window"], "-r", "2",
+                           "--cert-dir", str(tmp_path), "--cert-stem", "new"])
+        assert code == 0
+        fresh = json.loads((tmp_path / f"new.{cert['kind']}.json").read_text())
+        assert fresh == {**cert, "family": "x; x + 1/2*t; x - t"}
 
     def test_lower_bound_verifies(self, tmp_path):
         run_json(
@@ -570,6 +601,19 @@ class TestCnfFlow:
         assert payload["witness"] is None
         assert len(payload["coloring"]) == 4
 
+    def test_import_reads_a_minisat_result_file(self, tmp_path, capsys):
+        # minisat q.cnf q.out writes SAT or UNSAT, then the model on one line
+        cnf = export_cnf(builtin_family("schur"), IntegerInterval(1, 4), 2)
+        model = solve(cnf.num_vars, cnf.clauses)
+        sol = tmp_path / "q.out"
+        sol.write_text("SAT\n" + " ".join(str(l) for l in model_literals(model)) + " 0\n")
+        code, payload = run_json(["import-sat", "schur", "int:1..4", "-r", "2", str(sol)])
+        assert (code, payload["witness"]) == (0, None)
+        sol.write_text("UNSAT\n")
+        code, text = run_cli(["import-sat", "schur", "int:1..4", "-r", "2", str(sol)])
+        assert (code, text) == (2, "")
+        assert "the solver found no model (UNSAT)" in capsys.readouterr().err
+
     def test_import_rejects_monochromatic_model(self, tmp_path):
         sol = tmp_path / "allzero.txt"
         lits = []
@@ -604,6 +648,19 @@ class TestErrorPaths:
     def test_empty_colors(self):
         code, _ = run_cli(["detect", "schur", "int:1..4", "--colors", "[]"])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "colors, message",
+        [
+            ("[-1,-1,-1,-1]", "color -1 out of range 0..0"),
+            ("[0,-2,1,0]", "color -2 out of range 0..1"),
+            ("[,]", "empty color list"),
+        ],
+    )
+    def test_bad_colors_named_without_r(self, capsys, colors, message):
+        code, text = run_cli(["detect", "schur", "int:1..4", "--colors", colors])
+        assert (code, text) == (2, "")
+        assert message in capsys.readouterr().err
 
     def test_missing_required_args(self):
         code, _ = run_cli(["sweep"])
@@ -760,6 +817,7 @@ class TestArgumentHandling:
             (SEARCH + ["--cert-dir", "--"], 2, ""),
             (SEARCH + ["--"], 2, ""),
             (["search", "-r", "2", "schur", "int:1..5", "--"], 0, "a6b2d972205012bc"),
+            (["detect", "schur", "int:1..4", "--colors", "[-1,-1,-1,-1]"], 2, ""),
         ],
         ids=lambda v: " ".join(v) if isinstance(v, list) else str(v),
     )

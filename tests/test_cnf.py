@@ -99,6 +99,17 @@ class TestAssignmentText:
     def test_parse_skips_blank_lines(self):
         assert parse_assignment("\n\nv 2 0\n") == [2]
 
+    def test_parse_minisat_result_file(self):
+        assert parse_assignment("SAT\n1 -2 3 -4 0\n") == [1, -2, 3, -4]
+
+    @pytest.mark.parametrize(
+        "text",
+        ["UNSAT\n", "INDET\n", "s UNSATISFIABLE\n", "c minisat\ns  UNSATISFIABLE\n", "s UNKNOWN"],
+    )
+    def test_parse_status_without_a_model_raises(self, text):
+        with pytest.raises(AssignmentError, match="the solver found no model"):
+            parse_assignment(text)
+
 
 class TestImport:
     def _cnf(self):

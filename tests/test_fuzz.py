@@ -25,11 +25,10 @@ from qramsey.cnf import export_cnf, import_assignment
 from qramsey.colorings import Coloring
 from qramsey.detector import build_candidates, find_witness
 from qramsey.patterns import (
+    X,
     AffineTerm,
     Family,
-    OffsetTerm,
     PowerTerm,
-    VarX,
     VarY,
     default_catalog,
     parse_family,
@@ -57,23 +56,24 @@ def draw_term(rng, allow_offsets):
     kinds = ["x", "y", "affine", "affine", "affine", "power"]
     kind = rng.choice(kinds + ["offset"] * allow_offsets)
     if kind == "x":
-        return VarX()
+        return X
     if kind == "y":
         return VarY()
     if kind == "power":
         return PowerTerm(rng.choice([1, -1, 2, -2]))
     if kind == "offset":
-        return OffsetTerm(rng.choice([1, -1, 2, Fraction(1, 2)]))
+        return AffineTerm(1, PolynomialQ([rng.choice([1, -1, 2, Fraction(1, 2)])]))
     coeffs = [0, rng.choice(SCALARS)]
     if rng.random() < 0.4:
         coeffs[1] = rng.choice([0, coeffs[1]])
         coeffs.append(rng.choice(SCALARS))
-    return AffineTerm(rng.choice(SCALARS), PolynomialQ(coeffs), rng.choice(SCALARS))
+    x_coef, scale = rng.choice(SCALARS), rng.choice(SCALARS)
+    return AffineTerm(x_coef, PolynomialQ([c * scale**i for i, c in enumerate(coeffs)]))
 
 
 def draw_family(rng):
     allow_offsets = rng.random() < 0.3
-    terms = [VarX()] if rng.random() < 0.8 else []
+    terms = [X] if rng.random() < 0.8 else []
     for _ in range(rng.randint(2, 3)):
         term = draw_term(rng, allow_offsets)
         if term not in terms:
@@ -196,8 +196,8 @@ TABLE_FAMILIES = [
     "x; 1/2*x + 1/2*(2*y)^3 - (2*y)",
     "x; -1/2*x + 2*t^2 - 1/3*t",
     "x; x / y^2; x + t; x - t^2",
-    "x; x + (0*y)",
-    "x; x / y; x - (0*y)^2",
+    "y; x + (0*y)",
+    "x; x / y; 2*x - (0*y)^2",
 ]
 
 

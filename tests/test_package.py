@@ -1,7 +1,8 @@
-"""The package's export list, and the independence of the tests' oracles."""
+"""The package's export list and module list, and the independence of the tests' oracles."""
 
 import ast
 import os
+import re
 import subprocess
 import sys
 
@@ -172,3 +173,17 @@ def test_regular_expressions_compile_at_import_only():
             assert from_re == [], name
             assert [c for c in calls if c != ("compile", True)] == [], name
     assert ("compile", True) in found["patterns.py"]  # the walk saw the compiles
+
+
+def test_readme_library_layout_names_every_module():
+    # The module list of README *Library layout* drifts when a module is added,
+    # renamed or deleted without the README.
+    root = os.path.dirname(TESTS)
+    with open(os.path.join(root, "README.md"), encoding="utf-8") as fh:
+        readme = fh.read()
+    section = readme.split("\n## Library layout\n", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"`qramsey\.(\w+)`", section))
+    src = os.path.dirname(qramsey.__file__)
+    modules = {name[:-3] for name in os.listdir(src) if name.endswith(".py")}
+    assert "patterns" in named  # the pattern saw the list
+    assert named == modules - {"__init__", "__main__"}

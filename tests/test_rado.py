@@ -9,8 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from qramsey.arith import PolynomialQ
-from qramsey.patterns import AffineTerm, VarX
+from qramsey.patterns import X, AffineTerm
 from qramsey.rado import (
     LinearSystem,
     RadoError,
@@ -188,12 +187,14 @@ class TestSystemToFamily:
     def test_two_active_variables(self):
         family, note = system_to_family(parse_equation("x1 - x2 = 0"))
         assert family is not None
-        assert family.terms == (VarX(), AffineTerm(Fraction(1), PolynomialQ()))
+        assert family.terms == (X,)
+        assert family.serialize() == "x"
         assert "x2" in note
 
     def test_two_active_scaling(self):
         family, _ = system_to_family(LinearSystem((2, -1)))
-        assert family.terms == (VarX(), AffineTerm(Fraction(2), PolynomialQ()))
+        assert family.terms == (X, AffineTerm(Fraction(2)))
+        assert family.serialize() == "x; 2*x + 0"
 
     def test_three_active_variables(self):
         family, _ = system_to_family(parse_equation("x1 + x2 - x3 = 0"))
