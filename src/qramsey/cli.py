@@ -9,12 +9,13 @@ subcommand found a violation, 2 for bad arguments, 3 when
 141 (128 + SIGPIPE) when stdout was closed before the result, the help or
 the version was written.
 
-Arguments are read by hand from ``COMMANDS``, where each command lists its
-positionals and options as data (``Arg``).  The reader accepts and rejects
-what argparse does: a long option by a unique prefix, ``--opt=value``,
-``-r2``, ``--`` to end the options, and a negative number as a value.
-argparse is imported only for ``-h``, to print the help of a parser built
-from the same table.
+Each command lists its positionals and options as data (``Arg``) in
+``COMMANDS``.  The plain forms are read from that table by hand: positionals,
+exact flags, and exact options with their value after ``=`` or in the next
+token.  Every other form (an abbreviation, ``-r2``, ``--``, ``-h``,
+``--version``, a bad argument) goes to an argparse parser built from the same
+table, which reads it, prints the help, the version or the error, and exits.
+So argparse is imported only off the plain path.
 """
 
 from __future__ import annotations
@@ -340,13 +341,12 @@ COMMANDS = {
     )),
     "catalog": ("list the built-in families", _cmd_catalog, ()),
 }
-_HELP, _VERSION = Arg(("-h", "--help"), bool), Arg(("--version",), bool)
-_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")  # argparse's own pattern
 
 
 def _parser(name: str | None):
     """The argparse parser of command ``name``, or the top-level one for None.
-    Only help builds one."""
+    Only the forms that ``_read_command`` leaves alone build one."""
     import argparse
 
     if name is None:
@@ -370,118 +370,59 @@ def _parser(name: str | None):
     return parser
 
 
-def _options(arguments) -> dict[str, Arg]:
-    """Flag -> argument, over -h and the options among ``arguments``."""
-    return {f: a for a in (_HELP, *arguments) if not a.positional for f in a.flags}
-
-
-def _lookup(token: str, options: dict[str, Arg]):
-    """What argparse makes of ``token`` (not '--'): None for a positional,
-    else (argument or None if unknown, flag, attached value or None), where
-    a long flag may be a unique prefix (``--nod=3``) and a short one may
-    carry its value (``-r2``)."""
-    if token[:1] != "-" or token == "-":
-        return None
-    if token in options:
-        return options[token], token, None
-    flag, eq, value = token.partition("=")
-    if eq and flag in options:
-        return options[flag], flag, value
-    if token[1] == "-":
-        matches, value = [f for f in options if f.startswith(flag)], value if eq else None
-    else:
-        matches, value = [f for f in options if f == token[:2]], token[2:]
-    if len(matches) > 1:
-        raise CliError(f"ambiguous option: {token} could match {', '.join(matches)}")
-    if matches:
-        return options[matches[0]], matches[0], value
-    return None if _NEGATIVE_NUMBER.match(token) or " " in token else (None, token, None)
-
-
-def _convert(arg: Arg, name: str, text: str):
-    try:
-        return arg.kind(text)
-    except ValueError:
-        raise CliError(f"argument {name}: invalid {arg.kind.__name__} value: {text!r}") from None
-
-
-def _read_option(arg: Arg, flag: str, value, tokens: list[str], i: int, options):
-    """The value of option ``arg``, typed as ``flag`` before ``tokens[i]``
-    with ``value`` attached or None, and the index of the next token."""
-    if arg.kind is bool:
-        if value is not None:
-            raise CliError(f"argument {flag}: ignored explicit argument {value!r}")
-        return True, i
-    if value is None:
-        if i == len(tokens) or tokens[i] == "--" or _lookup(tokens[i], options) is not None:
-            raise CliError(f"argument {flag}: expected one argument")
-        value, i = tokens[i], i + 1
-    return _convert(arg, flag, value), i
-
-
-def _read_command(name: str, tokens: list[str]) -> SimpleNamespace:
-    """``tokens`` read into command ``name``'s arguments, as argparse reads
-    them; after the first '--' every token is a positional."""
-    _, handler, arguments = COMMANDS[name]
-    options = _options(arguments)
+def _read_command(name: str, tokens: list[str]) -> SimpleNamespace | None:
+    """``tokens`` read into command ``name``'s arguments, or None when they
+    take a form that only argparse reads.  Read here: positionals that do not
+    start with '-', exact flags, and exact options whose value follows '=' or
+    comes as the next token, where a value that starts with '-' must be a
+    negative number.  Each positional slot takes one token, and each required
+    option must be given.  A value that does not convert gives None too."""
+    arguments = COMMANDS[name][2]
+    options = {f: a for a in arguments if not a.positional for f in a.flags}
     values = {a.dest: False if a.kind is bool else a.default for a in arguments
               if not (a.positional or a.required)}
-    positionals, extras = [], []
-    end = tokens.index("--") if "--" in tokens else len(tokens)
-    i, after_positional = 0, False
-    while i < end:
-        found = _lookup(tokens[i], options)
-        i += 1
-        after_positional = found is None
-        if found is None:
-            positionals.append(tokens[i - 1])
-        elif found[0] is None:
-            extras.append(found[1])
-        elif found[0] is _HELP:
-            _parser(name).parse_args(tokens)  # prints the help and exits
+    positionals, read, rest = [], [], iter(tokens)
+    for token in rest:
+        flag, eq, value = token.partition("=")
+        arg = options.get(flag)
+        if token[:1] != "-":
+            positionals.append(token)
+        elif arg is None or arg.kind is bool and eq:
+            return None
+        elif arg.kind is bool:
+            values[arg.dest] = True
         else:
-            values[found[0].dest], i = _read_option(*found, tokens, i, options)
-    slots = [arg for arg in arguments if arg.positional]
-    if end < len(tokens):
-        # argparse keeps this '--' only next to a positional that it fills
-        if not (after_positional or len(positionals) < len(slots) and end + 1 < len(tokens)):
-            extras.append("--")
-        positionals += tokens[end + 1:]
-    for arg, token in zip(slots, positionals):
-        values[arg.dest] = _convert(arg, arg.dest, token)
-    missing = ["/".join(a.flags) for a in arguments if a.dest not in values]
-    if missing:
-        raise CliError(f"the following arguments are required: {', '.join(missing)}")
-    extras += positionals[len(slots):]
-    if extras:
-        raise CliError(f"unrecognized arguments: {' '.join(extras)}")
-    return SimpleNamespace(func=handler, **values)
+            if not eq:
+                value = next(rest, None)
+                if value is None or value[:1] == "-" and not _NEGATIVE_NUMBER.match(value):
+                    return None
+            read.append((arg, value))
+    slots = [a for a in arguments if a.positional]
+    if len(positionals) != len(slots):
+        return None
+    try:
+        for arg, value in [*zip(slots, positionals), *read]:  # a repeated option: the last wins
+            values[arg.dest] = arg.kind(value)
+    except ValueError:
+        return None
+    if any(a.dest not in values for a in arguments):  # a required option is missing
+        return None
+    return SimpleNamespace(**values)
 
 
 def parse_args(argv: list[str]) -> SimpleNamespace:
     """``argv`` read as ``main`` reads it, into the named command's arguments.
 
-    The top-level options (-h, --version) go before the command.  Raises
-    CliError on bad input, SystemExit after the help or the version.
+    The top-level options (-h, --version) go before the command.  What
+    ``_read_command`` does not read, argparse reads: it prints the help, the
+    version or the error, and raises SystemExit.
     """
-    options = _options((_VERSION,))
-    unknown, i = [], 0
-    while i < len(argv) and argv[i] != "--" and (found := _lookup(argv[i], options)):
-        arg, flag, value = found
-        i += 1
-        if arg is None:
-            unknown.append(flag)
-        elif arg is _HELP:
-            _parser(None).parse_args(argv)  # prints the help and exits
-        else:
-            _read_option(arg, flag, value, argv, i, options)  # rejects --version=x
-            print(f"qramsey {__version__}")
-            raise SystemExit(0)
-    if i == len(argv) or argv[i] not in COMMANDS:
-        raise CliError(f"expected a command: {', '.join(COMMANDS)}")
-    if unknown:
-        raise CliError(f"unrecognized arguments: {' '.join(unknown)}")
-    return _read_command(argv[i], argv[i + 1:])
+    if not argv or argv[0] not in COMMANDS:
+        argv = _parser(None).parse_args(argv).command  # help, version and errors exit here
+    name, tokens = argv[0], argv[1:]
+    args = _read_command(name, tokens) or _parser(name).parse_args(tokens)
+    args.func = COMMANDS[name][1]
+    return args
 
 
 def _reader_gone(stream) -> bool:

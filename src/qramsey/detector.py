@@ -166,15 +166,17 @@ class _JoinPlan(NamedTuple):
 
 
 def _join_plan(family: Family, window: Window) -> _JoinPlan:
-    """Check the pair cap, evaluate each term's parts and arrange the rows."""
+    """Check the caps on the window's size, the element cap first, before
+    enumerating it; evaluate each term's parts and arrange the rows."""
+    window.check_cap()
+    if family.uses_y and window.size() ** 2 > PAIR_CAP:
+        raise CapExceededError(
+            f"candidate table for {window.spec_string()} needs "
+            f"{window.size() ** 2} pairs, cap is {PAIR_CAP}"
+        )
     elems = window.elements()
     need_x = family.requires_nonzero_x
     xs = [i for i, v in enumerate(elems) if v != 0 or not need_x]
-    if family.uses_y and len(elems) * len(elems) > PAIR_CAP:
-        raise CapExceededError(
-            f"candidate table for {window.spec_string()} needs "
-            f"{len(elems) ** 2} pairs, cap is {PAIR_CAP}"
-        )
     ys = [i for i, v in enumerate(elems) if v != 0]
     if not family.uses_y:
         del ys[1:]  # the terms ignore y: pin it to the first nonzero element

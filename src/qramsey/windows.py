@@ -14,7 +14,8 @@ Windows enumerate their elements and build their membership index lazily, on
 first access.  The index is keyed on (numerator, denominator) integer pairs,
 so a value reduced by gcd with a positive denominator is looked up without
 building a Fraction.  Enumeration refuses windows of more than ELEMENT_CAP
-elements, and a grid refuses primes of 2^32 and above.
+elements, and a grid refuses primes of 2^32 and above and exponent bounds
+above MAX_EXPONENT.
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ from fractions import Fraction
 from itertools import product
 from math import gcd
 from typing import Iterable, Iterator
+
+from .arith import MAX_EXPONENT
 
 ELEMENT_CAP = 10_000_000
 
@@ -71,7 +74,7 @@ class Window:
     def spec_string(self) -> str:
         raise NotImplementedError
 
-    def _check_cap(self) -> None:
+    def check_cap(self) -> None:
         if self.size() > ELEMENT_CAP:
             raise CapExceededError(
                 f"window {self.spec_string()} has {self.size()} elements, cap is {ELEMENT_CAP}"
@@ -79,7 +82,7 @@ class Window:
 
     def elements(self) -> tuple[Fraction, ...]:
         if self._elements is None:
-            self._check_cap()
+            self.check_cap()
             self._elements = tuple(self._enumerate())
         return self._elements
 
@@ -194,8 +197,8 @@ class MultiplicativeGrid(Window):
                 raise WindowError(f"grid prime {p} is not below 2^32")
             if not _is_prime(p):
                 raise WindowError(f"{p} is not prime")
-        if bound < 0:
-            raise WindowError("exponent bound must be nonnegative")
+        if not 0 <= bound <= MAX_EXPONENT:  # values grow as p^bound
+            raise WindowError(f"exponent bound must lie in 0..{MAX_EXPONENT}, got {bound}")
         self.primes = ps
         self.bound = bound
         self.include_sign = include_sign

@@ -336,6 +336,25 @@ class TestCertificates:
         assert capsys.readouterr().err.startswith("error: ")
 
     @pytest.mark.parametrize(
+        "field, message",
+        [
+            ({"kind": "foo"}, "error: unknown certificate kind 'foo'\n"),
+            ({"format_version": 2}, "error: unsupported certificate format 2\n"),
+        ],
+        ids=["kind-foo", "format-2-lower-bound"],
+    )
+    def test_unknown_kind_or_format_exits_2(self, tmp_path, capsys, field, message):
+        run_json(
+            ["search", "schur", "int:1..4", "-r", "2",
+             "--cert-dir", str(tmp_path), "--cert-stem", "s4"]
+        )
+        path = tmp_path / "s4.lower-bound.json"
+        path.write_text(json.dumps({**json.loads(path.read_text()), **field}))
+        capsys.readouterr()
+        assert run_cli(["verify", str(path)]) == (2, "")
+        assert capsys.readouterr().err == message
+
+    @pytest.mark.parametrize(
         "edit",
         [
             _exhaustion(nodes=False),
@@ -533,6 +552,22 @@ class TestRado:
         assert payload["consistent"] is True
         assert payload["note"] == "regular; unavoidable from n=5 at r=2"
         assert [row["outcome"] for row in payload["rows"]].count("exhausted") == 2
+
+    @pytest.mark.parametrize(
+        "extra, note",
+        [
+            (["--n-max", "3"], "regular; still avoidable at every n <= 3 with r=2"),
+            (["--nodes", "1"], "regular; search budget exhausted before a threshold was found"),
+        ],
+        ids=["avoidable", "budget"],
+    )
+    def test_validated_notes(self, extra, note):
+        code, payload = run_json(["rado", "x1 + x2 - x3 = 0", "--validate"] + extra)
+        assert (code, payload["note"]) == (0, note)
+
+    def test_empty_equation(self, capsys):
+        assert run_cli(["rado", " = 0"]) == (2, "")
+        assert capsys.readouterr().err == "error: empty equation\n"
 
     def test_over_the_column_cap(self, capsys):
         # rejected as it is parsed, before a million-long coefficient tuple
@@ -874,7 +909,7 @@ class TestArgumentHandling:
         pool = ["2", "-3", "-0.5", "-1e5", "x", "", "-", "-x y", "thick", "*", "/", "-2,-1",
                 "--", "--", "--bogus", "-q", "--s", "--c", "--n", "-r=", "--distinct=1",
                 "--hi=3", "=", "a=b"]
-        accepted = 0
+        accepted = plain = 0
         for _ in range(3000):
             name = rng.choice(list(cli.COMMANDS))
             arguments = cli.COMMANDS[name][2]
@@ -891,10 +926,15 @@ class TestArgumentHandling:
                     token += rng.choice(["=", ""]) + rng.choice(["2", "x", "-3"])
                 if token != "--" or "--" not in tokens:
                     tokens.insert(rng.randint(0, len(tokens)), token)
-            outcome = _outcome(cli.parse_args, [name] + tokens)
-            assert outcome == _outcome(cli._parser(name).parse_args, tokens), (name, tokens)
+            outcome = _outcome(cli._parser(name).parse_args, tokens)
+            assert _outcome(cli.parse_args, [name] + tokens) == outcome, (name, tokens)
+            read = cli._read_command(name, tokens)
+            if read is not None:
+                assert vars(read) == outcome, (name, tokens)
+                plain += 1
             accepted += outcome is not None
         assert accepted > 500
+        assert plain >= 500
         capsys.readouterr()
 
 
@@ -932,7 +972,8 @@ class TestCommandTable:
 
 
 class TestParsersBuilt:
-    """Only help builds an argparse parser: the one of the command asked about."""
+    """The plain forms build no argparse parser; help builds the one of the
+    command asked about."""
 
     @pytest.fixture
     def built(self, monkeypatch):
@@ -963,6 +1004,24 @@ class TestParsersBuilt:
             monkeypatch.setitem(cli.COMMANDS, f"extra-{k}", ("", None, (cli.Arg(("--x",)),)))
         assert main(["verify", certificate], out=io.StringIO()) == 0
         assert built == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "schur", "-r", "2", "--template", "int", "--lo", "0", "--hi", "3",
+             "--cert-dir", "certs"],
+            ["sweep", "schur", "-r", "2", "--lo", "-3", "--hi", "2"],
+            ["search", "schur", "int:1..5", "-r=2", "--cert-stem=s5", "--seconds=0.5"],
+            ["rado", "x1 + x2 - x3 = 0", "--validate", "-r", "2", "--n-max", "20"],
+            ["verify", "s5.upper-bound.json", "--rerun"],
+        ],
+        ids=["lo-0", "lo-negative", "opt=value", "rado-validate", "verify-rerun"],
+    )
+    def test_plain_forms_build_no_parser(self, built, argv):
+        args = parse_args(argv)
+        assert built == []
+        assert vars(args) == {**vars(cli._parser(argv[0]).parse_args(argv[1:])),
+                              "func": cli.COMMANDS[argv[0]][1]}
 
     def test_help_builds_the_command_parser_only(self, built, capsys):
         assert main(["search", "-h"]) == 0
@@ -1038,4 +1097,5 @@ class TestReadme:
             lines = [ln[len("$ qramsey "):] for ln in fh if ln.startswith("$ qramsey ")]
         assert len(lines) >= 10
         for line in lines:
-            parse_args(shlex.split(line))
+            argv = shlex.split(line)
+            assert cli._read_command(argv[0], argv[1:]) is not None, line

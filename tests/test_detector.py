@@ -182,6 +182,16 @@ class TestTableStructure:
         with pytest.raises(CapExceededError, match="pairs"):
             build_candidates(family, window)
 
+    def test_pair_cap_refuses_before_enumerating(self):
+        window = FareyWindow(2000)  # the count comes from a totient sieve
+        with pytest.raises(CapExceededError, match="needs 23681372055201 pairs"):
+            build_candidates(builtin_family("schur"), window)
+        assert window._elements is None
+
+    def test_element_cap_reported_before_the_pair_cap(self):
+        with pytest.raises(CapExceededError, match="has 100000000 elements, cap is"):
+            build_candidates(builtin_family("schur"), IntegerInterval(1, 10**8))
+
     def test_distinct_filter_drops_collapsing_pairs(self):
         fam_loose = parse_family("x; y; x + t")
         fam_strict = parse_family("x; y; x + t", require_distinct_values=True)

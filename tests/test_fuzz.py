@@ -279,6 +279,16 @@ def test_restrict_rejects_a_window_not_inside_in_order(outer, inner):
             table.restrict(parse_window(inner))
 
 
+def test_restrict_of_a_y_free_family_to_zero_alone():
+    # int:0..0 has no nonzero element to pin y to, so its table is empty
+    row = parse_window("int:0..0")
+    for text in NO_Y_FAMILIES:
+        family = parse_family(text, allow_offsets=True)
+        top = build_candidates(family, parse_window("int:-2..2"))
+        assert top.restrict(row) == build_candidates(family, row)
+        assert top.restrict(row).entries == ()
+
+
 def test_restrict_to_a_prefix_shares_every_entry():
     # An int row is a prefix of the top row, so no index moves and the row
     # holds the top table's own entries rather than copies of them.

@@ -182,6 +182,14 @@ class TestParse:
         assert parse_family(text).serialize() == text
         assert parse_family("x * y^-064").terms == (PowerTerm(-64),)
 
+    @pytest.mark.parametrize(
+        "term, message",
+        [("x * y^0", "exponent must be nonzero"), ("0*x + t", "x coefficient must be nonzero")],
+    )
+    def test_zero_exponent_or_x_coefficient_rejected(self, term, message):
+        with pytest.raises(PatternSyntaxError, match=f"^{message} \\(position 3\\)$"):
+            parse_family(f"x; {term}")
+
     def test_empty_term_rejected(self):
         with pytest.raises(PatternSyntaxError, match="empty term"):
             parse_family("x;; y")

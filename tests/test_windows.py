@@ -6,6 +6,7 @@ from math import gcd
 
 import pytest
 
+from qramsey.arith import MAX_EXPONENT
 from qramsey.windows import (
     CapExceededError,
     FareyWindow,
@@ -172,6 +173,14 @@ class TestMultiplicativeGrid:
                 MultiplicativeGrid([p], 1)
         assert time.perf_counter() - start < 1
 
+    def test_exponent_bound_capped(self):
+        # Values grow as p^bound, so memory would grow with the bound, not
+        # only with the element count that ELEMENT_CAP bounds.
+        assert MultiplicativeGrid([2], MAX_EXPONENT).elements()[-1] == 2**MAX_EXPONENT
+        for spec in ("mgrid:2:65", "mgrid:2:40000", "mgrid:2,3:20000:+sign"):
+            with pytest.raises(WindowError, match="^exponent bound must lie in 0..64, got "):
+                parse_window(spec)
+
     def test_spec_round_trips(self):
         for w in (MultiplicativeGrid([2, 3], 2), MultiplicativeGrid([5], 1, True)):
             assert parse_window(w.spec_string()) == w
@@ -186,7 +195,8 @@ class TestParseWindow:
         assert w.size() >= 1
 
     @pytest.mark.parametrize(
-        "bad", ["", "int:9..1", "int:a..b", "farey:x", "farey:2:?", "mgrid:6:1", "mgrid:2:1:loud", "interval:1..2"]
+        "bad", ["", "int:9..1", "int:a..b", "farey:x", "farey:2:?", "mgrid:6:1", "mgrid:2:1:loud", "interval:1..2",
+                "mgrid:a:1"]
     )
     def test_rejects(self, bad):
         with pytest.raises(WindowError):
