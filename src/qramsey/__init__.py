@@ -13,14 +13,12 @@ from __future__ import annotations
 __version__ = "0.1.0"
 
 from .arith import (
-    DegenerateRationalError,
     PolynomialQ,
     PolynomialSyntaxError,
     format_polynomial,
     format_rational,
     parse_polynomial,
     parse_rational,
-    rational_make,
 )
 from .certificates import (
     certificate_for_result,
@@ -30,11 +28,10 @@ from .certificates import (
     write_certificate,
 )
 from .cnf import CnfInstance, export_cnf, import_assignment, parse_assignment, to_dimacs
-from .colorings import Coloring, serialize_coloring
+from .colorings import Coloring
 from .detector import CandidateTable, build_candidates, find_witness
 from .patterns import (
     Family,
-    InvalidInstantiationError,
     Witness,
     builtin_family,
     default_catalog,
@@ -63,7 +60,6 @@ from .windows import (
     IntegerInterval,
     MultiplicativeGrid,
     Window,
-    WindowError,
     parse_window,
 )
 
@@ -74,12 +70,10 @@ __all__ = [
     "CandidateTable",
     "CnfInstance",
     "Coloring",
-    "DegenerateRationalError",
     "EXHAUSTED",
     "Family",
     "FareyWindow",
     "IntegerInterval",
-    "InvalidInstantiationError",
     "LinearSystem",
     "MultiplicativeGrid",
     "PolynomialQ",
@@ -87,7 +81,6 @@ __all__ = [
     "SearchBudget",
     "SearchResult",
     "Window",
-    "WindowError",
     "Witness",
     "build_candidates",
     "builtin_family",
@@ -109,9 +102,7 @@ __all__ = [
     "parse_polynomial",
     "parse_rational",
     "parse_window",
-    "rational_make",
     "search_avoiding",
-    "serialize_coloring",
     "system_to_family",
     "threshold_sweep",
     "to_dimacs",

@@ -2,8 +2,8 @@
 
 Rationals are stdlib ``fractions.Fraction`` values, which already guarantee
 the normal form used throughout this package: lowest terms, denominator >= 1,
-zero stored as 0/1.  ``rational_make`` is the checked constructor; building a
-Fraction directly is fine anywhere a zero denominator cannot occur.
+zero stored as 0/1.  ``parse_rational`` rejects a zero denominator in text;
+code builds a Fraction directly wherever a zero denominator cannot occur.
 
 Polynomials are dense coefficient tuples, index i holding the coefficient of
 t^i.  Trailing zeros are stripped on construction, so the zero polynomial has
@@ -18,10 +18,6 @@ from fractions import Fraction
 from typing import Iterable, Iterator
 
 
-class DegenerateRationalError(ValueError):
-    """Zero denominator."""
-
-
 class PolynomialSyntaxError(ValueError):
     """Unparseable polynomial text; carries the offending offset."""
 
@@ -33,16 +29,6 @@ class PolynomialSyntaxError(ValueError):
         return f"{self.args[0]} (position {self.position})"
 
 
-def rational_make(numerator: int, denominator: int = 1) -> Fraction:
-    """Build numerator/denominator in normal form.
-
-    Raises DegenerateRationalError when the denominator is zero.
-    """
-    if denominator == 0:
-        raise DegenerateRationalError("degenerate rational: zero denominator")
-    return Fraction(numerator, denominator)
-
-
 _RATIONAL_RE = re.compile(r"^\s*(-?\d+)\s*(?:/\s*(-?\d+))?\s*$")
 
 
@@ -52,7 +38,9 @@ def parse_rational(text: str) -> Fraction:
     if m is None:
         raise ValueError(f"not a rational: {text!r}")
     den = int(m.group(2)) if m.group(2) is not None else 1
-    return rational_make(int(m.group(1)), den)
+    if den == 0:
+        raise ValueError("degenerate rational: zero denominator")
+    return Fraction(int(m.group(1)), den)
 
 
 def format_rational(q: Fraction) -> str:
@@ -106,8 +94,8 @@ class PolynomialQ:
         return format_polynomial(self)
 
 
-def format_polynomial(p: PolynomialQ, var: str = "t") -> str:
-    """Render as a sum of c*var^k monomials, highest exponent first."""
+def format_polynomial(p: PolynomialQ) -> str:
+    """Render as a sum of c*t^k monomials, highest exponent first."""
     if not p.coeffs:
         return "0"
     parts: list[str] = []
@@ -118,7 +106,7 @@ def format_polynomial(p: PolynomialQ, var: str = "t") -> str:
         if exp == 0:
             body = format_rational(abs(c))
         else:
-            head = var if exp == 1 else f"{var}^{exp}"
+            head = "t" if exp == 1 else f"t^{exp}"
             body = head if abs(c) == 1 else f"{format_rational(abs(c))}*{head}"
         if not parts:
             parts.append(body if c > 0 else f"-{body}")
@@ -209,15 +197,15 @@ def from_exponents(coeffs: dict[int, Fraction]) -> PolynomialQ:
     return PolynomialQ([coeffs.get(e, 0) for e in range(max(coeffs) + 1)])
 
 
-def parse_polynomial(text: str, var: str = "t") -> PolynomialQ:
-    """Parse polynomial text such as 't^2 - 3/2*t' in the variable var.
+def parse_polynomial(text: str) -> PolynomialQ:
+    """Parse polynomial text such as 't^2 - 3/2*t' in the variable t.
 
     Accepted monomials are those of read_monomials; repeated exponents
     accumulate.
     """
     coeffs: dict[int, Fraction] = {}
     for name, exp, coef, start in read_monomials(text):
-        if name is not None and name != var:
-            raise PolynomialSyntaxError(f"unknown variable {name!r}, expected {var!r}", start)
+        if name is not None and name != "t":
+            raise PolynomialSyntaxError(f"unknown variable {name!r}, expected 't'", start)
         coeffs[exp] = coeffs.get(exp, 0) + coef
     return from_exponents(coeffs)

@@ -52,10 +52,6 @@ from .search import (
 from .windows import Window, parse_window
 
 
-class CliError(Exception):
-    pass
-
-
 def _emit(out, payload: dict) -> None:
     out.write(json.dumps(payload, sort_keys=True, indent=2))
     out.write("\n")
@@ -76,7 +72,7 @@ def _parse_colors(text: str) -> list[int]:
         body = body[1:-1]
     colors = [int(tok) for tok in body.replace(",", " ").split()]
     if not colors:
-        raise CliError("empty color list")
+        raise ValueError("empty color list")
     return colors
 
 
@@ -182,9 +178,9 @@ def _cmd_rado(args, out) -> int:
     system = parse_equation(args.equation)
     budget = _budget(args)
     if args.r < 1:
-        raise CliError(f"need at least one color, got r={args.r}")
+        raise ValueError(f"need at least one color, got r={args.r}")
     if args.n_max < 1:
-        raise CliError(f"need at least one window, got n_max={args.n_max}")
+        raise ValueError(f"need at least one window, got n_max={args.n_max}")
     if args.validate:
         report = cross_validate(system, args.r, args.n_max, budget=budget)
         cond = report.condition
@@ -460,7 +456,7 @@ def main(argv: list[str] | None = None, out=None) -> int:
         if out is not sys.stdout or not _reader_gone(sys.stdout):
             print(f"error: {exc}", file=sys.stderr)  # a certificate or --out file
             return 2
-    except (CliError, ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError, KeyError) as exc:
         # str() of a KeyError would quote the message
         message = exc.args[0] if isinstance(exc, KeyError) else exc
         print(f"error: {message}", file=sys.stderr)

@@ -29,10 +29,6 @@ from .patterns import Family
 from .windows import Window
 
 
-class AssignmentError(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class CnfInstance:
     family: Family
@@ -105,13 +101,13 @@ def parse_assignment(text: str) -> list[int]:
     Accepts raw literal lines as well as minisat/picosat style 'v ' lines;
     comment lines, status lines (minisat's result file opens with SAT) and
     the trailing 0 are ignored.  A status without a model (UNSAT, or INDET
-    when the solver gave up) raises AssignmentError.
+    when the solver gave up) raises ValueError.
     """
     lits: list[int] = []
     for line in text.splitlines():
         line = line.strip()
         if line.split() in _NO_MODEL:
-            raise AssignmentError(f"the solver found no model ({line})")
+            raise ValueError(f"the solver found no model ({line})")
         if not line or line == "SAT" or line.startswith(("c", "s")):
             continue
         if line.startswith("v"):
@@ -134,18 +130,16 @@ def import_assignment(cnf: CnfInstance, literals: Iterable[int]) -> Coloring:
     for lit in literals:
         var = abs(lit)
         if not 1 <= var <= cnf.num_vars:
-            raise AssignmentError(f"literal {lit} outside 1..{cnf.num_vars}")
+            raise ValueError(f"literal {lit} outside 1..{cnf.num_vars}")
         truth[var] = lit > 0
     missing = next((v for v in range(1, cnf.num_vars + 1) if v not in truth), None)
     if missing is not None:
-        raise AssignmentError(f"assignment not total: variable {missing} unset")
+        raise ValueError(f"assignment not total: variable {missing} unset")
     colors = []
     for e in range(cnf.window.size()):
         chosen = next((c for c in range(cnf.colors) if truth[cnf.var(e, c)]), None)
         if chosen is None:
-            raise AssignmentError(
-                f"assignment violates at-least-one clause for element {e}"
-            )
+            raise ValueError(f"assignment violates at-least-one clause for element {e}")
         colors.append(chosen)
     return Coloring(cnf.window, colors, cnf.r)
 

@@ -71,7 +71,7 @@ from .patterns import (
     Witness,
     instantiate,
 )
-from .windows import CapExceededError, Window
+from .windows import Window
 
 PAIR_CAP = 25_000_000
 
@@ -118,10 +118,11 @@ class CandidateTable:
 
         Keeps the entries whose x, y and values all lie in ``window`` and
         re-indexes them into it, in the same order.  A family without y has
-        y pinned again, to the first nonzero element of ``window``.  Raises
-        ValueError unless every element of ``window`` lies in this table's
-        window, in the same relative order, which is what keeps the entry
-        order x-major with y in window order.
+        y pinned again, to the first nonzero element of ``window``; with no
+        such element, the top table's pin lies outside and no entry is kept.
+        Raises ValueError unless every element of ``window`` lies in this
+        table's window, in the same relative order, which is what keeps the
+        entry order x-major with y in window order.
         """
         where = [window.index_of(v) for v in self.window.elements()]
         if [j for j in where if j is not None] != list(range(window.size())):
@@ -131,8 +132,6 @@ class CandidateTable:
         pin = None
         if not self.family.uses_y:
             pin = next((j for j, v in enumerate(window.elements()) if v != 0), None)
-            if pin is None:
-                return CandidateTable(self.family, window, ())
         get = where.__getitem__
         entries: list[Candidate] = []
         for entry in self.entries:
@@ -170,7 +169,7 @@ def _join_plan(family: Family, window: Window) -> _JoinPlan:
     enumerating it; evaluate each term's parts and arrange the rows."""
     window.check_cap()
     if family.uses_y and window.size() ** 2 > PAIR_CAP:
-        raise CapExceededError(
+        raise ValueError(
             f"candidate table for {window.spec_string()} needs "
             f"{window.size() ** 2} pairs, cap is {PAIR_CAP}"
         )

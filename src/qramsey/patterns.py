@@ -53,16 +53,6 @@ from .arith import (
 from .windows import Pair, pair_key
 
 
-class PatternSyntaxError(ValueError):
-    def __init__(self, message: str, position: int) -> None:
-        super().__init__(f"{message} (position {position})")
-        self.position = position
-
-
-class InvalidInstantiationError(ValueError):
-    pass
-
-
 Values = Sequence[Fraction]
 PairIndex = dict[Pair, int]
 
@@ -247,11 +237,9 @@ def instantiate(family: Family, x: Fraction | int, y: Fraction | int) -> tuple[F
     """Evaluate every term at (x, y), in term order."""
     x, y = Fraction(x), Fraction(y)
     if y == 0:
-        raise InvalidInstantiationError("invalid instantiation point: y must be nonzero")
+        raise ValueError("invalid instantiation point: y must be nonzero")
     if x == 0 and family.requires_nonzero_x:
-        raise InvalidInstantiationError(
-            "invalid instantiation point: x must be nonzero for this family"
-        )
+        raise ValueError("invalid instantiation point: x must be nonzero for this family")
     return tuple(t.value(x, y) for t in family.terms)
 
 
@@ -264,8 +252,9 @@ _Y_ATOM_RE = re.compile(rf"\(\s*(?P<c2>{_RAT})\s*\*\s*y\s*\)")
 def _parse_term(chunk: str, offset: int, allow_offsets: bool) -> PatternTerm:
     s = chunk.strip()
     offset += len(chunk) - len(chunk.lstrip())
+    at = f" (position {offset})"  # ends each error message
     if not s:
-        raise PatternSyntaxError("empty term", offset)
+        raise ValueError("empty term" + at)
     if s == "x":
         return X
     if s == "y":
@@ -275,17 +264,17 @@ def _parse_term(chunk: str, offset: int, allow_offsets: bool) -> PatternTerm:
         try:
             exp = read_exponent(m.group("exp") or "1")
         except ValueError as exc:
-            raise PatternSyntaxError(exc.args[0], offset) from None
+            raise ValueError(exc.args[0] + at) from None
         if (m.group("op") == "/") != bool(m.group("neg")):
             exp = -exp
         if exp == 0:
-            raise PatternSyntaxError("exponent must be nonzero", offset)
+            raise ValueError("exponent must be nonzero" + at)
         return PowerTerm(exp)
     m = _AFFINE_RE.match(s)
     if m:
         c1 = parse_rational(m.group("c1")) if m.group("c1") else Fraction(1)
         if c1 == 0:
-            raise PatternSyntaxError("x coefficient must be nonzero", offset)
+            raise ValueError("x coefficient must be nonzero" + at)
         rest = m.group("rest").strip()
         if m.group("op") == "-":
             rest = "-" + rest
@@ -304,24 +293,22 @@ def _parse_term(chunk: str, offset: int, allow_offsets: bool) -> PatternTerm:
                     coef *= scale**exp  # c*(c2*y)^k is c*c2^k * y^k
                 coeffs[exp] = coeffs.get(exp, 0) + coef
         except ValueError as exc:
-            raise PatternSyntaxError(f"bad polynomial part: {exc.args[0]}", offset) from None
+            raise ValueError(f"bad polynomial part: {exc.args[0]}{at}") from None
         if len(scalings) > 1:
-            raise PatternSyntaxError("mixed y scalings in one term", offset)
+            raise ValueError("mixed y scalings in one term" + at)
         if scalings and bare:
-            raise PatternSyntaxError("mix of scaled and bare variables", offset)
+            raise ValueError("mix of scaled and bare variables" + at)
         if len(bare) > 1:
-            raise PatternSyntaxError("mix of t and y in polynomial part", offset)
+            raise ValueError("mix of t and y in polynomial part" + at)
         poly = from_exponents(coeffs)
         if poly.has_zero_constant_term:
             return AffineTerm(c1, poly)
         if poly.degree == 0 and c1 == 1 and scalings <= {1}:
             if allow_offsets:
                 return AffineTerm(1, poly)
-            raise PatternSyntaxError(
-                "constant term must be zero (offset terms are disabled)", offset
-            )
-        raise PatternSyntaxError("constant term must be zero", offset)
-    raise PatternSyntaxError(f"unrecognized term {s!r}", offset)
+            raise ValueError("constant term must be zero (offset terms are disabled)" + at)
+        raise ValueError("constant term must be zero" + at)
+    raise ValueError(f"unrecognized term {s!r}{at}")
 
 
 def parse_family(

@@ -8,8 +8,8 @@ free variables; counting them would wrongly certify equations like
 an equation has at most MAX_COLUMNS columns.  Its witness is the block
 partition of the condition: the zero-sum subset, then every other column.
 A LinearSystem is one equation, held as its coefficient tuple; an all-zero
-tuple raises RadoError.  parse_equation rejects an equation over more than
-MAX_COLUMNS variables before it builds the tuple, with the same RadoError
+tuple raises ValueError.  parse_equation rejects an equation over more than
+MAX_COLUMNS variables before it builds the tuple, with the same message
 that columns_condition raises for a wider system built directly.
 
 cross_validate maps small equations onto two-variable pattern families and
@@ -32,10 +32,6 @@ from .search import BUDGET_EXCEEDED, EXHAUSTED, SearchBudget, threshold_sweep
 MAX_COLUMNS = 20
 
 
-class RadoError(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class LinearSystem:
     coeffs: tuple[Fraction, ...]
@@ -44,7 +40,7 @@ class LinearSystem:
         coeffs = tuple(map(Fraction, self.coeffs))
         object.__setattr__(self, "coeffs", coeffs)
         if not any(coeffs):
-            raise RadoError("the equation is all zero")
+            raise ValueError("the equation is all zero")
 
 
 _EQ_TERM_RE = re.compile(r"^(?P<coef>-?\d+(?:/\d+)?)?\s*\*?\s*x(?P<idx>\d+)$")
@@ -58,23 +54,23 @@ def parse_equation(text: str) -> LinearSystem:
     """
     lhs, sep, rhs = text.partition("=")
     if not sep or rhs.strip() != "0":
-        raise RadoError(f"equation must end in '= 0': {text!r}")
+        raise ValueError(f"equation must end in '= 0': {text!r}")
     coeffs: dict[int, Fraction] = {}
     for sign, chunk, _ in signed_chunks(lhs.strip()):
         chunk = chunk.strip()
         m = _EQ_TERM_RE.match(chunk)
         if m is None:
-            raise RadoError(f"bad term {chunk!r} in equation")
+            raise ValueError(f"bad term {chunk!r} in equation")
         coef = parse_rational(m.group("coef")) if m.group("coef") else Fraction(1)
         idx = int(m.group("idx"))
         if idx < 1:
-            raise RadoError("variables are numbered from x1")
+            raise ValueError("variables are numbered from x1")
         coeffs[idx] = coeffs.get(idx, Fraction(0)) + sign * coef
     if not coeffs:
-        raise RadoError("empty equation")
+        raise ValueError("empty equation")
     width = max(coeffs)
     if width > MAX_COLUMNS:
-        raise RadoError(f"{width} columns exceed the cap {MAX_COLUMNS}")
+        raise ValueError(f"{width} columns exceed the cap {MAX_COLUMNS}")
     return LinearSystem(tuple(coeffs.get(j, Fraction(0)) for j in range(1, width + 1)))
 
 
@@ -89,7 +85,7 @@ def columns_condition(system: LinearSystem) -> ColumnsConditionResult:
     """Decide the columns condition and produce a block partition witness."""
     coeffs = system.coeffs
     if len(coeffs) > MAX_COLUMNS:
-        raise RadoError(f"{len(coeffs)} columns exceed the cap {MAX_COLUMNS}")
+        raise ValueError(f"{len(coeffs)} columns exceed the cap {MAX_COLUMNS}")
     nonzero = [j for j, c in enumerate(coeffs) if c != 0]
     # Subset-sum over nonzero coefficients, smallest bitmask first.
     for mask in range(1, 1 << len(nonzero)):

@@ -299,7 +299,7 @@ def threshold_sweep(
     Each row's window lies inside the top row's, in the same order, so the
     sweep builds one candidate table, the top row's, and restricts it to
     each lower row.  A top row over the pair or element cap raises
-    CapExceededError before any row is searched.
+    ValueError before any row is searched.
     """
     if n_lo > n_hi:
         raise ValueError(f"empty sweep: lo={n_lo} is above hi={n_hi}")

@@ -31,14 +31,6 @@ from .arith import MAX_EXPONENT
 ELEMENT_CAP = 10_000_000
 
 
-class WindowError(ValueError):
-    pass
-
-
-class CapExceededError(WindowError):
-    """Window too large to enumerate under ELEMENT_CAP."""
-
-
 Pair = tuple[int, int]
 
 
@@ -76,7 +68,7 @@ class Window:
 
     def check_cap(self) -> None:
         if self.size() > ELEMENT_CAP:
-            raise CapExceededError(
+            raise ValueError(
                 f"window {self.spec_string()} has {self.size()} elements, cap is {ELEMENT_CAP}"
             )
 
@@ -110,7 +102,7 @@ class IntegerInterval(Window):
     def __init__(self, lo: int, hi: int) -> None:
         super().__init__()
         if lo > hi:
-            raise WindowError(f"empty interval {lo}..{hi}")
+            raise ValueError(f"empty interval {lo}..{hi}")
         self.lo = lo
         self.hi = hi
 
@@ -134,7 +126,7 @@ class FareyWindow(Window):
     ) -> None:
         super().__init__()
         if n < 1:
-            raise WindowError("Farey bound must be at least 1")
+            raise ValueError("Farey bound must be at least 1")
         self.n = n
         self.include_zero = include_zero
         self.include_negatives = include_negatives
@@ -145,7 +137,7 @@ class FareyWindow(Window):
             # Over n^2 / 2 pairs are coprime (under 0.46 n^2 share a prime),
             # so a window this large is refused before its pairs are counted.
             if self.n * self.n > 2 * ELEMENT_CAP:
-                raise CapExceededError(
+                raise ValueError(
                     f"window {self.spec_string()} has over {self.n * self.n // 2} elements,"
                     f" cap is {ELEMENT_CAP}"
                 )
@@ -189,16 +181,16 @@ class MultiplicativeGrid(Window):
         super().__init__()
         ps = tuple(primes)
         if not ps:
-            raise WindowError("at least one prime required")
+            raise ValueError("at least one prime required")
         if len(set(ps)) != len(ps):
-            raise WindowError(f"primes must be distinct: {ps}")
+            raise ValueError(f"primes must be distinct: {ps}")
         for p in ps:
             if p >= 1 << 32:  # trial division then takes under 2^16 steps
-                raise WindowError(f"grid prime {p} is not below 2^32")
+                raise ValueError(f"grid prime {p} is not below 2^32")
             if not _is_prime(p):
-                raise WindowError(f"{p} is not prime")
+                raise ValueError(f"{p} is not prime")
         if not 0 <= bound <= MAX_EXPONENT:  # values grow as p^bound
-            raise WindowError(f"exponent bound must lie in 0..{MAX_EXPONENT}, got {bound}")
+            raise ValueError(f"exponent bound must lie in 0..{MAX_EXPONENT}, got {bound}")
         self.primes = ps
         self.bound = bound
         self.include_sign = include_sign
@@ -256,21 +248,21 @@ def parse_window(spec: str) -> Window:
         try:
             n = int(parts[1])
         except ValueError:
-            raise WindowError(f"bad Farey bound in {spec!r}") from None
+            raise ValueError(f"bad Farey bound in {spec!r}") from None
         make, args, flags = FareyWindow, (n,), parts[2:]
     elif kind == "mgrid" and len(parts) >= 3:
         try:
             primes = [int(p) for p in parts[1].split(",")]
             bound = int(parts[2])
         except ValueError:
-            raise WindowError(f"bad grid parameters in {spec!r}") from None
+            raise ValueError(f"bad grid parameters in {spec!r}") from None
         make, args, flags = MultiplicativeGrid, (primes, bound), parts[3:]
     else:
-        raise WindowError(f"unrecognized window spec {spec!r}")
+        raise ValueError(f"unrecognized window spec {spec!r}")
     options = {}
     for flag in flags:
         if flag not in _FLAGS[kind]:
-            raise WindowError(f"unknown flag {flag!r} in {spec!r}")
+            raise ValueError(f"unknown flag {flag!r} in {spec!r}")
         keyword, value = _FLAGS[kind][flag]
         options[keyword] = value
     return make(*args, **options)

@@ -942,7 +942,7 @@ def _outcome(parse, tokens):
     """The values that ``parse`` reads from ``tokens``, or None if it rejects them."""
     try:
         args = vars(parse(tokens))
-    except (SystemExit, cli.CliError, ValueError):
+    except (SystemExit, ValueError):
         return None
     return {k: v for k, v in args.items() if k != "func"}
 

@@ -16,7 +16,6 @@ from qramsey.colorings import Coloring
 from qramsey.detector import Candidate, CandidateTable, build_candidates, find_witness
 from qramsey.patterns import builtin_family, instantiate, parse_family
 from qramsey.windows import (
-    CapExceededError,
     FareyWindow,
     IntegerInterval,
     MultiplicativeGrid,
@@ -179,17 +178,23 @@ class TestTableStructure:
     def test_pair_cap(self):
         family = builtin_family("schur")
         window = IntegerInterval(1, 6000)
-        with pytest.raises(CapExceededError, match="pairs"):
+        with pytest.raises(
+            ValueError, match="^candidate table for int:1..6000 needs 36000000 pairs, cap is 25000000$"
+        ):
             build_candidates(family, window)
 
     def test_pair_cap_refuses_before_enumerating(self):
         window = FareyWindow(2000)  # the count comes from a totient sieve
-        with pytest.raises(CapExceededError, match="needs 23681372055201 pairs"):
+        with pytest.raises(
+            ValueError, match="^candidate table for farey:2000 needs 23681372055201 pairs, cap is 25000000$"
+        ):
             build_candidates(builtin_family("schur"), window)
         assert window._elements is None
 
     def test_element_cap_reported_before_the_pair_cap(self):
-        with pytest.raises(CapExceededError, match="has 100000000 elements, cap is"):
+        with pytest.raises(
+            ValueError, match="^window int:1..100000000 has 100000000 elements, cap is 10000000$"
+        ):
             build_candidates(builtin_family("schur"), IntegerInterval(1, 10**8))
 
     def test_distinct_filter_drops_collapsing_pairs(self):

@@ -156,7 +156,7 @@ def per_color_disagreements():
             scanned = find_witness(family, coloring, table)
             witnesses += scanned is not None
             if find_witness(family, coloring) != scanned:
-                differ.append((family.serialize(), repr(coloring)))
+                differ.append((family.serialize(), window.spec_string(), coloring.colors))
     return differ, witnesses
 
 

@@ -1,6 +1,7 @@
 """The package's export list and module list, and the independence of the tests' oracles."""
 
 import ast
+import builtins
 import os
 import re
 import subprocess
@@ -131,6 +132,32 @@ def test_every_exported_name_is_read_inside_the_package():
                 read |= {alias.name for alias in node.names}
     assert {"find_witness", "__version__"} <= read  # the walk saw calls and imports
     assert [name for name in qramsey.__all__ if name not in read] == []
+
+
+def test_exception_classes_are_pinned():
+    # Rejected input raises plain ValueError, which cli.main maps to exit 2.
+    # PolynomialSyntaxError keeps its position apart from its message, and
+    # _BudgetHit unwinds a search; a subclass that only renames ValueError
+    # adds a type that no caller tells apart.
+    src = os.path.dirname(qramsey.__file__)
+    bases = {}  # "module.Class" -> the last dotted part of each base
+    for name in os.listdir(src):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name), encoding="utf-8") as fh:
+                tree = ast.parse(fh.read())
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ClassDef):
+                    last = {ast.unparse(b).split(".")[-1] for b in node.bases}
+                    bases[f"{name[:-3]}.{node.name}"] = last
+    assert "windows.Window" in bases  # the walk saw the classes
+    exceptions = {
+        n for n, v in vars(builtins).items() if isinstance(v, type) and issubclass(v, BaseException)
+    }
+    found = set()
+    while new := {c for c, b in bases.items() if b & exceptions and c not in found}:
+        found |= new  # and subclasses of those, to any depth
+        exceptions |= {c.split(".")[1] for c in new}
+    assert found == {"arith.PolynomialSyntaxError", "search._BudgetHit"}
 
 
 def _regex_calls(path):

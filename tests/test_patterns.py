@@ -10,8 +10,6 @@ from qramsey.patterns import (
     X,
     AffineTerm,
     Family,
-    InvalidInstantiationError,
-    PatternSyntaxError,
     PowerTerm,
     VarY,
     builtin_family,
@@ -45,13 +43,16 @@ class TestTermValues:
         assert not t.uses_y
 
 
+X_MUST_BE_NONZERO = "invalid instantiation point: x must be nonzero for this family"
+
+
 class TestInstantiationGuards:
     def test_zero_y_rejected(self):
-        with pytest.raises(InvalidInstantiationError, match="y must be nonzero"):
+        with pytest.raises(ValueError, match="^invalid instantiation point: y must be nonzero$"):
             instantiate(builtin_family("schur"), 1, 0)
 
     def test_zero_x_rejected_with_power_terms(self):
-        with pytest.raises(InvalidInstantiationError, match="x must be nonzero"):
+        with pytest.raises(ValueError, match=f"^{X_MUST_BE_NONZERO}$"):
             instantiate(builtin_family("moreira(1)"), 0, 1)
 
     def test_zero_x_allowed_without_power_terms(self):
@@ -60,7 +61,7 @@ class TestInstantiationGuards:
 
     def test_strict_flag_forces_nonzero_x(self):
         fam = parse_family("x; y", strict_nonzero_x=True)
-        with pytest.raises(InvalidInstantiationError):
+        with pytest.raises(ValueError, match=f"^{X_MUST_BE_NONZERO}$"):
             instantiate(fam, 0, 1)
 
 
@@ -126,9 +127,9 @@ class TestParse:
         assert term.value(Fraction(1), Fraction(3)) == Fraction(37)
 
     def test_mixed_scalings_rejected(self):
-        with pytest.raises(PatternSyntaxError, match="mixed y scalings"):
+        with pytest.raises(ValueError, match=r"^mixed y scalings in one term \(position 0\)$"):
             parse_family("x + (2*y)^2 + (3*y)")
-        with pytest.raises(PatternSyntaxError, match="scaled and bare"):
+        with pytest.raises(ValueError, match=r"^mix of scaled and bare variables \(position 0\)$"):
             parse_family("x + (2*y)^2 + t")
 
     @pytest.mark.parametrize(
@@ -139,11 +140,13 @@ class TestParse:
             parse_family(text)
 
     def test_mixed_t_and_y_rejected(self):
-        with pytest.raises(PatternSyntaxError, match="mix of t and y"):
+        with pytest.raises(ValueError, match=r"^mix of t and y in polynomial part \(position 0\)$"):
             parse_family("x + t + y")
 
     def test_offsets_gated(self):
-        with pytest.raises(PatternSyntaxError, match="offset terms are disabled"):
+        with pytest.raises(
+            ValueError, match=r"^constant term must be zero \(offset terms are disabled\) \(position 3\)$"
+        ):
             parse_family("x; x + 3")
         fam = parse_family("x; x + 3", allow_offsets=True)
         assert fam.terms == (X, AffineTerm(1, PolynomialQ([3])))
@@ -152,15 +155,14 @@ class TestParse:
         assert parse_family("x; x + 3 + 0*(1*y)", allow_offsets=True) == fam
 
     def test_nonzero_constant_in_polynomial_rejected(self):
-        with pytest.raises(PatternSyntaxError, match="constant term must be zero"):
+        with pytest.raises(ValueError, match=r"^constant term must be zero \(position 0\)$"):
             parse_family("x + t + 1", allow_offsets=True)
-        with pytest.raises(PatternSyntaxError, match="constant term must be zero"):
+        with pytest.raises(ValueError, match=r"^constant term must be zero \(position 0\)$"):
             parse_family("x + 3 + 0*(2*y)", allow_offsets=True)  # a scaled term
 
     def test_error_position_is_absolute(self):
-        with pytest.raises(PatternSyntaxError) as ei:
+        with pytest.raises(ValueError, match=r"^unrecognized term 'qq' \(position 6\)$"):
             parse_family("x; y; qq")
-        assert ei.value.position == 6
 
     @pytest.mark.parametrize(
         "text, error",
@@ -173,7 +175,7 @@ class TestParse:
         ],
     )
     def test_exponent_over_the_cap_rejected(self, text, error):
-        with pytest.raises(PatternSyntaxError) as ei:
+        with pytest.raises(ValueError) as ei:
             parse_family("y; " + text)
         assert str(ei.value) == f"{error} (position 3)"
 
@@ -187,11 +189,11 @@ class TestParse:
         [("x * y^0", "exponent must be nonzero"), ("0*x + t", "x coefficient must be nonzero")],
     )
     def test_zero_exponent_or_x_coefficient_rejected(self, term, message):
-        with pytest.raises(PatternSyntaxError, match=f"^{message} \\(position 3\\)$"):
+        with pytest.raises(ValueError, match=f"^{message} \\(position 3\\)$"):
             parse_family(f"x; {term}")
 
     def test_empty_term_rejected(self):
-        with pytest.raises(PatternSyntaxError, match="empty term"):
+        with pytest.raises(ValueError, match=r"^empty term \(position 2\)$"):
             parse_family("x;; y")
 
     def test_flags_carried(self):
@@ -212,7 +214,7 @@ class TestParse:
             parse_family("moreira(2,[t])")
 
     def test_names_outside_the_catalog_are_terms(self):
-        with pytest.raises(PatternSyntaxError, match="unrecognized term 'nope'"):
+        with pytest.raises(ValueError, match=r"^unrecognized term 'nope' \(position 0\)$"):
             parse_family("nope")
         with pytest.raises(KeyError):
             builtin_family("x; y; x + t")
@@ -257,6 +259,8 @@ class TestCatalog:
             ("bowen-sabok(1)", "x; y; x * y^1; x + t"),
             ("quotient-poly(1,[t])", "x; x / y^1; x + t"),
             ("quotient-poly(2,[t;t^2])", "x; x / y^2; x + t; x + t^2"),
+            ("quotient-poly(2,[t; t^2])", "x; x / y^2; x + t; x + t^2"),
+            ("quotient-poly(2,[t; -t^2])", "x; x / y^2; x + t; x - t^2"),
             ("product-poly(1,[t])", "x; x * y^1; x + t"),
             ("question-hs", "x; y; x * y^1; x + t"),
             ("schur()", "x; y; x + t"),
@@ -347,10 +351,9 @@ class TestStandaloneWords:
         if accepted is not None:
             assert parse_family(prefix + text).serialize() == prefix + accepted
             return
-        with pytest.raises(PatternSyntaxError) as ei:
+        with pytest.raises(ValueError) as ei:
             parse_family(prefix + text)
         assert str(ei.value) == f"{error} (position {len(prefix)})"
-        assert ei.value.position == len(prefix)
 
 
 # Term texts drawn from the whole affine grammar: c1*x, then monomials in one
@@ -419,5 +422,5 @@ class TestTermTextFuzz:
             mono, _, _ = draw_monomial(rng, [intruder])
             at = rng.choice([i for i, ch in enumerate(text) if ch in "+-" and i > 0] + [len(text)])
             bad = f"{text[:at]} {rng.choice('+-')} {mono} {text[at:]}"
-            with pytest.raises(PatternSyntaxError):
+            with pytest.raises(ValueError, match=r" \(position 0\)$"):
                 parse_family(bad)
