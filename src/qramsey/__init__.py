@@ -49,7 +49,6 @@ from .search import (
     AVOIDING,
     BUDGET_EXCEEDED,
     EXHAUSTED,
-    SearchBudget,
     SearchResult,
     search_avoiding,
     threshold_sweep,
@@ -78,7 +77,6 @@ __all__ = [
     "MultiplicativeGrid",
     "PolynomialQ",
     "PolynomialSyntaxError",
-    "SearchBudget",
     "SearchResult",
     "Window",
     "Witness",

@@ -42,13 +42,7 @@ from .colorings import Coloring
 from .detector import build_candidates, find_witness
 from .patterns import Family, default_catalog, parse_family
 from .rado import columns_condition, cross_validate, parse_equation, system_to_family
-from .search import (
-    AVOIDING,
-    EXHAUSTED,
-    SearchBudget,
-    search_avoiding,
-    threshold_sweep,
-)
+from .search import AVOIDING, EXHAUSTED, check_node_budget, search_avoiding, threshold_sweep
 from .windows import Window, parse_window
 
 
@@ -76,10 +70,6 @@ def _parse_colors(text: str) -> list[int]:
     return colors
 
 
-def _budget(args: SimpleNamespace) -> SearchBudget:
-    return SearchBudget(max_nodes=args.nodes, max_seconds=args.seconds)
-
-
 def _witness_json(w) -> dict | None:
     if w is None:
         return None
@@ -100,10 +90,7 @@ def _result_json(res) -> dict:
         "nodes": res.nodes,
         "proof_log_hash": res.proof_log_hash,
         "coloring": None if res.coloring is None else list(res.coloring.colors),
-        "budget": {
-            "max_nodes": res.budget.max_nodes,
-            "max_seconds": res.budget.max_seconds,
-        },
+        "budget": {"max_nodes": res.max_nodes},
     }
 
 
@@ -144,7 +131,7 @@ def _write_certificate(res, cert_dir: str | None, stem: str) -> str:
 def _cmd_search(args, out) -> int:
     family = _resolve_family(args)
     window = parse_window(args.window)
-    res = search_avoiding(family, window, args.r, budget=_budget(args))
+    res = search_avoiding(family, window, args.r, max_nodes=args.nodes)
     path = _write_certificate(res, args.cert_dir, args.cert_stem)
     if path:
         print(f"certificate: {path}", file=sys.stderr)
@@ -159,7 +146,7 @@ def _cmd_sweep(args, out) -> int:
     rows = ["n,window_size,outcome,nodes,certificate_path\n"]
     minimal = None
     for n, window, res in threshold_sweep(
-        family, args.r, args.template, args.lo, args.hi, budget=_budget(args)
+        family, args.r, args.template, args.lo, args.hi, max_nodes=args.nodes
     ):
         path = _write_certificate(res, args.cert_dir, f"{stem}-{n}")
         rows.append(f"{n},{window.size()},{res.outcome},{res.nodes},{path}\n")
@@ -176,13 +163,13 @@ def _cmd_sweep(args, out) -> int:
 
 def _cmd_rado(args, out) -> int:
     system = parse_equation(args.equation)
-    budget = _budget(args)
+    check_node_budget(args.nodes)
     if args.r < 1:
         raise ValueError(f"need at least one color, got r={args.r}")
     if args.n_max < 1:
         raise ValueError(f"need at least one window, got n_max={args.n_max}")
     if args.validate:
-        report = cross_validate(system, args.r, args.n_max, budget=budget)
+        report = cross_validate(system, args.r, args.n_max, max_nodes=args.nodes)
         cond = report.condition
         details = {
             "supported": report.family_text is not None,
@@ -291,10 +278,7 @@ _FAMILY_FLAGS = (
     Arg(("--distinct",), bool, help="require distinct tuple values"),
     Arg(("--strict-x",), bool, help="forbid x = 0 in instantiations"),
 )
-_BUDGET = (
-    Arg(("--nodes",), int, help="node budget for the search"),
-    Arg(("--seconds",), float, help="time budget in seconds"),
-)
+_NODES = Arg(("--nodes",), int, help="node budget for the search")
 _FAMILY, _WINDOW, _R = Arg(("family",)), Arg(("window",)), Arg(("-r",), int, required=True)
 
 # name -> (help, handler, arguments in the order that help lists them)
@@ -310,20 +294,19 @@ COMMANDS = {
         _FAMILY, _WINDOW, _R,
         Arg(("--cert-dir",), help="write a certificate here"),
         Arg(("--cert-stem",), default="result", help="certificate file stem"),
-        *_FAMILY_FLAGS, *_BUDGET,
+        *_FAMILY_FLAGS, _NODES,
     )),
     "sweep": ("run a window ladder and report outcomes", _cmd_sweep, (
         _FAMILY, _R,
         Arg(("--template",), default="int", help="int, farey, or mgrid:p1,p2,..."),
         Arg(("--lo",), int, required=True), Arg(("--hi",), int, required=True),
         Arg(("--cert-dir",)), Arg(("--stop-at-exhausted",), bool),
-        *_FAMILY_FLAGS, *_BUDGET,
+        *_FAMILY_FLAGS, _NODES,
     )),
     "rado": ("columns condition for a linear equation", _cmd_rado, (
         Arg(("equation",), help='e.g. "1*x1 + 1*x2 - 1*x3 = 0"'),
         Arg(("--validate",), bool, help="cross-check against search"),
-        Arg(("-r",), int, default=2), Arg(("--n-max",), int, default=20),
-        *_BUDGET,
+        Arg(("-r",), int, default=2), Arg(("--n-max",), int, default=20), _NODES,
     )),
     "export-cnf": ("write the avoidance problem as DIMACS", _cmd_export_cnf, (
         _FAMILY, _WINDOW, _R, Arg(("--out",)), *_FAMILY_FLAGS,

@@ -272,7 +272,10 @@ def _parse_term(chunk: str, offset: int, allow_offsets: bool) -> PatternTerm:
         return PowerTerm(exp)
     m = _AFFINE_RE.match(s)
     if m:
-        c1 = parse_rational(m.group("c1")) if m.group("c1") else Fraction(1)
+        try:
+            c1 = parse_rational(m.group("c1") or "1")
+        except ValueError as exc:
+            raise ValueError(exc.args[0] + at) from None
         if c1 == 0:
             raise ValueError("x coefficient must be nonzero" + at)
         rest = m.group("rest").strip()

@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from .arith import PolynomialQ, format_rational, parse_rational, signed_chunks
 from .patterns import X, AffineTerm, Family, VarY
-from .search import BUDGET_EXCEEDED, EXHAUSTED, SearchBudget, threshold_sweep
+from .search import BUDGET_EXCEEDED, EXHAUSTED, check_node_budget, threshold_sweep
 
 
 MAX_COLUMNS = 20
@@ -145,7 +145,7 @@ def cross_validate(
     system: LinearSystem,
     r: int,
     n_max: int,
-    budget: SearchBudget | None = None,
+    max_nodes: int | None = None,
 ) -> ConsistencyReport:
     """Compare the columns-condition verdict with integer-window search.
 
@@ -153,8 +153,10 @@ def cross_validate(
     promises exhaustion only for some large enough window, and non-regularity
     promises an avoiding coloring only for some number of colors.  The report
     is therefore always consistent; its note says where the search found the
-    family unavoidable, if anywhere.
+    family unavoidable, if anywhere.  Each row's search stops after
+    ``max_nodes`` nodes (None: no limit).
     """
+    check_node_budget(max_nodes)
     if r < 1:
         raise ValueError(f"need at least one color, got r={r}")
     if n_max < 1:
@@ -165,7 +167,7 @@ def cross_validate(
         return ConsistencyReport(condition=condition, family_text=None, rows=(), note=note)
     rows = tuple(
         ValidationRow(n, res.outcome, res.nodes)
-        for n, _, res in threshold_sweep(family, r, "int", 1, n_max, budget=budget)
+        for n, _, res in threshold_sweep(family, r, "int", 1, n_max, max_nodes=max_nodes)
     )
     verdict = "regular" if condition.holds else "non-regular"
     exhausted = [row.n for row in rows if row.outcome == EXHAUSTED]

@@ -32,7 +32,9 @@ Outcomes: an avoiding coloring (re-checked through the detector before it is
 returned), exhaustion of the tree (with node count and a hash of the decision
 trace), or budget exceeded.  The search is one sequential depth-first pass
 from the root, so the node count and the trace hash depend only on the
-instance.  A node budget of N stops the search with exactly N nodes counted.
+instance.  The only budget is a node count, never the clock: a budget of N
+stops the search with exactly N nodes counted, so every outcome, the
+budget-exceeded one included, is the same on every machine.
 
 ``threshold_sweep`` runs the search over a window ladder and yields each
 row's result as it is decided.  It writes nothing: certificates are built
@@ -56,28 +58,11 @@ AVOIDING = "avoiding"
 EXHAUSTED = "exhausted"
 BUDGET_EXCEEDED = "budget-exceeded"
 
-# The node budget is checked at every node; the clock, which costs a system
-# call, only once every this many nodes.
-_CHECK_EVERY = 64
 
-
-@dataclass(frozen=True)
-class SearchBudget:
-    """Stop after max_nodes nodes, or once max_seconds (finite) have passed."""
-
-    max_nodes: int | None = None
-    max_seconds: float | None = None
-
-    def __post_init__(self) -> None:
-        nodes, seconds = self.max_nodes, self.max_seconds
-        if nodes is not None and (type(nodes) is not int or nodes < 0):
-            raise ValueError(f"node budget must be a non-negative integer, got {nodes!r}")
-        if seconds is not None and (
-            type(seconds) not in (int, float) or not 0 <= seconds <= sys.float_info.max
-        ):
-            raise ValueError(
-                f"time budget must be a finite non-negative number, got {seconds!r}"
-            )
+def check_node_budget(max_nodes: int | None) -> None:
+    """Reject a node budget that is not None or a non-negative int."""
+    if max_nodes is not None and (type(max_nodes) is not int or max_nodes < 0):
+        raise ValueError(f"node budget must be a non-negative integer, got {max_nodes!r}")
 
 
 @dataclass(frozen=True)
@@ -91,7 +76,7 @@ class SearchResult:
     family_text: str
     window_spec: str
     r: int
-    budget: SearchBudget
+    max_nodes: int | None
 
 
 class _BudgetHit(Exception):
@@ -102,7 +87,7 @@ class _Search:
     """Backtracking state: colors, domains, uncolored elements and the trail of strikes."""
 
     def __init__(
-        self, groups: tuple[tuple[int, ...], ...], n: int, r: int, budget: SearchBudget
+        self, groups: tuple[tuple[int, ...], ...], n: int, r: int, max_nodes: int | None = None
     ) -> None:
         # cons_of[e] holds the groups that contain e until the search first
         # backtracks over e, and from then on each group's other members.
@@ -116,10 +101,7 @@ class _Search:
             (e for e in range(n) if self.cons_of[e]), key=lambda e: (-len(self.cons_of[e]), e)
         )
         self.r = r
-        self.max_nodes = budget.max_nodes
-        self.deadline = (
-            time.monotonic() + budget.max_seconds if budget.max_seconds is not None else None
-        )
+        self.max_nodes = max_nodes
         self.colors = [-1] * n
         self.domain = [(1 << r) - 1] * n
         self.trail: list[int] = []
@@ -153,12 +135,6 @@ class _Search:
                 raise _BudgetHit
             self.nodes += 1
             self.trace.update(labels[c])
-            if (
-                self.deadline is not None
-                and self.nodes % _CHECK_EVERY == 0
-                and time.monotonic() > self.deadline
-            ):
-                raise _BudgetHit
             colors[e] = c
             mark = len(trail)
             for group in cons_of[e]:
@@ -203,16 +179,17 @@ def search_avoiding(
     family: Family,
     window: Window,
     r: int,
-    budget: SearchBudget | None = None,
+    max_nodes: int | None = None,
     table: CandidateTable | None = None,
 ) -> SearchResult:
-    """Decide whether an r-coloring of the window avoids the family.
+    """Decide whether an r-coloring of the window avoids the family, in at
+    most ``max_nodes`` nodes (None: no limit).
 
     A given table must be the one built for this family and window.
     """
+    check_node_budget(max_nodes)
     if r < 1:
         raise ValueError(f"need at least one color, got r={r}")
-    budget = budget or SearchBudget()
     start = time.perf_counter()
     if table is None:
         table = build_candidates(family, window)
@@ -231,7 +208,7 @@ def search_avoiding(
             family_text=family.serialize(),
             window_spec=window.spec_string(),
             r=r,
-            budget=budget,
+            max_nodes=max_nodes,
         )
 
     if groups and len(groups[0]) == 1:
@@ -242,7 +219,7 @@ def search_avoiding(
     # No child takes a color >= n, nor does any domain lose all colors < n: at
     # most n - 1 elements are colored.  So min(r, n) colors give r's tree.
     n = window.size()
-    search = _Search(groups, n, min(r, n), budget)
+    search = _Search(groups, n, min(r, n), max_nodes)
     # _dfs recurses once per colored element: allow that many frames on top
     # of the caller's, once per search.
     limit = sys.getrecursionlimit()
@@ -288,7 +265,7 @@ def threshold_sweep(
     template: str,
     n_lo: int,
     n_hi: int,
-    budget: SearchBudget | None = None,
+    max_nodes: int | None = None,
 ) -> Iterator[tuple[int, Window, SearchResult]]:
     """Yield (n, window, result) for each row of a window ladder, lowest n first.
 
@@ -301,6 +278,7 @@ def threshold_sweep(
     each lower row.  A top row over the pair or element cap raises
     ValueError before any row is searched.
     """
+    check_node_budget(max_nodes)
     if n_lo > n_hi:
         raise ValueError(f"empty sweep: lo={n_lo} is above hi={n_hi}")
     window_for_template(template, n_lo)  # a bad bound fails before the top table is built
@@ -312,6 +290,6 @@ def threshold_sweep(
             family,
             window,
             r,
-            budget=budget,
+            max_nodes=max_nodes,
             table=top if n == n_hi else top.restrict(window),
         )

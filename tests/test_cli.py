@@ -65,7 +65,7 @@ class TestSearch:
         assert payload["coloring"] is None
         assert len(payload["proof_log_hash"]) == 64
         assert payload["nodes"] >= 1
-        assert payload["budget"] == {"max_nodes": None, "max_seconds": None}
+        assert payload["budget"] == {"max_nodes": None}
 
     def test_avoiding_round_trips_through_detect(self):
         code, payload = run_json(["search", "schur", "int:1..4", "-r", "2"])
@@ -84,7 +84,7 @@ class TestSearch:
         assert code == 0
         assert payload["outcome"] == "budget-exceeded"
         assert payload["nodes"] == 100
-        assert payload["budget"] == {"max_nodes": 100, "max_seconds": None}
+        assert payload["budget"] == {"max_nodes": 100}
         assert list(tmp_path.iterdir()) == []
 
     def test_byte_identical_repeat(self):
@@ -761,25 +761,14 @@ class TestErrorPaths:
         ],
         ids=["search", "sweep", "rado", "rado-plain"],
     )
-    @pytest.mark.parametrize("budget", [["--nodes", "-1"], ["--seconds", "-1"]],
-                             ids=["nodes", "seconds"])
-    def test_negative_budget_rejected(self, tmp_path, argv, budget):
+    @pytest.mark.parametrize("budget", [["--nodes", "-1"]], ids=["nodes"])
+    def test_negative_budget_rejected(self, tmp_path, capsys, argv, budget):
         cert_dir = tmp_path / "certs"
         code, text = run_cli([a.format(dir=cert_dir) for a in argv] + budget)
         assert code == 2
         assert text == ""
         assert not cert_dir.exists()
-
-    @pytest.mark.parametrize("budget", [["--seconds", "inf"], ["--seconds", "1e999"]],
-                             ids=["inf", "overflow"])
-    def test_non_finite_seconds_rejected(self, tmp_path, capsys, budget):
-        # Infinity is not JSON, so it must never reach the budget in stdout.
-        cert_dir = tmp_path / "certs"
-        code, text = run_cli(["search", "schur", "int:1..4", "-r", "2",
-                              "--cert-dir", str(cert_dir)] + budget)
-        assert (code, text) == (2, "")
-        assert not cert_dir.exists()
-        assert "time budget must be a finite non-negative number" in capsys.readouterr().err
+        assert "error: node budget must be a non-negative integer, got -1\n" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv",
@@ -791,8 +780,12 @@ class TestErrorPaths:
             ["--config", "run.json", "search", "schur", "int:1..5", "-r", "2"],
             ["largeset", "thick", "int:1..10", "--set", "3", "--shape", "0,1"],
             ["localize", "mgrid:2,3:1", "--colors", "[0]", "--shape", "1,2"],
+            ["search", "schur", "int:1..4", "-r", "2", "--seconds", "1"],
+            ["sweep", "schur", "-r", "2", "--lo", "1", "--hi", "4", "--seconds", "1"],
+            ["rado", "x1 + x2 - x3 = 0", "--validate", "--seconds", "1"],
         ],
-        ids=["method", "exhaustive", "seed", "config", "largeset", "localize"],
+        ids=["method", "exhaustive", "seed", "config", "largeset", "localize",
+             "seconds-search", "seconds-sweep", "seconds-rado"],
     )
     def test_removed_options_rejected(self, argv):
         code, text = run_cli(argv)
@@ -821,7 +814,9 @@ class TestArgumentHandling:
     """Exit codes and stdout of edge-case argument lists, recorded when
     argparse read every invocation (the first rows with argparse subparsers).
     Help is pinned by its usage paragraph and by the digest of its whole
-    text, recorded the same way."""
+    text, recorded the same way.  When the "max_seconds" key left the search
+    budget, each search digest was re-pinned to its old stdout without that
+    key, and the search, sweep and rado help to its text without --seconds."""
 
     @pytest.mark.parametrize(
         "argv, code, stdout",
@@ -837,21 +832,21 @@ class TestArgumentHandling:
             (SEARCH + ["--", "x"], 2, ""),
             (["search", "--", "schur", "int:1..5", "-r", "2"], 2, ""),
             (["--", "search"] + SEARCH[1:], 2, ""),
-            (SEARCH + ["--nod", "3"], 0, "13f57729976f5793"),
+            (SEARCH + ["--nod", "3"], 0, "a4a0bce6c4ee8f4f"),
             (SEARCH + ["--cert-dir", "--distinct"], 2, ""),
             (["search", "schur", "int:1..5", "-r", "x"], 2, ""),
-            (["search", "schur", "int:1..5", "-r2"], 0, "a6b2d972205012bc"),
+            (["search", "schur", "int:1..5", "-r2"], 0, "5c8d61cbf0c79480"),
             (["sweep", "schur", "-r", "2", "--lo", "-3", "--hi", "2"], 2, ""),
             (["sweep", "schur", "-r", "2", "--lo=-3", "--hi", "2"], 2, ""),
-            (SEARCH + ["--s", "1"], 2, ""),
+            (SEARCH + ["--cert", "1"], 2, ""),
             (SEARCH + ["--distinct=1"], 2, ""),
-            (SEARCH + ["-r", "3"], 0, "5e901ed4712835a7"),
+            (SEARCH + ["-r", "3"], 0, "6f6081e775eb838f"),
             (["rado", "x1 + x2 - x3 = 0", "extra"], 2, ""),
             (["rado", "-x1 + x2 - x3 = 0"], 0, "47ea4dc6806dfed5"),
             (["rado", "--", "-x1 - x2 + x3 = 0"], 0, "d5aad13307983a4d"),
             (SEARCH + ["--cert-dir", "--"], 2, ""),
             (SEARCH + ["--"], 2, ""),
-            (["search", "-r", "2", "schur", "int:1..5", "--"], 0, "a6b2d972205012bc"),
+            (["search", "-r", "2", "schur", "int:1..5", "--"], 0, "5c8d61cbf0c79480"),
             (["detect", "schur", "int:1..4", "--colors", "[-1,-1,-1,-1]"], 2, ""),
         ],
         ids=lambda v: " ".join(v) if isinstance(v, list) else str(v),
@@ -868,7 +863,7 @@ class TestArgumentHandling:
             (["search", "-h"],
              "usage: qramsey search [-h] -r R [--cert-dir CERT_DIR] [--cert-stem CERT_STEM]\n"
              "                      [--allow-offsets] [--distinct] [--strict-x]\n"
-             "                      [--nodes NODES] [--seconds SECONDS]\n"
+             "                      [--nodes NODES]\n"
              "                      family window"),
             (["verify", "-h"], "usage: qramsey verify [-h] [--rerun] certificate"),
         ],
@@ -884,9 +879,9 @@ class TestArgumentHandling:
         [
             (None, "4394a374d4f627480382847cf1b03ef882a609ba3c05d37422da365e5aa57cff"),
             ("detect", "a127c4db1ea8cc0dcb3137b58cf89362951df09a65eb57ffc9719047329c36b6"),
-            ("search", "a8ce933a54763f4c25375496ae6fa43788a433271a8ecf755fc9318e48329c9e"),
-            ("sweep", "bc3a2a7d8871941b6bee0cb93cb1b1bfc02a1f8d1993fc3a01b9f5cd5cb32940"),
-            ("rado", "c0c45948d8fe9b29bed7e44b1bad9c68325cb319299ca2deb708f7e6788722ce"),
+            ("search", "c1a0a9a6a4c39888c92fbdb287ff58991f8c55c6cfae0bc0b34c925cc32b4e26"),
+            ("sweep", "a17e9e6b517f59ec1d0b0329a8871b03dea1bd4008c8f3a07d426fe9cea34793"),
+            ("rado", "a33089e593206ca65035333baa12b6fc7dc7b50a09af45eea6219c40c184ba57"),
             ("export-cnf", "4e474951b7fa09ceace2229fc90f2b2a8dee6edd54539063d5986fbb34c6398a"),
             ("import-sat", "17205c6bba2086a97cfa0c30faa3e2a29bcd224d4683e93105c0f9fb5233f123"),
             ("verify", "0c94215e8c700f8f855df7617b2bec0da84bc658dd2500251dcdd53b503c0aba"),
@@ -1011,7 +1006,7 @@ class TestParsersBuilt:
             ["sweep", "schur", "-r", "2", "--template", "int", "--lo", "0", "--hi", "3",
              "--cert-dir", "certs"],
             ["sweep", "schur", "-r", "2", "--lo", "-3", "--hi", "2"],
-            ["search", "schur", "int:1..5", "-r=2", "--cert-stem=s5", "--seconds=0.5"],
+            ["search", "schur", "int:1..5", "-r=2", "--cert-stem=s5", "--nodes=100"],
             ["rado", "x1 + x2 - x3 = 0", "--validate", "-r", "2", "--n-max", "20"],
             ["verify", "s5.upper-bound.json", "--rerun"],
         ],

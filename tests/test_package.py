@@ -160,6 +160,28 @@ def test_exception_classes_are_pinned():
     assert found == {"arith.PolynomialSyntaxError", "search._BudgetHit"}
 
 
+def test_no_command_option_is_a_float():
+    # A float option is a float in a decision path: results must not depend
+    # on a rounded value, and a search budget counts nodes, not seconds.
+    from qramsey import cli
+
+    arguments = [arg for _, _, args in cli.COMMANDS.values() for arg in args]
+    assert any(arg.kind is int for arg in arguments)  # the walk saw typed options
+    assert [arg.flags for arg in arguments if arg.kind is float] == []
+
+
+def test_search_reads_the_clock_only_for_its_wall_time():
+    # The node count is the only budget: no clock reading may stop a search.
+    with open(os.path.join(os.path.dirname(qramsey.__file__), "search.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    reads = {
+        node.attr for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and node.value.id == "time"
+    }
+    assert reads == {"perf_counter"}
+
+
 def _regex_calls(path):
     """Each call of a ``re`` module function in the file, as (name, whether it
     runs at module level, outside every function and class), and the names of

@@ -341,6 +341,7 @@ BOUNDARY_TEXTS = [
     ("x + é*t", None, "bad polynomial part: bad monomial 'é*t'"),
     ("x + y_t", None, "bad polynomial part: unknown variable 'y_t', expected t, y or (c*y)"),
     ("x + t*y", None, "bad polynomial part: bad monomial 't*y'"),
+    ("1/0*x + t", None, "degenerate rational: zero denominator"),
 ]
 
 

@@ -242,10 +242,21 @@ class TestCrossValidate:
     @pytest.mark.parametrize(
         "coeffs", [[1, 1, -1], [1, 1, 1, -1]], ids=["supported", "unsupported"]
     )
-    @pytest.mark.parametrize("n_max", [0, -2])
-    def test_no_window_rejected(self, coeffs, n_max):
-        with pytest.raises(ValueError, match=f"need at least one window, got n_max={n_max}"):
-            cross_validate(LinearSystem(coeffs), r=2, n_max=n_max)
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ({"n_max": 0}, "need at least one window, got n_max=0"),
+            ({"n_max": -2}, "need at least one window, got n_max=-2"),
+            ({"r": 0}, "need at least one color, got r=0"),
+            ({"max_nodes": -1}, "node budget must be a non-negative integer, got -1"),
+        ],
+        ids=["0", "-2", "r=0", "max_nodes=-1"],
+    )
+    def test_no_window_rejected(self, coeffs, bad, message):
+        """No window, no color or a negative node budget is rejected whether
+        or not the equation has a family to search."""
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            cross_validate(LinearSystem(coeffs), **{"r": 2, "n_max": 6, **bad})
 
     def test_unsupported_shape_reported(self):
         report = cross_validate(LinearSystem((1, 1, 1, -1)), r=2, n_max=4)

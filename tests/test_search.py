@@ -1,6 +1,5 @@
 """Backtracking search: correctness against brute force, budgets, sweeps."""
 
-import math
 import os
 import time
 
@@ -19,7 +18,6 @@ from qramsey.search import (
     AVOIDING,
     BUDGET_EXCEEDED,
     EXHAUSTED,
-    SearchBudget,
     search_avoiding,
     threshold_sweep,
     window_for_template,
@@ -98,7 +96,7 @@ class TestOutcomes:
         groups = build_candidates(family, window).constraint_groups()
         n = window.size()
         for r in (n - 1, n, n + 1, n + 7):
-            full = search._Search(groups, n, r, SearchBudget())
+            full = search._Search(groups, n, r)
             colors = full.run()
             res = search_avoiding(family, window, r)
             assert res.nodes == full.nodes
@@ -123,9 +121,7 @@ class TestOutcomes:
 
     def test_node_budget(self):
         family = builtin_family("schur")
-        res = search_avoiding(
-            family, IntegerInterval(1, 14), 3, budget=SearchBudget(max_nodes=1)
-        )
+        res = search_avoiding(family, IntegerInterval(1, 14), 3, max_nodes=1)
         assert res.outcome == BUDGET_EXCEEDED
         assert res.nodes == 1
         assert res.coloring is None
@@ -137,52 +133,22 @@ class TestOutcomes:
         # so node 21 is the first to propagate through other-member groups;
         # the root element, of top degree, is backtracked over after node 2611.
         res = search_avoiding(
-            builtin_family("vdw(2)"),
-            IntegerInterval(1, 27),
-            3,
-            budget=SearchBudget(max_nodes=max_nodes),
+            builtin_family("vdw(2)"), IntegerInterval(1, 27), 3, max_nodes=max_nodes
         )
         assert res.outcome == BUDGET_EXCEEDED
         assert res.nodes == max_nodes
 
     def test_node_budget_equal_to_tree_size_completes(self):
-        res = search_avoiding(
-            builtin_family("vdw(2)"), IntegerInterval(1, 27), 3,
-            budget=SearchBudget(max_nodes=2611),
-        )
+        res = search_avoiding(builtin_family("vdw(2)"), IntegerInterval(1, 27), 3, max_nodes=2611)
         assert res.outcome == EXHAUSTED
         assert res.nodes == 2611
 
-    @pytest.mark.parametrize(
-        "budget",
-        [
-            {"max_nodes": -1},
-            {"max_seconds": -0.5},
-            {"max_nodes": 2.5},
-            {"max_nodes": True},
-            {"max_seconds": "60"},
-            {"max_seconds": math.inf},
-            {"max_seconds": float("1e999")},
-            {"max_seconds": math.nan},
-            {"max_seconds": 10**400},
-        ],
-        ids=["negative-nodes", "negative-seconds", "fractional-nodes", "bool-nodes",
-             "text-seconds", "infinite-seconds", "overflowing-seconds", "nan-seconds",
-             "huge-int-seconds"],
-    )
-    def test_invalid_budget_rejected(self, budget):
-        with pytest.raises(ValueError, match="budget"):
-            search_avoiding(
-                builtin_family("schur"), IntegerInterval(1, 5), 2, budget=SearchBudget(**budget)
-            )
-
-    def test_time_budget(self):
-        # The clock is read every 64 nodes; the full search takes 2611.
-        family = builtin_family("vdw(2)")
-        res = search_avoiding(
-            family, IntegerInterval(1, 27), 3, budget=SearchBudget(max_seconds=0.0)
-        )
-        assert res.outcome == BUDGET_EXCEEDED
+    @pytest.mark.parametrize("max_nodes", [-1, 2.5, True],
+                             ids=["negative-nodes", "fractional-nodes", "bool-nodes"])
+    def test_invalid_budget_rejected(self, max_nodes):
+        message = f"^node budget must be a non-negative integer, got {max_nodes!r}$"
+        with pytest.raises(ValueError, match=message):
+            search_avoiding(builtin_family("schur"), IntegerInterval(1, 5), 2, max_nodes=max_nodes)
 
     def test_result_metadata(self):
         family = builtin_family("vdw(2)")
@@ -294,11 +260,19 @@ class TestThresholdSweep:
         with pytest.raises(ValueError, match="empty sweep: lo=5 is above hi=3"):
             next(rows)
 
+    @pytest.mark.parametrize("max_nodes", [-1, 2.5, True],
+                             ids=["negative-nodes", "fractional-nodes", "bool-nodes"])
+    def test_invalid_budget_rejected_before_the_table(self, monkeypatch, max_nodes):
+        built = []
+        monkeypatch.setattr(search, "build_candidates", lambda *args: built.append(args))
+        rows = threshold_sweep(builtin_family("schur"), 2, "int", 1, 5, max_nodes=max_nodes)
+        with pytest.raises(ValueError, match="^node budget must be a non-negative integer"):
+            next(rows)
+        assert built == []
+
     def test_budget_rows_have_no_certificate(self):
         family = builtin_family("schur")
-        ((n, _, res),) = threshold_sweep(
-            family, 3, "int", 14, 14, budget=SearchBudget(max_nodes=1)
-        )
+        ((n, _, res),) = threshold_sweep(family, 3, "int", 14, 14, max_nodes=1)
         assert n == 14
         assert res.outcome == BUDGET_EXCEEDED
         with pytest.raises(ValueError, match="no certificate for outcome 'budget-exceeded'"):
