@@ -214,10 +214,11 @@ def _cmd_import_sat(args, out) -> int:
     family = _resolve_family(args)
     window = parse_window(args.window)
     table = build_candidates(family, window)
-    cnf = export_cnf(family, window, args.r, table=table)
+    if args.r < 1:
+        raise ValueError(f"need at least one color, got r={args.r}")
     with open(args.assignment, "r", encoding="utf-8") as fh:
         literals = parse_assignment(fh.read())
-    coloring = import_assignment(cnf, literals)
+    coloring = import_assignment(window, args.r, literals)
     witness = find_witness(family, coloring, table)
     _emit(out, {
         "family": family.serialize(),

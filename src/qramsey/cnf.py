@@ -119,27 +119,31 @@ def parse_assignment(text: str) -> list[int]:
     return lits
 
 
-def import_assignment(cnf: CnfInstance, literals: Iterable[int]) -> Coloring:
-    """Read a total satisfying assignment back into a coloring.
+def import_assignment(window: Window, r: int, literals: Iterable[int]) -> Coloring:
+    """Read a total satisfying assignment of ``export_cnf``'s encoding, whose
+    numbering depends on the window size and r only, back into a coloring.
 
     Each element takes its least true color among the encoded ones.  An
     element with no true color violates the at-least-one clause and is
     rejected.
     """
+    if r < 1:
+        raise ValueError(f"need at least one color, got r={r}")
+    n = window.size()
+    k = min(r, n)
     truth: dict[int, bool] = {}
     for lit in literals:
         var = abs(lit)
-        if not 1 <= var <= cnf.num_vars:
-            raise ValueError(f"literal {lit} outside 1..{cnf.num_vars}")
+        if not 1 <= var <= n * k:
+            raise ValueError(f"literal {lit} outside 1..{n * k}")
         truth[var] = lit > 0
-    missing = next((v for v in range(1, cnf.num_vars + 1) if v not in truth), None)
+    missing = next((v for v in range(1, n * k + 1) if v not in truth), None)
     if missing is not None:
         raise ValueError(f"assignment not total: variable {missing} unset")
     colors = []
-    for e in range(cnf.window.size()):
-        chosen = next((c for c in range(cnf.colors) if truth[cnf.var(e, c)]), None)
+    for e in range(n):
+        chosen = next((c for c in range(k) if truth[_var(e, c, k)]), None)
         if chosen is None:
             raise ValueError(f"assignment violates at-least-one clause for element {e}")
         colors.append(chosen)
-    return Coloring(cnf.window, colors, cnf.r)
-
+    return Coloring(window, colors, r)

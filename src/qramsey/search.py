@@ -15,18 +15,17 @@ one color"):
   admits a brand-new color directly after the existing ones.
 
 The search state is the color of each element, a bitmask domain of the
-colors still open to it, the uncolored elements in degree order (a level
-takes out the element it branches on and puts it back before it returns),
-and one trail of struck elements.  Every strike a node makes is of that
-node's own color bit, so backtracking uncolors the element and sets that bit
-again on each element struck since it was colored.  Constraint state is read
-from the groups themselves.  An element propagates through the shared group
-tuples that hold it until the search first backtracks over it, and from then
-on through each group's other members, so that it no longer reads itself;
-either form skips the members of the node's own color.  Shallow searches
-never backtrack over most elements and so never build those lists.  A node's
-count, budget check, trace entry, propagation and undo run inline in
-``_dfs``, without a call per node.
+colors still open to it, the uncolored elements in degree order and one
+trail of strikes.  Every strike a node makes is of that node's own color
+bit, so its undo uncolors the element and sets that bit again on each
+element struck since.  ``_search`` is one loop over an explicit stack, a
+frame per colored ancestor (element, place in the degree order, colors used,
+colors left, trail mark, color bit): it never recurses, and it leaves the
+interpreter's recursion limit alone.  An element propagates through the
+shared group tuples that hold it until it is first uncolored with another of
+its colors to try next, and from then on through each group's other members,
+so that it no longer reads itself; either form skips the members of the
+node's own color.  So no such lists are built after a last open color fails.
 
 Outcomes: an avoiding coloring (re-checked through the detector before it is
 returned), exhaustion of the tree (with node count and a hash of the decision
@@ -44,7 +43,6 @@ from a result by the ``certificates`` module, which imports this one.
 from __future__ import annotations
 
 import hashlib
-import sys
 import time
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -79,42 +77,32 @@ class SearchResult:
     max_nodes: int | None
 
 
-class _BudgetHit(Exception):
-    pass
-
-
-class _Search:
-    """Backtracking state: colors, domains, uncolored elements and the trail of strikes."""
-
-    def __init__(
-        self, groups: tuple[tuple[int, ...], ...], n: int, r: int, max_nodes: int | None = None
-    ) -> None:
-        # cons_of[e] holds the groups that contain e until the search first
-        # backtracks over e, and from then on each group's other members.
-        self.cons_of: list[list[tuple[int, ...]]] = [[] for _ in range(n)]
-        for group in groups:
-            for e in group:
-                self.cons_of[e].append(group)
-        self.split = bytearray(n)
-        # the uncolored elements that are in some group, by descending degree
-        self.todo = sorted(
-            (e for e in range(n) if self.cons_of[e]), key=lambda e: (-len(self.cons_of[e]), e)
-        )
-        self.r = r
-        self.max_nodes = max_nodes
-        self.colors = [-1] * n
-        self.domain = [(1 << r) - 1] * n
-        self.trail: list[int] = []
-        self.labels: list[list[bytes] | None] = [None] * n
-        self.nodes = 0
-        self.trace = hashlib.sha256()
-
-    def _dfs(self, used: int) -> bool:
-        todo = self.todo
+def _search(
+    groups: tuple[tuple[int, ...], ...], n: int, r: int, max_nodes: int | None
+) -> tuple[str, list[int] | None, int, str | None]:
+    """(outcome, colors, nodes, digest) of the tree of r colors: the colors of
+    an avoiding coloring and the trace digest of an exhausted tree, else None."""
+    # cons_of[e]: the groups holding e, narrowed to their other members once e
+    # is uncolored with another of its colors still to try
+    cons_of: list[list[tuple[int, ...]]] = [[] for _ in range(n)]
+    for group in groups:
+        for e in group:
+            cons_of[e].append(group)
+    split = bytearray(n)
+    # the uncolored elements that are in some group, by descending degree
+    todo = sorted((e for e in range(n) if cons_of[e]), key=lambda e: (-len(cons_of[e]), e))
+    colors = [-1] * n
+    domain = [(1 << r) - 1] * n
+    trail: list[int] = []
+    labels: list[list[bytes] | None] = [None] * n
+    nodes = 0
+    trace = hashlib.sha256()
+    stack: list[tuple[int, int, int, int, int, int]] = []  # the colored ancestors
+    used = 0
+    while True:  # one pass per level: branch on the uncolored element of fewest colors
         if not todo:
-            return True
-        colors, domain, trail, cons_of = self.colors, self.domain, self.trail, self.cons_of
-        e, best = -1, self.r + 1
+            return AVOIDING, [c if c >= 0 else 0 for c in colors], nodes, None
+        e, best = -1, r + 1
         for t in todo:
             size = domain[t].bit_count()
             if size < best:
@@ -123,56 +111,57 @@ class _Search:
                     break
         at = todo.index(e)
         del todo[at]
-        labels = self.labels[e]
-        if labels is None:
-            labels = [b"%d:%d;" % (e, c) for c in range(self.r)]
-            self.labels[e] = labels
-        for c in range(min(used + 1, self.r)):
-            bit = 1 << c
-            if not domain[e] & bit:
-                continue
-            if self.nodes == self.max_nodes:
-                raise _BudgetHit
-            self.nodes += 1
-            self.trace.update(labels[c])
-            colors[e] = c
-            mark = len(trail)
-            for group in cons_of[e]:
-                free = -1
-                for t in group:
-                    ct = colors[t]
-                    if ct == c:
-                        continue
-                    if ct >= 0 or free >= 0:
-                        break  # another color, or a second uncolored member
-                    free = t
+        labels_e = labels[e]
+        if labels_e is None:
+            labels_e = labels[e] = [b"%d:%d;" % (e, c) for c in range(r)]
+        # e's colors to try: those open to it, and one brand-new color at most
+        opens = domain[e] & ((2 << used) - 1)
+        while True:  # try e's next color, or backtrack to a level that has one
+            if opens:
+                bit = opens & -opens
+                opens ^= bit
+                if nodes == max_nodes:
+                    return BUDGET_EXCEEDED, None, nodes, None
+                nodes += 1
+                c = bit.bit_length() - 1
+                trace.update(labels_e[c])
+                colors[e] = c
+                mark = len(trail)
+                for group in cons_of[e]:
+                    free = -1
+                    for t in group:
+                        ct = colors[t]
+                        if ct == c:
+                            continue
+                        if ct >= 0 or free >= 0:
+                            break  # another color, or a second uncolored member
+                        free = t
+                    else:
+                        if free < 0:
+                            break  # conflict: the whole group has color c
+                        d = domain[free]
+                        if d & bit:
+                            domain[free] = d ^ bit
+                            trail.append(free)
+                            if d == bit:
+                                break  # conflict: free has no color left
                 else:
-                    if free < 0:
-                        break  # conflict: the whole group has color c
-                    d = domain[free]
-                    if d & bit:
-                        domain[free] = d ^ bit
-                        trail.append(free)
-                        if d == bit:
-                            break  # conflict: free has no color left
+                    stack.append((e, at, used, opens, mark, bit))
+                    used = max(used, c + 1)
+                    break
             else:
-                if self._dfs(max(used, c + 1)):
-                    return True
+                todo.insert(at, e)
+                if not stack:
+                    return EXHAUSTED, None, nodes, trace.hexdigest()
+                e, at, used, opens, mark, bit = stack.pop()
+                labels_e = labels[e]
             colors[e] = -1
             for t in trail[mark:]:
                 domain[t] |= bit
             del trail[mark:]
-            if not self.split[e]:
-                self.split[e] = 1
+            if opens and not split[e]:
+                split[e] = 1
                 cons_of[e] = [g[:i] + g[i + 1:] for g in cons_of[e] for i in (g.index(e),)]
-        todo.insert(at, e)
-        return False
-
-    def run(self) -> list[int] | None:
-        """Colors of an avoiding coloring, or None once the tree is exhausted."""
-        if self._dfs(0):
-            return [c if c >= 0 else 0 for c in self.colors]
-        return None
 
 
 def search_avoiding(
@@ -219,23 +208,13 @@ def search_avoiding(
     # No child takes a color >= n, nor does any domain lose all colors < n: at
     # most n - 1 elements are colored.  So min(r, n) colors give r's tree.
     n = window.size()
-    search = _Search(groups, n, min(r, n), max_nodes)
-    # _dfs recurses once per colored element: allow that many frames on top
-    # of the caller's, once per search.
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(limit + len(search.todo))
-    try:
-        colors = search.run()
-    except _BudgetHit:
-        return result(BUDGET_EXCEEDED, None, search.nodes, None)
-    finally:
-        sys.setrecursionlimit(limit)
+    outcome, colors, nodes, digest = _search(groups, n, min(r, n), max_nodes)
     if colors is None:
-        return result(EXHAUSTED, None, search.nodes, search.trace.hexdigest())
+        return result(outcome, None, nodes, digest)
     coloring = Coloring(window, colors, r)
     if find_witness(family, coloring, table) is not None:
         raise RuntimeError("internal error: search returned a colorable witness")
-    return result(AVOIDING, coloring, search.nodes, None)
+    return result(AVOIDING, coloring, nodes, None)
 
 
 # ---------------------------------------------------------------------------

@@ -140,7 +140,7 @@ def test_criterion_05_cnf_matches_native_search():
             )
             if model is not None:
                 sat_count += 1
-                coloring = import_assignment(cnf, model_literals(model))
+                coloring = import_assignment(window, 2, model_literals(model))
                 assert find_witness(family, coloring, table) is None
             checked += 1
     elapsed = time.perf_counter() - t0

@@ -117,7 +117,8 @@ class TestSearch:
         assert f"error: bad catalog key '{key}': " in capsys.readouterr().err
 
     def test_deeper_than_the_default_recursion_limit(self, tmp_path):
-        # _dfs recurses once per colored element: 3000 of them
+        # 3000 colored elements, each a frame on the search's own stack; the
+        # interpreter's recursion limit stays as it is
         limit = sys.getrecursionlimit()
         code, payload = run_json(
             ["search", "x; x + 1", "int:1..3000", "-r", "2", "--allow-offsets",
@@ -660,6 +661,26 @@ class TestCnfFlow:
         )
         assert code == 1
         assert payload["witness"] is not None
+
+    def test_import_builds_no_constraint_groups(self, tmp_path, monkeypatch):
+        # The variable numbering depends on the window size and r only, so
+        # reading a model needs neither the constraint groups nor the clauses.
+        cnf = export_cnf(builtin_family("schur"), IntegerInterval(1, 4), 2)
+        sol = tmp_path / "model.txt"
+        sol.write_text(" ".join(str(l) for l in model_literals(solve(cnf.num_vars, cnf.clauses))))
+
+        def refuse(table):
+            raise AssertionError("constraint groups built")
+
+        monkeypatch.setattr(detector.CandidateTable, "constraint_groups", refuse)
+        code, payload = run_json(["import-sat", "schur", "int:1..4", "-r", "2", str(sol)])
+        assert (code, payload["witness"]) == (0, None)
+
+    def test_zero_colors_reported_before_the_model_is_read(self, tmp_path, capsys):
+        missing = tmp_path / "no-such-model.txt"
+        code, text = run_cli(["import-sat", "schur", "int:1..4", "-r", "0", str(missing)])
+        assert (code, text) == (2, "")
+        assert "error: need at least one color, got r=0" in capsys.readouterr().err
 
 
 class TestCatalog:

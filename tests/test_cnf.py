@@ -84,7 +84,7 @@ class TestOracleEquivalence:
                 assert res.outcome == EXHAUSTED
                 assert model is None, (key, window.spec_string())
             if model is not None:
-                coloring = import_assignment(cnf, model_literals(model))
+                coloring = import_assignment(window, 2, model_literals(model))
                 assert find_witness(family, coloring, table) is None
                 instances = _brute.instances(family, window)
                 assert _brute.monochromatic(instances, coloring.colors) == []
@@ -112,34 +112,34 @@ class TestAssignmentText:
 
 
 class TestImport:
-    def _cnf(self):
-        return export_cnf(builtin_family("schur"), IntegerInterval(1, 2), 2)
+    WINDOW = IntegerInterval(1, 2)  # two elements, two colors: variables 1..4
 
     def test_least_true_color_wins(self):
-        cnf = self._cnf()
         # Every variable true: each element keeps color 0.
-        coloring = import_assignment(cnf, [1, 2, 3, 4])
+        coloring = import_assignment(self.WINDOW, 2, [1, 2, 3, 4])
         assert coloring.colors == (0, 0)
 
     def test_out_of_range_literal(self):
-        cnf = self._cnf()
         with pytest.raises(ValueError, match="^literal 99 outside 1..4$"):
-            import_assignment(cnf, [1, 2, 3, 4, 99])
+            import_assignment(self.WINDOW, 2, [1, 2, 3, 4, 99])
 
     def test_partial_assignment_rejected(self):
-        cnf = self._cnf()
         with pytest.raises(ValueError, match="^assignment not total: variable 4 unset$"):
-            import_assignment(cnf, [1, -2, 3])
+            import_assignment(self.WINDOW, 2, [1, -2, 3])
 
     def test_all_false_element_rejected(self):
-        cnf = self._cnf()
         with pytest.raises(ValueError, match="^assignment violates at-least-one clause for element 0$"):
-            import_assignment(cnf, [-1, -2, 3, -4])
+            import_assignment(self.WINDOW, 2, [-1, -2, 3, -4])
+
+    @pytest.mark.parametrize("r", [0, -1])
+    def test_no_colors_rejected(self, r):
+        with pytest.raises(ValueError, match=f"^need at least one color, got r={r}$"):
+            import_assignment(self.WINDOW, r, [1, 2, 3, 4])
 
     def test_round_trip_through_dimacs_text(self):
         cnf = export_cnf(builtin_family("schur"), IntegerInterval(1, 4), 2)
         model = solve(cnf.num_vars, cnf.clauses)
         assert model is not None
         text = "v " + " ".join(str(l) for l in model_literals(model)) + " 0\n"
-        coloring = import_assignment(cnf, parse_assignment(text))
+        coloring = import_assignment(IntegerInterval(1, 4), 2, parse_assignment(text))
         assert find_witness(builtin_family("schur"), coloring) is None

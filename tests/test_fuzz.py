@@ -127,7 +127,7 @@ def test_search_agrees_with_independent_deciders(draw):
     model = solve(cnf.num_vars, cnf.clauses)
     assert (model is not None) == avoidable, case
     if model is not None:
-        coloring = import_assignment(cnf, model_literals(model))
+        coloring = import_assignment(window, r, model_literals(model))
         assert find_witness(family, coloring, table) is None, case
 
     again = search_avoiding(family, window, r)

@@ -136,9 +136,9 @@ def test_every_exported_name_is_read_inside_the_package():
 
 def test_exception_classes_are_pinned():
     # Rejected input raises plain ValueError, which cli.main maps to exit 2.
-    # PolynomialSyntaxError keeps its position apart from its message, and
-    # _BudgetHit unwinds a search; a subclass that only renames ValueError
-    # adds a type that no caller tells apart.
+    # PolynomialSyntaxError keeps its position apart from its message; a
+    # subclass that only renames ValueError adds a type that no caller tells
+    # apart, and a search stops at its node budget by returning.
     src = os.path.dirname(qramsey.__file__)
     bases = {}  # "module.Class" -> the last dotted part of each base
     for name in os.listdir(src):
@@ -157,7 +157,7 @@ def test_exception_classes_are_pinned():
     while new := {c for c, b in bases.items() if b & exceptions and c not in found}:
         found |= new  # and subclasses of those, to any depth
         exceptions |= {c.split(".")[1] for c in new}
-    assert found == {"arith.PolynomialSyntaxError", "search._BudgetHit"}
+    assert found == {"arith.PolynomialSyntaxError"}
 
 
 def test_no_command_option_is_a_float():
@@ -180,6 +180,24 @@ def test_search_reads_the_clock_only_for_its_wall_time():
         and node.value.id == "time"
     }
     assert reads == {"perf_counter"}
+
+
+def test_no_module_sets_the_recursion_limit():
+    # The search keeps its levels on a list, not on the interpreter's stack:
+    # no search, however deep, changes the limit for the whole process.
+    src = os.path.dirname(qramsey.__file__)
+    names = set()
+    for name in os.listdir(src):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name), encoding="utf-8") as fh:
+                tree = ast.parse(fh.read())
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                elif isinstance(node, (ast.Name, ast.alias)):
+                    names.add(node.id if isinstance(node, ast.Name) else node.name)
+    assert {"stderr", "perf_counter"} <= names  # the walk saw sys and time attributes
+    assert "setrecursionlimit" not in names
 
 
 def _regex_calls(path):

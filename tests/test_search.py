@@ -1,5 +1,6 @@
 """Backtracking search: correctness against brute force, budgets, sweeps."""
 
+import hashlib
 import os
 import time
 
@@ -96,13 +97,10 @@ class TestOutcomes:
         groups = build_candidates(family, window).constraint_groups()
         n = window.size()
         for r in (n - 1, n, n + 1, n + 7):
-            full = search._Search(groups, n, r)
-            colors = full.run()
+            outcome, colors, nodes, digest = search._search(groups, n, r, None)
             res = search_avoiding(family, window, r)
-            assert res.nodes == full.nodes
-            if colors is None:
-                assert res.proof_log_hash == full.trace.hexdigest()
-            else:
+            assert (res.outcome, res.nodes, res.proof_log_hash) == (outcome, nodes, digest)
+            if colors is not None:
                 assert list(res.coloring.colors) == colors
 
     def test_no_candidates_means_trivially_avoiding(self):
@@ -137,6 +135,15 @@ class TestOutcomes:
         )
         assert res.outcome == BUDGET_EXCEEDED
         assert res.nodes == max_nodes
+
+    def test_node_budget_hit_mid_tree(self):
+        # Deep in the 24103-node refutation of test_pinned_exhaustion_trace,
+        # with many levels on the stack and a trail to leave behind.
+        res = search_avoiding(
+            parse_family("x; x + t; x + 4*t; x + 5*t"), IntegerInterval(1, 45), 2, max_nodes=10000
+        )
+        assert (res.outcome, res.nodes, res.coloring, res.proof_log_hash) == (
+            BUDGET_EXCEEDED, 10000, None, None)
 
     def test_node_budget_equal_to_tree_size_completes(self):
         res = search_avoiding(builtin_family("vdw(2)"), IntegerInterval(1, 27), 3, max_nodes=2611)
@@ -212,6 +219,14 @@ class TestDeterminism:
             assert res.outcome == EXHAUSTED
             assert res.nodes == nodes
             assert res.proof_log_hash == digest
+
+    def test_pinned_avoiding_coloring(self):
+        # The benchmark's avoiding integer search: node count and the SHA-256
+        # of the coloring's colors, one byte each.
+        res = search_avoiding(parse_family("x; x + 2*t; x + 3*t"), IntegerInterval(1, 39), 3)
+        assert (res.outcome, res.nodes) == (AVOIDING, 4412)
+        assert hashlib.sha256(bytes(res.coloring.colors)).hexdigest() == (
+            "011416c6d2db2589931768de8cc7909dcebe857881aa5fd37d171096459e8f06")
 
 
 class TestWindowTemplates:
