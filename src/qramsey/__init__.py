@@ -13,7 +13,6 @@ from __future__ import annotations
 __version__ = "0.1.0"
 
 from .arith import (
-    PolynomialQ,
     PolynomialSyntaxError,
     format_polynomial,
     format_rational,
@@ -75,7 +74,6 @@ __all__ = [
     "IntegerInterval",
     "LinearSystem",
     "MultiplicativeGrid",
-    "PolynomialQ",
     "PolynomialSyntaxError",
     "SearchResult",
     "Window",

@@ -5,10 +5,10 @@ the normal form used throughout this package: lowest terms, denominator >= 1,
 zero stored as 0/1.  ``parse_rational`` rejects a zero denominator in text;
 code builds a Fraction directly wherever a zero denominator cannot occur.
 
-Polynomials are dense coefficient tuples, index i holding the coefficient of
-t^i.  Trailing zeros are stripped on construction, so the zero polynomial has
-an empty tuple and its degree is reported as None.  They carry what the term
-grammar needs and no ring algebra: exact evaluation and the text form.
+A polynomial is a plain tuple of Fraction coefficients, index i holding the
+coefficient of t^i, with trailing zeros stripped by ``polynomial``: the zero
+polynomial is the empty tuple, and equal polynomials are equal tuples.  This
+module parses and prints them; ``AffineTerm`` evaluates them.
 """
 
 from __future__ import annotations
@@ -50,57 +50,21 @@ def format_rational(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-class PolynomialQ:
-    """Univariate polynomial with rational coefficients, dense form."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Iterable[Fraction | int] = ()) -> None:
-        cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs: tuple[Fraction, ...] = tuple(cs)
-
-    @property
-    def degree(self) -> int | None:
-        """Highest exponent with a nonzero coefficient, None for the zero polynomial."""
-        return len(self.coeffs) - 1 if self.coeffs else None
-
-    @property
-    def constant_term(self) -> Fraction:
-        return self.coeffs[0] if self.coeffs else Fraction(0)
-
-    @property
-    def has_zero_constant_term(self) -> bool:
-        return self.constant_term == 0
-
-    def eval(self, t: Fraction | int) -> Fraction:
-        """Evaluate by Horner's rule, exactly."""
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * t + c
-        return acc
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, PolynomialQ) and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(("PolynomialQ", self.coeffs))
-
-    def __repr__(self) -> str:
-        return f"PolynomialQ({list(self.coeffs)!r})"
-
-    def __str__(self) -> str:
-        return format_polynomial(self)
+def polynomial(coeffs: Iterable[Fraction | int]) -> tuple[Fraction, ...]:
+    """The normal form of a coefficient list: exact Fractions, trailing zeros stripped."""
+    cs = list(map(Fraction, coeffs))
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
 
 
-def format_polynomial(p: PolynomialQ) -> str:
+def format_polynomial(p: tuple[Fraction, ...]) -> str:
     """Render as a sum of c*t^k monomials, highest exponent first."""
-    if not p.coeffs:
+    if not p:
         return "0"
     parts: list[str] = []
-    for exp in range(len(p.coeffs) - 1, -1, -1):
-        c = p.coeffs[exp]
+    for exp in range(len(p) - 1, -1, -1):
+        c = p[exp]
         if c == 0:
             continue
         if exp == 0:
@@ -192,12 +156,12 @@ def read_monomials(text: str) -> Iterator[tuple[str | None, int, Fraction | int,
         yield m.group("var"), exp, sign * coef, start
 
 
-def from_exponents(coeffs: dict[int, Fraction]) -> PolynomialQ:
+def from_exponents(coeffs: dict[int, Fraction]) -> tuple[Fraction, ...]:
     """The polynomial with coefficient coeffs[i] at t^i; coeffs is nonempty."""
-    return PolynomialQ([coeffs.get(e, 0) for e in range(max(coeffs) + 1)])
+    return polynomial(coeffs.get(e, 0) for e in range(max(coeffs) + 1))
 
 
-def parse_polynomial(text: str) -> PolynomialQ:
+def parse_polynomial(text: str) -> tuple[Fraction, ...]:
     """Parse polynomial text such as 't^2 - 3/2*t' in the variable t.
 
     Accepted monomials are those of read_monomials; repeated exponents

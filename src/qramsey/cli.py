@@ -440,10 +440,8 @@ def main(argv: list[str] | None = None, out=None) -> int:
         if out is not sys.stdout or not _reader_gone(sys.stdout):
             print(f"error: {exc}", file=sys.stderr)  # a certificate or --out file
             return 2
-    except (ValueError, OSError, KeyError) as exc:
-        # str() of a KeyError would quote the message
-        message = exc.args[0] if isinstance(exc, KeyError) else exc
-        print(f"error: {message}", file=sys.stderr)
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     # stdout's reader has gone; point stdout at os.devnull, so that the
     # interpreter's final flush does not raise

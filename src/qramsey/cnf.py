@@ -45,9 +45,6 @@ class CnfInstance:
     def num_vars(self) -> int:
         return self.window.size() * self.colors
 
-    def var(self, element: int, color: int) -> int:
-        return _var(element, color, self.colors)
-
 
 def _var(element: int, color: int, r: int) -> int:
     return element * r + color + 1

@@ -1,18 +1,19 @@
 """Monochromatic-instance detection over a window.
 
 A candidate is a pair (x, y) whose full term list lands inside the window
-with the family's constraints satisfied; it is stored as window indices so a
-coloring check is pure integer work: ``find_witness`` returns the first
-entry in table order whose values share one color.  The table is built once
-per (family, window) and reused across colorings; wherever a table is taken
-(``find_witness``, ``search_avoiding``, ``export_cnf``), ``check_table``
-rejects one built for another family or window.  A sweep builds one table
-per window ladder, its top row's, and ``CandidateTable.restrict`` cuts it
-down to each lower row: whether a pair is a candidate depends only on its
-values, so the entries inside a sub-window are that window's table.  An
-entry whose indices do not move is shared with the top table, so an
-``int:1..n`` ladder, whose rows are prefixes, holds about one table's
-entries, not two.
+with the family's constraints satisfied.  The table stores it as a plain
+``(x, y, values)`` triple of window indices, values in term order, the format
+of the test suite's brute-force oracle; so a coloring check is pure integer
+work, and ``find_witness`` returns the first entry in table order whose
+values share one color.  The table is built once per (family, window) and
+reused across colorings; wherever a table is taken (``find_witness``,
+``search_avoiding``, ``export_cnf``), ``check_table`` rejects one built for
+another family or window.  A sweep builds one table per window ladder, its
+top row's, and ``CandidateTable.restrict`` cuts it down to each lower row:
+whether a pair is a candidate depends only on its values, so the entries
+inside a sub-window are that window's table.  An entry whose indices do not
+move is shared with the top table, so an ``int:1..n`` ladder, whose rows are
+prefixes, holds about one table's entries, not two.
 
 The table is built over exact integer pairs, not Fractions.  Each term's
 ``pair_parts`` evaluates, once per x and once per y, the part that depends on
@@ -57,7 +58,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, groupby
 from math import gcd, lcm
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from typing import Callable, NamedTuple
 
 from .colorings import Coloring
@@ -77,17 +78,10 @@ PAIR_CAP = 25_000_000
 
 
 @dataclass(frozen=True)
-class Candidate:
-    x_index: int
-    y_index: int
-    value_indices: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class CandidateTable:
     family: Family
     window: Window
-    entries: tuple[Candidate, ...]
+    entries: tuple[tuple[int, int, tuple[int, ...]], ...]  # (x, y, values) index triples
 
     def constraint_groups(self) -> tuple[tuple[int, ...], ...]:
         """Distinct index sets, subsumption-pruned, for search and CNF export.
@@ -96,7 +90,7 @@ class CandidateTable:
         superset of a kept group is implied by it, so only the minimal sets
         survive.  Sorted by (size, indices); deterministic.
         """
-        groups = sorted({tuple(sorted(set(e.value_indices))) for e in self.entries})
+        groups = sorted({tuple(sorted(set(values))) for _, _, values in self.entries})
         groups.sort(key=len)  # stable: by (size, indices)
         kept: list[tuple[int, ...]] = []
         kept_set: set[tuple[int, ...]] = set()
@@ -133,19 +127,16 @@ class CandidateTable:
         if not self.family.uses_y:
             pin = next((j for j, v in enumerate(window.elements()) if v != 0), None)
         get = where.__getitem__
-        entries: list[Candidate] = []
+        entries = []
         for entry in self.entries:
-            x = where[entry.x_index]
-            y = where[entry.y_index] if pin is None else pin
+            x, y, values = entry
+            x, y = where[x], where[y] if pin is None else pin
             if x is None or y is None:
                 continue
-            values = tuple(map(get, entry.value_indices))
-            if None in values:
-                continue
-            if x == entry.x_index and y == entry.y_index and values == entry.value_indices:
-                entries.append(entry)  # frozen, so shared: a prefix window adds no entries
-            else:
-                entries.append(Candidate(x, y, values))
+            mapped = (x, y, tuple(map(get, values)))
+            if None not in mapped[2]:
+                # an unmoved entry is shared, so a prefix window adds no entries
+                entries.append(entry if mapped == entry else mapped)
         return CandidateTable(self.family, window, tuple(entries))
 
 
@@ -220,7 +211,7 @@ def _join_plan(family: Family, window: Window) -> _JoinPlan:
     )
 
 
-def _join(plan: _JoinPlan, index: PairIndex) -> list[Candidate]:
+def _join(plan: _JoinPlan, index: PairIndex) -> list[tuple[int, int, tuple[int, ...]]]:
     """The candidates whose values all lie in ``index``, in table order.
 
     ``index`` is the window's pair index or a part of it.  The x and y rows
@@ -239,7 +230,7 @@ def _join(plan: _JoinPlan, index: PairIndex) -> list[Candidate]:
             if kept := [row for row in rows if inside.issuperset(row[2])]:
                 by_key[key] = kept
     products, in_term_order, distinct = plan.products, plan.in_term_order, plan.distinct
-    entries: list[Candidate] = []
+    entries = []
     lookup = index.get
     for x_pos, xi, x_fixed, x_mixed in x_rows:
         if solved_x is None:
@@ -267,7 +258,7 @@ def _join(plan: _JoinPlan, index: PairIndex) -> list[Candidate]:
                 idxs = in_term_order(idxs)
                 if distinct and len(set(idxs)) != len(idxs):
                     continue
-                entries.append(Candidate(xi, yi, idxs))
+                entries.append((xi, yi, idxs))
     return entries
 
 
@@ -301,18 +292,18 @@ def find_witness(
         firsts = [found[0] for part in classes.values() if (found := _join(plan, part))]
         if not firsts:
             return None
-        entry = min(firsts, key=attrgetter("x_index", "y_index"))
-        color = colors[entry.value_indices[0]]
+        entry = min(firsts)  # triples sort in table order: x, then y
+        color = colors[entry[2][0]]
     else:
         check_table(family, coloring.window, table)
         for entry in table.entries:
-            color = colors[entry.value_indices[0]]
-            if all(colors[j] == color for j in entry.value_indices):
+            color = colors[entry[2][0]]
+            if all(colors[j] == color for j in entry[2]):
                 break
         else:
             return None
     elems = coloring.window.elements()
-    x, y = elems[entry.x_index], elems[entry.y_index]
+    x, y = elems[entry[0]], elems[entry[1]]
     values = instantiate(family, x, y)
     if any(coloring.color_of(v) != color for v in values):
         raise RuntimeError(

@@ -41,12 +41,12 @@ from typing import Callable, NamedTuple, Sequence
 
 from .arith import (
     MAX_EXPONENT,
-    PolynomialQ,
     format_polynomial,
     format_rational,
     from_exponents,
     parse_polynomial,
     parse_rational,
+    polynomial,
     read_exponent,
     read_monomials,
 )
@@ -129,26 +129,32 @@ class PowerTerm:
 class AffineTerm:
     """x_coef * x + poly(y).
 
-    poly has a nonzero constant only when it is that constant and x_coef is
-    1: the offset term x + c.
+    poly is a coefficient tuple, index i holding the coefficient of y^i; any
+    coefficient list given is put in the normal form of ``arith.polynomial``,
+    so equal terms compare and hash equal.  poly has a nonzero constant only
+    when it is that constant and x_coef is 1: the offset term x + c.
     """
 
     x_coef: Fraction
-    poly: PolynomialQ = PolynomialQ()
+    poly: tuple[Fraction, ...] = ()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "x_coef", Fraction(self.x_coef))
+        object.__setattr__(self, "poly", polynomial(self.poly))
         if self.x_coef == 0:
             raise ValueError("affine term needs a nonzero x coefficient")
-        if self.poly.constant_term and (self.uses_y or self.x_coef != 1):
+        if self.poly and self.poly[0] and (self.uses_y or self.x_coef != 1):
             raise ValueError("affine term polynomial must have zero constant term")
 
     def value(self, x: Fraction, y: Fraction) -> Fraction:
-        return self.x_coef * x + self.poly.eval(y)
+        acc = Fraction(0)
+        for c in reversed(self.poly):  # Horner's rule
+            acc = acc * y + c
+        return self.x_coef * x + acc
 
     def pair_parts(self, xs: Values, ys: Values, index: PairIndex) -> PairParts:
         c, d = pair_key(self.x_coef)
-        a, b = pair_key(self.poly.constant_term)  # nonzero only in x + a/b
+        a, b = pair_key(self.poly[0] if self.poly else 0)  # nonzero only in x + a/b
         if (c, d, a) == (1, 1, 0):  # the x part is x itself, already reduced
             per_x = list(map(pair_key, xs))
         else:
@@ -157,8 +163,8 @@ class AffineTerm:
         if not self.uses_y:
             return PairParts(X_ONLY, [index.get(k) for k in per_x], None)
         # P(y) at y = p/q is sum(a_i p^i q^(deg-i)) / (m q^deg), a_i integers
-        m = lcm(*(c.denominator for c in self.poly.coeffs))
-        coeffs = [c.numerator * (m // c.denominator) for c in self.poly.coeffs]
+        m = lcm(*(c.denominator for c in self.poly))
+        coeffs = [c.numerator * (m // c.denominator) for c in self.poly]
         deg = len(coeffs) - 1
         per_y = []
         for y in ys:
@@ -172,7 +178,7 @@ class AffineTerm:
 
     @property
     def uses_y(self) -> bool:
-        return len(self.poly.coeffs) > 1
+        return len(self.poly) > 1
 
     def text(self) -> str:
         if self == X:
@@ -214,7 +220,7 @@ class Family:
         return any(t.uses_y for t in self.terms)
 
     def has_offsets(self) -> bool:
-        return any(isinstance(t, AffineTerm) and t.poly.constant_term for t in self.terms)
+        return any(isinstance(t, AffineTerm) and t.poly and t.poly[0] for t in self.terms)
 
     def serialize(self) -> str:
         return "; ".join(t.text() for t in self.terms)
@@ -249,35 +255,27 @@ _AFFINE_RE = re.compile(rf"^(?:(?P<c1>{_RAT})\s*\*\s*)?x\s*(?P<op>[+-])\s*(?P<re
 _Y_ATOM_RE = re.compile(rf"\(\s*(?P<c2>{_RAT})\s*\*\s*y\s*\)")
 
 
-def _parse_term(chunk: str, offset: int, allow_offsets: bool) -> PatternTerm:
+def _parse_term(chunk: str, allow_offsets: bool) -> PatternTerm:
     s = chunk.strip()
-    offset += len(chunk) - len(chunk.lstrip())
-    at = f" (position {offset})"  # ends each error message
     if not s:
-        raise ValueError("empty term" + at)
+        raise ValueError("empty term")
     if s == "x":
         return X
     if s == "y":
         return VarY()
     m = _POWER_RE.match(s)
     if m:
-        try:
-            exp = read_exponent(m.group("exp") or "1")
-        except ValueError as exc:
-            raise ValueError(exc.args[0] + at) from None
+        exp = read_exponent(m.group("exp") or "1")
         if (m.group("op") == "/") != bool(m.group("neg")):
             exp = -exp
         if exp == 0:
-            raise ValueError("exponent must be nonzero" + at)
+            raise ValueError("exponent must be nonzero")
         return PowerTerm(exp)
     m = _AFFINE_RE.match(s)
     if m:
-        try:
-            c1 = parse_rational(m.group("c1") or "1")
-        except ValueError as exc:
-            raise ValueError(exc.args[0] + at) from None
+        c1 = parse_rational(m.group("c1") or "1")
         if c1 == 0:
-            raise ValueError("x coefficient must be nonzero" + at)
+            raise ValueError("x coefficient must be nonzero")
         rest = m.group("rest").strip()
         if m.group("op") == "-":
             rest = "-" + rest
@@ -296,22 +294,22 @@ def _parse_term(chunk: str, offset: int, allow_offsets: bool) -> PatternTerm:
                     coef *= scale**exp  # c*(c2*y)^k is c*c2^k * y^k
                 coeffs[exp] = coeffs.get(exp, 0) + coef
         except ValueError as exc:
-            raise ValueError(f"bad polynomial part: {exc.args[0]}{at}") from None
+            raise ValueError(f"bad polynomial part: {exc.args[0]}") from None
         if len(scalings) > 1:
-            raise ValueError("mixed y scalings in one term" + at)
+            raise ValueError("mixed y scalings in one term")
         if scalings and bare:
-            raise ValueError("mix of scaled and bare variables" + at)
+            raise ValueError("mix of scaled and bare variables")
         if len(bare) > 1:
-            raise ValueError("mix of t and y in polynomial part" + at)
+            raise ValueError("mix of t and y in polynomial part")
         poly = from_exponents(coeffs)
-        if poly.has_zero_constant_term:
+        if not poly or poly[0] == 0:
             return AffineTerm(c1, poly)
-        if poly.degree == 0 and c1 == 1 and scalings <= {1}:
+        if len(poly) == 1 and c1 == 1 and scalings <= {1}:
             if allow_offsets:
                 return AffineTerm(1, poly)
-            raise ValueError("constant term must be zero (offset terms are disabled)" + at)
-        raise ValueError("constant term must be zero" + at)
-    raise ValueError(f"unrecognized term {s!r}{at}")
+            raise ValueError("constant term must be zero (offset terms are disabled)")
+        raise ValueError("constant term must be zero")
+    raise ValueError(f"unrecognized term {s!r}")
 
 
 def parse_family(
@@ -321,16 +319,24 @@ def parse_family(
     require_distinct_values: bool = False,
     strict_nonzero_x: bool = False,
 ) -> Family:
-    """Parse a catalog key or ';'-separated term text into a Family; a bad key
-    raises builtin_family's KeyError.  The distinct and strict flags apply to both."""
+    """Parse a catalog key or ';'-separated term text into a Family.  Rejected
+    text raises ValueError, a bad key with builtin_family's message and a bad
+    term with its position.  The distinct and strict flags apply to both."""
     m = _KEY_RE.match(text.strip())
     terms: list[PatternTerm] = []
     if m and m.group("name") in _CATALOG:
-        terms.extend(builtin_family(text).terms)
+        try:
+            terms.extend(builtin_family(text).terms)
+        except KeyError as exc:
+            raise ValueError(exc.args[0]) from None
     else:
         offset = 0
         for chunk in text.split(";"):
-            terms.append(_parse_term(chunk, offset, allow_offsets))
+            try:
+                terms.append(_parse_term(chunk, allow_offsets))
+            except ValueError as exc:
+                at = offset + len(chunk) - len(chunk.lstrip())
+                raise ValueError(f"{exc} (position {at})") from None
             offset += len(chunk) + 1
     return Family(
         tuple(terms),
@@ -343,8 +349,8 @@ def parse_family(
 # Built-in catalog
 
 
-def _linears(k: int) -> list[PolynomialQ]:
-    return [PolynomialQ([0, i]) for i in range(1, k + 1)]
+def _linears(k: int) -> list[tuple[Fraction, ...]]:
+    return [polynomial([0, i]) for i in range(1, k + 1)]
 
 
 class _Entry(NamedTuple):
@@ -353,7 +359,7 @@ class _Entry(NamedTuple):
     arity: int  # integer arguments, each at least 1
     polys: str  # "" takes no list, "any" a list, "k" a list of exactly k
     head: Callable[..., tuple[PatternTerm, ...]]
-    tail: Callable[..., list[PolynomialQ]]  # the polynomials when no list is given
+    tail: Callable[..., list[tuple[Fraction, ...]]]  # the polynomials when no list is given
 
 
 _CATALOG = {
@@ -396,18 +402,18 @@ def builtin_family(key: str) -> Family:
             polys = entry.tail(*ints)
         elif entry.polys == "k" and len(polys) != ints[0]:
             raise ValueError(f"{name} got k={ints[0]} but {len(polys)} polynomials")
-        if any(p.constant_term for p in polys):  # x + c is an offset, not a catalog term
+        if any(p and p[0] for p in polys):  # x + c is an offset, not a catalog term
             raise ValueError("affine term polynomial must have zero constant term")
         return Family(entry.head(*ints) + tuple(AffineTerm(1, p) for p in polys))
     except ValueError as exc:
         raise KeyError(f"bad catalog key {key!r}: {exc}") from None
 
 
-def _split_key_args(args: str | None) -> tuple[list[int], list[PolynomialQ] | None]:
+def _split_key_args(args: str | None) -> tuple[list[int], list[tuple[Fraction, ...]] | None]:
     if args is None or not args.strip():
         return [], None
     ints: list[int] = []
-    polys: list[PolynomialQ] | None = None
+    polys: list[tuple[Fraction, ...]] | None = None
     rest = args.strip()
     while rest:
         if rest.startswith("["):

@@ -24,7 +24,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import PolynomialQ, format_rational, parse_rational, signed_chunks
+from .arith import format_rational, parse_rational, signed_chunks
 from .patterns import X, AffineTerm, Family, VarY
 from .search import BUDGET_EXCEEDED, EXHAUSTED, check_node_budget, threshold_sweep
 
@@ -136,7 +136,7 @@ def system_to_family(system: LinearSystem) -> tuple[Family | None, str]:
         (_, c1), (_, c2), (_, c3) = active
         xc = -c1 / c3
         yc = -c2 / c3
-        family = Family((X, VarY(), AffineTerm(xc, PolynomialQ([0, yc]))))
+        family = Family((X, VarY(), AffineTerm(xc, (0, yc))))
         return family, "x3 solved in terms of x1, x2"
     return None, "more than three active variables do not fit the pattern grammar"
 

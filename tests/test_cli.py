@@ -116,6 +116,21 @@ class TestSearch:
         assert text == ""
         assert f"error: bad catalog key '{key}': " in capsys.readouterr().err
 
+    def test_bad_catalog_key_line_is_exact(self, capsys):
+        assert run_cli(["search", "moreira(2,[t])", "int:1..5", "-r", "2"]) == (2, "")
+        assert capsys.readouterr().err == (
+            "error: bad catalog key 'moreira(2,[t])': moreira got k=2 but 1 polynomials\n"
+        )
+
+    def test_keyerror_from_a_fault_propagates(self, monkeypatch):
+        # only rejected input exits 2; a KeyError is a fault in the program
+        def fault(spec):
+            raise KeyError("fault")
+
+        monkeypatch.setattr(cli, "parse_window", fault)
+        with pytest.raises(KeyError, match="fault"):
+            run_cli(["search", "schur", "int:1..5", "-r", "2"])
+
     def test_deeper_than_the_default_recursion_limit(self, tmp_path):
         # 3000 colored elements, each a frame on the search's own stack; the
         # interpreter's recursion limit stays as it is

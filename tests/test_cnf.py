@@ -21,9 +21,8 @@ class TestStructure:
     def test_variable_layout(self):
         cnf = export_cnf(builtin_family("schur"), IntegerInterval(1, 4), 3)
         assert cnf.num_vars == 12
-        assert cnf.var(0, 0) == 1
-        assert cnf.var(0, 2) == 3
-        assert cnf.var(3, 1) == 11
+        # element e in color c is variable e*r + c + 1: the at-least-one rows
+        assert cnf.clauses[:4] == ((1, 2, 3), (4, 5, 6), (7, 8, 9), (10, 11, 12))
 
     def test_clause_counts(self):
         family = builtin_family("schur")

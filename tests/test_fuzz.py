@@ -19,7 +19,7 @@ from fractions import Fraction
 import pytest
 
 from qramsey import detector
-from qramsey.arith import PolynomialQ
+from qramsey.arith import polynomial
 from qramsey.certificates import certificate_for_result, dumps_certificate
 from qramsey.cnf import export_cnf, import_assignment
 from qramsey.colorings import Coloring
@@ -62,13 +62,13 @@ def draw_term(rng, allow_offsets):
     if kind == "power":
         return PowerTerm(rng.choice([1, -1, 2, -2]))
     if kind == "offset":
-        return AffineTerm(1, PolynomialQ([rng.choice([1, -1, 2, Fraction(1, 2)])]))
+        return AffineTerm(1, polynomial([rng.choice([1, -1, 2, Fraction(1, 2)])]))
     coeffs = [0, rng.choice(SCALARS)]
     if rng.random() < 0.4:
         coeffs[1] = rng.choice([0, coeffs[1]])
         coeffs.append(rng.choice(SCALARS))
     x_coef, scale = rng.choice(SCALARS), rng.choice(SCALARS)
-    return AffineTerm(x_coef, PolynomialQ([c * scale**i for i, c in enumerate(coeffs)]))
+    return AffineTerm(x_coef, polynomial([c * scale**i for i, c in enumerate(coeffs)]))
 
 
 def draw_family(rng):
@@ -92,10 +92,6 @@ def draw_window(rng):
     return parse_window(rng.choice(WINDOWS))
 
 
-def entry_tuples(table):
-    return [(c.x_index, c.y_index, c.value_indices) for c in table.entries]
-
-
 def draw_case(draw):
     rng = random.Random(7001 + draw)
     family = draw_family(rng)
@@ -117,7 +113,7 @@ def test_search_agrees_with_independent_deciders(draw):
     ) == family, case
 
     table = build_candidates(family, window)
-    assert entry_tuples(table) == _brute.entries(family, window), case
+    assert list(table.entries) == _brute.entries(family, window), case
     res = search_avoiding(family, window, r, table=table)
     assert res.outcome in (AVOIDING, EXHAUSTED), case
     avoidable = _brute.avoidable(family, window, r)
@@ -213,7 +209,7 @@ def test_table_matches_fraction_reference(text, spec, flags):
         text, allow_offsets=True, require_distinct_values=distinct, strict_nonzero_x=strict
     )
     window = parse_window(spec)
-    assert entry_tuples(build_candidates(family, window)) == _brute.entries(family, window)
+    assert list(build_candidates(family, window).entries) == _brute.entries(family, window)
 
 
 def naive_groups(entries):

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from qramsey.arith import PolynomialQ
+from qramsey.arith import polynomial
 from qramsey.patterns import (
     X,
     AffineTerm,
@@ -31,14 +31,13 @@ class TestTermValues:
     def test_affine_term_scales_y_before_polynomial(self):
         # 2x + p(3y) with p = t^2 - t: at (1, 2) gives 2 + 36 - 6.
         (t,) = parse_family("2*x + (3*y)^2 - (3*y)").terms
-        assert t == AffineTerm(Fraction(2), PolynomialQ([0, -3, 9]))
+        assert t == AffineTerm(Fraction(2), polynomial([0, -3, 9]))
         assert t.value(Fraction(1), Fraction(2)) == Fraction(32)
-        p = PolynomialQ([0, -1, 1])
         for y in (Fraction(-1, 3), Fraction(5, 7)):
-            assert t.value(Fraction(1), y) == 2 + p.eval(3 * y)
+            assert t.value(Fraction(1), y) == 2 + (3 * y) ** 2 - 3 * y
 
     def test_offset_term_ignores_y(self):
-        t = AffineTerm(1, PolynomialQ([3]))
+        t = AffineTerm(1, polynomial([3]))
         assert t.value(Fraction(5), Fraction(99)) == Fraction(8)
         assert not t.uses_y
 
@@ -80,19 +79,29 @@ class TestFamilyValidation:
 
     def test_affine_constant_term_rejected(self):
         with pytest.raises(ValueError, match="zero constant term"):
-            AffineTerm(Fraction(1), PolynomialQ([1, 1]))
+            AffineTerm(Fraction(1), polynomial([1, 1]))
         with pytest.raises(ValueError, match="zero constant term"):
-            AffineTerm(Fraction(2), PolynomialQ([3]))  # an offset has x coefficient 1
+            AffineTerm(Fraction(2), polynomial([3]))  # an offset has x coefficient 1
 
     def test_affine_zero_x_coefficient_rejected(self):
         with pytest.raises(ValueError, match="nonzero x coefficient"):
-            AffineTerm(Fraction(0), PolynomialQ([0, 1]))
+            AffineTerm(Fraction(0), polynomial([0, 1]))
+
+    def test_affine_term_owns_the_normal_form(self):
+        # a coefficient list is normalized, so its term equals the parsed one
+        a = AffineTerm(1, [0, 2, 0])
+        b = AffineTerm(Fraction(1), (Fraction(0), Fraction(2)))
+        assert a == b
+        assert hash(a) == hash(b)
+        assert a.poly == (Fraction(0), Fraction(2))
+        with pytest.raises(ValueError, match="^duplicate terms in family$"):
+            parse_family("x + 2*t; x + 2*t + 0*t^3")
 
     def test_offset_zero_rejected(self):
         # x + 0 is x itself, so beside x it is a duplicate
-        assert AffineTerm(1, PolynomialQ([0])) == X
+        assert AffineTerm(1, polynomial([0])) == X
         with pytest.raises(ValueError, match="duplicate"):
-            Family((X, AffineTerm(1, PolynomialQ([0]))))
+            Family((X, AffineTerm(1, polynomial([0]))))
 
 
 class TestParse:
@@ -104,12 +113,12 @@ class TestParse:
             ("x * y^3", (PowerTerm(3),)),
             ("x / y^2", (PowerTerm(-2),)),
             ("x * y", (PowerTerm(1),)),
-            ("x + t", (AffineTerm(Fraction(1), PolynomialQ([0, 1])),)),
-            ("x - t^2", (AffineTerm(Fraction(1), PolynomialQ([0, 0, -1])),)),
-            ("2*x + 3*t", (AffineTerm(Fraction(2), PolynomialQ([0, 3])),)),
+            ("x + t", (AffineTerm(Fraction(1), polynomial([0, 1])),)),
+            ("x - t^2", (AffineTerm(Fraction(1), polynomial([0, 0, -1])),)),
+            ("2*x + 3*t", (AffineTerm(Fraction(2), polynomial([0, 3])),)),
             (
                 "1/2*x + t^2 - t",
-                (AffineTerm(Fraction(1, 2), PolynomialQ([0, -1, 1])),),
+                (AffineTerm(Fraction(1, 2), polynomial([0, -1, 1])),),
             ),
         ],
     )
@@ -123,7 +132,7 @@ class TestParse:
     def test_scaled_y_atom(self):
         fam = parse_family("x + (2*y)^2")
         (term,) = fam.terms
-        assert term == AffineTerm(Fraction(1), PolynomialQ([0, 0, 4]))
+        assert term == AffineTerm(Fraction(1), polynomial([0, 0, 4]))
         assert term.value(Fraction(1), Fraction(3)) == Fraction(37)
 
     def test_mixed_scalings_rejected(self):
@@ -149,7 +158,7 @@ class TestParse:
         ):
             parse_family("x; x + 3")
         fam = parse_family("x; x + 3", allow_offsets=True)
-        assert fam.terms == (X, AffineTerm(1, PolynomialQ([3])))
+        assert fam.terms == (X, AffineTerm(1, polynomial([3])))
         assert fam.has_offsets()
         # a canceled monomial leaves an offset; (1*y) is the bare variable
         assert parse_family("x; x + 3 + 0*(1*y)", allow_offsets=True) == fam
@@ -210,7 +219,10 @@ class TestParse:
         assert fam.strict_nonzero_x
 
     def test_bad_catalog_key_raises_its_keyerror(self):
-        with pytest.raises(KeyError, match="moreira got k=2 but 1 polynomials"):
+        # builtin_family's KeyError, raised as ValueError with its message
+        with pytest.raises(
+            ValueError, match=r"^bad catalog key 'moreira\(2,\[t\]\)': moreira got k=2 but 1 polynomials$"
+        ):
             parse_family("moreira(2,[t])")
 
     def test_names_outside_the_catalog_are_terms(self):
@@ -400,7 +412,7 @@ def draw_term_text(rng):
             joint = "+ -"
         text += rng.choice(["", " "]) + joint + rng.choice(["", " "]) + mono
         coeffs[k] = coeffs.get(k, 0) + sign * c * Fraction(y_coef) ** k
-    poly = PolynomialQ([coeffs.get(e, 0) for e in range(max(coeffs) + 1)])
+    poly = [coeffs.get(e, 0) for e in range(max(coeffs) + 1)]
     return text, AffineTerm(c1, poly), spellings
 
 
