@@ -10,10 +10,13 @@ bound is checked only by a re-run; without one it is reported as not checked.
 
 Format 3 marks upper bounds found with smallest-domain-first branching.  The
 node count and the trace hash follow the branching order, and the hash is
-now the plain SHA-256 of the decision trace.  Format 1 (worker split) and
-format 2 (static order) upper bounds cannot be re-run to the same counts,
-so they are rejected and have to be regenerated with a fresh search.  Lower
-bounds kept their layout, so they are still written and read as format 1.
+now the plain SHA-256 of the decision trace.  Format 1 (an old split over
+threads, whose counts depended on the split) and format 2 (static order)
+upper bounds cannot be re-run to the same counts, so they are rejected and
+have to be regenerated with a fresh search.  A search split over processes
+gives the sequential count and hash, so that split has no format of its
+own.  Lower bounds kept their layout, so they are still written and read as
+format 1.
 
 ``certificate_for_result`` builds either kind from a decided SearchResult;
 the caller decides where it goes (the command line writes one for

@@ -29,11 +29,24 @@ node's own color.  So no such lists are built after a last open color fails.
 
 Outcomes: an avoiding coloring (re-checked through the detector before it is
 returned), exhaustion of the tree (with node count and a hash of the decision
-trace), or budget exceeded.  The search is one sequential depth-first pass
-from the root, so the node count and the trace hash depend only on the
-instance.  The only budget is a node count, never the clock: a budget of N
-stops the search with exactly N nodes counted, so every outcome, the
-budget-exceeded one included, is the same on every machine.
+trace), or budget exceeded.  The node count and the trace hash are those of
+one depth-first pass from the root, so they depend only on the instance, not
+on how many processes walked the tree.  A search with no budget that has
+counted ``_SPLIT_AT`` nodes forks one worker per further CPU it may run on,
+and the process that forked is worker 0.  From there each worker walks the
+levels above ``_SPLIT_DEPTH`` itself, and the subtrees rooted at that depth
+are dealt round-robin in depth-first order; a subtree in progress at the fork
+stays with worker 0.  The other workers send the node count and trace bytes
+of each subtree they finish, and worker 0 joins them with its own walk, in
+depth-first order, into the one hash it has fed since the root.  So the
+count, the hash and the avoiding coloring, the first in subtree order, are
+the sequential ones.  Once that coloring is known, worker 0 waits only for
+the subtrees before it, then kills and reaps every worker.  Budgeted
+searches, a single CPU, platforms without ``os.fork`` and processes with
+other live threads stay sequential.  The only budget is a node count, never
+the clock: a budget of N stops the search with exactly N nodes counted, so
+every outcome, the budget-exceeded one included, is the same on every
+machine.
 
 ``threshold_sweep`` runs the search over a window ladder and yields each
 row's result as it is decided.  It writes nothing: certificates are built
@@ -43,7 +56,11 @@ from a result by the ``certificates`` module, which imports this one.
 from __future__ import annotations
 
 import hashlib
+import marshal
+import os
+import sys
 import time
+from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -77,6 +94,198 @@ class SearchResult:
     max_nodes: int | None
 
 
+_SPLIT_AT = 4096  # nodes a search counts on its own before it forks
+_SPLIT_DEPTH = 6  # depth of the subtree roots dealt to the workers
+
+
+def _fork(inside: bool, trace) -> _Split | None:
+    """Fork the workers of a split search, or None where it stays sequential:
+    one CPU, no ``os.fork``, another live thread, or a fork that failed.
+    ``inside``: the fork falls inside a subtree at ``_SPLIT_DEPTH``."""
+    threading = sys.modules.get("threading")
+    if not hasattr(os, "fork") or (threading is not None and threading.active_count() > 1):
+        return None
+    if hasattr(os, "sched_getaffinity"):
+        workers = len(os.sched_getaffinity(0))
+    else:
+        workers = os.cpu_count() or 1
+    if workers < 2:
+        return None
+    split = _Split(workers, _SPLIT_DEPTH, inside, trace)
+    try:
+        for w in range(1, workers):
+            rfd, wfd = os.pipe()
+            split.fds.append(rfd)
+            split.inboxes.append(bytearray())
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(wfd)
+                raise
+            if pid == 0:
+                for fd in split.fds:
+                    os.close(fd)
+                split.me, split.out, split.pids, split.fds = w, wfd, [], []
+                return split
+            os.close(wfd)
+            split.pids.append(pid)
+    except OSError:
+        split.close()
+        return None
+    return split
+
+
+class _Split:
+    """One worker's part of a search split over forked processes.
+
+    After the fork every worker walks the levels above ``depth`` itself, and
+    the subtrees rooted at ``depth`` are dealt round-robin in DFS order:
+    subtree k goes to worker k mod ``workers``.  A subtree in progress at the
+    fork is subtree 0, worker 0's.  Worker 0 is the process that forked; each
+    other worker sends it one record per subtree it finishes, (k, nodes,
+    trace bytes), or (k, nodes up to the coloring, colors) for one that holds
+    an avoiding coloring, and then ends.  Worker 0 joins those records with
+    its own walk in DFS order, into the node count and the trace hash it
+    has been keeping since the root, so the result is the sequential one.
+    """
+
+    def __init__(self, workers: int, depth: int, inside: bool, trace) -> None:
+        self.workers = workers
+        self.depth = depth
+        self.me = 0
+        self.next = int(inside)  # index of the next subtree
+        self.open: int | None = None  # the subtree being walked, sent when it ends
+        self.start = 0  # node count where the open subtree began
+        self.buffer = bytearray()  # trace bytes not yet sent or joined
+        # worker 0: one pipe and a byte inbox per other worker, and the parts
+        # of the trace still to join: bytes of its own walk, or (k, node
+        # count at k) for another worker's subtree k
+        self.trace = trace
+        self.pids: list[int] = []
+        self.fds: list[int] = []
+        self.inboxes: list[bytearray] = []
+        self.records: dict[int, tuple[int, bytes | list[int]]] = {}
+        self.found: int | None = None  # the first subtree known to hold an avoiding coloring
+        self.parts: deque[bytes | tuple[int, int]] = deque()
+        self.joined = 0  # nodes of the other workers' subtrees joined so far
+
+    def leaves(self, depth: int, nodes: int) -> int | None:
+        """The worker is about to try a node at ``depth`` with ``nodes``
+        counted: None to walk it, else the depth from which it gives up the
+        colors still to try (its own level too when that is at most
+        ``depth``; one deeper only skips the node)."""
+        if depth > self.depth:  # the fork fell inside subtree 0
+            return None if self.me == 0 else self.depth + 1
+        if self.open is not None:  # a node at this depth ends the open subtree
+            self._send(self.open, nodes - self.start, bytes(self.buffer))
+        self.open = None
+        if depth < self.depth:
+            return None
+        k = self.next
+        self.next += 1
+        mine = k % self.workers == self.me
+        if self.me:
+            if mine:
+                self.open, self.start = k, nodes
+                self.buffer.clear()
+            return None if mine else depth + 1
+        if not mine:
+            self.parts += (bytes(self.buffer), (k, nodes))
+            self.buffer.clear()
+        for w in range(1, self.workers):
+            self._read(w, block=False)
+        if self.found is not None and self.found < self.next:
+            return 0  # settled: leave the tree, and finish joins up to the coloring
+        self._join(block=False)
+        return None if mine else depth + 1
+
+    def finish(
+        self, colors: list[int] | None, nodes: int
+    ) -> tuple[str, list[int] | None, int, str | None]:
+        """The result of the walk's end, an avoiding coloring or the tree's;
+        another worker sends its last record and ends here."""
+        if self.me:
+            if self.open is not None:
+                self._send(self.open, nodes - self.start,
+                           bytes(self.buffer) if colors is None else colors)
+            os._exit(0)
+        self.parts.append(bytes(self.buffer))
+        result = self._join(block=True)
+        if result is not None:
+            return result
+        if colors is not None:
+            return AVOIDING, colors, nodes + self.joined, None
+        return EXHAUSTED, None, nodes + self.joined, self.trace.hexdigest()
+
+    def close(self) -> None:
+        """End another worker; in worker 0, kill and reap every other one."""
+        if self.me:
+            os._exit(1)
+        import signal  # here, not at the top: its import costs every command about 1 ms
+
+        for pid in self.pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for fd in self.fds:
+            os.close(fd)
+
+    def _join(self, block: bool) -> tuple[str, list[int], int, None] | None:
+        """Feed the trace hash every part known, in order, up to the first
+        avoiding subtree, whose result it returns; with block, wait for
+        each part."""
+        parts = self.parts
+        while parts:
+            part = parts[0]
+            if type(part) is bytes:
+                self.trace.update(part)
+            else:
+                k, at = part
+                while k not in self.records:
+                    if not block:
+                        return None
+                    self._read(k % self.workers, block=True)
+                count, data = self.records.pop(k)
+                self.joined += count
+                if type(data) is list:
+                    return AVOIDING, data, at + self.joined, None
+                self.trace.update(data)
+            parts.popleft()
+        return None
+
+    def _read(self, w: int, block: bool) -> None:
+        """Take in the records worker w has sent; with block, wait for more."""
+        fd = self.fds[w - 1]
+        os.set_blocking(fd, block)
+        inbox = self.inboxes[w - 1]
+        while True:
+            try:
+                data = os.read(fd, 1 << 16)
+            except BlockingIOError:
+                return
+            if not data:
+                if block:
+                    raise RuntimeError(f"search worker {w} ended without sending its subtrees")
+                return
+            inbox += data
+            while len(inbox) >= 4:  # each record: its length in 4 bytes, then marshal data
+                end = 4 + int.from_bytes(inbox[:4], "little")
+                if len(inbox) < end:
+                    break
+                k, count, payload = marshal.loads(inbox[4:end])
+                del inbox[:end]
+                self.records[k] = (count, payload)
+                if type(payload) is list:
+                    self.found = k if self.found is None else min(self.found, k)
+            if block:
+                return
+
+    def _send(self, k: int, nodes: int, payload: bytes | list[int]) -> None:
+        record = marshal.dumps((k, nodes, payload))
+        view = memoryview(len(record).to_bytes(4, "little") + record)
+        while view:
+            view = view[os.write(self.out, view):]
+
+
 def _search(
     groups: tuple[tuple[int, ...], ...], n: int, r: int, max_nodes: int | None
 ) -> tuple[str, list[int] | None, int, str | None]:
@@ -88,7 +297,7 @@ def _search(
     for group in groups:
         for e in group:
             cons_of[e].append(group)
-    split = bytearray(n)
+    narrowed = bytearray(n)
     # the uncolored elements that are in some group, by descending degree
     todo = sorted((e for e in range(n) if cons_of[e]), key=lambda e: (-len(cons_of[e]), e))
     colors = [-1] * n
@@ -97,71 +306,98 @@ def _search(
     labels: list[list[bytes] | None] = [None] * n
     nodes = 0
     trace = hashlib.sha256()
+    feed = trace.update
     stack: list[tuple[int, int, int, int, int, int]] = []  # the colored ancestors
     used = 0
-    while True:  # one pass per level: branch on the uncolored element of fewest colors
-        if not todo:
-            return AVOIDING, [c if c >= 0 else 0 for c in colors], nodes, None
-        e, best = -1, r + 1
-        for t in todo:
-            size = domain[t].bit_count()
-            if size < best:
-                e, best = t, size
-                if size == 1:
-                    break
-        at = todo.index(e)
-        del todo[at]
-        labels_e = labels[e]
-        if labels_e is None:
-            labels_e = labels[e] = [b"%d:%d;" % (e, c) for c in range(r)]
-        # e's colors to try: those open to it, and one brand-new color at most
-        opens = domain[e] & ((2 << used) - 1)
-        while True:  # try e's next color, or backtrack to a level that has one
-            if opens:
-                bit = opens & -opens
-                opens ^= bit
-                if nodes == max_nodes:
-                    return BUDGET_EXCEEDED, None, nodes, None
-                nodes += 1
-                c = bit.bit_length() - 1
-                trace.update(labels_e[c])
-                colors[e] = c
-                mark = len(trail)
-                for group in cons_of[e]:
-                    free = -1
-                    for t in group:
-                        ct = colors[t]
-                        if ct == c:
-                            continue
-                        if ct >= 0 or free >= 0:
-                            break  # another color, or a second uncolored member
-                        free = t
+    # a budget, or else _SPLIT_AT nodes, stops the walk at node count `stop`;
+    # after a fork, a node at depth `cut` or above asks `split` whether to walk it
+    stop = _SPLIT_AT if max_nodes is None else max_nodes
+    cut = -1
+    split: _Split | None = None
+    try:
+        while True:  # one pass per level: branch on the uncolored element of fewest colors
+            if not todo:
+                found = [c if c >= 0 else 0 for c in colors]
+                if split is None:
+                    return AVOIDING, found, nodes, None
+                return split.finish(found, nodes)
+            e, best = -1, r + 1
+            for t in todo:
+                size = domain[t].bit_count()
+                if size < best:
+                    e, best = t, size
+                    if size == 1:
+                        break
+            at = todo.index(e)
+            del todo[at]
+            labels_e = labels[e]
+            if labels_e is None:
+                labels_e = labels[e] = [b"%d:%d;" % (e, c) for c in range(r)]
+            # e's colors to try: those open to it, and one brand-new color at most
+            opens = domain[e] & ((2 << used) - 1)
+            while True:  # try e's next color, or backtrack to a level that has one
+                if opens:
+                    bit = opens & -opens
+                    opens ^= bit
+                    if nodes == stop or len(stack) <= cut:
+                        if nodes == max_nodes:
+                            return BUDGET_EXCEEDED, None, nodes, None
+                        if split is None:
+                            stop, split = -1, _fork(len(stack) > _SPLIT_DEPTH, trace)
+                            if split is not None:
+                                cut, feed = split.depth, split.buffer.extend
+                        if split is not None:
+                            leave = split.leaves(len(stack), nodes)
+                            if leave is not None:  # skip the node; drop the colors from leave down
+                                stack[leave:] = [f[:3] + (0,) + f[4:] for f in stack[leave:]]
+                                if leave <= len(stack):
+                                    opens = 0
+                                continue
+                    nodes += 1
+                    c = bit.bit_length() - 1
+                    feed(labels_e[c])
+                    colors[e] = c
+                    mark = len(trail)
+                    for group in cons_of[e]:
+                        free = -1
+                        for t in group:
+                            ct = colors[t]
+                            if ct == c:
+                                continue
+                            if ct >= 0 or free >= 0:
+                                break  # another color, or a second uncolored member
+                            free = t
+                        else:
+                            if free < 0:
+                                break  # conflict: the whole group has color c
+                            d = domain[free]
+                            if d & bit:
+                                domain[free] = d ^ bit
+                                trail.append(free)
+                                if d == bit:
+                                    break  # conflict: free has no color left
                     else:
-                        if free < 0:
-                            break  # conflict: the whole group has color c
-                        d = domain[free]
-                        if d & bit:
-                            domain[free] = d ^ bit
-                            trail.append(free)
-                            if d == bit:
-                                break  # conflict: free has no color left
+                        stack.append((e, at, used, opens, mark, bit))
+                        used = max(used, c + 1)
+                        break
                 else:
-                    stack.append((e, at, used, opens, mark, bit))
-                    used = max(used, c + 1)
-                    break
-            else:
-                todo.insert(at, e)
-                if not stack:
-                    return EXHAUSTED, None, nodes, trace.hexdigest()
-                e, at, used, opens, mark, bit = stack.pop()
-                labels_e = labels[e]
-            colors[e] = -1
-            for t in trail[mark:]:
-                domain[t] |= bit
-            del trail[mark:]
-            if opens and not split[e]:
-                split[e] = 1
-                cons_of[e] = [g[:i] + g[i + 1:] for g in cons_of[e] for i in (g.index(e),)]
+                    todo.insert(at, e)
+                    if not stack:
+                        if split is None:
+                            return EXHAUSTED, None, nodes, trace.hexdigest()
+                        return split.finish(None, nodes)
+                    e, at, used, opens, mark, bit = stack.pop()
+                    labels_e = labels[e]
+                colors[e] = -1
+                for t in trail[mark:]:
+                    domain[t] |= bit
+                del trail[mark:]
+                if opens and not narrowed[e]:
+                    narrowed[e] = 1
+                    cons_of[e] = [g[:i] + g[i + 1:] for g in cons_of[e] for i in (g.index(e),)]
+    finally:
+        if split is not None:
+            split.close()
 
 
 def search_avoiding(

@@ -30,6 +30,25 @@ def test_star_import_runs_without_warnings():
     assert (done.returncode, done.stderr) == (0, "")
 
 
+def test_cli_import_stays_light():
+    # A search splits with os.fork and sends its records with marshal, so the
+    # set-up time and peak memory of a command stay those of one plain
+    # process; signal, about 1 ms to import, is imported only to end workers.
+    # -S keeps site from loading modules before the import.
+    src = os.path.dirname(os.path.dirname(qramsey.__file__))
+    script = ("import sys\nbefore = set(sys.modules)\nimport qramsey.cli\n"
+              "print(' '.join(sorted(set(sys.modules) - before)))")
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", script],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    loaded = done.stdout.split()
+    assert "qramsey.search" in loaded  # the subprocess saw the import
+    forbidden = ("multiprocessing", "concurrent", "threading", "pickle", "selectors", "signal")
+    assert [m for m in loaded if m.split(".")[0] in forbidden] == []
+
+
 @pytest.mark.parametrize("name", ["_brute.py", "_dpll.py"])
 def test_oracle_imports_nothing_from_qramsey(name):
     with open(os.path.join(TESTS, name), encoding="utf-8") as fh:
