@@ -23,7 +23,6 @@ from __future__ import annotations
 import json
 import os
 import re
-import select
 import sys
 import time
 from types import SimpleNamespace
@@ -407,6 +406,8 @@ def parse_args(argv: list[str]) -> SimpleNamespace:
 
 def _reader_gone(stream) -> bool:
     """Whether ``stream`` is a pipe or socket whose reading end was closed."""
+    import select  # here, not at the top: only -h, --version and a write error need it
+
     try:
         fd = stream.fileno()
     except OSError:  # not backed by a descriptor

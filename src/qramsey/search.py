@@ -34,10 +34,13 @@ one depth-first pass from the root, so they depend only on the instance, not
 on how many processes walked the tree.  A search with no budget that has
 counted ``_SPLIT_AT`` nodes forks one worker per further CPU it may run on,
 and the process that forked is worker 0.  From there each worker walks the
-levels above ``_SPLIT_DEPTH`` itself, and the subtrees rooted at that depth
-are dealt round-robin in depth-first order; a subtree in progress at the fork
-stays with worker 0.  The other workers send the node count and trace bytes
-of each subtree they finish, and worker 0 joins them with its own walk, in
+levels above ``_SPLIT_DEPTH`` itself, and at each subtree rooted at that
+depth it claims the subtree unless another worker has: the index of the
+next unclaimed subtree, held in a pipe, goes to one worker at a time.  So a
+worker that ends a subtree takes the next one that nobody has, and no worker
+idles while one is left; a subtree in progress at the fork stays with
+worker 0.  The other workers send the node count and trace bytes of each
+subtree they finish, and worker 0 joins them with its own walk, in
 depth-first order, into the one hash it has fed since the root.  So the
 count, the hash and the avoiding coloring, the first in subtree order, are
 the sequential ones.  Once that coloring is known, worker 0 waits only for
@@ -94,14 +97,14 @@ class SearchResult:
     max_nodes: int | None
 
 
-_SPLIT_AT = 4096  # nodes a search counts on its own before it forks
-_SPLIT_DEPTH = 6  # depth of the subtree roots dealt to the workers
+_SPLIT_AT = 1024  # nodes a search counts on its own before it forks
+_SPLIT_DEPTH = 6  # depth of the subtree roots the workers claim
 
 
 def _fork(inside: bool, trace) -> _Split | None:
     """Fork the workers of a split search, or None where it stays sequential:
-    one CPU, no ``os.fork``, another live thread, or a fork that failed.
-    ``inside``: the fork falls inside a subtree at ``_SPLIT_DEPTH``."""
+    one CPU, no ``os.fork``, another live thread, or a pipe or fork that
+    failed.  ``inside``: the fork falls inside a subtree at ``_SPLIT_DEPTH``."""
     threading = sys.modules.get("threading")
     if not hasattr(os, "fork") or (threading is not None and threading.active_count() > 1):
         return None
@@ -111,10 +114,17 @@ def _fork(inside: bool, trace) -> _Split | None:
         workers = os.cpu_count() or 1
     if workers < 2:
         return None
-    split = _Split(workers, _SPLIT_DEPTH, inside, trace)
+    split = _Split(_SPLIT_DEPTH, inside, trace)
     try:
+        split.counter = os.pipe()
+        split.held += split.counter
+        os.set_blocking(split.counter[0], False)
+        os.write(split.counter[1], split.next.to_bytes(8, "little"))
+        split.watch, alive = os.pipe()
+        split.held += (split.watch, alive)
         for w in range(1, workers):
             rfd, wfd = os.pipe()
+            os.set_blocking(rfd, False)
             split.fds.append(rfd)
             split.inboxes.append(bytearray())
             try:
@@ -123,12 +133,15 @@ def _fork(inside: bool, trace) -> _Split | None:
                 os.close(wfd)
                 raise
             if pid == 0:
+                split.me = w  # first, so that split.close() ends this process
                 for fd in split.fds:
                     os.close(fd)
-                split.me, split.out, split.pids, split.fds = w, wfd, [], []
+                os.close(alive)
+                split.out, split.pids, split.fds, split.held = wfd, [], [], []
                 return split
             os.close(wfd)
             split.pids.append(pid)
+            split.sending.append(w)
     except OSError:
         split.close()
         return None
@@ -138,32 +151,43 @@ def _fork(inside: bool, trace) -> _Split | None:
 class _Split:
     """One worker's part of a search split over forked processes.
 
-    After the fork every worker walks the levels above ``depth`` itself, and
-    the subtrees rooted at ``depth`` are dealt round-robin in DFS order:
-    subtree k goes to worker k mod ``workers``.  A subtree in progress at the
-    fork is subtree 0, worker 0's.  Worker 0 is the process that forked; each
-    other worker sends it one record per subtree it finishes, (k, nodes,
-    trace bytes), or (k, nodes up to the coloring, colors) for one that holds
-    an avoiding coloring, and then ends.  Worker 0 joins those records with
-    its own walk in DFS order, into the node count and the trace hash it
-    has been keeping since the root, so the result is the sequential one.
+    After the fork every worker walks the levels above ``depth`` itself, in
+    the same DFS order, and numbers the subtrees rooted at ``depth`` as it
+    meets them.  A worker takes subtree k only if k is the next subtree no
+    worker has claimed; a subtree in progress at the fork is subtree 0,
+    worker 0's.  That index is a counter of 8 bytes held in one pipe: a read
+    takes it and a write gives it back, one more after a claim.  Worker 0 is
+    the process that forked; each other worker sends it one record per
+    subtree it finishes, (k, nodes, trace bytes), or (k, nodes up to the
+    coloring, colors) for one that holds an avoiding coloring, and a last
+    record None before it ends.  Worker 0 joins those records, whoever sent
+    them, with its own walk in DFS order, into the node count and the trace
+    hash it has been keeping since the root, so the result is the
+    sequential one.  No worker waits forever: a worker that waits for the
+    counter also watches a pipe whose write end only worker 0 holds, and
+    worker 0 watches every record pipe, where a worker that ends without its
+    last record is an error.
     """
 
-    def __init__(self, workers: int, depth: int, inside: bool, trace) -> None:
-        self.workers = workers
+    def __init__(self, depth: int, inside: bool, trace) -> None:
         self.depth = depth
         self.me = 0
         self.next = int(inside)  # index of the next subtree
         self.open: int | None = None  # the subtree being walked, sent when it ends
         self.start = 0  # node count where the open subtree began
         self.buffer = bytearray()  # trace bytes not yet sent or joined
-        # worker 0: one pipe and a byte inbox per other worker, and the parts
+        self.counter = (-1, -1)  # read and write end of the claim counter's pipe
+        self.watch = -1  # read end of a pipe whose write end only worker 0 holds
+        # worker 0: its other pipe ends; one pipe and a byte inbox per other
+        # worker, the workers yet to send their last record, and the parts
         # of the trace still to join: bytes of its own walk, or (k, node
         # count at k) for another worker's subtree k
         self.trace = trace
+        self.held: list[int] = []
         self.pids: list[int] = []
         self.fds: list[int] = []
         self.inboxes: list[bytearray] = []
+        self.sending: list[int] = []
         self.records: dict[int, tuple[int, bytes | list[int]]] = {}
         self.found: int | None = None  # the first subtree known to hold an avoiding coloring
         self.parts: deque[bytes | tuple[int, int]] = deque()
@@ -177,13 +201,13 @@ class _Split:
         if depth > self.depth:  # the fork fell inside subtree 0
             return None if self.me == 0 else self.depth + 1
         if self.open is not None:  # a node at this depth ends the open subtree
-            self._send(self.open, nodes - self.start, bytes(self.buffer))
+            self._send((self.open, nodes - self.start, bytes(self.buffer)))
         self.open = None
         if depth < self.depth:
             return None
         k = self.next
         self.next += 1
-        mine = k % self.workers == self.me
+        mine = self._claim(k)
         if self.me:
             if mine:
                 self.open, self.start = k, nodes
@@ -192,8 +216,8 @@ class _Split:
         if not mine:
             self.parts += (bytes(self.buffer), (k, nodes))
             self.buffer.clear()
-        for w in range(1, self.workers):
-            self._read(w, block=False)
+        for w in self.sending[:]:
+            self._read(w)
         if self.found is not None and self.found < self.next:
             return 0  # settled: leave the tree, and finish joins up to the coloring
         self._join(block=False)
@@ -203,11 +227,12 @@ class _Split:
         self, colors: list[int] | None, nodes: int
     ) -> tuple[str, list[int] | None, int, str | None]:
         """The result of the walk's end, an avoiding coloring or the tree's;
-        another worker sends its last record and ends here."""
+        another worker sends its last records and ends here."""
         if self.me:
             if self.open is not None:
-                self._send(self.open, nodes - self.start,
-                           bytes(self.buffer) if colors is None else colors)
+                self._send((self.open, nodes - self.start,
+                            bytes(self.buffer) if colors is None else colors))
+            self._send(None)
             os._exit(0)
         self.parts.append(bytes(self.buffer))
         result = self._join(block=True)
@@ -226,8 +251,20 @@ class _Split:
         for pid in self.pids:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-        for fd in self.fds:
+        for fd in self.fds + self.held:
             os.close(fd)
+
+    def _claim(self, k: int) -> bool:
+        """Take subtree k if it is the next one no worker has claimed."""
+        rfd, wfd = self.counter
+        while True:
+            try:
+                free = int.from_bytes(os.read(rfd, 8), "little")
+                break
+            except BlockingIOError:
+                self._wait(rfd)
+        os.write(wfd, (free + (free == k)).to_bytes(8, "little"))
+        return free == k
 
     def _join(self, block: bool) -> tuple[str, list[int], int, None] | None:
         """Feed the trace hash every part known, in order, up to the first
@@ -243,7 +280,7 @@ class _Split:
                 while k not in self.records:
                     if not block:
                         return None
-                    self._read(k % self.workers, block=True)
+                    self._wait(None)
                 count, data = self.records.pop(k)
                 self.joined += count
                 if type(data) is list:
@@ -252,36 +289,54 @@ class _Split:
             parts.popleft()
         return None
 
-    def _read(self, w: int, block: bool) -> None:
-        """Take in the records worker w has sent; with block, wait for more."""
-        fd = self.fds[w - 1]
-        os.set_blocking(fd, block)
-        inbox = self.inboxes[w - 1]
+    def _wait(self, counter: int | None) -> None:
+        """Wait until the counter (when given) or a record can be read, and
+        take in the records that came; raise where the wait could not end:
+        in another worker, once worker 0 has ended, and in worker 0, once
+        every other worker has sent its last record."""
+        import select  # here, not at the top: only a worker that waits needs it
+
+        if self.me:
+            if self.watch in select.select([counter, self.watch], [], [])[0]:
+                raise RuntimeError("search worker 0 ended")
+            return
+        fds = [self.fds[w - 1] for w in self.sending]
+        if counter is not None:
+            fds.append(counter)
+        elif not fds:
+            raise RuntimeError("search workers ended without sending every subtree")
+        for fd in select.select(fds, [], [])[0]:
+            if fd != counter:
+                self._read(self.fds.index(fd) + 1)
+
+    def _read(self, w: int) -> None:
+        """Take in the records worker w has sent so far."""
+        fd, inbox = self.fds[w - 1], self.inboxes[w - 1]
         while True:
             try:
                 data = os.read(fd, 1 << 16)
             except BlockingIOError:
                 return
             if not data:
-                if block:
-                    raise RuntimeError(f"search worker {w} ended without sending its subtrees")
-                return
+                raise RuntimeError(f"search worker {w} ended without sending its subtrees")
             inbox += data
             while len(inbox) >= 4:  # each record: its length in 4 bytes, then marshal data
                 end = 4 + int.from_bytes(inbox[:4], "little")
                 if len(inbox) < end:
                     break
-                k, count, payload = marshal.loads(inbox[4:end])
+                record = marshal.loads(inbox[4:end])
                 del inbox[:end]
+                if record is None:  # w's last record
+                    self.sending.remove(w)
+                    return
+                k, count, payload = record
                 self.records[k] = (count, payload)
                 if type(payload) is list:
                     self.found = k if self.found is None else min(self.found, k)
-            if block:
-                return
 
-    def _send(self, k: int, nodes: int, payload: bytes | list[int]) -> None:
-        record = marshal.dumps((k, nodes, payload))
-        view = memoryview(len(record).to_bytes(4, "little") + record)
+    def _send(self, record: tuple[int, int, bytes | list[int]] | None) -> None:
+        data = marshal.dumps(record)
+        view = memoryview(len(data).to_bytes(4, "little") + data)
         while view:
             view = view[os.write(self.out, view):]
 

@@ -33,7 +33,8 @@ def test_star_import_runs_without_warnings():
 def test_cli_import_stays_light():
     # A search splits with os.fork and sends its records with marshal, so the
     # set-up time and peak memory of a command stay those of one plain
-    # process; signal, about 1 ms to import, is imported only to end workers.
+    # process; signal, about 1 ms to import, is imported only to end workers,
+    # and select only by a worker that waits.  mmap is never used.
     # -S keeps site from loading modules before the import.
     src = os.path.dirname(os.path.dirname(qramsey.__file__))
     script = ("import sys\nbefore = set(sys.modules)\nimport qramsey.cli\n"
@@ -45,7 +46,8 @@ def test_cli_import_stays_light():
     assert (done.returncode, done.stderr) == (0, "")
     loaded = done.stdout.split()
     assert "qramsey.search" in loaded  # the subprocess saw the import
-    forbidden = ("multiprocessing", "concurrent", "threading", "pickle", "selectors", "signal")
+    forbidden = ("multiprocessing", "concurrent", "threading", "pickle", "selectors", "signal",
+                 "select", "mmap")
     assert [m for m in loaded if m.split(".")[0] in forbidden] == []
 
 

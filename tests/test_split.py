@@ -2,8 +2,10 @@
 
 ``_SPLIT_AT = 0`` forks before the first node and a patched
 ``os.sched_getaffinity`` names two CPUs (three in some tests), so every search
-below splits, on any host.  After each split the test process must have no
-child left, finished or running.
+below splits, on any host.  Workers claim subtrees as they reach them, so
+which worker walks which subtree depends on timing; some tests patch
+``_Split._claim`` to fix it.  After each split the test process must have no
+child left, finished or running, and no descriptor left open.
 """
 
 import contextlib
@@ -11,9 +13,11 @@ import hashlib
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
 import threading
+import time
 from types import SimpleNamespace
 
 import pytest
@@ -44,6 +48,49 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+def open_fds():
+    """The descriptors open in this process, or None where /proc/self/fd is missing."""
+    return sorted(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+
+
+def running(pid):
+    """Whether process pid runs: it exists and, where /proc tells, is no zombie."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] not in ("Z", "X")
+    except FileNotFoundError:  # it ended since, or there is no /proc to tell
+        return not os.path.isdir("/proc/self")
+
+
+def take_the_counter(split):
+    """Take the claim counter and keep it."""
+    while True:
+        try:
+            os.read(split.counter[0], 8)
+            return
+        except BlockingIOError:
+            time.sleep(0.001)
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Fail a test that runs longer than ``seconds`` instead of letting it hang."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
 def cpus(monkeypatch, k):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)), raising=False)
 
@@ -66,6 +113,35 @@ def no_fork(monkeypatch):
         raise AssertionError("forked")
 
     monkeypatch.setattr(os, "fork", fork)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The list of forks the test process makes, one entry each."""
+    parent, made = os.getpid(), []
+    fork = os.fork
+
+    def counted():
+        if os.getpid() == parent:
+            made.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return made
+
+
+# Claim rules patched over _Split._claim to fix the worker that walks
+# subtree k (a subtree in progress at the fork stays worker 0's).
+def round_robin(split, k):
+    return k % 2 == split.me
+
+
+def to_the_child(split, k):
+    return split.me == 1
+
+
+def to_worker_0(split, k):  # the child walks only the levels above the split depth
+    return split.me == 0
 
 
 def sequential(groups, n, r):
@@ -103,10 +179,21 @@ def small_instances():
 
 class TestSameResult:
     @pytest.mark.parametrize("depth", DEPTHS)
-    def test_fuzz_draws_and_catalog(self, forced, depth):
+    def test_fuzz_draws_and_catalog(self, forced, monkeypatch, depth):
         cases = small_instances()
         want = [sequential(*case) for case in cases]
         forced(depth)
+        for k in (2, 3):
+            cpus(monkeypatch, k)
+            assert [search._search(*case, None) for case in cases] == want
+            assert_no_child_left()
+
+    @pytest.mark.parametrize("rule", [to_the_child, to_worker_0], ids=["child", "worker 0"])
+    def test_one_worker_claims_every_subtree(self, forced, monkeypatch, rule):
+        cases = small_instances()
+        want = [sequential(*case) for case in cases]
+        forced(1)
+        monkeypatch.setattr(search._Split, "_claim", rule)
         assert [search._search(*case, None) for case in cases] == want
         assert_no_child_left()
 
@@ -125,12 +212,15 @@ class TestSameResult:
         assert_no_child_left()
 
     @pytest.mark.parametrize("depth", [1, 4])
-    def test_golden_records(self, forced, tmp_path, depth):
+    def test_golden_records(self, forced, monkeypatch, tmp_path, depth):
         forced(depth)
         with open(test_golden.GOLDEN, encoding="utf-8") as fh:
             expected = json.load(fh)
-        assert test_golden.run_steps(str(tmp_path)) == expected
-        assert_no_child_left()
+        for k in (2, 3):
+            cpus(monkeypatch, k)
+            (tmp_path / str(k)).mkdir()
+            assert test_golden.run_steps(str(tmp_path / str(k))) == expected
+            assert_no_child_left()
 
 
 class _Trace:
@@ -147,10 +237,11 @@ class _Trace:
 
 
 def place(labels, split_at, depth):
-    """Where the split of two workers finds the coloring that the sequential
-    search reached at its last node: read from the sequential node labels
-    alone.  A node of an element already on the path takes that element's
-    level; any other node is one level deeper than the last."""
+    """Where the split of two workers under ``round_robin`` finds the coloring
+    that the sequential search reached at its last node: read from the
+    sequential node labels alone.  A node of an element already on the path
+    takes that element's level; any other node is one level deeper than the
+    last."""
     path, levels = [], []
     for label in labels:
         e = label.split(b":")[0]
@@ -193,8 +284,10 @@ class TestAvoidingColorings:
         assert place(trace.labels, split_at, depth) == where
         monkeypatch.setattr(search, "_SPLIT_AT", split_at)
         forced(depth)
-        assert search._search(groups, n, r, None) == want
-        assert_no_child_left()
+        for rule in (round_robin, to_the_child, to_worker_0, search._Split._claim):
+            monkeypatch.setattr(search._Split, "_claim", rule)
+            assert search._search(groups, n, r, None) == want
+            assert_no_child_left()
 
     def test_pinned_coloring_with_the_default_split(self, monkeypatch):
         cpus(monkeypatch, 2)
@@ -261,6 +354,144 @@ class TestNoProcessLeft:
         assert len(os.listdir(tmp_path / "certs")) == 1
 
 
+class TestLiveness:
+    """A worker that waits always has something that ends the wait."""
+
+    def test_finished_worker_is_not_waited_for(self, forced, monkeypatch):
+        # Worker 1 claims every subtree and worker 2 none, so worker 2 ends
+        # first; worker 1 sends nothing until worker 0 waits with worker 2
+        # ended and dropped, and worker 0 must go on waiting for worker 1.
+        forced(2)
+        cpus(monkeypatch, 3)
+        monkeypatch.setattr(search._Split, "_claim", to_the_child)
+        send, wait, waits = search._Split._send, search._Split._wait, []
+        before = open_fds()
+        gate_r, gate_w = os.pipe()
+
+        def gated_send(split, record):
+            if split.me == 1 and not hasattr(split, "opened"):
+                split.opened = os.read(gate_r, 1)
+            send(split, record)
+
+        def logged_wait(split, counter):
+            if split.me == 0 and counter is None:
+                os.waitid(os.P_PID, split.pids[1], os.WEXITED | os.WNOWAIT)
+                waits.append(tuple(split.sending))
+                if split.sending == [1]:
+                    os.write(gate_w, b"g")
+            wait(split, counter)
+
+        monkeypatch.setattr(search._Split, "_send", gated_send)
+        monkeypatch.setattr(search._Split, "_wait", logged_wait)
+        groups, n = instance("x; x + t; x + 4*t; x + 5*t", "int:1..45")
+        try:
+            with deadline(60):
+                assert search._search(groups, n, 2, None) == sequential(groups, n, 2)
+        finally:
+            os.close(gate_r)
+            os.close(gate_w)
+        assert (1,) in waits
+        assert open_fds() == before
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("k, holding", [(2, True), (3, True), (2, False), (3, False)])
+    def test_killed_worker_raises_in_worker_0(self, forced, monkeypatch, k, holding):
+        # Worker 1 is killed at its first subtree root, holding the counter or
+        # just after its claim, and worker 0 claims its own first subtree only
+        # once worker 1 has ended.  Worker 0 raises; it never waits forever.
+        forced(4)
+        cpus(monkeypatch, k)
+        claim = search._Split._claim
+
+        def dying(split, j):
+            if split.me == 0 and not hasattr(split, "waited"):
+                split.waited = os.waitid(os.P_PID, split.pids[0], os.WEXITED | os.WNOWAIT)
+            elif split.me == 1:
+                if holding:
+                    take_the_counter(split)
+                else:
+                    claim(split, j)
+                os.kill(os.getpid(), signal.SIGKILL)
+            return claim(split, j)
+
+        monkeypatch.setattr(search._Split, "_claim", dying)
+        groups, n = instance("x; x + t; x + 4*t; x + 5*t", "int:1..45")
+        before = open_fds()
+        with deadline(60), pytest.raises(RuntimeError, match="search worker 1 ended"):
+            search._search(groups, n, 2, None)
+        assert open_fds() == before
+        assert_no_child_left()
+
+    def test_lost_record_raises_in_worker_0(self, forced, monkeypatch):
+        # The child claims every subtree and sends its last record, but not
+        # the record of subtree 2: worker 0 raises once no worker is left.
+        forced(4)
+        monkeypatch.setattr(search._Split, "_claim", to_the_child)
+        send = search._Split._send
+
+        def lossy(split, record):
+            if record is None or record[0] != 2:
+                send(split, record)
+
+        monkeypatch.setattr(search._Split, "_send", lossy)
+        groups, n = instance("x; x + t; x + 4*t; x + 5*t", "int:1..45")
+        before = open_fds()
+        with deadline(60), pytest.raises(RuntimeError, match="without sending every subtree"):
+            search._search(groups, n, 2, None)
+        assert open_fds() == before
+        assert_no_child_left()
+
+    def test_killed_worker_0_ends_a_waiting_worker(self, tmp_path):
+        # Worker 0 takes the counter, waits until the child waits for it, and
+        # is killed.  The child holds the script's stdout, so the output ends
+        # only once the child has ended too.
+        script = (
+            "import os, signal, sys, time\n"
+            "from qramsey import search\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "search._SPLIT_AT, search._SPLIT_DEPTH = 0, 4\n"
+            "ready_r, ready_w = os.pipe()\n"
+            "claim, wait = search._Split._claim, search._Split._wait\n"
+            "def waiting(split, counter):\n"
+            "    os.write(ready_w, b'w')\n"
+            "    wait(split, counter)\n"
+            "def claim_and_die(split, k):\n"
+            "    if split.me:\n"
+            "        return claim(split, k)\n"
+            "    os.close(ready_w)\n"
+            "    while True:\n"
+            "        try:\n"
+            "            os.read(split.counter[0], 8)\n"
+            "            break\n"
+            "        except BlockingIOError:\n"
+            "            time.sleep(0.001)\n"
+            "    print(split.pids[0], os.read(ready_r, 1) == b'w', flush=True)\n"
+            "    os.kill(os.getpid(), signal.SIGKILL)\n"
+            "search._Split._claim, search._Split._wait = claim_and_die, waiting\n"
+            "from qramsey.cli import main\n"
+            "main(['search', 'x; x + t; x + 4*t; x + 5*t', 'int:1..45', '-r', '2'])\n"
+        )
+        src = os.path.dirname(os.path.dirname(search.__file__))
+        before = open_fds()
+        worker_0 = subprocess.Popen(
+            [sys.executable, "-c", script], cwd=tmp_path, stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, text=True, env=dict(os.environ, PYTHONPATH=src),
+            start_new_session=True,
+        )
+        try:
+            out, err = worker_0.communicate(timeout=60)
+        except subprocess.TimeoutExpired:
+            os.killpg(worker_0.pid, signal.SIGKILL)
+            worker_0.communicate()
+            raise
+        assert worker_0.returncode == -signal.SIGKILL, err
+        child, waited = out.split()
+        assert waited == "True"
+        assert not running(int(child))
+        assert open_fds() == before
+        assert_no_child_left()
+
+
 class TestGuards:
     def test_budgeted_search_never_forks(self, forced, no_fork):
         forced(2)
@@ -297,11 +528,19 @@ class TestGuards:
         assert not waiting.is_alive()
 
     def test_searches_under_the_split_size_never_fork(self, monkeypatch, no_fork):
+        cpus(monkeypatch, 2)
+        res = search_avoiding(builtin_family("vdw(2)"), parse_window("farey:10"), 3)
+        assert (res.outcome, res.nodes) == (EXHAUSTED, 988)
+        assert res.nodes < search._SPLIT_AT
+
+    def test_the_largest_sweep_search_forks(self, monkeypatch, forks):
         # The largest search of the benchmark's tables-and-sweeps workload.
         cpus(monkeypatch, 2)
         res = search_avoiding(builtin_family("vdw(2)"), parse_window("int:1..27"), 3)
-        assert (res.outcome, res.nodes) == (EXHAUSTED, 2611)
-        assert res.nodes < search._SPLIT_AT
+        assert (res.outcome, res.nodes, res.proof_log_hash) == (
+            EXHAUSTED, 2611, "24851e1729882c4650fc44908287366d33d632f1ccab22701f1f325d57300156")
+        assert len(forks) == 1
+        assert_no_child_left()
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_failed_fork_falls_back_to_one_process(self, forced, monkeypatch, k):
@@ -320,26 +559,16 @@ class TestGuards:
         cpus(monkeypatch, k)
         monkeypatch.setattr(os, "fork", failing)
         groups, n = instance("x; x + t; x + 4*t; x + 5*t", "int:1..30")
-        open_fds = os.listdir("/proc/self/fd") if os.path.isdir("/proc/self/fd") else []
+        before = open_fds()
         assert search._search(groups, n, 2, None) == sequential(groups, n, 2)
         assert len(forks) == k - 1
-        if open_fds:
-            assert len(os.listdir("/proc/self/fd")) == len(open_fds)
+        assert open_fds() == before
         assert_no_child_left()
 
-    @pytest.mark.parametrize("k, depth", [(2, 2), (3, 0), (3, 1), (3, 2), (3, 4)])
-    def test_one_worker_per_cpu(self, forced, monkeypatch, k, depth):
+    @pytest.mark.parametrize("k, depth", [(2, 2), (3, 0), (3, 1), (3, 2), (3, 4), (4, 4)])
+    def test_one_worker_per_cpu(self, forced, monkeypatch, forks, k, depth):
         forced(depth)
         cpus(monkeypatch, k)
-        parent, forks = os.getpid(), []
-        fork = os.fork
-
-        def counted():
-            if os.getpid() == parent:
-                forks.append(1)
-            return fork()
-
-        monkeypatch.setattr(os, "fork", counted)
         groups, n = instance("x; x + t; x + 4*t; x + 5*t", "int:1..30")
         assert search._search(groups, n, 2, None) == sequential(groups, n, 2)
         assert len(forks) == k - 1
