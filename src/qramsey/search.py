@@ -32,24 +32,24 @@ returned), exhaustion of the tree (with node count and a hash of the decision
 trace), or budget exceeded.  The node count and the trace hash are those of
 one depth-first pass from the root, so they depend only on the instance, not
 on how many processes walked the tree.  A search with no budget that has
-counted ``_SPLIT_AT`` nodes forks one worker per further CPU it may run on,
-and the process that forked is worker 0.  From there each worker walks the
-levels above ``_SPLIT_DEPTH`` itself, and at each subtree rooted at that
-depth it claims the subtree unless another worker has: the index of the
-next unclaimed subtree, held in a pipe, goes to one worker at a time.  So a
-worker that ends a subtree takes the next one that nobody has, and no worker
-idles while one is left; a subtree in progress at the fork stays with
-worker 0.  The other workers send the node count and trace bytes of each
-subtree they finish, and worker 0 joins them with its own walk, in
-depth-first order, into the one hash it has fed since the root.  So the
-count, the hash and the avoiding coloring, the first in subtree order, are
-the sequential ones.  Once that coloring is known, worker 0 waits only for
-the subtrees before it, then kills and reaps every worker.  Budgeted
-searches, a single CPU, platforms without ``os.fork`` and processes with
-other live threads stay sequential.  The only budget is a node count, never
-the clock: a budget of N stops the search with exactly N nodes counted, so
-every outcome, the budget-exceeded one included, is the same on every
-machine.
+counted ``_SPLIT_AT`` nodes forks at its next node no deeper than
+``_SPLIT_DEPTH``, one worker per further CPU it may run on, and the process
+that forked is worker 0.  From there each worker walks the levels above
+``_SPLIT_DEPTH`` itself, and at each subtree rooted at that depth it claims
+the subtree unless another worker has: the index of the next unclaimed
+subtree, held in a pipe, goes to one worker at a time.  So a worker that
+ends a subtree takes the next one that nobody has, and no worker idles
+while one is left.  Every worker keeps one record per subtree it takes,
+its node count and trace bytes, and the other workers send theirs to
+worker 0, which joins them all in depth-first order into the one hash it
+has fed since the root.  So the count, the hash and the avoiding coloring,
+the first in subtree order, are the sequential ones.  Once that coloring
+is known, worker 0 takes no later subtree and waits only for the records
+before it, then kills and reaps every worker.  Budgeted searches, a single
+CPU, platforms without ``os.fork`` and processes with other live threads
+stay sequential.  The only budget is a node count, never the clock: a
+budget of N stops the search with exactly N nodes counted, so every
+outcome, the budget-exceeded one included, is the same on every machine.
 
 ``threshold_sweep`` runs the search over a window ladder and yields each
 row's result as it is decided.  It writes nothing: certificates are built
@@ -63,7 +63,6 @@ import marshal
 import os
 import sys
 import time
-from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -101,10 +100,11 @@ _SPLIT_AT = 1024  # nodes a search counts on its own before it forks
 _SPLIT_DEPTH = 6  # depth of the subtree roots the workers claim
 
 
-def _fork(inside: bool, trace) -> _Split | None:
-    """Fork the workers of a split search, or None where it stays sequential:
-    one CPU, no ``os.fork``, another live thread, or a pipe or fork that
-    failed.  ``inside``: the fork falls inside a subtree at ``_SPLIT_DEPTH``."""
+def _fork(trace, nodes: int) -> _Split | None:
+    """Fork the workers of a split search at a node no deeper than
+    ``_SPLIT_DEPTH`` with ``nodes`` counted, or None where it stays
+    sequential: one CPU, no ``os.fork``, another live thread, or a pipe or
+    fork that failed."""
     threading = sys.modules.get("threading")
     if not hasattr(os, "fork") or (threading is not None and threading.active_count() > 1):
         return None
@@ -114,7 +114,7 @@ def _fork(inside: bool, trace) -> _Split | None:
         workers = os.cpu_count() or 1
     if workers < 2:
         return None
-    split = _Split(_SPLIT_DEPTH, inside, trace)
+    split = _Split(trace, nodes)
     try:
         split.counter = os.pipe()
         split.held += split.counter
@@ -151,96 +151,80 @@ def _fork(inside: bool, trace) -> _Split | None:
 class _Split:
     """One worker's part of a search split over forked processes.
 
-    After the fork every worker walks the levels above ``depth`` itself, in
-    the same DFS order, and numbers the subtrees rooted at ``depth`` as it
-    meets them.  A worker takes subtree k only if k is the next subtree no
-    worker has claimed; a subtree in progress at the fork is subtree 0,
-    worker 0's.  That index is a counter of 8 bytes held in one pipe: a read
-    takes it and a write gives it back, one more after a claim.  Worker 0 is
-    the process that forked; each other worker sends it one record per
-    subtree it finishes, (k, nodes, trace bytes), or (k, nodes up to the
-    coloring, colors) for one that holds an avoiding coloring, and a last
-    record None before it ends.  Worker 0 joins those records, whoever sent
-    them, with its own walk in DFS order, into the node count and the trace
-    hash it has been keeping since the root, so the result is the
-    sequential one.  No worker waits forever: a worker that waits for the
-    counter also watches a pipe whose write end only worker 0 holds, and
-    worker 0 watches every record pipe, where a worker that ends without its
-    last record is an error.
+    After the fork every worker walks the levels above ``_SPLIT_DEPTH``
+    itself, in the same DFS order, and numbers the subtrees rooted at that
+    depth as it meets them.  A worker takes subtree k only if k is the next
+    subtree no worker has claimed.  That index is a counter of 8 bytes held
+    in one pipe: a read takes it and a write gives it back, one more after a
+    claim.  Every worker keeps one record per subtree it takes, (k, nodes,
+    trace bytes, last): the levels above the split depth it walked since
+    the subtree root before k, then subtree k.  The walk's last record is
+    that of the subtree it ends in, or of the levels after the last subtree
+    root, and its ``last`` is the colors of an avoiding coloring or True;
+    any other record's is None.  Worker 0, the process that forked, stores
+    its own records with those the other workers send it, and joins them
+    in index order into the node count and the trace hash it held at the
+    fork, so the result is the sequential one.  No worker waits forever: a
+    worker that waits for the counter also watches a pipe whose write end
+    only worker 0 holds, and worker 0 watches every record pipe, where a
+    worker that ends without its last record is an error.
     """
 
-    def __init__(self, depth: int, inside: bool, trace) -> None:
-        self.depth = depth
+    def __init__(self, trace, nodes: int) -> None:
         self.me = 0
-        self.next = int(inside)  # index of the next subtree
-        self.open: int | None = None  # the subtree being walked, sent when it ends
-        self.start = 0  # node count where the open subtree began
-        self.buffer = bytearray()  # trace bytes not yet sent or joined
+        self.next = 0  # index of the next subtree root
+        self.open: int | None = None  # the subtree being walked
+        self.start = nodes  # node count where the record being kept began
+        self.buffer = bytearray()  # trace bytes of the record being kept
         self.counter = (-1, -1)  # read and write end of the claim counter's pipe
         self.watch = -1  # read end of a pipe whose write end only worker 0 holds
-        # worker 0: its other pipe ends; one pipe and a byte inbox per other
-        # worker, the workers yet to send their last record, and the parts
-        # of the trace still to join: bytes of its own walk, or (k, node
-        # count at k) for another worker's subtree k
+        # worker 0: the trace hash and node count the records join into, and
+        # the index of the next record to join; its other pipe ends; one pipe
+        # and a byte inbox per other worker, the workers yet to send their
+        # last record, and every record not yet joined, by index
         self.trace = trace
+        self.nodes = nodes
+        self.joined = 0
         self.held: list[int] = []
         self.pids: list[int] = []
         self.fds: list[int] = []
         self.inboxes: list[bytearray] = []
         self.sending: list[int] = []
-        self.records: dict[int, tuple[int, bytes | list[int]]] = {}
+        self.records: dict[int, tuple[int, bytes, list[int] | bool | None]] = {}
         self.found: int | None = None  # the first subtree known to hold an avoiding coloring
-        self.parts: deque[bytes | tuple[int, int]] = deque()
-        self.joined = 0  # nodes of the other workers' subtrees joined so far
 
-    def leaves(self, depth: int, nodes: int) -> int | None:
-        """The worker is about to try a node at ``depth`` with ``nodes``
-        counted: None to walk it, else the depth from which it gives up the
-        colors still to try (its own level too when that is at most
-        ``depth``; one deeper only skips the node)."""
-        if depth > self.depth:  # the fork fell inside subtree 0
-            return None if self.me == 0 else self.depth + 1
-        if self.open is not None:  # a node at this depth ends the open subtree
-            self._send((self.open, nodes - self.start, bytes(self.buffer)))
-        self.open = None
-        if depth < self.depth:
-            return None
+    def walks(self, depth: int, nodes: int) -> bool:
+        """Whether the worker walks the node it is about to try at ``depth``,
+        at most ``_SPLIT_DEPTH``, with ``nodes`` counted."""
+        if self.open is not None:  # the node ends the open subtree
+            self._keep(self.open, nodes)
+            self.open = None
+        if depth < _SPLIT_DEPTH:
+            return True
         k = self.next
         self.next += 1
-        mine = self._claim(k)
-        if self.me:
-            if mine:
-                self.open, self.start = k, nodes
-                self.buffer.clear()
-            return None if mine else depth + 1
-        if not mine:
-            self.parts += (bytes(self.buffer), (k, nodes))
-            self.buffer.clear()
-        for w in self.sending[:]:
-            self._read(w)
-        if self.found is not None and self.found < self.next:
-            return 0  # settled: leave the tree, and finish joins up to the coloring
-        self._join(block=False)
-        return None if mine else depth + 1
+        if not self.me:
+            for w in self.sending[:]:
+                self._read(w)
+            self._join(block=False)
+        # no subtree after one known to hold a coloring is taken
+        if (self.found is None or k < self.found) and self._claim(k):
+            self.open = k
+            return True
+        self.start = nodes
+        self.buffer.clear()
+        return False
 
     def finish(
         self, colors: list[int] | None, nodes: int
     ) -> tuple[str, list[int] | None, int, str | None]:
         """The result of the walk's end, an avoiding coloring or the tree's;
-        another worker sends its last records and ends here."""
+        another worker sends its last record and ends here."""
+        self._keep(self.next if self.open is None else self.open, nodes,
+                   True if colors is None else colors)
         if self.me:
-            if self.open is not None:
-                self._send((self.open, nodes - self.start,
-                            bytes(self.buffer) if colors is None else colors))
-            self._send(None)
             os._exit(0)
-        self.parts.append(bytes(self.buffer))
-        result = self._join(block=True)
-        if result is not None:
-            return result
-        if colors is not None:
-            return AVOIDING, colors, nodes + self.joined, None
-        return EXHAUSTED, None, nodes + self.joined, self.trace.hexdigest()
+        return self._join(block=True)
 
     def close(self) -> None:
         """End another worker; in worker 0, kill and reap every other one."""
@@ -266,28 +250,42 @@ class _Split:
         os.write(wfd, (free + (free == k)).to_bytes(8, "little"))
         return free == k
 
-    def _join(self, block: bool) -> tuple[str, list[int], int, None] | None:
-        """Feed the trace hash every part known, in order, up to the first
-        avoiding subtree, whose result it returns; with block, wait for
-        each part."""
-        parts = self.parts
-        while parts:
-            part = parts[0]
-            if type(part) is bytes:
-                self.trace.update(part)
-            else:
-                k, at = part
-                while k not in self.records:
-                    if not block:
-                        return None
-                    self._wait(None)
-                count, data = self.records.pop(k)
-                self.joined += count
-                if type(data) is list:
-                    return AVOIDING, data, at + self.joined, None
-                self.trace.update(data)
-            parts.popleft()
-        return None
+    def _keep(self, k: int, nodes: int, last: list[int] | bool | None = None) -> None:
+        """Keep record k, of the nodes and trace bytes since the last one:
+        worker 0 stores it, another worker sends it to worker 0."""
+        count, data = nodes - self.start, bytes(self.buffer)
+        self.start = nodes
+        self.buffer.clear()
+        if not self.me:
+            self.records[k] = (count, data, last)
+            return
+        data = marshal.dumps((k, count, data, last))
+        view = memoryview(len(data).to_bytes(4, "little") + data)
+        while view:
+            view = view[os.write(self.out, view):]
+
+    def _join(self, block: bool) -> tuple[str, list[int] | None, int, str | None] | None:
+        """Join the records in index order up to the walk's last one, and
+        return its result; without block, stop at a record not yet here and
+        before a last one."""
+        records = self.records
+        while True:
+            k = self.joined
+            while k not in records:
+                if not block:
+                    return None
+                self._wait(None)
+            count, data, last = records[k]
+            if last is not None and not block:
+                return None
+            del records[k]
+            self.nodes += count
+            if type(last) is list:
+                return AVOIDING, last, self.nodes, None
+            self.trace.update(data)
+            if last:
+                return EXHAUSTED, None, self.nodes, self.trace.hexdigest()
+            self.joined += 1
 
     def _wait(self, counter: int | None) -> None:
         """Wait until the counter (when given) or a record can be read, and
@@ -324,21 +322,14 @@ class _Split:
                 end = 4 + int.from_bytes(inbox[:4], "little")
                 if len(inbox) < end:
                     break
-                record = marshal.loads(inbox[4:end])
+                k, count, payload, last = marshal.loads(inbox[4:end])
                 del inbox[:end]
-                if record is None:  # w's last record
+                self.records[k] = (count, payload, last)
+                if last is not None:  # w's last record
                     self.sending.remove(w)
+                    if type(last) is list:
+                        self.found = k if self.found is None else min(self.found, k)
                     return
-                k, count, payload = record
-                self.records[k] = (count, payload)
-                if type(payload) is list:
-                    self.found = k if self.found is None else min(self.found, k)
-
-    def _send(self, record: tuple[int, int, bytes | list[int]] | None) -> None:
-        data = marshal.dumps(record)
-        view = memoryview(len(data).to_bytes(4, "little") + data)
-        while view:
-            view = view[os.write(self.out, view):]
 
 
 def _search(
@@ -365,7 +356,8 @@ def _search(
     stack: list[tuple[int, int, int, int, int, int]] = []  # the colored ancestors
     used = 0
     # a budget, or else _SPLIT_AT nodes, stops the walk at node count `stop`;
-    # after a fork, a node at depth `cut` or above asks `split` whether to walk it
+    # from there a node at depth `cut` or above forks, or asks `split`
+    # whether to walk it
     stop = _SPLIT_AT if max_nodes is None else max_nodes
     cut = -1
     split: _Split | None = None
@@ -397,17 +389,16 @@ def _search(
                     if nodes == stop or len(stack) <= cut:
                         if nodes == max_nodes:
                             return BUDGET_EXCEEDED, None, nodes, None
-                        if split is None:
-                            stop, split = -1, _fork(len(stack) > _SPLIT_DEPTH, trace)
-                            if split is not None:
-                                cut, feed = split.depth, split.buffer.extend
-                        if split is not None:
-                            leave = split.leaves(len(stack), nodes)
-                            if leave is not None:  # skip the node; drop the colors from leave down
-                                stack[leave:] = [f[:3] + (0,) + f[4:] for f in stack[leave:]]
-                                if leave <= len(stack):
-                                    opens = 0
-                                continue
+                        if split is None:  # fork at the first node no deeper than cut
+                            stop, cut = -1, _SPLIT_DEPTH
+                            if len(stack) <= cut:
+                                split = _fork(trace, nodes)
+                                if split is None:
+                                    cut = -1
+                                else:
+                                    feed = split.buffer.extend
+                        if split is not None and not split.walks(len(stack), nodes):
+                            continue
                     nodes += 1
                     c = bit.bit_length() - 1
                     feed(labels_e[c])

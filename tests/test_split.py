@@ -9,6 +9,7 @@ child left, finished or running, and no descriptor left open.
 """
 
 import contextlib
+import errno
 import hashlib
 import io
 import json
@@ -130,8 +131,7 @@ def forks(monkeypatch):
     return made
 
 
-# Claim rules patched over _Split._claim to fix the worker that walks
-# subtree k (a subtree in progress at the fork stays worker 0's).
+# Claim rules patched over _Split._claim to fix the worker that walks subtree k.
 def round_robin(split, k):
     return k % 2 == split.me
 
@@ -236,12 +236,14 @@ class _Trace:
         return ""
 
 
-def place(labels, split_at, depth):
-    """Where the split of two workers under ``round_robin`` finds the coloring
-    that the sequential search reached at its last node: read from the
-    sequential node labels alone.  A node of an element already on the path
-    takes that element's level; any other node is one level deeper than the
-    last."""
+def coloring_subtree(labels, split_at, depth):
+    """The index of the subtree at ``depth`` in which a split finds the
+    coloring that the sequential search reached at its last node, or None
+    for a coloring above that depth: read from the sequential node labels
+    alone.  A node of an element already on the path takes that element's
+    level; any other node is one level deeper than the last.  The split
+    forks at the first node from ``split_at`` on that is no deeper than
+    ``depth``, and numbers the subtrees from there."""
     path, levels = [], []
     for label in labels:
         e = label.split(b":")[0]
@@ -250,25 +252,36 @@ def place(labels, split_at, depth):
         else:
             path.append(e)
         levels.append(len(path) - 1)
-    inside = levels[split_at] > depth
-    subtree, dealt = (0, 1) if inside else (None, 0)
-    for level in levels[split_at:]:
+    fork = next(i for i in range(split_at, len(levels)) if levels[i] <= depth)
+    subtree, dealt = None, 0
+    for level in levels[fork:]:
         if level < depth:
             subtree = None
         elif level == depth:
             subtree, dealt = dealt, dealt + 1
+    return subtree
+
+
+def place(labels, split_at, depth):
+    """Where the split of two workers under ``round_robin`` finds the coloring."""
+    subtree = coloring_subtree(labels, split_at, depth)
     if subtree is None:
         return "above the split depth"
-    if inside and subtree == 0:
-        return "subtree in progress at the fork"
     return "parent's subtree" if subtree % 2 == 0 else "child's subtree"
+
+
+def sequential_labels(monkeypatch, groups, n, r):
+    """The sequential result and the label of each of its nodes."""
+    trace = _Trace()
+    with monkeypatch.context() as m:
+        m.setattr(search, "hashlib", SimpleNamespace(sha256=lambda: trace))
+        return sequential(groups, n, r), trace.labels
 
 
 class TestAvoidingColorings:
     @pytest.mark.parametrize("text, spec, r, split_at, depth, nodes, where", [
         ("x; x + 2*t; x + 3*t", "int:1..39", 3, 1, 4, 4412, "parent's subtree"),
-        ("x; x + 2*t; x + 3*t", "int:1..39", 3, 20, 1, 4412, "subtree in progress at the fork"),
-        ("x; x + t; x + 2*t; x + 3*t", "int:1..34", 2, 5, 4, 446, "child's subtree"),
+        ("x; x + t; x + 2*t; x + 3*t", "int:1..34", 2, 3, 4, 446, "child's subtree"),
         ("x; x + 2*t; x + 3*t", "int:1..9", 2, 0, 4, 11, "child's subtree"),
         ("x; x + t; x + 4*t; x + 5*t", "int:1..6", 2, 1, 4, 4, "above the split depth"),
     ])
@@ -276,18 +289,39 @@ class TestAvoidingColorings:
         self, forced, monkeypatch, text, spec, r, split_at, depth, nodes, where
     ):
         groups, n = instance(text, spec)
-        trace = _Trace()
-        with monkeypatch.context() as m:
-            m.setattr(search, "hashlib", SimpleNamespace(sha256=lambda: trace))
-            want = sequential(groups, n, r)
-        assert (want[0], want[2], len(trace.labels)) == (AVOIDING, nodes, nodes)
-        assert place(trace.labels, split_at, depth) == where
+        want, labels = sequential_labels(monkeypatch, groups, n, r)
+        assert (want[0], want[2], len(labels)) == (AVOIDING, nodes, nodes)
+        assert place(labels, split_at, depth) == where
         monkeypatch.setattr(search, "_SPLIT_AT", split_at)
         forced(depth)
         for rule in (round_robin, to_the_child, to_worker_0, search._Split._claim):
             monkeypatch.setattr(search._Split, "_claim", rule)
             assert search._search(groups, n, r, None) == want
             assert_no_child_left()
+
+    def test_worker_0_takes_no_subtree_after_a_known_coloring(self, forced, monkeypatch):
+        # Worker 0 claims its first subtree only once the child has ended with
+        # the coloring in subtree f, so it knows f from its next subtree root
+        # on: it claims every subtree before f and none after.
+        groups, n = instance("x; x + t; x + 2*t; x + 3*t", "int:1..34")
+        want, labels = sequential_labels(monkeypatch, groups, n, 2)
+        f = coloring_subtree(labels, 3, 4)
+        assert (want[0], f) == (AVOIDING, 3)
+        monkeypatch.setattr(search, "_SPLIT_AT", 3)
+        forced(4)
+        claimed = []
+
+        def logged(split, k):
+            claimed.append((split.me, k))
+            if split.me == 0 and k == 0:
+                os.waitid(os.P_PID, split.pids[0], os.WEXITED | os.WNOWAIT)
+            return round_robin(split, k)
+
+        monkeypatch.setattr(search._Split, "_claim", logged)
+        with deadline(60):
+            assert search._search(groups, n, 2, None) == want
+        assert claimed == [(0, k) for k in range(f)]
+        assert_no_child_left()
 
     def test_pinned_coloring_with_the_default_split(self, monkeypatch):
         cpus(monkeypatch, 2)
@@ -302,7 +336,7 @@ class TestNoProcessLeft:
     def test_interrupted_parent_reaps_its_children(self, forced, monkeypatch):
         forced(4)
         parent = os.getpid()
-        leaves = search._Split.leaves
+        walks = search._Split.walks
         calls = []
 
         def interrupted(self, depth, nodes):
@@ -310,9 +344,9 @@ class TestNoProcessLeft:
                 calls.append(depth)
                 if len(calls) == 5:
                     raise KeyboardInterrupt
-            return leaves(self, depth, nodes)
+            return walks(self, depth, nodes)
 
-        monkeypatch.setattr(search._Split, "leaves", interrupted)
+        monkeypatch.setattr(search._Split, "walks", interrupted)
         groups, n = instance("x; x + t; x + 4*t; x + 5*t", "int:1..40")
         with pytest.raises(KeyboardInterrupt):
             search._search(groups, n, 2, None)
@@ -364,14 +398,14 @@ class TestLiveness:
         forced(2)
         cpus(monkeypatch, 3)
         monkeypatch.setattr(search._Split, "_claim", to_the_child)
-        send, wait, waits = search._Split._send, search._Split._wait, []
+        keep, wait, waits = search._Split._keep, search._Split._wait, []
         before = open_fds()
         gate_r, gate_w = os.pipe()
 
-        def gated_send(split, record):
+        def gated_keep(split, k, nodes, last=None):
             if split.me == 1 and not hasattr(split, "opened"):
                 split.opened = os.read(gate_r, 1)
-            send(split, record)
+            keep(split, k, nodes, last)
 
         def logged_wait(split, counter):
             if split.me == 0 and counter is None:
@@ -381,7 +415,7 @@ class TestLiveness:
                     os.write(gate_w, b"g")
             wait(split, counter)
 
-        monkeypatch.setattr(search._Split, "_send", gated_send)
+        monkeypatch.setattr(search._Split, "_keep", gated_keep)
         monkeypatch.setattr(search._Split, "_wait", logged_wait)
         groups, n = instance("x; x + t; x + 4*t; x + 5*t", "int:1..45")
         try:
@@ -427,13 +461,13 @@ class TestLiveness:
         # the record of subtree 2: worker 0 raises once no worker is left.
         forced(4)
         monkeypatch.setattr(search._Split, "_claim", to_the_child)
-        send = search._Split._send
+        keep = search._Split._keep
 
-        def lossy(split, record):
-            if record is None or record[0] != 2:
-                send(split, record)
+        def lossy(split, k, nodes, last=None):
+            if split.me == 0 or k != 2:
+                keep(split, k, nodes, last)
 
-        monkeypatch.setattr(search._Split, "_send", lossy)
+        monkeypatch.setattr(search._Split, "_keep", lossy)
         groups, n = instance("x; x + t; x + 4*t; x + 5*t", "int:1..45")
         before = open_fds()
         with deadline(60), pytest.raises(RuntimeError, match="without sending every subtree"):
@@ -533,6 +567,16 @@ class TestGuards:
         assert (res.outcome, res.nodes) == (EXHAUSTED, 988)
         assert res.nodes < search._SPLIT_AT
 
+    def test_no_fork_inside_the_subtree_of_the_coloring(self, monkeypatch, forks):
+        # From node 1024 to the coloring the search never climbs back to the
+        # split depth, so it never forks.
+        cpus(monkeypatch, 2)
+        family = parse_family("x; x / y^1; x + t", require_distinct_values=True)
+        res = search_avoiding(family, parse_window("farey:9"), 4)
+        assert (res.outcome, res.nodes) == (AVOIDING, 24763)
+        assert forks == []
+        assert_no_child_left()
+
     def test_the_largest_sweep_search_forks(self, monkeypatch, forks):
         # The largest search of the benchmark's tables-and-sweeps workload.
         cpus(monkeypatch, 2)
@@ -563,6 +607,39 @@ class TestGuards:
         assert search._search(groups, n, 2, None) == sequential(groups, n, 2)
         assert len(forks) == k - 1
         assert open_fds() == before
+        assert_no_child_left()
+
+    def test_failed_pipe_falls_back_to_one_process(self, forced, monkeypatch, forks):
+        # With three CPUs the pipe of worker 2 fails, after worker 1 is forked.
+        forced(2)
+        cpus(monkeypatch, 3)
+        groups, n = instance("x; x + t; x + 4*t; x + 5*t", "int:1..30")
+        want = sequential(groups, n, 2)
+        parent, pipes = os.getpid(), []
+        pipe = os.pipe
+
+        def failing():
+            if os.getpid() == parent:
+                pipes.append(1)
+                if len(pipes) == 4:  # the counter's, the watch pipe, worker 1's, worker 2's
+                    raise OSError(errno.EMFILE, os.strerror(errno.EMFILE))
+            return pipe()
+
+        monkeypatch.setattr(os, "pipe", failing)
+        before = open_fds()
+        assert search._search(groups, n, 2, None) == want
+        assert (len(pipes), len(forks)) == (4, 1)
+        assert open_fds() == before
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("count, made", [(3, 2), (None, 0)])
+    def test_cpu_count_where_affinity_is_unknown(self, forced, monkeypatch, forks, count, made):
+        forced(2)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+        groups, n = instance("x; x + t; x + 4*t; x + 5*t", "int:1..30")
+        assert search._search(groups, n, 2, None) == sequential(groups, n, 2)
+        assert len(forks) == made
         assert_no_child_left()
 
     @pytest.mark.parametrize("k, depth", [(2, 2), (3, 0), (3, 1), (3, 2), (3, 4), (4, 4)])
