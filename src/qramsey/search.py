@@ -34,22 +34,24 @@ one depth-first pass from the root, so they depend only on the instance, not
 on how many processes walked the tree.  A search with no budget that has
 counted ``_SPLIT_AT`` nodes forks at its next node no deeper than
 ``_SPLIT_DEPTH``, one worker per further CPU it may run on, and the process
-that forked is worker 0.  From there each worker walks the levels above
-``_SPLIT_DEPTH`` itself, and at each subtree rooted at that depth it claims
-the subtree unless another worker has: the index of the next unclaimed
-subtree, held in a pipe, goes to one worker at a time.  So a worker that
-ends a subtree takes the next one that nobody has, and no worker idles
-while one is left.  Every worker keeps one record per subtree it takes,
-its node count and trace bytes, and the other workers send theirs to
-worker 0, which joins them all in depth-first order into the one hash it
+that forked is worker 0.  Before the fork it writes the index of every
+subtree that can be rooted at that depth into one pipe.  From there each
+worker walks the levels above ``_SPLIT_DEPTH`` itself, and at each subtree
+rooted at that depth it reads the next index from the pipe unless it holds
+one not yet reached, and walks the subtree if it holds that subtree's index.
+So a worker that ends a subtree takes the next one that nobody has, and no
+worker idles while one is left.  A walk that ends at an avoiding coloring
+empties the pipe, so no later subtree is taken.  Every worker keeps one
+record per subtree it takes, its node count and trace bytes.  At the end of
+its walk each other worker sends all of them to worker 0 at once and ends,
+and worker 0 joins every record in depth-first order into the one hash it
 has fed since the root.  So the count, the hash and the avoiding coloring,
-the first in subtree order, are the sequential ones.  Once that coloring
-is known, worker 0 takes no later subtree and waits only for the records
-before it, then kills and reaps every worker.  Budgeted searches, a single
-CPU, platforms without ``os.fork`` and processes with other live threads
-stay sequential.  The only budget is a node count, never the clock: a
-budget of N stops the search with exactly N nodes counted, so every
-outcome, the budget-exceeded one included, is the same on every machine.
+the first in subtree order, are the sequential ones.  Budgeted searches, a
+single CPU, platforms without ``os.fork``, processes with other live
+threads and indices that overflow a pipe stay sequential.  The only budget
+is a node count, never the clock: a budget of N stops the search with
+exactly N nodes counted, so every outcome, the budget-exceeded one
+included, is the same on every machine.
 
 ``threshold_sweep`` runs the search over a window ladder and yields each
 row's result as it is decided.  It writes nothing: certificates are built
@@ -100,11 +102,11 @@ _SPLIT_AT = 1024  # nodes a search counts on its own before it forks
 _SPLIT_DEPTH = 6  # depth of the subtree roots the workers claim
 
 
-def _fork(trace, nodes: int) -> _Split | None:
-    """Fork the workers of a split search at a node no deeper than
-    ``_SPLIT_DEPTH`` with ``nodes`` counted, or None where it stays
-    sequential: one CPU, no ``os.fork``, another live thread, or a pipe or
-    fork that failed."""
+def _fork(trace, nodes: int, r: int) -> _Split | None:
+    """Fork the workers of a split search of r colors at a node no deeper
+    than ``_SPLIT_DEPTH`` with ``nodes`` counted, or None where it stays
+    sequential: one CPU, no ``os.fork``, another live thread, more subtree
+    indices than a pipe holds, or a pipe or fork that failed."""
     threading = sys.modules.get("threading")
     if not hasattr(os, "fork") or (threading is not None and threading.active_count() > 1):
         return None
@@ -114,19 +116,24 @@ def _fork(trace, nodes: int) -> _Split | None:
         workers = os.cpu_count() or 1
     if workers < 2:
         return None
+    # at depth d the symmetry rule leaves at most d + 1 colors to a node
+    count = 1
+    for d in range(_SPLIT_DEPTH + 1):
+        count *= min(d + 1, r)
+    tokens = b"".join(k.to_bytes(4, "little") for k in range(count))
     split = _Split(trace, nodes)
     try:
-        split.counter = os.pipe()
-        split.held += split.counter
-        os.set_blocking(split.counter[0], False)
-        os.write(split.counter[1], split.next.to_bytes(8, "little"))
-        split.watch, alive = os.pipe()
-        split.held += (split.watch, alive)
+        split.tokens, wfd = os.pipe()
+        try:
+            os.set_blocking(wfd, False)
+            written = os.write(wfd, tokens)
+        finally:
+            os.close(wfd)
+        if written < len(tokens):  # the pipe is full
+            raise BlockingIOError
         for w in range(1, workers):
             rfd, wfd = os.pipe()
-            os.set_blocking(rfd, False)
             split.fds.append(rfd)
-            split.inboxes.append(bytearray())
             try:
                 pid = os.fork()
             except OSError:
@@ -136,12 +143,10 @@ def _fork(trace, nodes: int) -> _Split | None:
                 split.me = w  # first, so that split.close() ends this process
                 for fd in split.fds:
                     os.close(fd)
-                os.close(alive)
-                split.out, split.pids, split.fds, split.held = wfd, [], [], []
+                split.out, split.pids, split.fds = wfd, [], []
                 return split
             os.close(wfd)
             split.pids.append(pid)
-            split.sending.append(w)
     except OSError:
         split.close()
         return None
@@ -153,45 +158,44 @@ class _Split:
 
     After the fork every worker walks the levels above ``_SPLIT_DEPTH``
     itself, in the same DFS order, and numbers the subtrees rooted at that
-    depth as it meets them.  A worker takes subtree k only if k is the next
-    subtree no worker has claimed.  That index is a counter of 8 bytes held
-    in one pipe: a read takes it and a write gives it back, one more after a
-    claim.  Every worker keeps one record per subtree it takes, (k, nodes,
-    trace bytes, last): the levels above the split depth it walked since
-    the subtree root before k, then subtree k.  The walk's last record is
-    that of the subtree it ends in, or of the levels after the last subtree
-    root, and its ``last`` is the colors of an avoiding coloring or True;
-    any other record's is None.  Worker 0, the process that forked, stores
-    its own records with those the other workers send it, and joins them
-    in index order into the node count and the trace hash it held at the
-    fork, so the result is the sequential one.  No worker waits forever: a
-    worker that waits for the counter also watches a pipe whose write end
-    only worker 0 holds, and worker 0 watches every record pipe, where a
-    worker that ends without its last record is an error.
+    depth as it meets them.  Before the fork worker 0, the process that
+    forks, wrote every index such a subtree can have into one pipe, 4 bytes
+    each, and closed its write end: a read takes the next index no worker
+    has claimed, and the end of the pipe means none is left.  A worker
+    whose last claim is below the subtree it reaches claims again, and
+    walks the subtree if the index it holds is that subtree's.  A walk that
+    ends at an avoiding coloring empties the pipe, so no later subtree is
+    claimed.  Every worker keeps one record per subtree it walks, (nodes,
+    trace bytes, last), by index: the levels above the split depth it
+    walked since the subtree root before k, then subtree k.  The walk's last
+    record is that of the subtree it ends in, or of the levels after the
+    last subtree root, and its ``last`` is the colors of an avoiding
+    coloring or True; any other record's is None.  At the end of its walk
+    another worker sends its records to worker 0 at once and ends.  Worker 0
+    reads each worker's pipe to its end, reaps that worker, and joins every
+    record in index order into the node count and the trace hash it held at
+    the fork, so the result is the sequential one.  No worker waits for
+    another to claim or send: the pipe of indices is full or at its end,
+    and another worker ends at a claim once worker 0 has ended.
     """
 
     def __init__(self, trace, nodes: int) -> None:
         self.me = 0
+        self.parent = os.getpid()  # worker 0
         self.next = 0  # index of the next subtree root
+        self.claimed = -1  # the index this worker last claimed
         self.open: int | None = None  # the subtree being walked
         self.start = nodes  # node count where the record being kept began
         self.buffer = bytearray()  # trace bytes of the record being kept
-        self.counter = (-1, -1)  # read and write end of the claim counter's pipe
-        self.watch = -1  # read end of a pipe whose write end only worker 0 holds
-        # worker 0: the trace hash and node count the records join into, and
-        # the index of the next record to join; its other pipe ends; one pipe
-        # and a byte inbox per other worker, the workers yet to send their
-        # last record, and every record not yet joined, by index
+        self.tokens = -1  # read end of the pipe of subtree indices
+        self.out = -1  # another worker: write end of its pipe to worker 0
+        # worker 0: the trace hash and node count the records join into; one
+        # pipe per other worker still to send, and its pid
         self.trace = trace
         self.nodes = nodes
-        self.joined = 0
-        self.held: list[int] = []
         self.pids: list[int] = []
         self.fds: list[int] = []
-        self.inboxes: list[bytearray] = []
-        self.sending: list[int] = []
         self.records: dict[int, tuple[int, bytes, list[int] | bool | None]] = {}
-        self.found: int | None = None  # the first subtree known to hold an avoiding coloring
 
     def walks(self, depth: int, nodes: int) -> bool:
         """Whether the worker walks the node it is about to try at ``depth``,
@@ -202,13 +206,10 @@ class _Split:
         if depth < _SPLIT_DEPTH:
             return True
         k = self.next
-        self.next += 1
-        if not self.me:
-            for w in self.sending[:]:
-                self._read(w)
-            self._join(block=False)
-        # no subtree after one known to hold a coloring is taken
-        if (self.found is None or k < self.found) and self._claim(k):
+        if self.claimed < k:
+            self.claimed = self._claim()
+        self.next = k + 1
+        if self.claimed == k:
             self.open = k
             return True
         self.start = nodes
@@ -219,117 +220,64 @@ class _Split:
         self, colors: list[int] | None, nodes: int
     ) -> tuple[str, list[int] | None, int, str | None]:
         """The result of the walk's end, an avoiding coloring or the tree's;
-        another worker sends its last record and ends here."""
+        another worker sends its records and ends here."""
+        if colors is not None:
+            while os.read(self.tokens, 1 << 16):  # no later subtree is claimed
+                pass
         self._keep(self.next if self.open is None else self.open, nodes,
                    True if colors is None else colors)
         if self.me:
+            with open(self.out, "wb") as fh:
+                fh.write(marshal.dumps(self.records))
             os._exit(0)
-        return self._join(block=True)
-
-    def close(self) -> None:
-        """End another worker; in worker 0, kill and reap every other one."""
-        if self.me:
-            os._exit(1)
-        import signal  # here, not at the top: its import costs every command about 1 ms
-
-        for pid in self.pids:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        for fd in self.fds + self.held:
-            os.close(fd)
-
-    def _claim(self, k: int) -> bool:
-        """Take subtree k if it is the next one no worker has claimed."""
-        rfd, wfd = self.counter
-        while True:
-            try:
-                free = int.from_bytes(os.read(rfd, 8), "little")
-                break
-            except BlockingIOError:
-                self._wait(rfd)
-        os.write(wfd, (free + (free == k)).to_bytes(8, "little"))
-        return free == k
-
-    def _keep(self, k: int, nodes: int, last: list[int] | bool | None = None) -> None:
-        """Keep record k, of the nodes and trace bytes since the last one:
-        worker 0 stores it, another worker sends it to worker 0."""
-        count, data = nodes - self.start, bytes(self.buffer)
-        self.start = nodes
-        self.buffer.clear()
-        if not self.me:
-            self.records[k] = (count, data, last)
-            return
-        data = marshal.dumps((k, count, data, last))
-        view = memoryview(len(data).to_bytes(4, "little") + data)
-        while view:
-            view = view[os.write(self.out, view):]
-
-    def _join(self, block: bool) -> tuple[str, list[int] | None, int, str | None] | None:
-        """Join the records in index order up to the walk's last one, and
-        return its result; without block, stop at a record not yet here and
-        before a last one."""
-        records = self.records
-        while True:
-            k = self.joined
-            while k not in records:
-                if not block:
-                    return None
-                self._wait(None)
-            count, data, last = records[k]
-            if last is not None and not block:
-                return None
-            del records[k]
+        while self.pids:
+            w = len(self.pids)
+            with open(self.fds.pop(), "rb") as fh:
+                data = fh.read()
+            status = os.waitpid(self.pids.pop(), 0)[1]
+            if status:
+                raise RuntimeError(f"search worker {w} failed with wait status {status}")
+            self.records.update(marshal.loads(data))
+        for k in range(len(self.records) + 1):  # a last record comes by then
+            if k not in self.records:
+                raise RuntimeError(f"search workers sent no record of subtree {k}")
+            count, data, last = self.records[k]
             self.nodes += count
             if type(last) is list:
                 return AVOIDING, last, self.nodes, None
             self.trace.update(data)
             if last:
-                return EXHAUSTED, None, self.nodes, self.trace.hexdigest()
-            self.joined += 1
+                break
+        return EXHAUSTED, None, self.nodes, self.trace.hexdigest()
 
-    def _wait(self, counter: int | None) -> None:
-        """Wait until the counter (when given) or a record can be read, and
-        take in the records that came; raise where the wait could not end:
-        in another worker, once worker 0 has ended, and in worker 0, once
-        every other worker has sent its last record."""
-        import select  # here, not at the top: only a worker that waits needs it
-
+    def close(self) -> None:
+        """End another worker; in worker 0, kill and reap every other one."""
         if self.me:
-            if self.watch in select.select([counter, self.watch], [], [])[0]:
-                raise RuntimeError("search worker 0 ended")
-            return
-        fds = [self.fds[w - 1] for w in self.sending]
-        if counter is not None:
-            fds.append(counter)
-        elif not fds:
-            raise RuntimeError("search workers ended without sending every subtree")
-        for fd in select.select(fds, [], [])[0]:
-            if fd != counter:
-                self._read(self.fds.index(fd) + 1)
+            os._exit(1)
+        if self.pids:  # a search that ended early, or a failed fork
+            import signal  # here, not at the top: its import costs about 1 ms
 
-    def _read(self, w: int) -> None:
-        """Take in the records worker w has sent so far."""
-        fd, inbox = self.fds[w - 1], self.inboxes[w - 1]
-        while True:
-            try:
-                data = os.read(fd, 1 << 16)
-            except BlockingIOError:
-                return
-            if not data:
-                raise RuntimeError(f"search worker {w} ended without sending its subtrees")
-            inbox += data
-            while len(inbox) >= 4:  # each record: its length in 4 bytes, then marshal data
-                end = 4 + int.from_bytes(inbox[:4], "little")
-                if len(inbox) < end:
-                    break
-                k, count, payload, last = marshal.loads(inbox[4:end])
-                del inbox[:end]
-                self.records[k] = (count, payload, last)
-                if last is not None:  # w's last record
-                    self.sending.remove(w)
-                    if type(last) is list:
-                        self.found = k if self.found is None else min(self.found, k)
-                    return
+            for pid in self.pids:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+        for fd in self.fds:
+            os.close(fd)
+        if self.tokens >= 0:
+            os.close(self.tokens)
+
+    def _claim(self) -> int:
+        """The next subtree index no worker has claimed, or one past every
+        index once none is left; another worker ends here once worker 0 has."""
+        if self.me and os.getppid() != self.parent:
+            os._exit(1)
+        token = os.read(self.tokens, 4)
+        return int.from_bytes(token, "little") if token else sys.maxsize
+
+    def _keep(self, k: int, nodes: int, last: list[int] | bool | None = None) -> None:
+        """Keep record k, of the nodes and trace bytes since the last one."""
+        self.records[k] = (nodes - self.start, bytes(self.buffer), last)
+        self.start = nodes
+        self.buffer.clear()
 
 
 def _search(
@@ -392,7 +340,7 @@ def _search(
                         if split is None:  # fork at the first node no deeper than cut
                             stop, cut = -1, _SPLIT_DEPTH
                             if len(stack) <= cut:
-                                split = _fork(trace, nodes)
+                                split = _fork(trace, nodes, r)
                                 if split is None:
                                     cut = -1
                                 else:

@@ -34,21 +34,31 @@ def test_cli_import_stays_light():
     # A search splits with os.fork and sends its records with marshal, so the
     # set-up time and peak memory of a command stay those of one plain
     # process; signal, about 1 ms to import, is imported only to end workers,
-    # and select only by a worker that waits.  mmap is never used.
+    # and no worker waits on select, not even in a split.  mmap is never used.
     # -S keeps site from loading modules before the import.
     src = os.path.dirname(os.path.dirname(qramsey.__file__))
-    script = ("import sys\nbefore = set(sys.modules)\nimport qramsey.cli\n"
-              "print(' '.join(sorted(set(sys.modules) - before)))")
+    script = ("import io, os, sys\nbefore = set(sys.modules)\nimport qramsey.cli\n"
+              "print(' '.join(sorted(set(sys.modules) - before)))\n"
+              "from qramsey import search\n"
+              "os.sched_getaffinity = lambda pid: {0, 1}\n"
+              "search._SPLIT_AT = 0\n"
+              "sys.stderr = io.StringIO()\n"
+              "qramsey.cli.main(['search', 'x; x + t; x + 4*t; x + 5*t', 'int:1..45', '-r', '2'],"
+              " out=io.StringIO())\n"
+              "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] in "
+              "('select', 'selectors'))))\n")
     done = subprocess.run(
         [sys.executable, "-S", "-c", script],
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
     )
     assert (done.returncode, done.stderr) == (0, "")
-    loaded = done.stdout.split()
+    loaded, after_split = done.stdout.split("\n")[:2]
+    loaded = loaded.split()
     assert "qramsey.search" in loaded  # the subprocess saw the import
     forbidden = ("multiprocessing", "concurrent", "threading", "pickle", "selectors", "signal",
                  "select", "mmap")
     assert [m for m in loaded if m.split(".")[0] in forbidden] == []
+    assert after_split == ""
 
 
 @pytest.mark.parametrize("name", ["_brute.py", "_dpll.py"])

@@ -2,10 +2,12 @@
 
 ``_SPLIT_AT = 0`` forks before the first node and a patched
 ``os.sched_getaffinity`` names two CPUs (three in some tests), so every search
-below splits, on any host.  Workers claim subtrees as they reach them, so
-which worker walks which subtree depends on timing; some tests patch
-``_Split._claim`` to fix it.  After each split the test process must have no
-child left, finished or running, and no descriptor left open.
+below splits, on any host.  Workers claim subtrees as they reach them, by
+reading the next index from a pipe filled before the fork, so which worker
+walks which subtree depends on timing; some tests patch ``_Split._claim`` with
+a rule that returns the next index a worker walks, to fix it.  After each
+split the test process must have no child left, finished or running, and no
+descriptor left open.
 """
 
 import contextlib
@@ -33,7 +35,7 @@ from qramsey.windows import parse_window
 import test_fuzz
 import test_golden
 
-DEPTHS = [0, 1, 2, 4]
+DEPTHS = [0, 1, 2, 4, 6]
 # The integer searches of the benchmark: (family, window, r, nodes, digest).
 INTEGER_SEARCHES = [
     ("x; x + 2*t; x + 3*t", "int:1..39", 3, 4412, None),
@@ -67,14 +69,15 @@ def running(pid):
         return not os.path.isdir("/proc/self")
 
 
-def take_the_counter(split):
-    """Take the claim counter and keep it."""
-    while True:
-        try:
-            os.read(split.counter[0], 8)
-            return
-        except BlockingIOError:
-            time.sleep(0.001)
+def ends(pid, seconds=10):
+    """Whether process pid stops running within ``seconds``: a process whose
+    descriptors are closed may still be ending."""
+    until = time.monotonic() + seconds
+    while running(pid):
+        if time.monotonic() > until:
+            return False
+        time.sleep(0.01)
+    return True
 
 
 @contextlib.contextmanager
@@ -131,17 +134,20 @@ def forks(monkeypatch):
     return made
 
 
-# Claim rules patched over _Split._claim to fix the worker that walks subtree k.
-def round_robin(split, k):
-    return k % 2 == split.me
+# Claim rules patched over _Split._claim to fix the worker that walks each
+# subtree: the next index the worker walks, from the subtree root it reaches,
+# split.next, on; sys.maxsize for none.
+def round_robin(split):
+    k = split.next
+    return k + (k % 2 != split.me)
 
 
-def to_the_child(split, k):
-    return split.me == 1
+def to_the_child(split):
+    return split.next if split.me == 1 else sys.maxsize
 
 
-def to_worker_0(split, k):  # the child walks only the levels above the split depth
-    return split.me == 0
+def to_worker_0(split):  # the child walks only the levels above the split depth
+    return split.next if split.me == 0 else sys.maxsize
 
 
 def sequential(groups, n, r):
@@ -278,6 +284,32 @@ def sequential_labels(monkeypatch, groups, n, r):
         return sequential(groups, n, r), trace.labels
 
 
+class TestDefaultDepth:
+    @pytest.mark.parametrize("spec", ["mgrid:2:3", "mgrid:2,3:1"])
+    def test_seven_colors_write_every_index(self, monkeypatch, spec):
+        # With 7 colors or more a search may meet 7! = 5040 subtree roots at
+        # the default depth 6, and the pipe holds every index before the fork.
+        monkeypatch.setattr(search, "_SPLIT_AT", 0)
+        groups, n = instance("x; y; x*y", spec)
+        want = sequential(groups, n, 7)
+        assert want[0] == EXHAUSTED
+        parent, writes = os.getpid(), []
+        write = os.write
+
+        def logged(fd, data):
+            if os.getpid() == parent:
+                writes.append(len(data))
+            return write(fd, data)
+
+        monkeypatch.setattr(os, "write", logged)
+        for k in (2, 3):
+            cpus(monkeypatch, k)
+            writes.clear()
+            assert search._search(groups, n, 7, None) == want
+            assert writes == [4 * 5040]
+            assert_no_child_left()
+
+
 class TestAvoidingColorings:
     @pytest.mark.parametrize("text, spec, r, split_at, depth, nodes, where", [
         ("x; x + 2*t; x + 3*t", "int:1..39", 3, 1, 4, 4412, "parent's subtree"),
@@ -300,27 +332,29 @@ class TestAvoidingColorings:
             assert_no_child_left()
 
     def test_worker_0_takes_no_subtree_after_a_known_coloring(self, forced, monkeypatch):
-        # Worker 0 claims its first subtree only once the child has ended with
-        # the coloring in subtree f, so it knows f from its next subtree root
-        # on: it claims every subtree before f and none after.
+        # Worker 0 claims its first subtree only once the child has ended, so
+        # the child claims subtrees 0 to f in turn, finds the coloring in f
+        # and empties the pipe: worker 0's one claim finds no index left.
         groups, n = instance("x; x + t; x + 2*t; x + 3*t", "int:1..34")
         want, labels = sequential_labels(monkeypatch, groups, n, 2)
         f = coloring_subtree(labels, 3, 4)
         assert (want[0], f) == (AVOIDING, 3)
         monkeypatch.setattr(search, "_SPLIT_AT", 3)
         forced(4)
-        claimed = []
+        claim, claimed = search._Split._claim, []
 
-        def logged(split, k):
-            claimed.append((split.me, k))
-            if split.me == 0 and k == 0:
-                os.waitid(os.P_PID, split.pids[0], os.WEXITED | os.WNOWAIT)
-            return round_robin(split, k)
+        def logged(split):
+            if split.me == 0:
+                if not claimed:
+                    os.waitid(os.P_PID, split.pids[0], os.WEXITED | os.WNOWAIT)
+                claimed.append(claim(split))
+                return claimed[-1]
+            return claim(split)
 
         monkeypatch.setattr(search._Split, "_claim", logged)
         with deadline(60):
             assert search._search(groups, n, 2, None) == want
-        assert claimed == [(0, k) for k in range(f)]
+        assert claimed == [sys.maxsize]
         assert_no_child_left()
 
     def test_pinned_coloring_with_the_default_split(self, monkeypatch):
@@ -389,16 +423,17 @@ class TestNoProcessLeft:
 
 
 class TestLiveness:
-    """A worker that waits always has something that ends the wait."""
+    """No worker waits for another to claim or send, and worker 0 waits only
+    for a pipe that ends once its worker has."""
 
     def test_finished_worker_is_not_waited_for(self, forced, monkeypatch):
         # Worker 1 claims every subtree and worker 2 none, so worker 2 ends
-        # first; worker 1 sends nothing until worker 0 waits with worker 2
-        # ended and dropped, and worker 0 must go on waiting for worker 1.
+        # first; worker 1 keeps no record until worker 0 has ended its walk
+        # with worker 2 ended, and worker 0 must take in both.
         forced(2)
         cpus(monkeypatch, 3)
         monkeypatch.setattr(search._Split, "_claim", to_the_child)
-        keep, wait, waits = search._Split._keep, search._Split._wait, []
+        keep, finish = search._Split._keep, search._Split.finish
         before = open_fds()
         gate_r, gate_w = os.pipe()
 
@@ -407,16 +442,14 @@ class TestLiveness:
                 split.opened = os.read(gate_r, 1)
             keep(split, k, nodes, last)
 
-        def logged_wait(split, counter):
-            if split.me == 0 and counter is None:
+        def gated_finish(split, colors, nodes):
+            if split.me == 0:
                 os.waitid(os.P_PID, split.pids[1], os.WEXITED | os.WNOWAIT)
-                waits.append(tuple(split.sending))
-                if split.sending == [1]:
-                    os.write(gate_w, b"g")
-            wait(split, counter)
+                os.write(gate_w, b"g")
+            return finish(split, colors, nodes)
 
         monkeypatch.setattr(search._Split, "_keep", gated_keep)
-        monkeypatch.setattr(search._Split, "_wait", logged_wait)
+        monkeypatch.setattr(search._Split, "finish", gated_finish)
         groups, n = instance("x; x + t; x + 4*t; x + 5*t", "int:1..45")
         try:
             with deadline(60):
@@ -424,41 +457,38 @@ class TestLiveness:
         finally:
             os.close(gate_r)
             os.close(gate_w)
-        assert (1,) in waits
         assert open_fds() == before
         assert_no_child_left()
 
-    @pytest.mark.parametrize("k, holding", [(2, True), (3, True), (2, False), (3, False)])
-    def test_killed_worker_raises_in_worker_0(self, forced, monkeypatch, k, holding):
-        # Worker 1 is killed at its first subtree root, holding the counter or
-        # just after its claim, and worker 0 claims its own first subtree only
+    @pytest.mark.parametrize("k, claimed", [(2, True), (3, True), (2, False), (3, False)])
+    def test_killed_worker_raises_in_worker_0(self, forced, monkeypatch, k, claimed):
+        # Worker 1 is killed at its first subtree root, before or after it
+        # claims an index, and worker 0 claims its own first subtree only
         # once worker 1 has ended.  Worker 0 raises; it never waits forever.
         forced(4)
         cpus(monkeypatch, k)
         claim = search._Split._claim
 
-        def dying(split, j):
+        def dying(split):
             if split.me == 0 and not hasattr(split, "waited"):
                 split.waited = os.waitid(os.P_PID, split.pids[0], os.WEXITED | os.WNOWAIT)
             elif split.me == 1:
-                if holding:
-                    take_the_counter(split)
-                else:
-                    claim(split, j)
+                if claimed:
+                    claim(split)
                 os.kill(os.getpid(), signal.SIGKILL)
-            return claim(split, j)
+            return claim(split)
 
         monkeypatch.setattr(search._Split, "_claim", dying)
         groups, n = instance("x; x + t; x + 4*t; x + 5*t", "int:1..45")
         before = open_fds()
-        with deadline(60), pytest.raises(RuntimeError, match="search worker 1 ended"):
+        with deadline(60), pytest.raises(RuntimeError, match="search worker 1 failed"):
             search._search(groups, n, 2, None)
         assert open_fds() == before
         assert_no_child_left()
 
     def test_lost_record_raises_in_worker_0(self, forced, monkeypatch):
-        # The child claims every subtree and sends its last record, but not
-        # the record of subtree 2: worker 0 raises once no worker is left.
+        # The child claims every subtree and sends its records, but not that
+        # of subtree 2: worker 0 raises at the gap.
         forced(4)
         monkeypatch.setattr(search._Split, "_claim", to_the_child)
         keep = search._Split._keep
@@ -470,38 +500,39 @@ class TestLiveness:
         monkeypatch.setattr(search._Split, "_keep", lossy)
         groups, n = instance("x; x + t; x + 4*t; x + 5*t", "int:1..45")
         before = open_fds()
-        with deadline(60), pytest.raises(RuntimeError, match="without sending every subtree"):
+        with deadline(60), pytest.raises(RuntimeError, match="no record of subtree 2"):
             search._search(groups, n, 2, None)
         assert open_fds() == before
         assert_no_child_left()
 
     def test_killed_worker_0_ends_a_waiting_worker(self, tmp_path):
-        # Worker 0 takes the counter, waits until the child waits for it, and
-        # is killed.  The child holds the script's stdout, so the output ends
-        # only once the child has ended too.
+        # Each of two children, at its first claim, waits until worker 0 has
+        # ended, and then claims; worker 0 waits for both and is killed.  A
+        # child must end at that claim.  Worker 0 has ended once the child is
+        # no longer its child: its pipes close before it is reparented.  The
+        # children hold the script's stdout, so the output ends only once
+        # they have ended too.
         script = (
-            "import os, signal, sys, time\n"
+            "import os, signal, time\n"
             "from qramsey import search\n"
-            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "os.sched_getaffinity = lambda pid: {0, 1, 2}\n"
             "search._SPLIT_AT, search._SPLIT_DEPTH = 0, 4\n"
             "ready_r, ready_w = os.pipe()\n"
-            "claim, wait = search._Split._claim, search._Split._wait\n"
-            "def waiting(split, counter):\n"
-            "    os.write(ready_w, b'w')\n"
-            "    wait(split, counter)\n"
-            "def claim_and_die(split, k):\n"
+            "claim = search._Split._claim\n"
+            "def wait_then_claim(split):\n"
             "    if split.me:\n"
-            "        return claim(split, k)\n"
-            "    os.close(ready_w)\n"
-            "    while True:\n"
-            "        try:\n"
-            "            os.read(split.counter[0], 8)\n"
-            "            break\n"
-            "        except BlockingIOError:\n"
+            "        os.write(ready_w, b'w')\n"
+            "        while os.getppid() == split.parent:\n"
             "            time.sleep(0.001)\n"
-            "    print(split.pids[0], os.read(ready_r, 1) == b'w', flush=True)\n"
+            "        claim(split)\n"
+            "        print('claimed after worker 0 ended', flush=True)\n"
+            "        os._exit(0)\n"
+            "    ready = b''\n"
+            "    while len(ready) < 2:\n"
+            "        ready += os.read(ready_r, 2 - len(ready))\n"
+            "    print(*split.pids, flush=True)\n"
             "    os.kill(os.getpid(), signal.SIGKILL)\n"
-            "search._Split._claim, search._Split._wait = claim_and_die, waiting\n"
+            "search._Split._claim = wait_then_claim\n"
             "from qramsey.cli import main\n"
             "main(['search', 'x; x + t; x + 4*t; x + 5*t', 'int:1..45', '-r', '2'])\n"
         )
@@ -519,9 +550,10 @@ class TestLiveness:
             worker_0.communicate()
             raise
         assert worker_0.returncode == -signal.SIGKILL, err
-        child, waited = out.split()
-        assert waited == "True"
-        assert not running(int(child))
+        assert "claimed after worker 0 ended" not in out
+        children = [int(pid) for pid in out.split()]
+        assert len(children) == 2
+        assert all(ends(pid) for pid in children)
         assert open_fds() == before
         assert_no_child_left()
 
@@ -621,14 +653,25 @@ class TestGuards:
         def failing():
             if os.getpid() == parent:
                 pipes.append(1)
-                if len(pipes) == 4:  # the counter's, the watch pipe, worker 1's, worker 2's
+                if len(pipes) == 3:  # the pipe of subtree indices, worker 1's, worker 2's
                     raise OSError(errno.EMFILE, os.strerror(errno.EMFILE))
             return pipe()
 
         monkeypatch.setattr(os, "pipe", failing)
         before = open_fds()
         assert search._search(groups, n, 2, None) == want
-        assert (len(pipes), len(forks)) == (4, 1)
+        assert (len(pipes), len(forks)) == (3, 1)
+        assert open_fds() == before
+        assert_no_child_left()
+
+    def test_indices_that_overflow_the_pipe_fall_back_to_one_process(self, forced, no_fork):
+        # At depth 8 with 9 colors a search may meet 9! subtree roots: their
+        # indices, 4 bytes each, fill no pipe of a default size.
+        forced(8)
+        groups, n = instance("x; x + t; x + 4*t; x + 5*t", "int:1..30")
+        want = sequential(groups, n, 9)
+        before = open_fds()
+        assert search._search(groups, n, 9, None) == want
         assert open_fds() == before
         assert_no_child_left()
 
