@@ -12,13 +12,7 @@ from __future__ import annotations
 
 __version__ = "0.1.0"
 
-from .arith import (
-    PolynomialSyntaxError,
-    format_polynomial,
-    format_rational,
-    parse_polynomial,
-    parse_rational,
-)
+from .arith import format_polynomial, format_rational, parse_rational
 from .certificates import (
     certificate_for_result,
     dumps_certificate,
@@ -74,7 +68,6 @@ __all__ = [
     "IntegerInterval",
     "LinearSystem",
     "MultiplicativeGrid",
-    "PolynomialSyntaxError",
     "SearchResult",
     "Window",
     "Witness",
@@ -95,7 +88,6 @@ __all__ = [
     "parse_assignment",
     "parse_equation",
     "parse_family",
-    "parse_polynomial",
     "parse_rational",
     "parse_window",
     "search_avoiding",

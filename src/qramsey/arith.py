@@ -8,7 +8,9 @@ code builds a Fraction directly wherever a zero denominator cannot occur.
 A polynomial is a plain tuple of Fraction coefficients, index i holding the
 coefficient of t^i, with trailing zeros stripped by ``polynomial``: the zero
 polynomial is the empty tuple, and equal polynomials are equal tuples.  This
-module parses and prints them; ``AffineTerm`` evaluates them.
+module reads polynomial text one monomial at a time and prints polynomials;
+the term grammar of ``patterns`` reads whole terms, and ``AffineTerm``
+evaluates them.
 """
 
 from __future__ import annotations
@@ -16,17 +18,6 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from typing import Iterable, Iterator
-
-
-class PolynomialSyntaxError(ValueError):
-    """Unparseable polynomial text; carries the offending offset."""
-
-    def __init__(self, message: str, position: int) -> None:
-        super().__init__(message)
-        self.position = position
-
-    def __str__(self) -> str:
-        return f"{self.args[0]} (position {self.position})"
 
 
 _RATIONAL_RE = re.compile(r"^\s*(-?\d+)\s*(?:/\s*(-?\d+))?\s*$")
@@ -107,13 +98,12 @@ _MONOMIAL_RE = re.compile(
 )
 
 
-def signed_chunks(text: str) -> Iterator[tuple[int, str, int]]:
-    """Split a sum such as '2*t - t^3' into (sign, chunk, offset) triples.
+def signed_chunks(text: str) -> Iterator[tuple[int, str]]:
+    """Split a sum such as '2*t - t^3' into (sign, chunk) pairs.
 
     A chunk runs from just after its optional leading '+' or '-' up to the
-    next sign outside parentheses, so '(-1*y)' stays whole; offset is where
-    it starts in text.  Whitespace before a sign is skipped, whitespace
-    inside a chunk is kept.
+    next sign outside parentheses, so '(-1*y)' stays whole.  Whitespace
+    before a sign is skipped, whitespace inside a chunk is kept.
     """
     pos, n = 0, len(text)
     while pos < n:
@@ -127,49 +117,30 @@ def signed_chunks(text: str) -> Iterator[tuple[int, str, int]]:
         while pos < n and (depth or text[pos] not in "+-"):
             depth += (text[pos] == "(") - (text[pos] == ")")
             pos += 1
-        yield sign, text[start:pos], start
+        yield sign, text[start:pos]
 
 
-def read_monomials(text: str) -> Iterator[tuple[str | None, int, Fraction | int, int]]:
+def read_monomials(text: str) -> Iterator[tuple[str | None, int, Fraction | int]]:
     """Read polynomial text such as 't^2 - 3/2*(2*y)' one monomial at a time.
 
-    Yields (variable, exponent, signed coefficient, offset) per monomial
+    Yields (variable, exponent, signed coefficient) per monomial
     'c', 'c*v^k', 'c*v', 'cv', 'v^k' or 'v', with c a nonnegative rational
     and the sign taken from the joining + or -.  A variable is a word or a
     parenthesized token; a constant has variable None and exponent 0.  An
     exponent above MAX_EXPONENT is an error.
     """
     s = text.rstrip()
-    if not s.strip():
-        raise PolynomialSyntaxError("empty polynomial", 0)
-    for sign, chunk, start in signed_chunks(s):
+    if not s:
+        raise ValueError("empty polynomial")
+    for sign, chunk in signed_chunks(s):
         m = _MONOMIAL_RE.match(chunk)
         if m is None or (m.group("coef") is None and m.group("var") is None):
-            raise PolynomialSyntaxError(f"bad monomial {chunk.strip()!r}", start)
+            raise ValueError(f"bad monomial {chunk.strip()!r}")
         coef = parse_rational(m.group("coef")) if m.group("coef") is not None else 1
-        exp = 0
-        if m.group("var") is not None:
-            try:
-                exp = read_exponent(m.group("exp") or "1")
-            except ValueError as exc:
-                raise PolynomialSyntaxError(exc.args[0], start) from None
-        yield m.group("var"), exp, sign * coef, start
+        exp = read_exponent(m.group("exp") or "1") if m.group("var") is not None else 0
+        yield m.group("var"), exp, sign * coef
 
 
 def from_exponents(coeffs: dict[int, Fraction]) -> tuple[Fraction, ...]:
     """The polynomial with coefficient coeffs[i] at t^i; coeffs is nonempty."""
     return polynomial(coeffs.get(e, 0) for e in range(max(coeffs) + 1))
-
-
-def parse_polynomial(text: str) -> tuple[Fraction, ...]:
-    """Parse polynomial text such as 't^2 - 3/2*t' in the variable t.
-
-    Accepted monomials are those of read_monomials; repeated exponents
-    accumulate.
-    """
-    coeffs: dict[int, Fraction] = {}
-    for name, exp, coef, start in read_monomials(text):
-        if name is not None and name != "t":
-            raise PolynomialSyntaxError(f"unknown variable {name!r}, expected 't'", start)
-        coeffs[exp] = coeffs.get(exp, 0) + coef
-    return from_exponents(coeffs)

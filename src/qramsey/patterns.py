@@ -17,8 +17,10 @@ A family is a finite set of terms in the variables x and y.  Term shapes:
 Instantiating a family at a point (x, y) requires y nonzero, and x nonzero
 whenever a power term is present (or the family is marked strict).
 
-Family text is a catalog key (see builtin_family) or terms joined by ';',
-e.g. ``"x; y; x + t"`` or ``"x; x / y^1; x + t"``.
+Family text is terms joined by ';', e.g. ``"x; y; x + t"`` or
+``"x; x / y^1; x + t"``.  A catalog key is shorthand for such text, read by
+the same grammar: ``quotient-poly(2,[t;t^2])`` is ``x; x / y^2; x + t;
+x + t^2`` (see builtin_family).
 
 Every term has two evaluations.  ``value`` is the exact Fraction reference.
 ``pair_parts`` serves the candidate table: it evaluates, once per window
@@ -37,14 +39,13 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .arith import (
     MAX_EXPONENT,
     format_polynomial,
     format_rational,
     from_exponents,
-    parse_polynomial,
     parse_rational,
     polynomial,
     read_exponent,
@@ -282,7 +283,7 @@ def _parse_term(chunk: str, allow_offsets: bool) -> PatternTerm:
         bare, scalings = set(), set()  # the names t, y and the c of each (c*y)
         coeffs: dict[int, Fraction] = {}
         try:
-            for name, exp, coef, _ in read_monomials(rest):
+            for name, exp, coef in read_monomials(rest):
                 if name in ("t", "y"):
                     bare.add(name)
                 elif name is not None:
@@ -319,9 +320,10 @@ def parse_family(
     require_distinct_values: bool = False,
     strict_nonzero_x: bool = False,
 ) -> Family:
-    """Parse a catalog key or ';'-separated term text into a Family.  Rejected
-    text raises ValueError, a bad key with builtin_family's message and a bad
-    term with its position.  The distinct and strict flags apply to both."""
+    """Parse ';'-separated term text, or a catalog key naming such text, into a
+    Family.  Rejected text raises ValueError: a bad key with builtin_family's
+    message, which names no position, and a bad term with its position in
+    text.  The distinct and strict flags apply to both."""
     m = _KEY_RE.match(text.strip())
     terms: list[PatternTerm] = []
     if m and m.group("name") in _CATALOG:
@@ -346,87 +348,67 @@ def parse_family(
 
 
 # ---------------------------------------------------------------------------
-# Built-in catalog
+# Built-in catalog: each key is shorthand for family text
 
-
-def _linears(k: int) -> list[tuple[Fraction, ...]]:
-    return [polynomial([0, i]) for i in range(1, k + 1)]
-
-
-class _Entry(NamedTuple):
-    """One catalog family: x, y or power head terms, then x + p(t) per tail p."""
-
-    arity: int  # integer arguments, each at least 1
-    polys: str  # "" takes no list, "any" a list, "k" a list of exactly k
-    head: Callable[..., tuple[PatternTerm, ...]]
-    tail: Callable[..., list[tuple[Fraction, ...]]]  # the polynomials when no list is given
-
-
+# name -> (head text, argument, list rule).  The argument is "" (none), "k"
+# (the tails default to x + t, ..., x + k*t) or "a" (the exponent filled into
+# the head; the tail defaults to x + t, as it does with no argument).  The
+# list rule is "" (no list), "k" (exactly k entries) or "any".
 _CATALOG = {
-    "schur": _Entry(0, "", lambda: (X, VarY()), lambda: _linears(1)),
-    "vdw": _Entry(1, "", lambda k: (X,), _linears),
-    "moreira": _Entry(1, "k", lambda k: (X, PowerTerm(1)), _linears),
-    "bowen-sabok": _Entry(1, "", lambda k: (X, VarY(), PowerTerm(1)), _linears),
-    "quotient-poly": _Entry(1, "any", lambda a: (X, PowerTerm(-a)), lambda a: _linears(1)),
-    "product-poly": _Entry(1, "any", lambda a: (X, PowerTerm(a)), lambda a: _linears(1)),
-    "question-hs": _Entry(0, "", lambda: (X, VarY(), PowerTerm(1)), lambda: _linears(1)),
+    "schur": ("x; y", "", ""),
+    "vdw": ("x", "k", ""),
+    "moreira": ("x; x * y^1", "k", "k"),
+    "bowen-sabok": ("x; y; x * y^1", "k", ""),
+    "quotient-poly": ("x; x / y^{}", "a", "any"),
+    "product-poly": ("x; x * y^{}", "a", "any"),
+    "question-hs": ("x; y; x * y^1", "", ""),
 }
 
 _KEY_RE = re.compile(r"^(?P<name>[a-z-]+)(?:\((?P<args>.*)\))?$")
+_ARGS_RE = re.compile(r"\s*(?P<n>\d*)\s*(?:,\s*\[(?P<list>[^\[\]]*)\]\s*)?")
 
 
 def builtin_family(key: str) -> Family:
-    """Look up a catalog family by key text.
+    """The family a catalog key names, read as family text; KeyError otherwise.
 
     Keys: schur, vdw(k), moreira(k[,[p;...]]), bowen-sabok(k),
     quotient-poly(a[,[p;...]]), product-poly(a[,[p;...]]), question-hs.
-    Polynomial lists are ';'-separated polynomial texts in brackets, e.g.
-    ``quotient-poly(2,[t;t^2])``.
+    Each list entry p is the term ``x + p``, e.g. ``quotient-poly(2,[t;t^2])``
+    is ``x; x / y^2; x + t; x + t^2``; without a list the tails are
+    ``x + t, ..., x + k*t``, or ``x + t`` alone.  Every term is read by the
+    term grammar, offsets disabled.
     """
     m = _KEY_RE.match(key.strip())
-    if not m:
-        raise KeyError(f"bad catalog key {key!r}")
-    name = m.group("name")
-    if name not in _CATALOG:
-        raise KeyError(f"unknown catalog family {name!r}")
-    entry = _CATALOG[name]
     try:
-        ints, polys = _split_key_args(m.group("args"))
-        if len(ints) != entry.arity or (polys is not None and not entry.polys):
+        if m is None or m.group("name") not in _CATALOG:
+            raise ValueError("not a catalog family")
+        name = m.group("name")
+        head, arg, rule = _CATALOG[name]
+        args = _ARGS_RE.fullmatch(m.group("args") or "")
+        if args is None:
+            raise ValueError("arguments must read n or n,[p;...]")
+        digits, entries = args.group("n"), args.group("list")
+        if bool(digits) != bool(arg) or (entries is not None and not rule):
             raise ValueError("wrong arguments")
-        if any(n < 1 for n in ints):
-            raise ValueError(f"{name} needs an argument >= 1")
-        if any(n > MAX_EXPONENT for n in ints):  # before vdw(k) builds k terms
-            raise ValueError(f"{name} argument above the cap {MAX_EXPONENT}")
-        if polys is None:
-            polys = entry.tail(*ints)
-        elif entry.polys == "k" and len(polys) != ints[0]:
-            raise ValueError(f"{name} got k={ints[0]} but {len(polys)} polynomials")
-        if any(p and p[0] for p in polys):  # x + c is an offset, not a catalog term
-            raise ValueError("affine term polynomial must have zero constant term")
-        return Family(entry.head(*ints) + tuple(AffineTerm(1, p) for p in polys))
+        if digits:
+            try:
+                n = read_exponent(digits)  # never converts a long digit string
+            except ValueError:
+                raise ValueError(f"{name} argument above the cap {MAX_EXPONENT}") from None
+            if n < 1:
+                raise ValueError(f"{name} needs an argument >= 1")
+        if entries is None:
+            tails = [f"{i}*t" for i in range(1, (n if arg == "k" else 1) + 1)]
+        else:
+            tails = entries.split(";")
+            if rule == "k" and len(tails) != n:
+                raise ValueError(f"{name} got k={n} but {len(tails)} polynomials")
+            if not all(p.strip() for p in tails):
+                raise ValueError("empty list entry")
+        texts = head.format(digits).split(";") + [f"x + {p}" for p in tails]
+        return Family(tuple(_parse_term(t, False) for t in texts))
     except ValueError as exc:
         raise KeyError(f"bad catalog key {key!r}: {exc}") from None
-
-
-def _split_key_args(args: str | None) -> tuple[list[int], list[tuple[Fraction, ...]] | None]:
-    if args is None or not args.strip():
-        return [], None
-    ints: list[int] = []
-    polys: list[tuple[Fraction, ...]] | None = None
-    rest = args.strip()
-    while rest:
-        if rest.startswith("["):
-            if polys is not None:
-                raise ValueError("more than one polynomial list")
-            close = rest.index("]")
-            polys = [parse_polynomial(t) for t in rest[1:close].split(";")]
-            rest = rest[close + 1 :].lstrip().lstrip(",").lstrip()
-        else:
-            head, _, tail = rest.partition(",")
-            ints.append(int(head.strip()))
-            rest = tail.strip()
-    return ints, polys
 
 
 def default_catalog() -> dict[str, Family]:

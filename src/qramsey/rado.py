@@ -56,7 +56,7 @@ def parse_equation(text: str) -> LinearSystem:
     if not sep or rhs.strip() != "0":
         raise ValueError(f"equation must end in '= 0': {text!r}")
     coeffs: dict[int, Fraction] = {}
-    for sign, chunk, _ in signed_chunks(lhs.strip()):
+    for sign, chunk in signed_chunks(lhs.strip()):
         chunk = chunk.strip()
         m = _EQ_TERM_RE.match(chunk)
         if m is None:

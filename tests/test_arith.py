@@ -5,15 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from qramsey.arith import (
-    PolynomialSyntaxError,
-    format_polynomial,
-    format_rational,
-    parse_polynomial,
-    parse_rational,
-    polynomial,
-)
-from qramsey.patterns import AffineTerm
+from qramsey.arith import format_polynomial, format_rational, parse_rational, polynomial, read_monomials
+from qramsey.patterns import X, AffineTerm, parse_family
 
 
 def rand_fraction(rng, span=50):
@@ -94,24 +87,29 @@ class TestPolynomialText:
     def test_format_frozen(self, p, text):
         assert format_polynomial(p) == text
 
+    # Polynomial text is read by the term grammar, as the P of a term x + P.
     def test_round_trip_random(self):
         rng = random.Random(5)
         for _ in range(300):
-            p = rand_poly(rng)
-            assert parse_polynomial(format_polynomial(p)) == p
+            p = polynomial([0, *rand_poly(rng)[1:]])  # a nonzero constant is an offset
+            if p:
+                term = AffineTerm(1, p)
+                assert parse_family(f"x; {term.text()}").terms == (X, term)
 
     def test_parse_accumulates_repeated_exponents(self):
-        assert parse_polynomial("t + t") == polynomial([0, 2])
-        assert parse_polynomial("t^2 - t^2") == ()
+        assert parse_family("x + t + t").terms == (AffineTerm(1, polynomial([0, 2])),)
+        assert parse_family("x + t^2 - t^2").terms == (X,)
 
     def test_parse_error_positions(self):
-        with pytest.raises(PolynomialSyntaxError) as ei:
-            parse_polynomial("")
-        assert ei.value.position == 0
-        with pytest.raises(PolynomialSyntaxError) as ei:
-            parse_polynomial("t + q")
-        assert ei.value.position == 3
-        with pytest.raises(PolynomialSyntaxError):
-            parse_polynomial("t^")
-        with pytest.raises(PolynomialSyntaxError):
-            parse_polynomial("2 ** t")
+        # the grammar names the position of the term; read_monomials names none
+        with pytest.raises(
+            ValueError,
+            match=r"^bad polynomial part: unknown variable 'q', expected t, y or \(c\*y\) \(position 3\)$",
+        ):
+            parse_family("x; x + t + q")
+        with pytest.raises(ValueError, match=r"^bad polynomial part: bad monomial 't\^' \(position 0\)$"):
+            parse_family("x + t^")
+        for text, message in [("", "empty polynomial"), ("t + 2 ** t", "bad monomial '2 ** t'")]:
+            with pytest.raises(ValueError) as ei:
+                list(read_monomials(text))
+            assert (type(ei.value), str(ei.value)) == (ValueError, message)

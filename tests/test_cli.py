@@ -122,6 +122,12 @@ class TestSearch:
             "error: bad catalog key 'moreira(2,[t])': moreira got k=2 but 1 polynomials\n"
         )
 
+    def test_unclosed_key_list_line_is_exact(self, capsys):
+        assert run_cli(["search", "moreira(2,[t)", "int:1..5", "-r", "2"]) == (2, "")
+        assert capsys.readouterr().err == (
+            "error: bad catalog key 'moreira(2,[t)': arguments must read n or n,[p;...]\n"
+        )
+
     def test_keyerror_from_a_fault_propagates(self, monkeypatch):
         # only rejected input exits 2; a KeyError is a fault in the program
         def fault(spec):

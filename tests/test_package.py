@@ -166,10 +166,10 @@ def test_every_exported_name_is_read_inside_the_package():
 
 
 def test_exception_classes_are_pinned():
-    # Rejected input raises plain ValueError, which cli.main maps to exit 2.
-    # PolynomialSyntaxError keeps its position apart from its message; a
-    # subclass that only renames ValueError adds a type that no caller tells
-    # apart, and a search stops at its node budget by returning.
+    # Rejected input raises plain ValueError, which cli.main maps to exit 2,
+    # with any position in its message; a subclass that only renames
+    # ValueError adds a type that no caller tells apart, and a search stops at
+    # its node budget by returning.  The package defines no exception class.
     src = os.path.dirname(qramsey.__file__)
     bases = {}  # "module.Class" -> the last dotted part of each base
     for name in os.listdir(src):
@@ -188,7 +188,7 @@ def test_exception_classes_are_pinned():
     while new := {c for c, b in bases.items() if b & exceptions and c not in found}:
         found |= new  # and subclasses of those, to any depth
         exceptions |= {c.split(".")[1] for c in new}
-    assert found == {"arith.PolynomialSyntaxError"}
+    assert found == set()
 
 
 def test_no_command_option_is_a_float():
@@ -285,3 +285,26 @@ def test_readme_library_layout_names_every_module():
     modules = {name[:-3] for name in os.listdir(src) if name.endswith(".py")}
     assert "patterns" in named  # the pattern saw the list
     assert named == modules - {"__init__", "__main__"}
+
+
+def test_readme_library_layout_examples_run(tmp_path):
+    # Both examples read a family with builtin_family; the second writes
+    # certs/ under the working directory, so they run in tmp_path.
+    root = os.path.dirname(TESTS)
+    with open(os.path.join(root, "README.md"), encoding="utf-8") as fh:
+        readme = fh.read()
+    section = readme.split("\n## Library layout\n", 1)[1].split("\n## ", 1)[0]
+    examples = re.findall(r"```python\n(.*?)```", section, re.DOTALL)
+    assert len(examples) == 2
+    path = os.pathsep.join(filter(None, [os.path.join(root, "src"), os.environ.get("PYTHONPATH")]))
+    printed = []
+    for code in examples:
+        done = subprocess.run(
+            [sys.executable, "-c", code], cwd=tmp_path, env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True, text=True, timeout=60,
+        )
+        assert (done.returncode, done.stderr) == (0, "")
+        printed.append(done.stdout.splitlines())
+    assert printed[0][0] == "avoiding 27"
+    assert [row for row in printed[1] if row.endswith("exhausted")][0] == "5 5 exhausted"
+    assert os.listdir(tmp_path / "certs") == ["int-5.upper-bound.json"]

@@ -285,6 +285,20 @@ class TestCatalog:
     )
     def test_catalog_serializations(self, key, text):
         assert builtin_family(key).serialize() == text
+        assert builtin_family(key) == parse_family(text)
+
+    # A list entry p is read as the term x + p, where t and y name one variable.
+    @pytest.mark.parametrize(
+        "key,spelled_in_t",
+        [
+            ("quotient-poly(1,[y])", "quotient-poly(1,[t])"),
+            ("quotient-poly(1,[2y])", "quotient-poly(1,[2*t])"),
+            ("quotient-poly(1,[(2*y)])", "quotient-poly(1,[2*t])"),
+            ("moreira(2,[y; (2*y)^2 - (2*y)])", "moreira(2,[t; 4*t^2 - 2*t])"),
+        ],
+    )
+    def test_list_entries_spelled_in_y(self, key, spelled_in_t):
+        assert builtin_family(key) == builtin_family(spelled_in_t)
 
     @pytest.mark.parametrize(
         "bad",
@@ -310,11 +324,43 @@ class TestCatalog:
             "product-poly(1,[t^65])",
             "quotient-poly(1,[1])",
             "moreira(1,[0])",
+            "quotient-poly(1,[u])",
+            "quotient-poly(1,[])",
+            "quotient-poly(1,[t;])",
+            "quotient-poly([t],2)",
+            "quotient-poly(1,[t],)",
+            "vdw(-1)",
+            "x; y; x + t",
         ],
     )
     def test_bad_keys_raise_keyerror(self, bad):
-        with pytest.raises(KeyError):
+        with pytest.raises(KeyError) as ei:
             builtin_family(bad)
+        assert ei.value.args[0].startswith(f"bad catalog key {bad!r}: ")
+
+    @pytest.mark.parametrize(
+        "bad,reason",
+        [
+            ("moreira(1,[t + 1])", "constant term must be zero"),
+            ("quotient-poly(1,[1])", "constant term must be zero (offset terms are disabled)"),
+            ("quotient-poly(1,[u])", "bad polynomial part: unknown variable 'u', expected t, y or (c*y)"),
+            ("quotient-poly(1,[])", "empty list entry"),
+            ("quotient-poly(1,[t;])", "empty list entry"),
+            ("product-poly(1,[t^65])", "bad polynomial part: exponent above the cap 64"),
+            ("moreira(2,[t)", "arguments must read n or n,[p;...]"),
+            ("quotient-poly([t],2)", "arguments must read n or n,[p;...]"),
+            ("vdw(65)", "vdw argument above the cap 64"),
+            ("vdw(0)", "vdw needs an argument >= 1"),
+            ("schur(1)", "wrong arguments"),
+            ("quotient-poly(1,[t;t])", "duplicate terms in family"),
+            ("nope", "not a catalog family"),
+        ],
+    )
+    def test_bad_key_reasons(self, bad, reason):
+        # every term is read alone, so no position in the expanded text shows
+        with pytest.raises(KeyError) as ei:
+            builtin_family(bad)
+        assert ei.value.args[0] == f"bad catalog key {bad!r}: {reason}"
 
     def test_arguments_at_the_cap_accepted(self):
         assert len(builtin_family("vdw(64)").terms) == 65
