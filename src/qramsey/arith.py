@@ -20,7 +20,9 @@ from fractions import Fraction
 from typing import Iterable, Iterator
 
 
-_RATIONAL_RE = re.compile(r"^\s*(-?\d+)\s*(?:/\s*(-?\d+))?\s*$")
+# leading zeros are matched apart, so int() converts only the digits after
+# them and a long run of zeros never reaches its limit on digits
+_RATIONAL_RE = re.compile(r"^\s*(-?)0*(\d+)\s*(?:/\s*(-?)0*(\d+))?\s*$")
 
 
 def parse_rational(text: str) -> Fraction:
@@ -28,10 +30,10 @@ def parse_rational(text: str) -> Fraction:
     m = _RATIONAL_RE.match(text)
     if m is None:
         raise ValueError(f"not a rational: {text!r}")
-    den = int(m.group(2)) if m.group(2) is not None else 1
+    den = int(m.group(3) + m.group(4)) if m.group(4) is not None else 1
     if den == 0:
         raise ValueError("degenerate rational: zero denominator")
-    return Fraction(int(m.group(1)), den)
+    return Fraction(int(m.group(1) + m.group(2)), den)
 
 
 def format_rational(q: Fraction) -> str:
@@ -80,10 +82,11 @@ MAX_EXPONENT = 64
 def read_exponent(digits: str) -> int:
     """The exponent written as decimal digits; ValueError above MAX_EXPONENT.
 
-    The digits are checked before they are converted, so a huge exponent
-    costs nothing.
+    The digits past the leading zeros are checked before they are converted,
+    and only they are converted, so a huge exponent costs nothing.
     """
-    if len(digits.lstrip("0")) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
+    digits = digits.lstrip("0") or "0"
+    if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
         raise ValueError(f"exponent above the cap {MAX_EXPONENT}")
     return int(digits)
 

@@ -37,6 +37,18 @@ class TestRationalText:
         with pytest.raises(ValueError):
             parse_rational(bad)
 
+    def test_leading_zeros_are_not_converted(self):
+        # int() refuses more than 4300 digits, leading zeros counted; only the
+        # digits after them are converted
+        zeros = "0" * 5000
+        assert parse_rational(f"1/{zeros}1") == 1
+        assert parse_rational(f"-{zeros}3 / -{zeros}6") == Fraction(1, 2)
+        assert parse_rational(zeros) == 0
+        with pytest.raises(ValueError, match="^degenerate rational: zero denominator$"):
+            parse_rational(f"1/-{zeros}")
+        assert parse_family(f"x; x + 1/{zeros}1*t").serialize() == "x; x + t"
+        assert list(read_monomials(f"t^{zeros}1")) == [("t", 1, 1)]
+
     def test_round_trip(self):
         rng = random.Random(11)
         for _ in range(300):

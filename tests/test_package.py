@@ -35,7 +35,8 @@ def test_cli_import_stays_light():
     # set-up time and peak memory of a command stay those of one plain
     # process; signal, about 1 ms to import, is imported only to end workers,
     # and no worker waits on select, not even in a split.  mmap is never used.
-    # -S keeps site from loading modules before the import.
+    # The trace hash is the interpreter's own SHA-256, so hashlib never loads
+    # OpenSSL.  -S keeps site from loading modules before the import.
     src = os.path.dirname(os.path.dirname(qramsey.__file__))
     script = ("import io, os, sys\nbefore = set(sys.modules)\nimport qramsey.cli\n"
               "print(' '.join(sorted(set(sys.modules) - before)))\n"
@@ -46,7 +47,7 @@ def test_cli_import_stays_light():
               "qramsey.cli.main(['search', 'x; x + t; x + 4*t; x + 5*t', 'int:1..45', '-r', '2'],"
               " out=io.StringIO())\n"
               "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] in "
-              "('select', 'selectors'))))\n")
+              "('select', 'selectors', 'hashlib', '_hashlib'))))\n")
     done = subprocess.run(
         [sys.executable, "-S", "-c", script],
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
@@ -56,9 +57,34 @@ def test_cli_import_stays_light():
     loaded = loaded.split()
     assert "qramsey.search" in loaded  # the subprocess saw the import
     forbidden = ("multiprocessing", "concurrent", "threading", "pickle", "selectors", "signal",
-                 "select", "mmap")
+                 "select", "mmap", "hashlib", "_hashlib")
     assert [m for m in loaded if m.split(".")[0] in forbidden] == []
     assert after_split == ""
+
+
+def test_hashlib_fallback_gives_the_same_digests():
+    # An interpreter built without _sha2 and _sha256 hashes through hashlib,
+    # with the digests pinned in test_search: the singleton's is the SHA-256
+    # of b"singleton:0".
+    src = os.path.dirname(os.path.dirname(qramsey.__file__))
+    script = ("import sys\nsys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+              "import hashlib\n"
+              "from qramsey import IntegerInterval, builtin_family, parse_family, search\n"
+              "assert search.sha256 is hashlib.sha256\n"
+              "for family, n, r in [(builtin_family('vdw(2)'), 27, 3), (parse_family("
+              "'x; x + t; x + 4*t; x + 5*t'), 45, 2), (parse_family('x'), 3, 5)]:\n"
+              "    res = search.search_avoiding(family, IntegerInterval(1, n), r)\n"
+              "    print(res.outcome, res.nodes, res.proof_log_hash)\n")
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", script],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.splitlines() == [
+        "exhausted 2611 24851e1729882c4650fc44908287366d33d632f1ccab22701f1f325d57300156",
+        "exhausted 24103 dc66d16ba9554710da30e59275437680570c6f4f4e84d2a7ff80ac591e77c7dc",
+        "exhausted 0 aefb623b82e285616fc2dddcb14d60c9d05ef0198c7aa64746ab58580dd6c9e1",
+    ]
 
 
 @pytest.mark.parametrize("name", ["_brute.py", "_dpll.py"])

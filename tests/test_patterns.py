@@ -179,6 +179,8 @@ class TestParse:
             ("x * y^65", "exponent above the cap 64"),
             ("x / y^100000000", "exponent above the cap 64"),
             ("x * y^-" + "9" * 5000, "exponent above the cap 64"),  # never converted
+            pytest.param("x * y^" + "0" * 5000 + "65", "exponent above the cap 64",
+                         id="leading-zeros"),
             ("x + t^65", "bad polynomial part: exponent above the cap 64"),
             ("x + (2*y)^1000000", "bad polynomial part: exponent above the cap 64"),
         ],
@@ -192,6 +194,9 @@ class TestParse:
         text = "x; x * y^64; x / y^64; x + t^64 - t"
         assert parse_family(text).serialize() == text
         assert parse_family("x * y^-064").terms == (PowerTerm(-64),)
+        # only the digits after the leading zeros are converted: int() refuses
+        # more than 4300 digits, leading zeros counted
+        assert parse_family("x; x * y^" + "0" * 5000 + "1").serialize() == "x; x * y^1"
 
     @pytest.mark.parametrize(
         "term, message",
@@ -364,6 +369,7 @@ class TestCatalog:
 
     def test_arguments_at_the_cap_accepted(self):
         assert len(builtin_family("vdw(64)").terms) == 65
+        assert builtin_family("vdw(" + "0" * 5000 + "1)") == builtin_family("vdw(1)")
         assert builtin_family("product-poly(64,[t^64])").serialize() == "x; x * y^64; x + t^64"
 
     def test_power_families_require_nonzero_x(self):

@@ -115,7 +115,8 @@ class TestOutcomes:
         res = search_avoiding(family, IntegerInterval(1, 3), 5)
         assert res.outcome == EXHAUSTED
         assert res.nodes == 0
-        assert res.proof_log_hash
+        assert res.proof_log_hash == hashlib.sha256(b"singleton:0").hexdigest() == (
+            "aefb623b82e285616fc2dddcb14d60c9d05ef0198c7aa64746ab58580dd6c9e1")
 
     def test_node_budget(self):
         family = builtin_family("schur")

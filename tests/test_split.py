@@ -21,7 +21,6 @@ import subprocess
 import sys
 import threading
 import time
-from types import SimpleNamespace
 
 import pytest
 
@@ -280,7 +279,7 @@ def sequential_labels(monkeypatch, groups, n, r):
     """The sequential result and the label of each of its nodes."""
     trace = _Trace()
     with monkeypatch.context() as m:
-        m.setattr(search, "hashlib", SimpleNamespace(sha256=lambda: trace))
+        m.setattr(search, "sha256", lambda: trace)
         return sequential(groups, n, r), trace.labels
 
 
