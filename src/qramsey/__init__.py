@@ -27,7 +27,6 @@ from .patterns import (
     Family,
     Witness,
     builtin_family,
-    default_catalog,
     instantiate,
     parse_family,
 )
@@ -76,7 +75,6 @@ __all__ = [
     "certificate_for_result",
     "columns_condition",
     "cross_validate",
-    "default_catalog",
     "dumps_certificate",
     "export_cnf",
     "find_witness",

@@ -23,6 +23,15 @@ from typing import Iterable, Iterator
 # leading zeros are matched apart, so int() converts only the digits after
 # them and a long run of zeros never reaches its limit on digits
 _RATIONAL_RE = re.compile(r"^\s*(-?)0*(\d+)\s*(?:/\s*(-?)0*(\d+))?\s*$")
+_INT_RE = re.compile(r"\s*([+-]?)0*(\d+)\s*")
+
+
+def parse_int(text: str) -> int:
+    """Parse a decimal integer with an optional sign."""
+    m = _INT_RE.fullmatch(text)
+    if m is None:
+        raise ValueError(f"not an integer: {text!r}")
+    return int(m.group(1) + m.group(2))
 
 
 def parse_rational(text: str) -> Fraction:

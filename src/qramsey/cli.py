@@ -29,7 +29,7 @@ from types import SimpleNamespace
 from typing import NamedTuple
 
 from . import __version__
-from .arith import format_rational
+from .arith import format_rational, parse_int
 from .certificates import (
     certificate_for_result,
     load_certificate,
@@ -39,7 +39,7 @@ from .certificates import (
 from .cnf import export_cnf, import_assignment, parse_assignment, to_dimacs
 from .colorings import Coloring
 from .detector import build_candidates, find_witness
-from .patterns import Family, default_catalog, parse_family
+from .patterns import Family, parse_family
 from .rado import columns_condition, cross_validate, parse_equation, system_to_family
 from .search import AVOIDING, EXHAUSTED, check_node_budget, search_avoiding, threshold_sweep
 from .windows import Window, parse_window
@@ -57,16 +57,6 @@ def _resolve_family(args: SimpleNamespace) -> Family:
         require_distinct_values=args.distinct,
         strict_nonzero_x=args.strict_x,
     )
-
-
-def _parse_colors(text: str) -> list[int]:
-    body = text.strip()
-    if body.startswith("[") and body.endswith("]"):
-        body = body[1:-1]
-    colors = [int(tok) for tok in body.replace(",", " ").split()]
-    if not colors:
-        raise ValueError("empty color list")
-    return colors
 
 
 def _witness_json(w) -> dict | None:
@@ -94,7 +84,12 @@ def _result_json(res) -> dict:
 
 
 def _coloring_from_args(window: Window, args: SimpleNamespace) -> Coloring:
-    colors = _parse_colors(args.colors)
+    body = args.colors.strip()
+    if body.startswith("[") and body.endswith("]"):
+        body = body[1:-1]
+    colors = [parse_int(tok) for tok in body.replace(",", " ").split()]
+    if not colors:
+        raise ValueError("empty color list")
     r = args.r if args.r is not None else max(max(colors), 0) + 1
     return Coloring(window, colors, r)
 
@@ -212,13 +207,12 @@ def _cmd_export_cnf(args, out) -> int:
 def _cmd_import_sat(args, out) -> int:
     family = _resolve_family(args)
     window = parse_window(args.window)
-    table = build_candidates(family, window)
     if args.r < 1:
         raise ValueError(f"need at least one color, got r={args.r}")
     with open(args.assignment, "r", encoding="utf-8") as fh:
         literals = parse_assignment(fh.read())
     coloring = import_assignment(window, args.r, literals)
-    witness = find_witness(family, coloring, table)
+    witness = find_witness(family, coloring)
     _emit(out, {
         "family": family.serialize(),
         "window": window.spec_string(),
@@ -242,12 +236,6 @@ def _cmd_verify(args, out) -> int:
     if res.ok:
         return 0
     return 1 if res.checked else 3
-
-
-def _cmd_catalog(args, out) -> int:
-    payload = {key: fam.serialize() for key, fam in default_catalog().items()}
-    _emit(out, payload)
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +306,6 @@ COMMANDS = {
     "verify": ("check a certificate file", _cmd_verify, (
         Arg(("certificate",)), Arg(("--rerun",), bool, help="replay exhaustive searches"),
     )),
-    "catalog": ("list the built-in families", _cmd_catalog, ()),
 }
 _NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")  # argparse's own pattern
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
+from .arith import parse_int
 from .colorings import Coloring
 from .detector import CandidateTable, build_candidates, check_table
 from .patterns import Family
@@ -109,10 +110,7 @@ def parse_assignment(text: str) -> list[int]:
             continue
         if line.startswith("v"):
             line = line[1:]
-        for tok in line.split():
-            val = int(tok)
-            if val != 0:
-                lits.append(val)
+        lits += [lit for lit in map(parse_int, line.split()) if lit]
     return lits
 
 

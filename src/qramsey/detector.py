@@ -44,8 +44,9 @@ terms) leave the class, and finds the solved term's targets and the other
 terms' values only in the class.  So it yields exactly the table's entries
 of color c, in table order, and the least first entry over the classes is
 the table scan's first hit.  The term parts, the lcm and the y-key grouping
-are computed once for all classes.  Callers that hold a table
-(``search_avoiding``, ``detect``, ``import-sat``) scan it instead.
+are computed once for all classes.  ``verify`` and ``import-sat`` check a
+coloring this way; callers that hold a table (``search_avoiding``,
+``detect``) scan it instead.
 
 Families whose terms never mention y are special-cased: the y coordinate is
 pinned to the first nonzero window element, since term values do not depend

@@ -409,17 +409,3 @@ def builtin_family(key: str) -> Family:
         return Family(tuple(_parse_term(t, False) for t in texts))
     except ValueError as exc:
         raise KeyError(f"bad catalog key {key!r}: {exc}") from None
-
-
-def default_catalog() -> dict[str, Family]:
-    """The stock instances exercised by the test suite, keyed by catalog text."""
-    keys = [
-        "schur",
-        "vdw(2)",
-        "moreira(1)",
-        "bowen-sabok(1)",
-        "quotient-poly(1,[t])",
-        "product-poly(1,[t])",
-        "question-hs",
-    ]
-    return {k: builtin_family(k) for k in keys}

@@ -24,7 +24,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import format_rational, parse_rational, signed_chunks
+from .arith import format_rational, parse_int, parse_rational, signed_chunks
 from .patterns import X, AffineTerm, Family, VarY
 from .search import BUDGET_EXCEEDED, EXHAUSTED, check_node_budget, threshold_sweep
 
@@ -62,7 +62,7 @@ def parse_equation(text: str) -> LinearSystem:
         if m is None:
             raise ValueError(f"bad term {chunk!r} in equation")
         coef = parse_rational(m.group("coef")) if m.group("coef") else Fraction(1)
-        idx = int(m.group("idx"))
+        idx = parse_int(m.group("idx"))
         if idx < 1:
             raise ValueError("variables are numbered from x1")
         coeffs[idx] = coeffs.get(idx, Fraction(0)) + sign * coef

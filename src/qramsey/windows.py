@@ -26,7 +26,7 @@ from itertools import product
 from math import gcd
 from typing import Iterable, Iterator
 
-from .arith import MAX_EXPONENT
+from .arith import MAX_EXPONENT, parse_int
 
 ELEMENT_CAP = 10_000_000
 
@@ -241,19 +241,19 @@ def parse_window(spec: str) -> Window:
     spec = spec.strip()
     m = _INT_RE.match(spec)
     if m:
-        return IntegerInterval(int(m.group(1)), int(m.group(2)))
+        return IntegerInterval(parse_int(m.group(1)), parse_int(m.group(2)))
     parts = spec.split(":")
     kind = parts[0]
     if kind == "farey" and len(parts) >= 2:
         try:
-            n = int(parts[1])
+            n = parse_int(parts[1])
         except ValueError:
             raise ValueError(f"bad Farey bound in {spec!r}") from None
         make, args, flags = FareyWindow, (n,), parts[2:]
     elif kind == "mgrid" and len(parts) >= 3:
         try:
-            primes = [int(p) for p in parts[1].split(",")]
-            bound = int(parts[2])
+            primes = [parse_int(p) for p in parts[1].split(",")]
+            bound = parse_int(parts[2])
         except ValueError:
             raise ValueError(f"bad grid parameters in {spec!r}") from None
         make, args, flags = MultiplicativeGrid, (primes, bound), parts[3:]

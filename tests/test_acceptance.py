@@ -16,7 +16,7 @@ from qramsey.cli import main as cli_main
 from qramsey.cnf import export_cnf, import_assignment
 from qramsey.colorings import Coloring
 from qramsey.detector import build_candidates, find_witness
-from qramsey.patterns import builtin_family, default_catalog, parse_family
+from qramsey.patterns import builtin_family, parse_family
 from qramsey.rado import LinearSystem, columns_condition, cross_validate, system_to_family
 from qramsey.search import AVOIDING, EXHAUSTED, search_avoiding, threshold_sweep
 from qramsey.certificates import (
@@ -29,6 +29,7 @@ from qramsey.windows import FareyWindow, IntegerInterval, MultiplicativeGrid
 
 import _brute
 from _dpll import model_literals, solve
+from _stock import STOCK_KEYS
 
 F = Fraction
 
@@ -126,7 +127,7 @@ def test_criterion_05_cnf_matches_native_search():
     ]
     t0 = time.perf_counter()
     checked = sat_count = 0
-    for key in sorted(default_catalog()):
+    for key in sorted(STOCK_KEYS):
         family = builtin_family(key)
         for window in windows:
             assert window.size() <= 16
@@ -159,7 +160,7 @@ def test_criterion_06_detector_agrees_with_oracle():
         "quotient-poly(1,[t])": FareyWindow(3),
         "product-poly(1,[t])": FareyWindow(3),
     }
-    assert set(setups) == set(default_catalog())
+    assert set(setups) == set(STOCK_KEYS)
     t0 = time.perf_counter()
     for key, window in setups.items():
         assert window.size() <= 40

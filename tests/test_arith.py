@@ -5,7 +5,14 @@ from fractions import Fraction
 
 import pytest
 
-from qramsey.arith import format_polynomial, format_rational, parse_rational, polynomial, read_monomials
+from qramsey.arith import (
+    format_polynomial,
+    format_rational,
+    parse_int,
+    parse_rational,
+    polynomial,
+    read_monomials,
+)
 from qramsey.patterns import X, AffineTerm, parse_family
 
 
@@ -15,6 +22,26 @@ def rand_fraction(rng, span=50):
 
 def rand_poly(rng, max_deg=4):
     return polynomial([rand_fraction(rng, 9) for _ in range(rng.randint(0, max_deg + 1))])
+
+
+class TestIntegerText:
+    @pytest.mark.parametrize(
+        "text,value",
+        [("7", 7), ("-12", -12), ("+3", 3), (" 05 ", 5), ("000", 0), ("-0", 0)],
+    )
+    def test_parse(self, text, value):
+        assert parse_int(text) == value
+
+    @pytest.mark.parametrize("bad", ["", "-", "x", "1.5", "1/2", "1 2", "--1", "1_0"])
+    def test_parse_rejects(self, bad):
+        with pytest.raises(ValueError) as ei:
+            parse_int(bad)
+        assert str(ei.value) == f"not an integer: {bad!r}"
+
+    def test_leading_zeros_are_not_converted(self):
+        zeros = "0" * 5000
+        assert parse_int(f"-{zeros}7") == -7
+        assert parse_int(f"+{zeros}") == 0
 
 
 class TestRationalText:

@@ -56,6 +56,11 @@ class TestDetect:
         assert payload["witness"] is None
         assert payload["candidates"] > 0
 
+    def test_leading_zeros_in_a_color(self):
+        zeros = "0" * 5000
+        padded = run_cli(["detect", "schur", "int:1..4", "--colors", f"[0,1,1,{zeros}0]"])
+        assert padded == run_cli(["detect", "schur", "int:1..4", "--colors", "[0,1,1,0]"])
+
 
 class TestSearch:
     def test_exhausted(self):
@@ -681,7 +686,21 @@ class TestCnfFlow:
             ["import-sat", "schur", "int:1..5", "-r", "2", str(sol)]
         )
         assert code == 1
-        assert payload["witness"] is not None
+        assert payload["witness"] == {"x": "1", "y": "1", "color": 0, "values": ["1", "1", "2"]}
+        # detect scans the candidate table: the same witness
+        code, scanned = run_json(["detect", "schur", "int:1..5", "--colors", "[0,0,0,0,0]"])
+        assert scanned["witness"] == payload["witness"]
+
+    def test_import_builds_no_candidate_table(self, tmp_path, monkeypatch):
+        # the coloring is checked one color class at a time, as verify checks one
+        def refuse(family, window):
+            raise AssertionError("candidate table built")
+
+        monkeypatch.setattr(cli, "build_candidates", refuse)
+        sol = tmp_path / "allzero.txt"
+        sol.write_text("v " + " ".join(f"{2 * e + 1} {-(2 * e + 2)}" for e in range(5)) + " 0\n")
+        code, payload = run_json(["import-sat", "schur", "int:1..5", "-r", "2", str(sol)])
+        assert (code, payload["witness"]["values"]) == (1, ["1", "1", "2"])
 
     def test_import_builds_no_constraint_groups(self, tmp_path, monkeypatch):
         # The variable numbering depends on the window size and r only, so
@@ -704,15 +723,6 @@ class TestCnfFlow:
         assert "error: need at least one color, got r=0" in capsys.readouterr().err
 
 
-class TestCatalog:
-    def test_listing(self):
-        code, payload = run_json(["catalog"])
-        assert code == 0
-        assert len(payload) == 7
-        assert payload["schur"] == "x; y; x + t"
-        assert payload["question-hs"] == "x; y; x * y^1; x + t"
-
-
 class TestErrorPaths:
     def test_bad_window(self):
         code, _ = run_cli(["detect", "schur", "notawindow", "--colors", "0"])
@@ -732,6 +742,7 @@ class TestErrorPaths:
             ("[-1,-1,-1,-1]", "color -1 out of range 0..0"),
             ("[0,-2,1,0]", "color -2 out of range 0..1"),
             ("[,]", "empty color list"),
+            ("[0,x]", "not an integer: 'x'"),
         ],
     )
     def test_bad_colors_named_without_r(self, capsys, colors, message):
@@ -825,9 +836,10 @@ class TestErrorPaths:
             ["search", "schur", "int:1..4", "-r", "2", "--seconds", "1"],
             ["sweep", "schur", "-r", "2", "--lo", "1", "--hi", "4", "--seconds", "1"],
             ["rado", "x1 + x2 - x3 = 0", "--validate", "--seconds", "1"],
+            ["catalog"],
         ],
         ids=["method", "exhaustive", "seed", "config", "largeset", "localize",
-             "seconds-search", "seconds-sweep", "seconds-rado"],
+             "seconds-search", "seconds-sweep", "seconds-rado", "catalog"],
     )
     def test_removed_options_rejected(self, argv):
         code, text = run_cli(argv)
@@ -841,8 +853,7 @@ class TestErrorPaths:
 
 TOP_USAGE = (
     "usage: qramsey [-h] [--version]\n"
-    "               {detect,search,sweep,rado,export-cnf,import-sat,verify,catalog}\n"
-    "               ..."
+    "               {detect,search,sweep,rado,export-cnf,import-sat,verify} ..."
 )
 SEARCH = ["search", "schur", "int:1..5", "-r", "2"]
 
@@ -858,7 +869,9 @@ class TestArgumentHandling:
     Help is pinned by its usage paragraph and by the digest of its whole
     text, recorded the same way.  When the "max_seconds" key left the search
     budget, each search digest was re-pinned to its old stdout without that
-    key, and the search, sweep and rado help to its text without --seconds."""
+    key, and the search, sweep and rado help to its text without --seconds.
+    When the catalog command left, the top-level usage and help were
+    re-pinned to their text without it."""
 
     @pytest.mark.parametrize(
         "argv, code, stdout",
@@ -867,7 +880,7 @@ class TestArgumentHandling:
             (["--version"], 0, "6387ed524f575620"),
             (["nosuch"], 2, ""),
             (["sea", "schur", "int:1..5", "-r", "2"], 2, ""),
-            (["catalog", "extra"], 2, ""),
+            (["verify", "c.json", "extra"], 2, ""),
             (["verify"], 2, ""),
             (["search", "schur", "int:1..5"], 2, ""),
             (SEARCH + ["--version"], 2, ""),
@@ -919,7 +932,7 @@ class TestArgumentHandling:
     @pytest.mark.parametrize(
         "command, digest",
         [
-            (None, "4394a374d4f627480382847cf1b03ef882a609ba3c05d37422da365e5aa57cff"),
+            (None, "14587c72cc76e9463b925504b2fab5ebd7e14d8b657cd393427308bdd3b6f963"),
             ("detect", "a127c4db1ea8cc0dcb3137b58cf89362951df09a65eb57ffc9719047329c36b6"),
             ("search", "c1a0a9a6a4c39888c92fbdb287ff58991f8c55c6cfae0bc0b34c925cc32b4e26"),
             ("sweep", "a17e9e6b517f59ec1d0b0329a8871b03dea1bd4008c8f3a07d426fe9cea34793"),
@@ -927,10 +940,8 @@ class TestArgumentHandling:
             ("export-cnf", "4e474951b7fa09ceace2229fc90f2b2a8dee6edd54539063d5986fbb34c6398a"),
             ("import-sat", "17205c6bba2086a97cfa0c30faa3e2a29bcd224d4683e93105c0f9fb5233f123"),
             ("verify", "0c94215e8c700f8f855df7617b2bec0da84bc658dd2500251dcdd53b503c0aba"),
-            ("catalog", "0b4439ac56c6664efc0cff998fd57f5e49f6c1de8c6575a33b5b9e2bf0a39fcc"),
         ],
-        ids=["top", "detect", "search", "sweep", "rado", "export-cnf", "import-sat", "verify",
-             "catalog"],
+        ids=["top", "detect", "search", "sweep", "rado", "export-cnf", "import-sat", "verify"],
     )
     def test_full_help(self, monkeypatch, capsys, command, digest):
         monkeypatch.setenv("COLUMNS", "80")
@@ -1077,10 +1088,10 @@ class TestModuleEntry:
         return subprocess.run(command, env=env,
                               stderr=subprocess.PIPE, text=True, timeout=60, **kwargs)
 
-    def test_catalog(self):
-        done = self.run_module("catalog")
+    def test_search(self):
+        done = self.run_module(*SEARCH)
         assert done.returncode == 0
-        assert done.stdout == run_cli(["catalog"])[1]
+        assert done.stdout == run_cli(SEARCH)[1]
 
     def test_unknown_command_exits_2(self):
         done = self.run_module("nosuch")
@@ -1088,9 +1099,9 @@ class TestModuleEntry:
         assert done.stdout == ""
 
     def test_cli_module_runs_the_cli(self):
-        done = self.run_module("catalog", module="qramsey.cli")
+        done = self.run_module(*SEARCH, module="qramsey.cli")
         assert done.returncode == 0
-        assert done.stdout == self.run_module("catalog").stdout
+        assert done.stdout == self.run_module(*SEARCH).stdout
         assert self.run_module("nosuch", module="qramsey.cli").returncode == 2
 
     def test_verify_imports_no_argparse(self, tmp_path):
@@ -1105,7 +1116,7 @@ class TestModuleEntry:
 
     def test_closed_stdout_exits_141_quietly(self):
         # argparse drops the write error of -h itself
-        for argv in (["catalog"], ["-h"], ["search", "-h"], ["--version"]):
+        for argv in (SEARCH, ["-h"], ["search", "-h"], ["--version"]):
             read_end, write_end = os.pipe()
             os.close(read_end)
             try:

@@ -9,12 +9,13 @@ from qramsey.cnf import (
     to_dimacs,
 )
 from qramsey.detector import build_candidates, find_witness
-from qramsey.patterns import builtin_family, default_catalog
+from qramsey.patterns import builtin_family
 from qramsey.search import AVOIDING, EXHAUSTED, search_avoiding
 from qramsey.windows import FareyWindow, IntegerInterval
 
 import _brute
 from _dpll import model_literals, solve
+from _stock import STOCK_KEYS
 
 
 class TestStructure:
@@ -69,7 +70,7 @@ SMALL_WINDOWS = [IntegerInterval(1, 6), IntegerInterval(1, 10), FareyWindow(2)]
 
 
 class TestOracleEquivalence:
-    @pytest.mark.parametrize("key", sorted(default_catalog()))
+    @pytest.mark.parametrize("key", sorted(STOCK_KEYS))
     def test_sat_iff_native_search_avoiding(self, key):
         family = builtin_family(key)
         for window in SMALL_WINDOWS:
@@ -96,6 +97,14 @@ class TestAssignmentText:
 
     def test_parse_skips_blank_lines(self):
         assert parse_assignment("\n\nv 2 0\n") == [2]
+
+    def test_leading_zeros_are_not_converted(self):
+        zeros = "0" * 5000
+        assert parse_assignment(f"v {zeros}5 -{zeros}2 {zeros}\n") == [5, -2]
+
+    def test_bad_literal_rejected(self):
+        with pytest.raises(ValueError, match="^not an integer: 'x'$"):
+            parse_assignment("v 1 x 0\n")
 
     def test_parse_minisat_result_file(self):
         assert parse_assignment("SAT\n1 -2 3 -4 0\n") == [1, -2, 3, -4]

@@ -30,7 +30,6 @@ from qramsey.patterns import (
     Family,
     PowerTerm,
     VarY,
-    default_catalog,
     parse_family,
 )
 from qramsey.search import AVOIDING, EXHAUSTED, search_avoiding, window_for_template
@@ -38,6 +37,7 @@ from qramsey.windows import parse_window
 
 import _brute
 from _dpll import model_literals, solve
+from _stock import STOCK_KEYS
 
 DRAWS = 300
 SCALARS = [Fraction(1), Fraction(1), Fraction(2), Fraction(-1), Fraction(1, 2)]
@@ -181,7 +181,7 @@ def test_per_color_gate_catches_a_broken_join(monkeypatch, mutant):
 
 TABLE_WINDOWS = ["int:-4..4", "farey:4:-zero", "farey:4:-neg", "mgrid:2,3:1:+sign"]
 TABLE_FAMILIES = [
-    *default_catalog(),
+    *STOCK_KEYS,
     "quotient-poly(2,[t;t^2])",
     "product-poly(2,[t^2])",
     "x; x / y^2; -1/2*x + (2*y)^2 - (2*y)",

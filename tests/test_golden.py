@@ -56,7 +56,6 @@ COMMANDS = [
     'rado "x1 + x2 - 3*x3 = 0" --validate -r 2 --n-max 12',
     'export-cnf "question-hs" int:1..12 -r 2 --out q.cnf',
     'import-sat "question-hs" int:1..12 -r 2 q.out',
-    "catalog",
     # one search with certificates on each window kind, catalog keys with lists
     'search "quotient-poly(1,[t])" int:1..12 -r 2 --cert-dir certs --cert-stem qp',
     "search schur farey:3 -r 2 --cert-dir certs --cert-stem f3",

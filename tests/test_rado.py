@@ -124,6 +124,12 @@ class TestParseEquation:
         with pytest.raises(ValueError, match="^variables are numbered from x1$"):
             parse_equation("x0 + x1 = 0")
 
+    def test_leading_zeros_in_an_index(self):
+        zeros = "0" * 5000
+        assert parse_equation(f"x{zeros}1 + x2 - x{zeros}3 = 0") == parse_equation("x1 + x2 - x3 = 0")
+        with pytest.raises(ValueError, match="^variables are numbered from x1$"):
+            parse_equation(f"x{zeros} + x1 = 0")
+
     def test_column_cap_at_parse_time(self):
         assert len(parse_equation("x1 - x20 = 0").coeffs) == 20
         with pytest.raises(ValueError, match="^21 columns exceed the cap 20$"):

@@ -14,7 +14,7 @@ from qramsey.certificates import (
     write_certificate,
 )
 from qramsey.detector import build_candidates, find_witness
-from qramsey.patterns import builtin_family, default_catalog, parse_family
+from qramsey.patterns import builtin_family, parse_family
 from qramsey.search import (
     AVOIDING,
     BUDGET_EXCEEDED,
@@ -26,10 +26,11 @@ from qramsey.search import (
 from qramsey.windows import FareyWindow, IntegerInterval, MultiplicativeGrid, parse_window
 
 import _brute
+from _stock import STOCK_KEYS
 
 
 class TestAgainstEnumeration:
-    @pytest.mark.parametrize("key", sorted(default_catalog()))
+    @pytest.mark.parametrize("key", sorted(STOCK_KEYS))
     @pytest.mark.parametrize("r", [2, 3])
     def test_small_integer_windows(self, key, r):
         family = builtin_family(key)

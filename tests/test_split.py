@@ -27,12 +27,13 @@ import pytest
 from qramsey import search
 from qramsey.cli import main
 from qramsey.detector import build_candidates
-from qramsey.patterns import builtin_family, default_catalog, parse_family
+from qramsey.patterns import builtin_family, parse_family
 from qramsey.search import AVOIDING, BUDGET_EXCEEDED, EXHAUSTED, search_avoiding
 from qramsey.windows import parse_window
 
 import test_fuzz
 import test_golden
+from _stock import STOCK_KEYS
 
 DEPTHS = [0, 1, 2, 4, 6]
 # The integer searches of the benchmark: (family, window, r, nodes, digest).
@@ -170,7 +171,7 @@ def small_instances():
     for draw in range(test_fuzz.DRAWS):
         family, window, r = test_fuzz.draw_case(draw)
         cases.append((family, window, r))
-    for key in sorted(default_catalog()):
+    for key in sorted(STOCK_KEYS):
         for spec in ("int:1..8", "farey:3", "mgrid:2,3:2"):
             for r in (2, 3):
                 cases.append((builtin_family(key), parse_window(spec), r))

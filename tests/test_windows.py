@@ -220,6 +220,20 @@ class TestParseWindow:
             parse_window(spec)
         assert str(ei.value) == f"unknown flag {spec.rsplit(':', 1)[1]!r} in {spec!r}"
 
+    def test_leading_zeros_are_not_converted(self):
+        # int() refuses more than 4300 digits, leading zeros counted; only the
+        # digits after them are converted
+        zeros = "0" * 5000
+        for spec, canonical in [
+            (f"int:1..{zeros}5", "int:1..5"),
+            (f"int:-{zeros}2..{zeros}", "int:-2..0"),
+            (f"farey:{zeros}3", "farey:3"),
+            (f"farey:{zeros}3:-zero", "farey:3:-zero"),
+            (f"mgrid:{zeros}2:1", "mgrid:2:1"),
+            (f"mgrid:2,{zeros}3:{zeros}1:+sign", "mgrid:2,3:1:+sign"),
+        ]:
+            assert parse_window(spec).spec_string() == canonical
+
     def test_later_flag_wins(self):
         assert parse_window("farey:2:-zero:+zero:-neg").spec_string() == "farey:2:-neg"
         assert parse_window("mgrid:2:1:+sign:-sign").spec_string() == "mgrid:2:1"
