@@ -2,12 +2,14 @@
 
 Machine-readable results go to stdout as JSON with sorted keys and no
 timing fields, so identical inputs produce identical bytes.  Wall-clock
-timing goes to stderr.  Exit codes: 0 when the requested computation
-completed (whatever the mathematical outcome), 1 when a verification
-subcommand found a violation, 2 for bad arguments, 3 when
+timing goes to stderr.  A command writes its document into a buffer, and
+``main`` writes the buffer to stdout in one whole write once the command is
+done, so a failed command leaves stdout empty.  Exit codes: 0 when the
+requested computation completed (whatever the mathematical outcome), 1 when
+a verification subcommand found a violation, 2 for bad arguments, 3 when
 ``verify`` did not check the claim (an upper bound without ``--rerun``),
-141 (128 + SIGPIPE) when stdout was closed before the result, the help or
-the version was written.
+141 (128 + SIGPIPE) when stdout is closed, or its reader leaves, before the
+whole document (a result, the help or the version) is written.
 
 Each command lists its positionals and options as data (``Arg``) in
 ``COMMANDS``.  The plain forms are read from that table by hand: positionals,
@@ -20,6 +22,8 @@ So argparse is imported only off the plain path.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import re
@@ -87,9 +91,10 @@ def _coloring_from_args(window: Window, args: SimpleNamespace) -> Coloring:
     body = args.colors.strip()
     if body.startswith("[") and body.endswith("]"):
         body = body[1:-1]
-    colors = [parse_int(tok) for tok in body.replace(",", " ").split()]
-    if not colors:
+    if not body.replace(",", "").strip():
         raise ValueError("empty color list")
+    # an empty entry between commas reaches parse_int, which rejects it
+    colors = [parse_int(tok) for entry in body.split(",") for tok in entry.split() or [entry]]
     r = args.r if args.r is not None else max(max(colors), 0) + 1
     return Coloring(window, colors, r)
 
@@ -130,26 +135,24 @@ def _cmd_search(args, out) -> int:
     if path:
         print(f"certificate: {path}", file=sys.stderr)
     _emit(out, _result_json(res))
-    print(f"search wall time: {res.wall_time:.3f}s", file=sys.stderr)
     return 0
 
 
 def _cmd_sweep(args, out) -> int:
     family = _resolve_family(args)
     stem = args.template.replace(":", "_").replace(",", "_")
-    rows = ["n,window_size,outcome,nodes,certificate_path\n"]
+    out.write("n,window_size,outcome,nodes,certificate_path\n")
     minimal = None
     for n, window, res in threshold_sweep(
         family, args.r, args.template, args.lo, args.hi, max_nodes=args.nodes
     ):
         path = _write_certificate(res, args.cert_dir, f"{stem}-{n}")
-        rows.append(f"{n},{window.size()},{res.outcome},{res.nodes},{path}\n")
+        out.write(f"{n},{window.size()},{res.outcome},{res.nodes},{path}\n")
         print(f"n={n} search wall time: {res.wall_time:.3f}s", file=sys.stderr)
         if res.outcome == EXHAUSTED and minimal is None:
             minimal = n
             if args.stop_at_exhausted:
                 break
-    out.writelines(rows)  # only once every row is decided: a failing row leaves stdout empty
     if minimal is not None:
         print(f"minimal exhausted n: {minimal}", file=sys.stderr)
     return 0
@@ -220,10 +223,7 @@ def _cmd_import_sat(args, out) -> int:
         "coloring": list(coloring.colors),
         "witness": _witness_json(witness),
     })
-    if witness is not None:
-        print("imported assignment is not avoiding", file=sys.stderr)
-        return 1
-    return 0
+    return 0 if witness is None else 1
 
 
 def _cmd_verify(args, out) -> int:
@@ -391,52 +391,51 @@ def parse_args(argv: list[str]) -> SimpleNamespace:
     return args
 
 
-def _reader_gone(stream) -> bool:
-    """Whether ``stream`` is a pipe or socket whose reading end was closed."""
-    import select  # here, not at the top: only -h, --version and a write error need it
-
-    try:
-        fd = stream.fileno()
-    except OSError:  # not backed by a descriptor
-        return False
-    poller = select.poll()
-    poller.register(fd, 0)  # POLLERR and POLLHUP are always reported
-    return any(ev & (select.POLLERR | select.POLLHUP) for _, ev in poller.poll(0))
+def _write_whole(out, text: str) -> None:
+    """Write ``text`` to ``out`` whole: through its binary ``buffer``, if any,
+    looping on the count each write returns (an unbuffered stdout drops it)."""
+    raw = getattr(out, "buffer", None)
+    if raw is None:
+        out.write(text)
+        return
+    out.flush()
+    data = memoryview(text.encode(out.encoding, out.errors))
+    while data:
+        data = data[raw.write(data):]
+    raw.flush()
 
 
 def main(argv: list[str] | None = None, out=None) -> int:
-    out = out or sys.stdout
+    doc = io.StringIO()  # all that the command writes to stdout
     try:
-        args = parse_args(sys.argv[1:] if argv is None else argv)
+        with contextlib.redirect_stdout(doc):  # argparse's -h and --version text
+            args = parse_args(sys.argv[1:] if argv is None else argv)
         started = time.perf_counter()
-        code = args.func(args, out)
-        out.flush()
-        print(f"total wall time: {time.perf_counter() - started:.3f}s", file=sys.stderr)
-        return code
-    except SystemExit as exc:
-        if exc.code != 0:
-            return 2
-        # -h or --version wrote to stdout: a write error shows here, if
-        # argparse did not drop it
-        try:
-            sys.stdout.flush()
-        except BrokenPipeError:
-            pass
-        if not _reader_gone(sys.stdout):
-            return 0
-    except BrokenPipeError as exc:
-        if out is not sys.stdout or not _reader_gone(sys.stdout):
-            print(f"error: {exc}", file=sys.stderr)  # a certificate or --out file
-            return 2
-    except (ValueError, OSError) as exc:
+        code = args.func(args, doc)
+    except SystemExit as exc:  # argparse's help, version or error
+        code, started = 2 if exc.code else 0, None
+    except (ValueError, OSError) as exc:  # an OSError here is a certificate or --out file's
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    # stdout's reader has gone; point stdout at os.devnull, so that the
-    # interpreter's final flush does not raise
-    devnull = os.open(os.devnull, os.O_WRONLY)
-    os.dup2(devnull, sys.stdout.fileno())
-    os.close(devnull)
-    return 141
+    out = out or sys.stdout
+    text = doc.getvalue()
+    if text:  # export-cnf --out writes none
+        if out is None:  # stdout was closed before the process started
+            return 141
+        try:
+            _write_whole(out, text)
+        except OSError as exc:
+            # point stdout at os.devnull, so that the interpreter's final flush does not raise
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, out.fileno())
+            os.close(devnull)
+            if isinstance(exc, BrokenPipeError):
+                return 141
+            print(f"error: {exc}", file=sys.stderr)  # such as a full disk
+            return 2
+    if started is not None:
+        print(f"total wall time: {time.perf_counter() - started:.3f}s", file=sys.stderr)
+    return code
 
 
 def entry() -> None:

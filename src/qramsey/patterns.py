@@ -226,9 +226,6 @@ class Family:
     def serialize(self) -> str:
         return "; ".join(t.text() for t in self.terms)
 
-    def __str__(self) -> str:
-        return self.serialize()
-
 
 @dataclass(frozen=True)
 class Witness:

@@ -56,6 +56,11 @@ class TestDetect:
         assert payload["witness"] is None
         assert payload["candidates"] > 0
 
+    def test_color_list_spellings(self):
+        argv = ["detect", "schur", "int:1..4", "--colors"]
+        spellings = ["0 1 1 0", "[0, 1, 1, 0]", "[0,1,1,0]", " [ 0 ,1, 1 , 0 ] "]
+        assert len({run_cli([*argv, colors]) for colors in spellings}) == 1
+
     def test_leading_zeros_in_a_color(self):
         zeros = "0" * 5000
         padded = run_cli(["detect", "schur", "int:1..4", "--colors", f"[0,1,1,{zeros}0]"])
@@ -743,6 +748,9 @@ class TestErrorPaths:
             ("[0,-2,1,0]", "color -2 out of range 0..1"),
             ("[,]", "empty color list"),
             ("[0,x]", "not an integer: 'x'"),
+            ("[0,1,,1,0]", "not an integer: ''"),
+            ("[0,1,1,0,]", "not an integer: ''"),
+            (",0,1,1,0", "not an integer: ''"),
         ],
     )
     def test_bad_colors_named_without_r(self, capsys, colors, message):
@@ -1077,32 +1085,61 @@ class TestParsersBuilt:
         capsys.readouterr()
 
 
+# stdout's binary layer is buffered under PYTHONUNBUFFERED unset and a raw
+# file under PYTHONUNBUFFERED=1; every stdout case runs under both
+UNBUFFERED = (False, True)
+
+
 class TestModuleEntry:
-    def run_module(self, *argv, module="qramsey", **kwargs):
-        """Run ``python -m module argv``, or ``python argv`` for module None."""
+    def module_command(self, argv, module="qramsey", unbuffered=False):
+        """The command ``python -m module argv``, or ``python argv`` for module
+        None, and its environment, which sets PYTHONUNBUFFERED either way."""
         src = os.path.dirname(os.path.dirname(cli.__file__))
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = dict(os.environ, PYTHONPATH=path)
+        env = dict(os.environ, PYTHONPATH=path, PYTHONUNBUFFERED="1" if unbuffered else "")
+        return [sys.executable, *(["-m", module] if module else []), *argv], env
+
+    def run_module(self, *argv, module="qramsey", unbuffered=False, **kwargs):
+        command, env = self.module_command(argv, module, unbuffered)
         kwargs.setdefault("stdout", subprocess.PIPE)
-        command = [sys.executable, *(["-m", module] if module else []), *argv]
         return subprocess.run(command, env=env,
                               stderr=subprocess.PIPE, text=True, timeout=60, **kwargs)
 
+    def read_one_line(self, argv, unbuffered, runs=20, at_once=4):
+        """Exit code and stderr of each of ``runs`` runs of ``argv`` whose
+        reader reads one line of stdout and then closes its end."""
+        command, env = self.module_command(argv, unbuffered=unbuffered)
+        results = []
+        for _ in range(0, runs, at_once):
+            procs = [subprocess.Popen(command, env=env, stdout=subprocess.PIPE,
+                                      stderr=subprocess.PIPE, text=True)
+                     for _ in range(at_once)]
+            for proc in procs:
+                proc.stdout.readline()
+                proc.stdout.close()
+                _, err = proc.communicate(timeout=60)
+                results.append((proc.returncode, err))
+        return results
+
     def test_search(self):
-        done = self.run_module(*SEARCH)
-        assert done.returncode == 0
-        assert done.stdout == run_cli(SEARCH)[1]
+        for unbuffered in UNBUFFERED:
+            done = self.run_module(*SEARCH, unbuffered=unbuffered)
+            assert done.returncode == 0
+            assert done.stdout == run_cli(SEARCH)[1]
 
     def test_unknown_command_exits_2(self):
-        done = self.run_module("nosuch")
-        assert done.returncode == 2
-        assert done.stdout == ""
+        for unbuffered in UNBUFFERED:
+            done = self.run_module("nosuch", unbuffered=unbuffered)
+            assert done.returncode == 2
+            assert done.stdout == ""
 
     def test_cli_module_runs_the_cli(self):
-        done = self.run_module(*SEARCH, module="qramsey.cli")
-        assert done.returncode == 0
-        assert done.stdout == self.run_module(*SEARCH).stdout
-        assert self.run_module("nosuch", module="qramsey.cli").returncode == 2
+        for unbuffered in UNBUFFERED:
+            done = self.run_module(*SEARCH, module="qramsey.cli", unbuffered=unbuffered)
+            assert done.returncode == 0
+            assert done.stdout == self.run_module(*SEARCH, unbuffered=unbuffered).stdout
+            nosuch = self.run_module("nosuch", module="qramsey.cli", unbuffered=unbuffered)
+            assert nosuch.returncode == 2
 
     def test_verify_imports_no_argparse(self, tmp_path):
         argv = ["search", "schur", "int:1..4", "-r", "2", "--cert-dir", str(tmp_path)]
@@ -1111,19 +1148,51 @@ class TestModuleEntry:
                 f"code = main(['verify', {str(tmp_path / 'result.lower-bound.json')!r}], "
                 "out=io.StringIO()); "
                 "print(code, sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))")
-        done = self.run_module("-c", code, module=None)
-        assert (done.returncode, done.stdout) == (0, "0 []\n")
+        for unbuffered in UNBUFFERED:
+            done = self.run_module("-c", code, module=None, unbuffered=unbuffered)
+            assert (done.returncode, done.stdout) == (0, "0 []\n")
 
     def test_closed_stdout_exits_141_quietly(self):
-        # argparse drops the write error of -h itself
-        for argv in (SEARCH, ["-h"], ["search", "-h"], ["--version"]):
-            read_end, write_end = os.pipe()
-            os.close(read_end)
-            try:
-                done = self.run_module(*argv, stdout=write_end)
-            finally:
-                os.close(write_end)
-            assert (done.returncode, done.stderr) == (141, ""), argv
+        for unbuffered in UNBUFFERED:
+            for argv in (SEARCH, ["-h"], ["search", "-h"], ["--version"]):
+                read_end, write_end = os.pipe()
+                os.close(read_end)
+                try:
+                    done = self.run_module(*argv, stdout=write_end, unbuffered=unbuffered)
+                finally:
+                    os.close(write_end)
+                assert (done.returncode, done.stderr) == (141, ""), (argv, unbuffered)
+
+    def test_stdout_descriptor_closed_exits_141_quietly(self):
+        # as `qramsey ... >&-`: the interpreter starts with sys.stdout None
+        for unbuffered in UNBUFFERED:
+            for argv in (SEARCH, ["-h"]):
+                done = self.run_module(*argv, stdout=None, unbuffered=unbuffered,
+                                       preexec_fn=lambda: os.close(1))
+                assert (done.returncode, done.stderr) == (141, ""), (argv, unbuffered)
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_full_stdout_is_an_error(self):
+        for unbuffered in UNBUFFERED:
+            with open("/dev/full", "w") as full:
+                done = self.run_module(*SEARCH, stdout=full, unbuffered=unbuffered)
+            assert done.returncode == 2, unbuffered
+            assert done.stderr == "error: [Errno 28] No space left on device\n", unbuffered
+
+    @pytest.mark.parametrize("unbuffered", UNBUFFERED, ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("argv", [
+        ["-h"], ["--version"], SEARCH, ["sweep", "schur", "-r", "2", "--lo", "1", "--hi", "6"],
+    ], ids=["help", "version", "search", "sweep"])
+    def test_reader_of_one_line_takes_a_short_document_whole(self, argv, unbuffered):
+        # the document fits the pipe, so one write takes it before the reader leaves
+        codes = [code for code, _ in self.read_one_line(argv, unbuffered)]
+        assert codes == [0] * 20
+
+    @pytest.mark.parametrize("unbuffered", UNBUFFERED, ids=["buffered", "unbuffered"])
+    def test_reader_of_one_line_cuts_a_long_document(self, unbuffered):
+        # 1.1 MB of DIMACS: the reader leaves before the write is done
+        argv = ["export-cnf", "schur", "int:1..300", "-r", "3"]
+        assert self.read_one_line(argv, unbuffered) == [(141, "")] * 20
 
     def test_broken_pipe_on_an_output_file_is_an_error(self, tmp_path, monkeypatch, capsys):
         def reader_gone(*args, **kwargs):
