@@ -17,14 +17,14 @@ exact flags, and exact options with their value after ``=`` or in the next
 token.  Every other form (an abbreviation, ``-r2``, ``--``, ``-h``,
 ``--version``, a bad argument) goes to an argparse parser built from the same
 table, which reads it, prints the help, the version or the error, and exits.
-So argparse is imported only off the plain path.
+So argparse is imported only off the plain path.  The handlers that the
+table names are in ``commands``.
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
-import json
 import os
 import re
 import sys
@@ -32,214 +32,7 @@ import time
 from types import SimpleNamespace
 from typing import NamedTuple
 
-from . import __version__
-from .arith import format_rational, parse_int
-from .certificates import (
-    certificate_for_result,
-    load_certificate,
-    verify_certificate,
-    write_certificate,
-)
-from .cnf import export_cnf, import_assignment, parse_assignment, to_dimacs
-from .colorings import Coloring
-from .detector import build_candidates, find_witness
-from .patterns import Family, parse_family
-from .rado import columns_condition, cross_validate, parse_equation, system_to_family
-from .search import AVOIDING, EXHAUSTED, check_node_budget, search_avoiding, threshold_sweep
-from .windows import Window, parse_window
-
-
-def _emit(out, payload: dict) -> None:
-    out.write(json.dumps(payload, sort_keys=True, indent=2))
-    out.write("\n")
-
-
-def _resolve_family(args: SimpleNamespace) -> Family:
-    return parse_family(
-        args.family,
-        allow_offsets=args.allow_offsets,
-        require_distinct_values=args.distinct,
-        strict_nonzero_x=args.strict_x,
-    )
-
-
-def _witness_json(w) -> dict | None:
-    if w is None:
-        return None
-    return {
-        "x": format_rational(w.x),
-        "y": format_rational(w.y),
-        "color": w.color,
-        "values": [format_rational(v) for v in w.values],
-    }
-
-
-def _result_json(res) -> dict:
-    return {
-        "family": res.family_text,
-        "window": res.window_spec,
-        "r": res.r,
-        "outcome": res.outcome,
-        "nodes": res.nodes,
-        "proof_log_hash": res.proof_log_hash,
-        "coloring": None if res.coloring is None else list(res.coloring.colors),
-        "budget": {"max_nodes": res.max_nodes},
-    }
-
-
-def _coloring_from_args(window: Window, args: SimpleNamespace) -> Coloring:
-    body = args.colors.strip()
-    if body.startswith("[") and body.endswith("]"):
-        body = body[1:-1]
-    if not body.replace(",", "").strip():
-        raise ValueError("empty color list")
-    # an empty entry between commas reaches parse_int, which rejects it
-    colors = [parse_int(tok) for entry in body.split(",") for tok in entry.split() or [entry]]
-    r = args.r if args.r is not None else max(max(colors), 0) + 1
-    return Coloring(window, colors, r)
-
-
-# ---------------------------------------------------------------------------
-# Subcommand bodies
-
-
-def _cmd_detect(args, out) -> int:
-    family = _resolve_family(args)
-    window = parse_window(args.window)
-    coloring = _coloring_from_args(window, args)
-    table = build_candidates(family, window)
-    witness = find_witness(family, coloring, table)
-    _emit(out, {
-        "family": family.serialize(),
-        "window": window.spec_string(),
-        "r": coloring.r,
-        "candidates": len(table.entries),
-        "witness": _witness_json(witness),
-    })
-    return 0
-
-
-def _write_certificate(res, cert_dir: str | None, stem: str) -> str:
-    """Write the certificate of an avoiding or exhausted result into
-    ``cert_dir``; its path, or "" when nothing was written."""
-    if cert_dir is None or res.outcome not in (AVOIDING, EXHAUSTED):
-        return ""
-    return write_certificate(certificate_for_result(res), cert_dir, stem)
-
-
-def _cmd_search(args, out) -> int:
-    family = _resolve_family(args)
-    window = parse_window(args.window)
-    res = search_avoiding(family, window, args.r, max_nodes=args.nodes)
-    path = _write_certificate(res, args.cert_dir, args.cert_stem)
-    if path:
-        print(f"certificate: {path}", file=sys.stderr)
-    _emit(out, _result_json(res))
-    return 0
-
-
-def _cmd_sweep(args, out) -> int:
-    family = _resolve_family(args)
-    stem = args.template.replace(":", "_").replace(",", "_")
-    out.write("n,window_size,outcome,nodes,certificate_path\n")
-    minimal = None
-    for n, window, res in threshold_sweep(
-        family, args.r, args.template, args.lo, args.hi, max_nodes=args.nodes
-    ):
-        path = _write_certificate(res, args.cert_dir, f"{stem}-{n}")
-        out.write(f"{n},{window.size()},{res.outcome},{res.nodes},{path}\n")
-        print(f"n={n} search wall time: {res.wall_time:.3f}s", file=sys.stderr)
-        if res.outcome == EXHAUSTED and minimal is None:
-            minimal = n
-            if args.stop_at_exhausted:
-                break
-    if minimal is not None:
-        print(f"minimal exhausted n: {minimal}", file=sys.stderr)
-    return 0
-
-
-def _cmd_rado(args, out) -> int:
-    system = parse_equation(args.equation)
-    check_node_budget(args.nodes)
-    if args.r < 1:
-        raise ValueError(f"need at least one color, got r={args.r}")
-    if args.n_max < 1:
-        raise ValueError(f"need at least one window, got n_max={args.n_max}")
-    if args.validate:
-        report = cross_validate(system, args.r, args.n_max, max_nodes=args.nodes)
-        cond = report.condition
-        details = {
-            "supported": report.family_text is not None,
-            "family": report.family_text,
-            "consistent": True,  # no finite outcome contradicts either verdict
-            "note": report.note,
-            "rows": [
-                {"n": r.n, "outcome": r.outcome, "nodes": r.nodes} for r in report.rows
-            ],
-        }
-    else:
-        cond = columns_condition(system)
-        family, _ = system_to_family(system)
-        details = {
-            "family": None if family is None else family.serialize(),
-            "note": cond.note,
-        }
-    _emit(out, {
-        "equation": args.equation,
-        "columns_condition": cond.holds,
-        "partition": [list(block) for block in cond.partition] if cond.partition else None,
-        **details,
-    })
-    return 0
-
-
-def _cmd_export_cnf(args, out) -> int:
-    family = _resolve_family(args)
-    window = parse_window(args.window)
-    cnf = export_cnf(family, window, args.r)
-    text = to_dimacs(cnf)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        print(f"wrote {args.out}", file=sys.stderr)
-    else:
-        out.write(text)
-    return 0
-
-
-def _cmd_import_sat(args, out) -> int:
-    family = _resolve_family(args)
-    window = parse_window(args.window)
-    if args.r < 1:
-        raise ValueError(f"need at least one color, got r={args.r}")
-    with open(args.assignment, "r", encoding="utf-8") as fh:
-        literals = parse_assignment(fh.read())
-    coloring = import_assignment(window, args.r, literals)
-    witness = find_witness(family, coloring)
-    _emit(out, {
-        "family": family.serialize(),
-        "window": window.spec_string(),
-        "r": args.r,
-        "coloring": list(coloring.colors),
-        "witness": _witness_json(witness),
-    })
-    return 0 if witness is None else 1
-
-
-def _cmd_verify(args, out) -> int:
-    cert = load_certificate(args.certificate)
-    res = verify_certificate(cert, rerun=args.rerun)
-    payload: dict = {"certificate": args.certificate, "ok": res.ok, "message": res.message}
-    if res.witness is not None:
-        payload["witness"] = _witness_json(res.witness)
-    _emit(out, payload)
-    if res.ok:
-        return 0
-    return 1 if res.checked else 3
-
-
-# ---------------------------------------------------------------------------
-# Command table
+from . import __version__, commands
 
 
 class Arg(NamedTuple):
@@ -271,39 +64,39 @@ _FAMILY, _WINDOW, _R = Arg(("family",)), Arg(("window",)), Arg(("-r",), int, req
 
 # name -> (help, handler, arguments in the order that help lists them)
 COMMANDS = {
-    "detect": ("find a monochromatic instantiation", _cmd_detect, (
+    "detect": ("find a monochromatic instantiation", commands.cmd_detect, (
         Arg(("family",), help="catalog key or family text"),
         Arg(("window",), help="window spec, e.g. int:1..9"),
         Arg(("--colors",), required=True, help="color list, e.g. [0,1,0,1]"),
         Arg(("-r",), int, help="number of colors (default: max+1)"),
         *_FAMILY_FLAGS,
     )),
-    "search": ("search for an avoiding coloring", _cmd_search, (
+    "search": ("search for an avoiding coloring", commands.cmd_search, (
         _FAMILY, _WINDOW, _R,
         Arg(("--cert-dir",), help="write a certificate here"),
         Arg(("--cert-stem",), default="result", help="certificate file stem"),
         *_FAMILY_FLAGS, _NODES,
     )),
-    "sweep": ("run a window ladder and report outcomes", _cmd_sweep, (
+    "sweep": ("run a window ladder and report outcomes", commands.cmd_sweep, (
         _FAMILY, _R,
         Arg(("--template",), default="int", help="int, farey, or mgrid:p1,p2,..."),
         Arg(("--lo",), int, required=True), Arg(("--hi",), int, required=True),
         Arg(("--cert-dir",)), Arg(("--stop-at-exhausted",), bool),
         *_FAMILY_FLAGS, _NODES,
     )),
-    "rado": ("columns condition for a linear equation", _cmd_rado, (
+    "rado": ("columns condition for a linear equation", commands.cmd_rado, (
         Arg(("equation",), help='e.g. "1*x1 + 1*x2 - 1*x3 = 0"'),
         Arg(("--validate",), bool, help="cross-check against search"),
         Arg(("-r",), int, default=2), Arg(("--n-max",), int, default=20), _NODES,
     )),
-    "export-cnf": ("write the avoidance problem as DIMACS", _cmd_export_cnf, (
+    "export-cnf": ("write the avoidance problem as DIMACS", commands.cmd_export_cnf, (
         _FAMILY, _WINDOW, _R, Arg(("--out",)), *_FAMILY_FLAGS,
     )),
-    "import-sat": ("read a solver model back as a coloring", _cmd_import_sat, (
+    "import-sat": ("read a solver model back as a coloring", commands.cmd_import_sat, (
         _FAMILY, _WINDOW, _R, Arg(("assignment",), help="file with DIMACS v-lines"),
         *_FAMILY_FLAGS,
     )),
-    "verify": ("check a certificate file", _cmd_verify, (
+    "verify": ("check a certificate file", commands.cmd_verify, (
         Arg(("certificate",)), Arg(("--rerun",), bool, help="replay exhaustive searches"),
     )),
 }
@@ -415,7 +208,7 @@ def main(argv: list[str] | None = None, out=None) -> int:
     except SystemExit as exc:  # argparse's help, version or error
         code, started = 2 if exc.code else 0, None
     except (ValueError, OSError) as exc:  # an OSError here is a certificate or --out file's
-        print(f"error: {exc}", file=sys.stderr)
+        commands.note(f"error: {exc}")
         return 2
     out = out or sys.stdout
     text = doc.getvalue()
@@ -431,10 +224,10 @@ def main(argv: list[str] | None = None, out=None) -> int:
             os.close(devnull)
             if isinstance(exc, BrokenPipeError):
                 return 141
-            print(f"error: {exc}", file=sys.stderr)  # such as a full disk
+            commands.note(f"error: {exc}")  # such as a full disk
             return 2
     if started is not None:
-        print(f"total wall time: {time.perf_counter() - started:.3f}s", file=sys.stderr)
+        commands.note(f"total wall time: {time.perf_counter() - started:.3f}s")
     return code
 
 

@@ -8,9 +8,9 @@ one color"):
   uncolored element with the fewest open colors, ties broken by descending
   group count, then by index (fail-first; DSATUR for graph coloring);
 * propagation is forced-color elimination: after an element takes color c,
-  every group holding it is scanned, and a group whose members all have
-  color c but one uncolored member has c struck from that member's domain;
-  a group all of color c is a conflict;
+  the other members of every group holding it are scanned, and a group whose
+  members all have color c but one uncolored member has c struck from that
+  member's domain; a group all of color c is a conflict;
 * symmetry breaking fixes the first assigned element to color 0 and only
   admits a brand-new color directly after the existing ones.
 
@@ -21,11 +21,16 @@ bit, so its undo uncolors the element and sets that bit again on each
 element struck since.  ``_search`` is one loop over an explicit stack, a
 frame per colored ancestor (element, place in the degree order, colors used,
 colors left, trail mark, color bit): it never recurses, and it leaves the
-interpreter's recursion limit alone.  An element propagates through the
-shared group tuples that hold it until it is first uncolored with another of
-its colors to try next, and from then on through each group's other members,
-so that it no longer reads itself; either form skips the members of the
-node's own color.  So no such lists are built after a last open color fails.
+interpreter's recursion limit alone.  When an element is first selected, its
+groups' other members are sorted into four lists, as look-ahead SAT solvers
+keep binary and ternary clauses apart (Knuth, TAOCP 4B, 7.2.2.2): the one
+other member of each group of 2, the pairs of groups of 3, the triples of
+groups of 4, and the tuples of larger groups.  A node runs one loop per list,
+with the test unrolled for the first three, so it never reads its own element
+and reads a second or third member only when the first has the node's color
+or none.  The order of the scans does not shape the tree: every strike a node
+makes is of its own color, a conflict undoes them all, and nothing cascades
+within a node.  Elements never selected build no lists.
 
 Outcomes: an avoiding coloring (re-checked through the detector before it is
 returned), exhaustion of the tree (with node count and a hash of the decision
@@ -33,24 +38,10 @@ trace), or budget exceeded.  The node count and the trace hash are those of
 one depth-first pass from the root, so they depend only on the instance, not
 on how many processes walked the tree.  A search with no budget that has
 counted ``_SPLIT_AT`` nodes forks at its next node no deeper than
-``_SPLIT_DEPTH``, one worker per further CPU it may run on, and the process
-that forked is worker 0.  Before the fork it writes the index of every
-subtree that can be rooted at that depth into one pipe.  From there each
-worker walks the levels above ``_SPLIT_DEPTH`` itself, and at each subtree
-rooted at that depth it reads the next index from the pipe unless it holds
-one not yet reached, and walks the subtree if it holds that subtree's index.
-So a worker that ends a subtree takes the next one that nobody has, and no
-worker idles while one is left.  A walk that ends at an avoiding coloring
-empties the pipe, so no later subtree is taken.  Every worker keeps one
-record per subtree it takes, its node count and trace bytes.  At the end of
-its walk each other worker sends all of them to worker 0 at once and ends,
-and worker 0 joins every record in depth-first order into the one hash it
-has fed since the root.  So the count, the hash and the avoiding coloring,
-the first in subtree order, are the sequential ones.  Budgeted searches, a
-single CPU, platforms without ``os.fork``, processes with other live
-threads and indices that overflow a pipe stay sequential.  The only budget
-is a node count, never the clock: a budget of N stops the search with
-exactly N nodes counted, so every outcome, the budget-exceeded one
+``_SPLIT_DEPTH``, and its workers claim the subtrees rooted at that depth,
+as the ``split`` module describes; budgeted searches stay sequential.  The
+only budget is a node count, never the clock: a budget of N stops the search
+with exactly N nodes counted, so every outcome, the budget-exceeded one
 included, is the same on every machine.
 
 The trace hash is the SHA-256 of the interpreter's own module, ``_sha2`` (or
@@ -66,9 +57,6 @@ from a result by the ``certificates`` module, which imports this one.
 
 from __future__ import annotations
 
-import marshal
-import os
-import sys
 import time
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -84,6 +72,7 @@ except ImportError:
 from .colorings import Coloring
 from .detector import CandidateTable, build_candidates, check_table, find_witness
 from .patterns import Family
+from .split import _fork, _Split
 from .windows import Window, parse_window
 
 AVOIDING = "avoiding"
@@ -115,196 +104,18 @@ _SPLIT_AT = 1024  # nodes a search counts on its own before it forks
 _SPLIT_DEPTH = 6  # depth of the subtree roots the workers claim
 
 
-def _fork(trace, nodes: int, r: int) -> _Split | None:
-    """Fork the workers of a split search of r colors at a node no deeper
-    than ``_SPLIT_DEPTH`` with ``nodes`` counted, or None where it stays
-    sequential: one CPU, no ``os.fork``, another live thread, more subtree
-    indices than a pipe holds, or a pipe or fork that failed."""
-    threading = sys.modules.get("threading")
-    if not hasattr(os, "fork") or (threading is not None and threading.active_count() > 1):
-        return None
-    if hasattr(os, "sched_getaffinity"):
-        workers = len(os.sched_getaffinity(0))
-    else:
-        workers = os.cpu_count() or 1
-    if workers < 2:
-        return None
-    # at depth d the symmetry rule leaves at most d + 1 colors to a node
-    count = 1
-    for d in range(_SPLIT_DEPTH + 1):
-        count *= min(d + 1, r)
-    tokens = b"".join(k.to_bytes(4, "little") for k in range(count))
-    split = _Split(trace, nodes)
-    try:
-        split.tokens, wfd = os.pipe()
-        try:
-            os.set_blocking(wfd, False)
-            written = os.write(wfd, tokens)
-        finally:
-            os.close(wfd)
-        if written < len(tokens):  # the pipe is full
-            raise BlockingIOError
-        for w in range(1, workers):
-            rfd, wfd = os.pipe()
-            split.fds.append(rfd)
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(wfd)
-                raise
-            if pid == 0:
-                split.me = w  # first, so that split.close() ends this process
-                for fd in split.fds:
-                    os.close(fd)
-                split.out, split.pids, split.fds = wfd, [], []
-                return split
-            os.close(wfd)
-            split.pids.append(pid)
-    except OSError:
-        split.close()
-        return None
-    return split
-
-
-class _Split:
-    """One worker's part of a search split over forked processes.
-
-    After the fork every worker walks the levels above ``_SPLIT_DEPTH``
-    itself, in the same DFS order, and numbers the subtrees rooted at that
-    depth as it meets them.  Before the fork worker 0, the process that
-    forks, wrote every index such a subtree can have into one pipe, 4 bytes
-    each, and closed its write end: a read takes the next index no worker
-    has claimed, and the end of the pipe means none is left.  A worker
-    whose last claim is below the subtree it reaches claims again, and
-    walks the subtree if the index it holds is that subtree's.  A walk that
-    ends at an avoiding coloring empties the pipe, so no later subtree is
-    claimed.  Every worker keeps one record per subtree it walks, (nodes,
-    trace bytes, last), by index: the levels above the split depth it
-    walked since the subtree root before k, then subtree k.  The walk's last
-    record is that of the subtree it ends in, or of the levels after the
-    last subtree root, and its ``last`` is the colors of an avoiding
-    coloring or True; any other record's is None.  At the end of its walk
-    another worker sends its records to worker 0 at once and ends.  Worker 0
-    reads each worker's pipe to its end, reaps that worker, and joins every
-    record in index order into the node count and the trace hash it held at
-    the fork, so the result is the sequential one.  No worker waits for
-    another to claim or send: the pipe of indices is full or at its end,
-    and another worker ends at a claim once worker 0 has ended.
-    """
-
-    def __init__(self, trace, nodes: int) -> None:
-        self.me = 0
-        self.parent = os.getpid()  # worker 0
-        self.next = 0  # index of the next subtree root
-        self.claimed = -1  # the index this worker last claimed
-        self.open: int | None = None  # the subtree being walked
-        self.start = nodes  # node count where the record being kept began
-        self.buffer = bytearray()  # trace bytes of the record being kept
-        self.tokens = -1  # read end of the pipe of subtree indices
-        self.out = -1  # another worker: write end of its pipe to worker 0
-        # worker 0: the trace hash and node count the records join into; one
-        # pipe per other worker still to send, and its pid
-        self.trace = trace
-        self.nodes = nodes
-        self.pids: list[int] = []
-        self.fds: list[int] = []
-        self.records: dict[int, tuple[int, bytes, list[int] | bool | None]] = {}
-
-    def walks(self, depth: int, nodes: int) -> bool:
-        """Whether the worker walks the node it is about to try at ``depth``,
-        at most ``_SPLIT_DEPTH``, with ``nodes`` counted."""
-        if self.open is not None:  # the node ends the open subtree
-            self._keep(self.open, nodes)
-            self.open = None
-        if depth < _SPLIT_DEPTH:
-            return True
-        k = self.next
-        if self.claimed < k:
-            self.claimed = self._claim()
-        self.next = k + 1
-        if self.claimed == k:
-            self.open = k
-            return True
-        self.start = nodes
-        self.buffer.clear()
-        return False
-
-    def finish(
-        self, colors: list[int] | None, nodes: int
-    ) -> tuple[str, list[int] | None, int, str | None]:
-        """The result of the walk's end, an avoiding coloring or the tree's;
-        another worker sends its records and ends here."""
-        if colors is not None:
-            while os.read(self.tokens, 1 << 16):  # no later subtree is claimed
-                pass
-        self._keep(self.next if self.open is None else self.open, nodes,
-                   True if colors is None else colors)
-        if self.me:
-            with open(self.out, "wb") as fh:
-                fh.write(marshal.dumps(self.records))
-            os._exit(0)
-        while self.pids:
-            w = len(self.pids)
-            with open(self.fds.pop(), "rb") as fh:
-                data = fh.read()
-            status = os.waitpid(self.pids.pop(), 0)[1]
-            if status:
-                raise RuntimeError(f"search worker {w} failed with wait status {status}")
-            self.records.update(marshal.loads(data))
-        for k in range(len(self.records) + 1):  # a last record comes by then
-            if k not in self.records:
-                raise RuntimeError(f"search workers sent no record of subtree {k}")
-            count, data, last = self.records[k]
-            self.nodes += count
-            if type(last) is list:
-                return AVOIDING, last, self.nodes, None
-            self.trace.update(data)
-            if last:
-                break
-        return EXHAUSTED, None, self.nodes, self.trace.hexdigest()
-
-    def close(self) -> None:
-        """End another worker; in worker 0, kill and reap every other one."""
-        if self.me:
-            os._exit(1)
-        if self.pids:  # a search that ended early, or a failed fork
-            import signal  # here, not at the top: its import costs about 1 ms
-
-            for pid in self.pids:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-        for fd in self.fds:
-            os.close(fd)
-        if self.tokens >= 0:
-            os.close(self.tokens)
-
-    def _claim(self) -> int:
-        """The next subtree index no worker has claimed, or one past every
-        index once none is left; another worker ends here once worker 0 has."""
-        if self.me and os.getppid() != self.parent:
-            os._exit(1)
-        token = os.read(self.tokens, 4)
-        return int.from_bytes(token, "little") if token else sys.maxsize
-
-    def _keep(self, k: int, nodes: int, last: list[int] | bool | None = None) -> None:
-        """Keep record k, of the nodes and trace bytes since the last one."""
-        self.records[k] = (nodes - self.start, bytes(self.buffer), last)
-        self.start = nodes
-        self.buffer.clear()
-
-
 def _search(
     groups: tuple[tuple[int, ...], ...], n: int, r: int, max_nodes: int | None
 ) -> tuple[str, list[int] | None, int, str | None]:
     """(outcome, colors, nodes, digest) of the tree of r colors: the colors of
-    an avoiding coloring and the trace digest of an exhausted tree, else None."""
-    # cons_of[e]: the groups holding e, narrowed to their other members once e
-    # is uncolored with another of its colors still to try
-    cons_of: list[list[tuple[int, ...]]] = [[] for _ in range(n)]
+    an avoiding coloring and the trace digest of an exhausted tree, else None.
+    The groups come sorted by size, as ``constraint_groups`` returns them."""
+    # cons_of[e]: the groups holding e, by size; from e's first selection on,
+    # the other members of its groups of 2, 3, 4 and more, in four lists
+    cons_of: list[list[tuple[int, ...]] | tuple[list, ...]] = [[] for _ in range(n)]
     for group in groups:
         for e in group:
             cons_of[e].append(group)
-    narrowed = bytearray(n)
     # the uncolored elements that are in some group, by descending degree
     todo = sorted((e for e in range(n) if cons_of[e]), key=lambda e: (-len(cons_of[e]), e))
     colors = [-1] * n
@@ -328,7 +139,8 @@ def _search(
                 found = [c if c >= 0 else 0 for c in colors]
                 if split is None:
                     return AVOIDING, found, nodes, None
-                return split.finish(found, nodes)
+                found, nodes, digest = split.finish(found, nodes)
+                return (EXHAUSTED if found is None else AVOIDING), found, nodes, digest
             e, best = -1, r + 1
             for t in todo:
                 size = domain[t].bit_count()
@@ -341,6 +153,25 @@ def _search(
             labels_e = labels[e]
             if labels_e is None:
                 labels_e = labels[e] = [b"%d:%d;" % (e, c) for c in range(r)]
+                held = cons_of[e]
+                # cut by size (counted, not bisected: the bisect module's code
+                # pages would add to the memory of every command)
+                sizes = list(map(len, held))
+                i = sizes.count(1) + sizes.count(2)
+                j = i + sizes.count(3)
+                k = j + sizes.count(4)
+                cons_of[e] = (
+                    # a singleton group (e,) gives e itself: color c, a conflict
+                    [g[-1] if g[0] == e else g[0] for g in held[:i]],
+                    [(b, d) if a == e else (a, d) if b == e else (a, b) for a, b, d in held[i:j]],
+                    [
+                        (b, d, f) if a == e else (a, d, f) if b == e else
+                        (a, b, f) if d == e else (a, b, d)
+                        for a, b, d, f in held[j:k]
+                    ],
+                    [g[:x] + g[x + 1:] for g in held[k:] for x in (g.index(e),)],
+                )
+            ones, twos, threes, rest = cons_of[e]
             # e's colors to try: those open to it, and one brand-new color at most
             opens = domain[e] & ((2 << used) - 1)
             while True:  # try e's next color, or backtrack to a level that has one
@@ -353,7 +184,7 @@ def _search(
                         if split is None:  # fork at the first node no deeper than cut
                             stop, cut = -1, _SPLIT_DEPTH
                             if len(stack) <= cut:
-                                split = _fork(trace, nodes, r)
+                                split = _fork(trace, nodes, r, cut)
                                 if split is None:
                                     cut = -1
                                 else:
@@ -365,18 +196,16 @@ def _search(
                     feed(labels_e[c])
                     colors[e] = c
                     mark = len(trail)
-                    for group in cons_of[e]:
-                        free = -1
-                        for t in group:
-                            ct = colors[t]
-                            if ct == c:
-                                continue
-                            if ct >= 0 or free >= 0:
-                                break  # another color, or a second uncolored member
-                            free = t
-                        else:
-                            if free < 0:
-                                break  # conflict: the whole group has color c
+                    # One loop per group size, over the other members of e's
+                    # groups: if they all have color c, the group is a
+                    # conflict; if all but one member `free` do, c is struck
+                    # from free when it is uncolored.  A loop breaks at a
+                    # conflict, and its else runs the next.
+                    for free in ones:
+                        cf = colors[free]
+                        if cf == c:
+                            break  # conflict: the whole group has color c
+                        if cf < 0:
                             d = domain[free]
                             if d & bit:
                                 domain[free] = d ^ bit
@@ -384,24 +213,83 @@ def _search(
                                 if d == bit:
                                     break  # conflict: free has no color left
                     else:
-                        stack.append((e, at, used, opens, mark, bit))
-                        used = max(used, c + 1)
-                        break
+                        for a, b in twos:
+                            if colors[a] == c:
+                                free = b
+                            elif colors[b] == c:
+                                free = a
+                            else:
+                                continue
+                            cf = colors[free]
+                            if cf == c:
+                                break
+                            if cf < 0:
+                                d = domain[free]
+                                if d & bit:
+                                    domain[free] = d ^ bit
+                                    trail.append(free)
+                                    if d == bit:
+                                        break
+                        else:
+                            for a, b, f in threes:  # branches on colors[a] first
+                                if colors[a] == c:
+                                    if colors[b] == c:
+                                        free = f
+                                    elif colors[f] == c:
+                                        free = b
+                                    else:
+                                        continue
+                                elif colors[b] == c and colors[f] == c:
+                                    free = a
+                                else:
+                                    continue
+                                cf = colors[free]
+                                if cf == c:
+                                    break
+                                if cf < 0:
+                                    d = domain[free]
+                                    if d & bit:
+                                        domain[free] = d ^ bit
+                                        trail.append(free)
+                                        if d == bit:
+                                            break
+                            else:
+                                for group in rest:
+                                    free = -1
+                                    for t in group:
+                                        ct = colors[t]
+                                        if ct == c:
+                                            continue
+                                        if ct >= 0 or free >= 0:
+                                            break  # another color, or a second uncolored member
+                                        free = t
+                                    else:
+                                        if free < 0:
+                                            break
+                                        d = domain[free]
+                                        if d & bit:
+                                            domain[free] = d ^ bit
+                                            trail.append(free)
+                                            if d == bit:
+                                                break
+                                else:
+                                    stack.append((e, at, used, opens, mark, bit))
+                                    used = max(used, c + 1)
+                                    break
                 else:
                     todo.insert(at, e)
                     if not stack:
                         if split is None:
                             return EXHAUSTED, None, nodes, trace.hexdigest()
-                        return split.finish(None, nodes)
+                        found, nodes, digest = split.finish(None, nodes)
+                        return (EXHAUSTED if found is None else AVOIDING), found, nodes, digest
                     e, at, used, opens, mark, bit = stack.pop()
                     labels_e = labels[e]
+                    ones, twos, threes, rest = cons_of[e]
                 colors[e] = -1
                 for t in trail[mark:]:
                     domain[t] |= bit
                 del trail[mark:]
-                if opens and not narrowed[e]:
-                    narrowed[e] = 1
-                    cons_of[e] = [g[:i] + g[i + 1:] for g in cons_of[e] for i in (g.index(e),)]
     finally:
         if split is not None:
             split.close()

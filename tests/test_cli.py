@@ -14,7 +14,7 @@ import time
 
 import pytest
 
-from qramsey import cli, detector, search
+from qramsey import cli, commands, detector, search
 from qramsey.cli import main, parse_args
 from qramsey.cnf import export_cnf
 from qramsey.patterns import builtin_family
@@ -143,7 +143,7 @@ class TestSearch:
         def fault(spec):
             raise KeyError("fault")
 
-        monkeypatch.setattr(cli, "parse_window", fault)
+        monkeypatch.setattr(commands, "parse_window", fault)
         with pytest.raises(KeyError, match="fault"):
             run_cli(["search", "schur", "int:1..5", "-r", "2"])
 
@@ -701,7 +701,7 @@ class TestCnfFlow:
         def refuse(family, window):
             raise AssertionError("candidate table built")
 
-        monkeypatch.setattr(cli, "build_candidates", refuse)
+        monkeypatch.setattr(commands, "build_candidates", refuse)
         sol = tmp_path / "allzero.txt"
         sol.write_text("v " + " ".join(f"{2 * e + 1} {-(2 * e + 2)}" for e in range(5)) + " 0\n")
         code, payload = run_json(["import-sat", "schur", "int:1..5", "-r", "2", str(sol)])
@@ -1007,7 +1007,7 @@ class TestCommandTable:
     def test_every_option_is_read_and_every_read_is_declared(self):
         """The ``args.<name>`` that each handler reads, itself or through the
         module-level functions it calls, are the dests of its arguments."""
-        with open(cli.__file__, encoding="utf-8") as fh:
+        with open(commands.__file__, encoding="utf-8") as fh:
             tree = ast.parse(fh.read())
         functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
 
@@ -1102,8 +1102,8 @@ class TestModuleEntry:
     def run_module(self, *argv, module="qramsey", unbuffered=False, **kwargs):
         command, env = self.module_command(argv, module, unbuffered)
         kwargs.setdefault("stdout", subprocess.PIPE)
-        return subprocess.run(command, env=env,
-                              stderr=subprocess.PIPE, text=True, timeout=60, **kwargs)
+        kwargs.setdefault("stderr", subprocess.PIPE)
+        return subprocess.run(command, env=env, text=True, timeout=60, **kwargs)
 
     def read_one_line(self, argv, unbuffered, runs=20, at_once=4):
         """Exit code and stderr of each of ``runs`` runs of ``argv`` whose
@@ -1171,6 +1171,22 @@ class TestModuleEntry:
                                        preexec_fn=lambda: os.close(1))
                 assert (done.returncode, done.stderr) == (141, ""), (argv, unbuffered)
 
+    @pytest.mark.parametrize("descriptor_2", [
+        lambda: os.close(2),  # as `qramsey ... 2>&-`: sys.stderr is None
+        # open read-only, as a launcher script can leave it for `2>&-`:
+        # each stderr write fails with EBADF
+        lambda: os.dup2(os.open(os.devnull, os.O_RDONLY), 2),
+    ], ids=["closed", "read-only"])
+    def test_stderr_lines_never_change_stdout_or_the_exit_code(self, descriptor_2):
+        for unbuffered in UNBUFFERED:
+            for argv, code, stdout in (
+                (SEARCH, 0, run_cli(SEARCH)[1]),
+                (SEARCH[:-1] + ["0"], 2, ""),  # -r 0: the error line is dropped
+            ):
+                done = self.run_module(*argv, stderr=None, unbuffered=unbuffered,
+                                       preexec_fn=descriptor_2)
+                assert (done.returncode, done.stdout) == (code, stdout), (argv, unbuffered)
+
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     def test_full_stdout_is_an_error(self):
         for unbuffered in UNBUFFERED:
@@ -1198,7 +1214,7 @@ class TestModuleEntry:
         def reader_gone(*args, **kwargs):
             raise BrokenPipeError(32, "Broken pipe")
 
-        monkeypatch.setattr(cli, "open", reader_gone, raising=False)
+        monkeypatch.setattr(commands, "open", reader_gone, raising=False)
         with open(tmp_path / "stdout", "w", encoding="utf-8") as stdout:
             monkeypatch.setattr(sys, "stdout", stdout)
             code = main(["export-cnf", "schur", "int:1..4", "-r", "2",

@@ -13,6 +13,7 @@ compared with that row's own table.  The per-color-class check of
 ``find_witness`` without a table is compared with the scan of the table.
 """
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -32,7 +33,7 @@ from qramsey.patterns import (
     VarY,
     parse_family,
 )
-from qramsey.search import AVOIDING, EXHAUSTED, search_avoiding, window_for_template
+from qramsey.search import AVOIDING, EXHAUSTED, _search, search_avoiding, window_for_template
 from qramsey.windows import parse_window
 
 import _brute
@@ -130,6 +131,24 @@ def test_search_agrees_with_independent_deciders(draw):
     assert dumps_certificate(certificate_for_result(res)) == dumps_certificate(
         certificate_for_result(again)
     ), case
+
+
+def test_search_trees_of_the_draws_are_pinned():
+    # (outcome, nodes, digest, colors) of _search on every draw's groups with
+    # no budget and budgets 3 and 17: each tree node for node, and each stop.
+    # The draws reach groups of 1 to 4 members, singletons included.
+    runs, sizes = [], set()
+    for draw in range(DRAWS):
+        family, window, r = draw_case(draw)
+        groups = build_candidates(family, window).constraint_groups()
+        sizes.update(map(len, groups))
+        n = window.size()
+        for budget in (None, 3, 17):
+            runs.append(_search(groups, n, min(r, n), budget))
+    assert sizes == {1, 2, 3, 4}
+    assert len(runs) == 3 * DRAWS
+    assert hashlib.sha256(repr(runs).encode()).hexdigest() == (
+        "ac7ba42d9d8149a20e0c158d696e1a90034f9a64e7581443dabc4bf1c8d27d78")
 
 
 def per_color_disagreements():

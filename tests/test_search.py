@@ -130,7 +130,7 @@ class TestOutcomes:
     @pytest.mark.parametrize("max_nodes", [0, 10, 20, 21, 100, 194, 2610])
     def test_node_budget_is_exact(self, max_nodes):
         # The full search takes 2611 nodes.  It first backtracks after node 20,
-        # so node 21 is the first to propagate through other-member groups;
+        # so node 21 is the first to follow an undo of strikes;
         # the root element, of top degree, is backtracked over after node 2611.
         res = search_avoiding(
             builtin_family("vdw(2)"), IntegerInterval(1, 27), 3, max_nodes=max_nodes

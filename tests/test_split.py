@@ -217,6 +217,23 @@ class TestSameResult:
             assert payload["outcome"] == (EXHAUSTED if digest else AVOIDING)
         assert_no_child_left()
 
+    @pytest.mark.parametrize("split_at", [-1, 0], ids=["sequential", "split"])
+    @pytest.mark.parametrize("max_nodes, outcome, nodes, colors", [
+        (None, AVOIDING, 1463, "69b395a903ca05bd7ef8ad3dfc5d88013fe1f8c4bb38238903b0d0f596b9512f"),
+        (700, BUDGET_EXCEEDED, 700, None),
+    ])
+    def test_groups_of_five_members(self, monkeypatch, split_at, max_nodes, outcome, nodes, colors):
+        # Every group has 5 members, which only the generic loop over other
+        # members reads; the fuzz draws reach at most 4.
+        cpus(monkeypatch, 2)
+        monkeypatch.setattr(search, "_SPLIT_AT", split_at)
+        groups, n = instance("x; x + t; x + 2*t; x + 4*t; x + 5*t", "int:1..70")
+        assert {len(g) for g in groups} == {5}
+        got, found, count, digest = search._search(groups, n, 2, max_nodes)
+        assert (got, count, digest) == (outcome, nodes, None)
+        assert (found and hashlib.sha256(bytes(found)).hexdigest()) == colors
+        assert_no_child_left()
+
     @pytest.mark.parametrize("depth", [1, 4])
     def test_golden_records(self, forced, monkeypatch, tmp_path, depth):
         forced(depth)
