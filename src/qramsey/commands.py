@@ -26,7 +26,7 @@ from .colorings import Coloring
 from .detector import build_candidates, find_witness
 from .patterns import Family, parse_family
 from .rado import columns_condition, cross_validate, parse_equation, system_to_family
-from .search import AVOIDING, EXHAUSTED, check_node_budget, search_avoiding, threshold_sweep
+from .search import AVOIDING, EXHAUSTED, check_search_limits, search_avoiding, threshold_sweep
 from .windows import Window, parse_window
 
 
@@ -153,9 +153,7 @@ def cmd_sweep(args, out) -> int:
 
 def cmd_rado(args, out) -> int:
     system = parse_equation(args.equation)
-    check_node_budget(args.nodes)
-    if args.r < 1:
-        raise ValueError(f"need at least one color, got r={args.r}")
+    check_search_limits(args.r, args.nodes)
     if args.n_max < 1:
         raise ValueError(f"need at least one window, got n_max={args.n_max}")
     if args.validate:

@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from .arith import format_rational, parse_int, parse_rational, signed_chunks
 from .patterns import X, AffineTerm, Family, VarY
-from .search import BUDGET_EXCEEDED, EXHAUSTED, check_node_budget, threshold_sweep
+from .search import BUDGET_EXCEEDED, EXHAUSTED, check_search_limits, threshold_sweep
 
 
 MAX_COLUMNS = 20
@@ -156,9 +156,7 @@ def cross_validate(
     family unavoidable, if anywhere.  Each row's search stops after
     ``max_nodes`` nodes (None: no limit).
     """
-    check_node_budget(max_nodes)
-    if r < 1:
-        raise ValueError(f"need at least one color, got r={r}")
+    check_search_limits(r, max_nodes)
     if n_max < 1:
         raise ValueError(f"need at least one window, got n_max={n_max}")
     condition = columns_condition(system)

@@ -72,7 +72,7 @@ except ImportError:
 from .colorings import Coloring
 from .detector import CandidateTable, build_candidates, check_table, find_witness
 from .patterns import Family
-from .split import _fork, _Split
+from .split import _fork
 from .windows import Window, parse_window
 
 AVOIDING = "avoiding"
@@ -80,10 +80,13 @@ EXHAUSTED = "exhausted"
 BUDGET_EXCEEDED = "budget-exceeded"
 
 
-def check_node_budget(max_nodes: int | None) -> None:
-    """Reject a node budget that is not None or a non-negative int."""
+def check_search_limits(r: int, max_nodes: int | None) -> None:
+    """Reject a node budget that is not None or a non-negative int, then a
+    color count below one."""
     if max_nodes is not None and (type(max_nodes) is not int or max_nodes < 0):
         raise ValueError(f"node budget must be a non-negative integer, got {max_nodes!r}")
+    if r < 1:
+        raise ValueError(f"need at least one color, got r={r}")
 
 
 @dataclass(frozen=True)
@@ -132,7 +135,7 @@ def _search(
     # whether to walk it
     stop = _SPLIT_AT if max_nodes is None else max_nodes
     cut = -1
-    split: _Split | None = None
+    split = None  # a split._Split once the search forks
     try:
         while True:  # one pass per level: branch on the uncolored element of fewest colors
             if not todo:
@@ -307,9 +310,7 @@ def search_avoiding(
 
     A given table must be the one built for this family and window.
     """
-    check_node_budget(max_nodes)
-    if r < 1:
-        raise ValueError(f"need at least one color, got r={r}")
+    check_search_limits(r, max_nodes)
     start = time.perf_counter()
     if table is None:
         table = build_candidates(family, window)
@@ -381,14 +382,15 @@ def threshold_sweep(
 
     No monotonicity is assumed and nothing is stored: the caller keeps what
     it needs and may stop at any row, for example the first exhausted one.
-    A bad ladder raises on the first ``next()``.
+    A bad ladder, color count or node budget raises on the first ``next()``,
+    before the top table is built.
 
     Each row's window lies inside the top row's, in the same order, so the
     sweep builds one candidate table, the top row's, and restricts it to
     each lower row.  A top row over the pair or element cap raises
     ValueError before any row is searched.
     """
-    check_node_budget(max_nodes)
+    check_search_limits(r, max_nodes)
     if n_lo > n_hi:
         raise ValueError(f"empty sweep: lo={n_lo} is above hi={n_hi}")
     window_for_template(template, n_lo)  # a bad bound fails before the top table is built

@@ -535,6 +535,18 @@ class TestSweep:
         _check_over_the_pair_cap(argv, capsys, monkeypatch)
         assert not cert_dir.exists()
 
+    def test_zero_colors_rejected_before_the_top_table(self, tmp_path, capsys, monkeypatch):
+        def refuse(family, window):
+            raise AssertionError("candidate table built")
+
+        monkeypatch.setattr(search, "build_candidates", refuse)
+        cert_dir = tmp_path / "certs"
+        code, text = run_cli(["sweep", "schur", "-r", "0", "--template", "farey", "--lo", "1",
+                              "--hi", "40", "--cert-dir", str(cert_dir)])
+        assert (code, text) == (2, "")
+        assert not cert_dir.exists()
+        assert "error: need at least one color, got r=0" in capsys.readouterr().err
+
     def test_budget_row_has_no_certificate(self, tmp_path):
         cert_dir = tmp_path / "certs"
         code, text = run_cli(

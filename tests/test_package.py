@@ -1,4 +1,4 @@
-"""The package's export list and module list, and the independence of the tests' oracles."""
+"""The package's modules, its version, and the independence of the tests' oracles."""
 
 import ast
 import builtins
@@ -6,28 +6,13 @@ import os
 import re
 import subprocess
 import sys
+import tomllib
 
 import pytest
 
 import qramsey
 
 TESTS = os.path.dirname(__file__)
-
-
-def test_every_exported_name_resolves():
-    missing = [name for name in qramsey.__all__ if not hasattr(qramsey, name)]
-    assert missing == []
-    assert len(set(qramsey.__all__)) == len(qramsey.__all__)
-
-
-def test_star_import_runs_without_warnings():
-    src = os.path.dirname(os.path.dirname(qramsey.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-W", "error", "-c", "from qramsey import *"],
-        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=60,
-    )
-    assert (done.returncode, done.stderr) == (0, "")
 
 
 def test_cli_import_stays_light():
@@ -69,7 +54,9 @@ def test_hashlib_fallback_gives_the_same_digests():
     src = os.path.dirname(os.path.dirname(qramsey.__file__))
     script = ("import sys\nsys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
               "import hashlib\n"
-              "from qramsey import IntegerInterval, builtin_family, parse_family, search\n"
+              "from qramsey import search\n"
+              "from qramsey.patterns import builtin_family, parse_family\n"
+              "from qramsey.windows import IntegerInterval\n"
               "assert search.sha256 is hashlib.sha256\n"
               "for family, n, r in [(builtin_family('vdw(2)'), 27, 3), (parse_family("
               "'x; x + t; x + 4*t; x + 5*t'), 45, 2), (parse_family('x'), 3, 5)]:\n"
@@ -102,7 +89,7 @@ def test_oracle_imports_nothing_from_qramsey(name):
 
 
 def _unused_imports(path):
-    """Module-level imports of the file that it never reads or exports."""
+    """Module-level imports of the file that it never reads."""
     with open(path, encoding="utf-8") as fh:
         tree = ast.parse(fh.read())
     bound = []
@@ -112,11 +99,6 @@ def _unused_imports(path):
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             bound += [alias.asname or alias.name for alias in node.names]
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    for node in tree.body:  # names exported through __all__ count as read
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            read |= set(ast.literal_eval(node.value))
     return [name for name in bound if name not in read]
 
 
@@ -149,7 +131,7 @@ def _package_imports(path, modules):
 
 
 def test_package_import_graph_is_acyclic(tmp_path):
-    # __init__ imports every module to re-export it, so it is not a node
+    # __init__ imports no module; from . import __version__ reads a name of it
     src = os.path.dirname(qramsey.__file__)
     modules = {name[:-3] for name in os.listdir(src) if name.endswith(".py")} - {"__init__"}
     graph = {m: _package_imports(os.path.join(src, f"{m}.py"), modules) for m in modules}
@@ -172,14 +154,19 @@ def test_package_import_graph_is_acyclic(tmp_path):
 
 
 def test_every_exported_name_is_read_inside_the_package():
-    # A name that only tests read belongs in the tests, not in src/.
+    # Each public module-level function and class is its module's export, and
+    # the package imports each name from its module; a name that only tests
+    # read belongs in the tests, not in src/.
     src = os.path.dirname(qramsey.__file__)
-    read = set()
+    read, defined = set(), set()
     for name in os.listdir(src):
-        if not name.endswith(".py") or name == "__init__.py":
+        if not name.endswith(".py"):
             continue
         with open(os.path.join(src, name), encoding="utf-8") as fh:
             tree = ast.parse(fh.read())
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                defined.add((name[:-3], node.name))
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
@@ -188,7 +175,15 @@ def test_every_exported_name_is_read_inside_the_package():
             elif isinstance(node, ast.ImportFrom):
                 read |= {alias.name for alias in node.names}
     assert {"find_witness", "__version__"} <= read  # the walk saw calls and imports
-    assert [name for name in qramsey.__all__ if name not in read] == []
+    assert ("search", "search_avoiding") in defined  # and the definitions
+    assert sorted(f"{m}.{n}" for m, n in defined if n not in read) == []
+
+
+def test_version_is_the_one_in_pyproject():
+    # --version and every certificate's tool_version read qramsey.__version__.
+    root = os.path.dirname(TESTS)
+    with open(os.path.join(root, "pyproject.toml"), "rb") as fh:
+        assert tomllib.load(fh)["project"]["version"] == qramsey.__version__
 
 
 def test_exception_classes_are_pinned():

@@ -29,6 +29,7 @@ from qramsey.cli import main
 from qramsey.detector import build_candidates
 from qramsey.patterns import builtin_family, parse_family
 from qramsey.search import AVOIDING, BUDGET_EXCEEDED, EXHAUSTED, search_avoiding
+from qramsey.split import _Split
 from qramsey.windows import parse_window
 
 import test_fuzz
@@ -199,7 +200,7 @@ class TestSameResult:
         cases = small_instances()
         want = [sequential(*case) for case in cases]
         forced(1)
-        monkeypatch.setattr(search._Split, "_claim", rule)
+        monkeypatch.setattr(_Split, "_claim", rule)
         assert [search._search(*case, None) for case in cases] == want
         assert_no_child_left()
 
@@ -343,8 +344,8 @@ class TestAvoidingColorings:
         assert place(labels, split_at, depth) == where
         monkeypatch.setattr(search, "_SPLIT_AT", split_at)
         forced(depth)
-        for rule in (round_robin, to_the_child, to_worker_0, search._Split._claim):
-            monkeypatch.setattr(search._Split, "_claim", rule)
+        for rule in (round_robin, to_the_child, to_worker_0, _Split._claim):
+            monkeypatch.setattr(_Split, "_claim", rule)
             assert search._search(groups, n, r, None) == want
             assert_no_child_left()
 
@@ -358,7 +359,7 @@ class TestAvoidingColorings:
         assert (want[0], f) == (AVOIDING, 3)
         monkeypatch.setattr(search, "_SPLIT_AT", 3)
         forced(4)
-        claim, claimed = search._Split._claim, []
+        claim, claimed = _Split._claim, []
 
         def logged(split):
             if split.me == 0:
@@ -368,7 +369,7 @@ class TestAvoidingColorings:
                 return claimed[-1]
             return claim(split)
 
-        monkeypatch.setattr(search._Split, "_claim", logged)
+        monkeypatch.setattr(_Split, "_claim", logged)
         with deadline(60):
             assert search._search(groups, n, 2, None) == want
         assert claimed == [sys.maxsize]
@@ -387,7 +388,7 @@ class TestNoProcessLeft:
     def test_interrupted_parent_reaps_its_children(self, forced, monkeypatch):
         forced(4)
         parent = os.getpid()
-        walks = search._Split.walks
+        walks = _Split.walks
         calls = []
 
         def interrupted(self, depth, nodes):
@@ -397,7 +398,7 @@ class TestNoProcessLeft:
                     raise KeyboardInterrupt
             return walks(self, depth, nodes)
 
-        monkeypatch.setattr(search._Split, "walks", interrupted)
+        monkeypatch.setattr(_Split, "walks", interrupted)
         groups, n = instance("x; x + t; x + 4*t; x + 5*t", "int:1..40")
         with pytest.raises(KeyboardInterrupt):
             search._search(groups, n, 2, None)
@@ -449,8 +450,8 @@ class TestLiveness:
         # with worker 2 ended, and worker 0 must take in both.
         forced(2)
         cpus(monkeypatch, 3)
-        monkeypatch.setattr(search._Split, "_claim", to_the_child)
-        keep, finish = search._Split._keep, search._Split.finish
+        monkeypatch.setattr(_Split, "_claim", to_the_child)
+        keep, finish = _Split._keep, _Split.finish
         before = open_fds()
         gate_r, gate_w = os.pipe()
 
@@ -465,8 +466,8 @@ class TestLiveness:
                 os.write(gate_w, b"g")
             return finish(split, colors, nodes)
 
-        monkeypatch.setattr(search._Split, "_keep", gated_keep)
-        monkeypatch.setattr(search._Split, "finish", gated_finish)
+        monkeypatch.setattr(_Split, "_keep", gated_keep)
+        monkeypatch.setattr(_Split, "finish", gated_finish)
         groups, n = instance("x; x + t; x + 4*t; x + 5*t", "int:1..45")
         try:
             with deadline(60):
@@ -484,7 +485,7 @@ class TestLiveness:
         # once worker 1 has ended.  Worker 0 raises; it never waits forever.
         forced(4)
         cpus(monkeypatch, k)
-        claim = search._Split._claim
+        claim = _Split._claim
 
         def dying(split):
             if split.me == 0 and not hasattr(split, "waited"):
@@ -495,7 +496,7 @@ class TestLiveness:
                 os.kill(os.getpid(), signal.SIGKILL)
             return claim(split)
 
-        monkeypatch.setattr(search._Split, "_claim", dying)
+        monkeypatch.setattr(_Split, "_claim", dying)
         groups, n = instance("x; x + t; x + 4*t; x + 5*t", "int:1..45")
         before = open_fds()
         with deadline(60), pytest.raises(RuntimeError, match="search worker 1 failed"):
@@ -507,14 +508,14 @@ class TestLiveness:
         # The child claims every subtree and sends its records, but not that
         # of subtree 2: worker 0 raises at the gap.
         forced(4)
-        monkeypatch.setattr(search._Split, "_claim", to_the_child)
-        keep = search._Split._keep
+        monkeypatch.setattr(_Split, "_claim", to_the_child)
+        keep = _Split._keep
 
         def lossy(split, k, nodes, last=None):
             if split.me == 0 or k != 2:
                 keep(split, k, nodes, last)
 
-        monkeypatch.setattr(search._Split, "_keep", lossy)
+        monkeypatch.setattr(_Split, "_keep", lossy)
         groups, n = instance("x; x + t; x + 4*t; x + 5*t", "int:1..45")
         before = open_fds()
         with deadline(60), pytest.raises(RuntimeError, match="no record of subtree 2"):
@@ -532,10 +533,11 @@ class TestLiveness:
         script = (
             "import os, signal, time\n"
             "from qramsey import search\n"
+            "from qramsey.split import _Split\n"
             "os.sched_getaffinity = lambda pid: {0, 1, 2}\n"
             "search._SPLIT_AT, search._SPLIT_DEPTH = 0, 4\n"
             "ready_r, ready_w = os.pipe()\n"
-            "claim = search._Split._claim\n"
+            "claim = _Split._claim\n"
             "def wait_then_claim(split):\n"
             "    if split.me:\n"
             "        os.write(ready_w, b'w')\n"
@@ -549,7 +551,7 @@ class TestLiveness:
             "        ready += os.read(ready_r, 2 - len(ready))\n"
             "    print(*split.pids, flush=True)\n"
             "    os.kill(os.getpid(), signal.SIGKILL)\n"
-            "search._Split._claim = wait_then_claim\n"
+            "_Split._claim = wait_then_claim\n"
             "from qramsey.cli import main\n"
             "main(['search', 'x; x + t; x + 4*t; x + 5*t', 'int:1..45', '-r', '2'])\n"
         )
