@@ -34,8 +34,7 @@ from __future__ import annotations
 import json
 import os
 import re
-from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 from . import __version__
 from .colorings import Coloring
@@ -155,8 +154,7 @@ def load_certificate(path: str) -> dict:
     return cert
 
 
-@dataclass(frozen=True)
-class VerificationResult:
+class VerificationResult(NamedTuple):
     ok: bool
     message: str
     witness: Witness | None = None

@@ -20,18 +20,16 @@ least-index rule, so the instance is equisatisfiable with the search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .arith import parse_int
-from .colorings import Coloring
+from .colorings import Coloring, check_colors
 from .detector import CandidateTable, build_candidates, check_table
 from .patterns import Family
 from .windows import Window
 
 
-@dataclass(frozen=True)
-class CnfInstance:
+class CnfInstance(NamedTuple):
     family: Family
     window: Window
     r: int
@@ -54,8 +52,7 @@ def _var(element: int, color: int, r: int) -> int:
 def export_cnf(
     family: Family, window: Window, r: int, table: CandidateTable | None = None
 ) -> CnfInstance:
-    if r < 1:
-        raise ValueError(f"need at least one color, got r={r}")
+    check_colors(r)
     if table is None:
         table = build_candidates(family, window)
     else:
@@ -122,8 +119,7 @@ def import_assignment(window: Window, r: int, literals: Iterable[int]) -> Colori
     element with no true color violates the at-least-one clause and is
     rejected.
     """
-    if r < 1:
-        raise ValueError(f"need at least one color, got r={r}")
+    check_colors(r)
     n = window.size()
     k = min(r, n)
     truth: dict[int, bool] = {}

@@ -8,13 +8,18 @@ from typing import Sequence
 from .windows import Window
 
 
+def check_colors(r: int) -> None:
+    """Reject a color count below one."""
+    if r < 1:
+        raise ValueError(f"need at least one color, got r={r}")
+
+
 class Coloring:
     __slots__ = ("window", "colors", "r")
 
     def __init__(self, window: Window, colors: Sequence[int], r: int) -> None:
         colors = tuple(colors)
-        if r < 1:
-            raise ValueError("need at least one color")
+        check_colors(r)
         if len(colors) != window.size():
             raise ValueError(f"{len(colors)} colors for a window of size {window.size()}")
         bad = next((c for c in colors if not 0 <= c < r), None)

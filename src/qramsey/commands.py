@@ -22,7 +22,7 @@ from .certificates import (
     write_certificate,
 )
 from .cnf import export_cnf, import_assignment, parse_assignment, to_dimacs
-from .colorings import Coloring
+from .colorings import Coloring, check_colors
 from .detector import build_candidates, find_witness
 from .patterns import Family, parse_family
 from .rado import columns_condition, cross_validate, parse_equation, system_to_family
@@ -69,7 +69,7 @@ def _witness_json(w) -> dict | None:
 
 def _result_json(res) -> dict:
     return {
-        "family": res.family_text,
+        "family": res.family.serialize(),
         "window": res.window_spec,
         "r": res.r,
         "outcome": res.outcome,
@@ -201,8 +201,7 @@ def cmd_export_cnf(args, out) -> int:
 def cmd_import_sat(args, out) -> int:
     family = _resolve_family(args)
     window = parse_window(args.window)
-    if args.r < 1:
-        raise ValueError(f"need at least one color, got r={args.r}")
+    check_colors(args.r)  # before the model is read
     with open(args.assignment, "r", encoding="utf-8") as fh:
         literals = parse_assignment(fh.read())
     coloring = import_assignment(window, args.r, literals)
@@ -227,7 +226,3 @@ def cmd_verify(args, out) -> int:
     if res.ok:
         return 0
     return 1 if res.checked else 3
-
-
-# ---------------------------------------------------------------------------
-# Command table

@@ -56,7 +56,6 @@ size instead of quadratic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, groupby
 from math import gcd, lcm
 from operator import itemgetter
@@ -78,8 +77,7 @@ from .windows import Window
 PAIR_CAP = 25_000_000
 
 
-@dataclass(frozen=True)
-class CandidateTable:
+class CandidateTable(NamedTuple):
     family: Family
     window: Window
     entries: tuple[tuple[int, int, tuple[int, ...]], ...]  # (x, y, values) index triples

@@ -31,12 +31,17 @@ part.  It works on numerators and denominators with ``int`` arithmetic, no
 Fraction operations: ``c*x`` (plus an offset) and ``P(y)`` cost one gcd per
 element (P is held as integer coefficients over one common denominator), and
 ``x`` and ``y^a`` of a reduced pair are already reduced, so they cost none.
+
+Terms and families are NamedTuples, so they compare as plain tuples: the
+three term types have 0, 1 and 2 fields, so no two of them are equal.  Their
+constructors check nothing; the readers ``parse_family`` and
+``builtin_family``, through which all outside text passes, reject what the
+grammar rules out, and build every term in normal form.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import NamedTuple, Sequence
@@ -47,7 +52,6 @@ from .arith import (
     format_rational,
     from_exponents,
     parse_rational,
-    polynomial,
     read_exponent,
     read_monomials,
 )
@@ -76,8 +80,7 @@ def _reduced(num: int, den: int) -> Pair:
     return num // g, den // g
 
 
-@dataclass(frozen=True)
-class VarY:
+class VarY(NamedTuple):
     def value(self, x: Fraction, y: Fraction) -> Fraction:
         return y
 
@@ -90,8 +93,7 @@ class VarY:
         return "y"
 
 
-@dataclass(frozen=True)
-class PowerTerm:
+class PowerTerm(NamedTuple):
     """x * y^exponent; negative exponents divide.
 
     y = ±1 realizes every exponent a.  Another y realizes a only while 2^a is
@@ -101,10 +103,6 @@ class PowerTerm:
     """
 
     exponent: int
-
-    def __post_init__(self) -> None:
-        if self.exponent == 0:
-            raise ValueError("power term exponent must be nonzero")
 
     def value(self, x: Fraction, y: Fraction) -> Fraction:
         return x * y**self.exponent
@@ -126,26 +124,17 @@ class PowerTerm:
         return f"x / y^{-self.exponent}"
 
 
-@dataclass(frozen=True)
-class AffineTerm:
-    """x_coef * x + poly(y).
+class AffineTerm(NamedTuple):
+    """x_coef * x + poly(y), x_coef nonzero.
 
-    poly is a coefficient tuple, index i holding the coefficient of y^i; any
-    coefficient list given is put in the normal form of ``arith.polynomial``,
-    so equal terms compare and hash equal.  poly has a nonzero constant only
-    when it is that constant and x_coef is 1: the offset term x + c.
+    poly is a coefficient tuple, index i holding the coefficient of y^i, in
+    the normal form of ``arith.polynomial``: the term grammar builds it so,
+    and so equal terms compare and hash equal.  poly has a nonzero constant
+    only when it is that constant and x_coef is 1: the offset term x + c.
     """
 
     x_coef: Fraction
     poly: tuple[Fraction, ...] = ()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "x_coef", Fraction(self.x_coef))
-        object.__setattr__(self, "poly", polynomial(self.poly))
-        if self.x_coef == 0:
-            raise ValueError("affine term needs a nonzero x coefficient")
-        if self.poly and self.poly[0] and (self.uses_y or self.x_coef != 1):
-            raise ValueError("affine term polynomial must have zero constant term")
 
     def value(self, x: Fraction, y: Fraction) -> Fraction:
         acc = Fraction(0)
@@ -191,24 +180,16 @@ class AffineTerm:
         return f"{xpart} + {ptext}"
 
 
-X = AffineTerm(1)
+X = AffineTerm(Fraction(1))
 
 
 PatternTerm = VarY | PowerTerm | AffineTerm
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(NamedTuple):
     terms: tuple[PatternTerm, ...]
     require_distinct_values: bool = False
     strict_nonzero_x: bool = False
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "terms", tuple(self.terms))
-        if not self.terms:
-            raise ValueError("family needs at least one term")
-        if len(set(self.terms)) != len(self.terms):
-            raise ValueError("duplicate terms in family")
 
     @property
     def requires_nonzero_x(self) -> bool:
@@ -227,8 +208,7 @@ class Family:
         return "; ".join(t.text() for t in self.terms)
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     """A monochromatic instantiation: values in term order, all one color."""
 
     x: Fraction
@@ -304,7 +284,7 @@ def _parse_term(chunk: str, allow_offsets: bool) -> PatternTerm:
             return AffineTerm(c1, poly)
         if len(poly) == 1 and c1 == 1 and scalings <= {1}:
             if allow_offsets:
-                return AffineTerm(1, poly)
+                return AffineTerm(c1, poly)
             raise ValueError("constant term must be zero (offset terms are disabled)")
         raise ValueError("constant term must be zero")
     raise ValueError(f"unrecognized term {s!r}")
@@ -337,11 +317,14 @@ def parse_family(
                 at = offset + len(chunk) - len(chunk.lstrip())
                 raise ValueError(f"{exc} (position {at})") from None
             offset += len(chunk) + 1
-    return Family(
-        tuple(terms),
-        require_distinct_values=require_distinct_values,
-        strict_nonzero_x=strict_nonzero_x,
-    )
+    return _family(terms, require_distinct_values, strict_nonzero_x)
+
+
+def _family(terms: list[PatternTerm], *flags: bool) -> Family:
+    """The family of terms read from text, each read once; ValueError otherwise."""
+    if len(set(terms)) != len(terms):
+        raise ValueError("duplicate terms in family")
+    return Family(tuple(terms), *flags)
 
 
 # ---------------------------------------------------------------------------
@@ -403,6 +386,6 @@ def builtin_family(key: str) -> Family:
             if not all(p.strip() for p in tails):
                 raise ValueError("empty list entry")
         texts = head.format(digits).split(";") + [f"x + {p}" for p in tails]
-        return Family(tuple(_parse_term(t, False) for t in texts))
+        return _family([_parse_term(t, False) for t in texts])
     except ValueError as exc:
         raise KeyError(f"bad catalog key {key!r}: {exc}") from None

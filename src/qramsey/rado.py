@@ -7,10 +7,11 @@ free variables; counting them would wrongly certify equations like
 0*x1 + x2 = 0.)  columns_condition tries the subsets in bitmask order, so
 an equation has at most MAX_COLUMNS columns.  Its witness is the block
 partition of the condition: the zero-sum subset, then every other column.
-A LinearSystem is one equation, held as its coefficient tuple; an all-zero
-tuple raises ValueError.  parse_equation rejects an equation over more than
-MAX_COLUMNS variables before it builds the tuple, with the same message
-that columns_condition raises for a wider system built directly.
+A LinearSystem is one equation, held as its tuple of exact coefficients,
+Fractions or ints, and divided only exactly.  parse_equation rejects an
+equation over more than MAX_COLUMNS variables before it builds the tuple,
+with the same message that columns_condition raises for a wider system
+built directly, and then an all-zero equation.
 
 cross_validate maps small equations onto two-variable pattern families and
 compares the verdict with finite search outcomes.  Only equations with two
@@ -21,8 +22,8 @@ reported with no family and no search rows rather than guessed at.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .arith import format_rational, parse_int, parse_rational, signed_chunks
 from .patterns import X, AffineTerm, Family, VarY
@@ -32,15 +33,8 @@ from .search import BUDGET_EXCEEDED, EXHAUSTED, check_search_limits, threshold_s
 MAX_COLUMNS = 20
 
 
-@dataclass(frozen=True)
-class LinearSystem:
+class LinearSystem(NamedTuple):
     coeffs: tuple[Fraction, ...]
-
-    def __post_init__(self) -> None:
-        coeffs = tuple(map(Fraction, self.coeffs))
-        object.__setattr__(self, "coeffs", coeffs)
-        if not any(coeffs):
-            raise ValueError("the equation is all zero")
 
 
 _EQ_TERM_RE = re.compile(r"^(?P<coef>-?\d+(?:/\d+)?)?\s*\*?\s*x(?P<idx>\d+)$")
@@ -71,11 +65,12 @@ def parse_equation(text: str) -> LinearSystem:
     width = max(coeffs)
     if width > MAX_COLUMNS:
         raise ValueError(f"{width} columns exceed the cap {MAX_COLUMNS}")
+    if not any(coeffs.values()):
+        raise ValueError("the equation is all zero")
     return LinearSystem(tuple(coeffs.get(j, Fraction(0)) for j in range(1, width + 1)))
 
 
-@dataclass(frozen=True)
-class ColumnsConditionResult:
+class ColumnsConditionResult(NamedTuple):
     holds: bool
     partition: tuple[tuple[int, ...], ...] | None
     note: str
@@ -103,15 +98,13 @@ def columns_condition(system: LinearSystem) -> ColumnsConditionResult:
 # Cross-validation against search
 
 
-@dataclass(frozen=True)
-class ValidationRow:
+class ValidationRow(NamedTuple):
     n: int
     outcome: str
     nodes: int
 
 
-@dataclass(frozen=True)
-class ConsistencyReport:
+class ConsistencyReport(NamedTuple):
     condition: ColumnsConditionResult
     family_text: str | None  # None when the equation's shape fits no family
     rows: tuple[ValidationRow, ...]
@@ -129,14 +122,13 @@ def system_to_family(system: LinearSystem) -> tuple[Family | None, str]:
         return None, "single active variables force the value zero"
     if len(active) == 2:
         (_, c1), (_, c2) = active
-        q = -c1 / c2
+        q = Fraction(-c1, c2)
         family = Family((X,) if q == 1 else (X, AffineTerm(q)))
         return family, f"x2 = {format_rational(q)} * x1"
     if len(active) == 3:
         (_, c1), (_, c2), (_, c3) = active
-        xc = -c1 / c3
-        yc = -c2 / c3
-        family = Family((X, VarY(), AffineTerm(xc, (0, yc))))
+        poly = (Fraction(0), Fraction(-c2, c3))
+        family = Family((X, VarY(), AffineTerm(Fraction(-c1, c3), poly)))
         return family, "x3 solved in terms of x1, x2"
     return None, "more than three active variables do not fit the pattern grammar"
 

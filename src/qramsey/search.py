@@ -59,7 +59,7 @@ from __future__ import annotations
 
 import time
 from collections.abc import Iterator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 try:
     from _sha2 import sha256  # Python 3.12 and later
@@ -69,7 +69,7 @@ except ImportError:
     except ImportError:  # an interpreter built without either
         from hashlib import sha256
 
-from .colorings import Coloring
+from .colorings import Coloring, check_colors
 from .detector import CandidateTable, build_candidates, check_table, find_witness
 from .patterns import Family
 from .split import _fork
@@ -85,19 +85,16 @@ def check_search_limits(r: int, max_nodes: int | None) -> None:
     color count below one."""
     if max_nodes is not None and (type(max_nodes) is not int or max_nodes < 0):
         raise ValueError(f"node budget must be a non-negative integer, got {max_nodes!r}")
-    if r < 1:
-        raise ValueError(f"need at least one color, got r={r}")
+    check_colors(r)
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(NamedTuple):
     outcome: str
     coloring: Coloring | None
     nodes: int
     proof_log_hash: str | None
     wall_time: float
     family: Family
-    family_text: str
     window_spec: str
     r: int
     max_nodes: int | None
@@ -326,7 +323,6 @@ def search_avoiding(
             proof_log_hash=digest,
             wall_time=time.perf_counter() - start,
             family=family,
-            family_text=family.serialize(),
             window_spec=window.spec_string(),
             r=r,
             max_nodes=max_nodes,

@@ -28,5 +28,5 @@ class TestColoring:
             c.color_of(9)
 
     def test_at_least_one_color(self):
-        with pytest.raises(ValueError, match="^need at least one color$"):
+        with pytest.raises(ValueError, match="^need at least one color, got r=0$"):
             Coloring(IntegerInterval(1, 1), [0], 0)

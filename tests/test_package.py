@@ -21,7 +21,12 @@ def test_cli_import_stays_light():
     # process; signal, about 1 ms to import, is imported only to end workers,
     # and no worker waits on select, not even in a split.  mmap is never used.
     # The trace hash is the interpreter's own SHA-256, so hashlib never loads
-    # OpenSSL.  -S keeps site from loading modules before the import.
+    # OpenSSL.  Records are NamedTuples, so dataclasses and the inspect, ast,
+    # dis and tokenize it loads stay out.  -S keeps site from loading modules
+    # before the import.
+    forbidden = ("multiprocessing", "concurrent", "threading", "pickle", "selectors", "signal",
+                 "select", "mmap", "hashlib", "_hashlib", "dataclasses", "inspect", "ast", "dis",
+                 "tokenize")
     src = os.path.dirname(os.path.dirname(qramsey.__file__))
     script = ("import io, os, sys\nbefore = set(sys.modules)\nimport qramsey.cli\n"
               "print(' '.join(sorted(set(sys.modules) - before)))\n"
@@ -31,8 +36,7 @@ def test_cli_import_stays_light():
               "sys.stderr = io.StringIO()\n"
               "qramsey.cli.main(['search', 'x; x + t; x + 4*t; x + 5*t', 'int:1..45', '-r', '2'],"
               " out=io.StringIO())\n"
-              "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] in "
-              "('select', 'selectors', 'hashlib', '_hashlib'))))\n")
+              f"print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] in {forbidden!r})))\n")
     done = subprocess.run(
         [sys.executable, "-S", "-c", script],
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
@@ -41,8 +45,6 @@ def test_cli_import_stays_light():
     loaded, after_split = done.stdout.split("\n")[:2]
     loaded = loaded.split()
     assert "qramsey.search" in loaded  # the subprocess saw the import
-    forbidden = ("multiprocessing", "concurrent", "threading", "pickle", "selectors", "signal",
-                 "select", "mmap", "hashlib", "_hashlib")
     assert [m for m in loaded if m.split(".")[0] in forbidden] == []
     assert after_split == ""
 

@@ -9,7 +9,6 @@ from qramsey.arith import polynomial
 from qramsey.patterns import (
     X,
     AffineTerm,
-    Family,
     PowerTerm,
     VarY,
     builtin_family,
@@ -66,43 +65,43 @@ class TestInstantiationGuards:
 
 
 class TestFamilyValidation:
+    """The readers check what the record constructors take unchecked."""
+
     def test_duplicate_terms_rejected(self):
-        with pytest.raises(ValueError, match="duplicate"):
-            Family((X, X))
+        # text and catalog keys pass through the one duplicate check
+        with pytest.raises(ValueError, match="^duplicate terms in family$"):
+            parse_family("x; x")
+        with pytest.raises(
+            ValueError, match=r"^bad catalog key 'quotient-poly\(1,\[t;t\]\)': duplicate terms in family$"
+        ):
+            parse_family("quotient-poly(1,[t;t])")
 
     def test_empty_family_rejected(self):
-        with pytest.raises(ValueError):
-            Family(())
-
-    def test_power_exponent_nonzero(self):
-        with pytest.raises(ValueError):
-            PowerTerm(0)
+        with pytest.raises(ValueError, match=r"^empty term \(position 0\)$"):
+            parse_family("")
 
     def test_affine_constant_term_rejected(self):
-        with pytest.raises(ValueError, match="zero constant term"):
-            AffineTerm(Fraction(1), polynomial([1, 1]))
-        with pytest.raises(ValueError, match="zero constant term"):
-            AffineTerm(Fraction(2), polynomial([3]))  # an offset has x coefficient 1
+        # an offset has x coefficient 1
+        with pytest.raises(ValueError, match=r"^constant term must be zero \(position 0\)$"):
+            parse_family("2*x + 3", allow_offsets=True)
 
-    def test_affine_zero_x_coefficient_rejected(self):
-        with pytest.raises(ValueError, match="nonzero x coefficient"):
-            AffineTerm(Fraction(0), polynomial([0, 1]))
-
-    def test_affine_term_owns_the_normal_form(self):
-        # a coefficient list is normalized, so its term equals the parsed one
-        a = AffineTerm(1, [0, 2, 0])
+    def test_the_reader_owns_the_normal_form(self):
+        # trailing zeros are stripped and coefficients are Fractions, so equal
+        # terms compare and hash equal
+        (a,) = parse_family("x + 2*t + 0*t^3").terms
         b = AffineTerm(Fraction(1), (Fraction(0), Fraction(2)))
         assert a == b
         assert hash(a) == hash(b)
-        assert a.poly == (Fraction(0), Fraction(2))
+        assert all(type(c) is Fraction for c in (a.x_coef, *a.poly))
         with pytest.raises(ValueError, match="^duplicate terms in family$"):
             parse_family("x + 2*t; x + 2*t + 0*t^3")
 
-    def test_offset_zero_rejected(self):
-        # x + 0 is x itself, so beside x it is a duplicate
-        assert AffineTerm(1, polynomial([0])) == X
-        with pytest.raises(ValueError, match="duplicate"):
-            Family((X, AffineTerm(1, polynomial([0]))))
+    def test_term_types_never_compare_equal(self):
+        # records compare as plain tuples; the term types have 0, 1 and 2 fields
+        terms = [VarY(), PowerTerm(1), X, AffineTerm(Fraction(2))]
+        for i, a in enumerate(terms):
+            for b in terms[i + 1:]:
+                assert a != b, (a, b)
 
 
 class TestParse:
@@ -455,8 +454,8 @@ def draw_term_text(rng):
             joint = "+ -"
         text += rng.choice(["", " "]) + joint + rng.choice(["", " "]) + mono
         coeffs[k] = coeffs.get(k, 0) + sign * c * Fraction(y_coef) ** k
-    poly = [coeffs.get(e, 0) for e in range(max(coeffs) + 1)]
-    return text, AffineTerm(c1, poly), spellings
+    poly = polynomial(coeffs.get(e, 0) for e in range(max(coeffs) + 1))
+    return text, AffineTerm(Fraction(c1), poly), spellings
 
 
 class TestTermTextFuzz:

@@ -138,8 +138,9 @@ class TestParseEquation:
 
 class TestSystemValidation:
     def test_all_zero_row(self):
-        with pytest.raises(ValueError, match="^the equation is all zero$"):
-            LinearSystem((Fraction(0), Fraction(0)))
+        for text in ("0*x1 + 0*x2 = 0", "x1 - x1 = 0"):
+            with pytest.raises(ValueError, match="^the equation is all zero$"):
+                parse_equation(text)
 
     def test_column_cap(self):
         wide = LinearSystem((1,) * 21)
@@ -209,6 +210,19 @@ class TestSystemToFamily:
         family, _ = system_to_family(LinearSystem((1, 0, 1, -1)))
         assert family is not None
         assert family.serialize() == "x; y; x + t"
+
+    def test_int_coefficients_stay_exact(self):
+        # a system built from ints is divided exactly: no float reaches a family
+        for coeffs in ((2, -1), (1, 1, -1), (3, 2, -4)):
+            family, _ = system_to_family(LinearSystem(coeffs))
+            assert all(
+                type(c) is Fraction
+                for t in family.terms if isinstance(t, AffineTerm)
+                for c in (t.x_coef, *t.poly)
+            ), coeffs
+        report = cross_validate(LinearSystem((3, 2, -4)), r=2, n_max=4)
+        assert report.family_text == "x; y; 3/4*x + 1/2*t"
+        assert report == cross_validate(parse_equation("3*x1 + 2*x2 - 4*x3 = 0"), r=2, n_max=4)
 
     def test_single_active_unsupported(self):
         family, note = system_to_family(LinearSystem((0, 2)))
