@@ -114,15 +114,13 @@ def signed_chunks(text: str) -> Iterator[tuple[int, str]]:
     """Split a sum such as '2*t - t^3' into (sign, chunk) pairs.
 
     A chunk runs from just after its optional leading '+' or '-' up to the
-    next sign outside parentheses, so '(-1*y)' stays whole.  Whitespace
-    before a sign is skipped, whitespace inside a chunk is kept.
+    next sign outside parentheses, so '(-1*y)' stays whole.  Whitespace is
+    kept in the chunks, so callers strip the text first.
     """
     pos, n = 0, len(text)
     while pos < n:
-        while pos < n and text[pos].isspace():
-            pos += 1
         sign = 1
-        if pos < n and text[pos] in "+-":
+        if text[pos] in "+-":
             sign = -1 if text[pos] == "-" else 1
             pos += 1
         start, depth = pos, 0
@@ -141,7 +139,7 @@ def read_monomials(text: str) -> Iterator[tuple[str | None, int, Fraction | int]
     parenthesized token; a constant has variable None and exponent 0.  An
     exponent above MAX_EXPONENT is an error.
     """
-    s = text.rstrip()
+    s = text.strip()
     if not s:
         raise ValueError("empty polynomial")
     for sign, chunk in signed_chunks(s):

@@ -10,7 +10,9 @@ one color"):
 * propagation is forced-color elimination: after an element takes color c,
   the other members of every group holding it are scanned, and a group whose
   members all have color c but one uncolored member has c struck from that
-  member's domain; a group all of color c is a conflict;
+  member's domain.  So no element ever takes a color that makes a group of
+  two or more monochromatic, and every conflict is a domain that loses its
+  last color (or a singleton group, which ``search_avoiding`` decides first);
 * symmetry breaking fixes the first assigned element to color 0 and only
   admits a brand-new color directly after the existing ones.
 
@@ -197,10 +199,12 @@ def _search(
                     colors[e] = c
                     mark = len(trail)
                     # One loop per group size, over the other members of e's
-                    # groups: if they all have color c, the group is a
-                    # conflict; if all but one member `free` do, c is struck
-                    # from free when it is uncolored.  A loop breaks at a
-                    # conflict, and its else runs the next.
+                    # groups: if all but one member `free` have color c, c is
+                    # struck from free when it is uncolored.  No group of two
+                    # or more is ever all of color c, since c was struck from
+                    # e when its other members all took it, so a conflict is
+                    # a domain losing its last color, or a singleton group.
+                    # A loop breaks at a conflict, and its else runs the next.
                     for free in ones:
                         cf = colors[free]
                         if cf == c:
@@ -220,10 +224,7 @@ def _search(
                                 free = a
                             else:
                                 continue
-                            cf = colors[free]
-                            if cf == c:
-                                break
-                            if cf < 0:
+                            if colors[free] < 0:
                                 d = domain[free]
                                 if d & bit:
                                     domain[free] = d ^ bit
@@ -243,10 +244,7 @@ def _search(
                                     free = a
                                 else:
                                     continue
-                                cf = colors[free]
-                                if cf == c:
-                                    break
-                                if cf < 0:
+                                if colors[free] < 0:
                                     d = domain[free]
                                     if d & bit:
                                         domain[free] = d ^ bit
@@ -264,8 +262,6 @@ def _search(
                                             break  # another color, or a second uncolored member
                                         free = t
                                     else:
-                                        if free < 0:
-                                            break
                                         d = domain[free]
                                         if d & bit:
                                             domain[free] = d ^ bit

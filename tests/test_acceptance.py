@@ -25,7 +25,7 @@ from qramsey.certificates import (
     verify_certificate,
     write_certificate,
 )
-from qramsey.windows import FareyWindow, IntegerInterval, MultiplicativeGrid
+from qramsey.windows import parse_window
 
 import _brute
 from _dpll import model_literals, solve
@@ -46,19 +46,19 @@ def _run_cli(argv):
 def test_criterion_01_schur_threshold_anchor():
     family = builtin_family("schur")
     t0 = time.perf_counter()
-    res4 = search_avoiding(family, IntegerInterval(1, 4), 2)
-    res5 = search_avoiding(family, IntegerInterval(1, 5), 2)
+    res4 = search_avoiding(family, parse_window("int:1..4"), 2)
+    res5 = search_avoiding(family, parse_window("int:1..5"), 2)
     small = time.perf_counter() - t0
     assert res4.outcome == AVOIDING
     assert find_witness(family, res4.coloring) is None
     assert res5.outcome == EXHAUSTED
-    assert not _brute.avoidable(family, IntegerInterval(1, 5), 2)
-    assert _brute.avoidable(family, IntegerInterval(1, 4), 2)
+    assert not _brute.avoidable(family, parse_window("int:1..5"), 2)
+    assert _brute.avoidable(family, parse_window("int:1..4"), 2)
     assert small < 1.0, f"two-color anchor took {small:.3f}s"
 
     t0 = time.perf_counter()
-    res13 = search_avoiding(family, IntegerInterval(1, 13), 3)
-    res14 = search_avoiding(family, IntegerInterval(1, 14), 3)
+    res13 = search_avoiding(family, parse_window("int:1..13"), 3)
+    res14 = search_avoiding(family, parse_window("int:1..14"), 3)
     big = time.perf_counter() - t0
     assert res13.outcome == AVOIDING
     assert find_witness(family, res13.coloring) is None
@@ -70,14 +70,14 @@ def test_criterion_01_schur_threshold_anchor():
 def test_criterion_02_progression_threshold_anchor():
     family = builtin_family("vdw(2)")
     t0 = time.perf_counter()
-    res8 = search_avoiding(family, IntegerInterval(1, 8), 2)
-    res9 = search_avoiding(family, IntegerInterval(1, 9), 2)
+    res8 = search_avoiding(family, parse_window("int:1..8"), 2)
+    res9 = search_avoiding(family, parse_window("int:1..9"), 2)
     elapsed = time.perf_counter() - t0
     assert res8.outcome == AVOIDING
     assert find_witness(family, res8.coloring) is None
     assert res9.outcome == EXHAUSTED
-    assert not _brute.avoidable(family, IntegerInterval(1, 9), 2)
-    assert _brute.avoidable(family, IntegerInterval(1, 8), 2)
+    assert not _brute.avoidable(family, parse_window("int:1..9"), 2)
+    assert _brute.avoidable(family, parse_window("int:1..8"), 2)
     assert elapsed < 1.0, f"took {elapsed:.3f}s"
     print(f"criterion 2: threshold 8/9 in {elapsed:.3f}s")
 
@@ -85,12 +85,12 @@ def test_criterion_02_progression_threshold_anchor():
 def test_criterion_03_offset_family_stays_avoidable():
     family = parse_family("x; x + 3", allow_offsets=True)
     t0 = time.perf_counter()
-    window = IntegerInterval(1, 10_000)
+    window = parse_window("int:1..10000")
     colors = [((v - 1) // 3) % 2 for v in range(1, 10_001)]
     coloring = Coloring(window, colors, 2)
     assert find_witness(family, coloring) is None
     for n in range(1, 101):
-        res = search_avoiding(family, IntegerInterval(1, n), 2)
+        res = search_avoiding(family, parse_window(f"int:1..{n}"), 2)
         assert res.outcome == AVOIDING, f"unexpected outcome at n={n}"
         assert find_witness(family, res.coloring) is None
     elapsed = time.perf_counter() - t0
@@ -109,7 +109,7 @@ def test_criterion_04_columns_condition_consistency():
     non_regular = columns_condition(LinearSystem((1, 1, -3)))
     assert non_regular.holds is False
     family, _ = system_to_family(LinearSystem((1, 1, -3)))
-    res = search_avoiding(family, IntegerInterval(1, 30), 4)
+    res = search_avoiding(family, parse_window("int:1..30"), 4)
     assert res.outcome == AVOIDING
     assert find_witness(family, res.coloring) is None
     elapsed = time.perf_counter() - t0
@@ -119,11 +119,11 @@ def test_criterion_04_columns_condition_consistency():
 
 def test_criterion_05_cnf_matches_native_search():
     windows = [
-        IntegerInterval(1, 6),
-        IntegerInterval(1, 10),
-        IntegerInterval(1, 16),
-        FareyWindow(2),
-        MultiplicativeGrid([2, 3], 1),
+        parse_window("int:1..6"),
+        parse_window("int:1..10"),
+        parse_window("int:1..16"),
+        parse_window("farey:2"),
+        parse_window("mgrid:2,3:1"),
     ]
     t0 = time.perf_counter()
     checked = sat_count = 0
@@ -152,13 +152,13 @@ def test_criterion_05_cnf_matches_native_search():
 
 def test_criterion_06_detector_agrees_with_oracle():
     setups = {
-        "schur": IntegerInterval(1, 40),
-        "vdw(2)": IntegerInterval(1, 40),
-        "moreira(1)": IntegerInterval(1, 24),
-        "bowen-sabok(1)": MultiplicativeGrid([2, 3], 1),
-        "question-hs": MultiplicativeGrid([2, 3], 1),
-        "quotient-poly(1,[t])": FareyWindow(3),
-        "product-poly(1,[t])": FareyWindow(3),
+        "schur": parse_window("int:1..40"),
+        "vdw(2)": parse_window("int:1..40"),
+        "moreira(1)": parse_window("int:1..24"),
+        "bowen-sabok(1)": parse_window("mgrid:2,3:1"),
+        "question-hs": parse_window("mgrid:2,3:1"),
+        "quotient-poly(1,[t])": parse_window("farey:3"),
+        "product-poly(1,[t])": parse_window("farey:3"),
     }
     assert set(setups) == set(STOCK_KEYS)
     t0 = time.perf_counter()
@@ -191,7 +191,7 @@ def test_criterion_07_farey_sweep_with_certificates(tmp_path):
         ns, exhausted = [], []
         for n, window, res in threshold_sweep(family, 2, "farey", 1, 8):
             ns.append(n)
-            assert window == FareyWindow(n)
+            assert window == parse_window(f"farey:{n}")
             assert res.outcome in (AVOIDING, EXHAUSTED)
             if res.outcome == EXHAUSTED:
                 exhausted.append(n)
@@ -239,10 +239,10 @@ def test_criterion_10_reproducibility():
         json.loads(first[1])  # stdout is valid JSON
 
     cases = [
-        (builtin_family("schur"), IntegerInterval(1, 4), AVOIDING),
-        (builtin_family("schur"), IntegerInterval(1, 5), EXHAUSTED),
-        (builtin_family("vdw(2)"), IntegerInterval(1, 8), AVOIDING),
-        (builtin_family("vdw(2)"), IntegerInterval(1, 9), EXHAUSTED),
+        (builtin_family("schur"), parse_window("int:1..4"), AVOIDING),
+        (builtin_family("schur"), parse_window("int:1..5"), EXHAUSTED),
+        (builtin_family("vdw(2)"), parse_window("int:1..8"), AVOIDING),
+        (builtin_family("vdw(2)"), parse_window("int:1..9"), EXHAUSTED),
     ]
     for family, window, expected in cases:
         res = search_avoiding(family, window, 2)
@@ -255,8 +255,8 @@ def test_criterion_11_schur_number_four():
     # under smallest-domain branching with four colors.
     family = builtin_family("schur")
     t0 = time.perf_counter()
-    res44 = search_avoiding(family, IntegerInterval(1, 44), 4)
-    res45 = search_avoiding(family, IntegerInterval(1, 45), 4)
+    res44 = search_avoiding(family, parse_window("int:1..44"), 4)
+    res45 = search_avoiding(family, parse_window("int:1..45"), 4)
     elapsed = time.perf_counter() - t0
     assert res44.outcome == AVOIDING
     assert find_witness(family, res44.coloring) is None
@@ -276,8 +276,8 @@ def test_criterion_12_quotient_family_three_colors():
     # of farey:6 avoids it, none of farey:7 does.
     family = parse_family("quotient-poly(1,[t])", require_distinct_values=True)
     t0 = time.perf_counter()
-    res6 = search_avoiding(family, FareyWindow(6), 3)
-    res7 = search_avoiding(family, FareyWindow(7), 3)
+    res6 = search_avoiding(family, parse_window("farey:6"), 3)
+    res7 = search_avoiding(family, parse_window("farey:7"), 3)
     elapsed = time.perf_counter() - t0
     assert (res6.outcome, res6.nodes) == (AVOIDING, 817)
     assert find_witness(family, res6.coloring) is None

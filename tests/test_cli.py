@@ -18,7 +18,7 @@ from qramsey import cli, commands, detector, search
 from qramsey.cli import main, parse_args
 from qramsey.cnf import export_cnf
 from qramsey.patterns import builtin_family
-from qramsey.windows import IntegerInterval, parse_window
+from qramsey.windows import parse_window
 
 from _dpll import model_literals, solve
 
@@ -460,6 +460,13 @@ class TestCertificates:
         assert time.perf_counter() - start < 1
         assert "window farey:1000000 has over" in capsys.readouterr().err
 
+    def test_farey_window_too_large_to_count_is_reported_before_the_color_count(self, capsys):
+        # The window is refused when its spec is read, before r is checked.
+        assert run_cli(["search", "schur", "farey:1000000", "-r", "0"]) == (2, "")
+        assert capsys.readouterr().err == (
+            "error: window farey:1000000 has over 500000000000 elements, cap is 10000000\n"
+        )
+
     @pytest.mark.parametrize("window", [
         "mgrid:1000000016000000063:1",  # (10^9 + 7)(10^9 + 9)
         "mgrid:1000000000000000003:1",
@@ -654,7 +661,7 @@ class TestCnfFlow:
         )]
 
     def test_import_past_the_window_size(self, tmp_path):
-        cnf = export_cnf(builtin_family("schur"), IntegerInterval(1, 4), 9)
+        cnf = export_cnf(builtin_family("schur"), parse_window("int:1..4"), 9)
         assert (cnf.colors, cnf.num_vars) == (4, 16)
         model = solve(cnf.num_vars, cnf.clauses)
         sol = tmp_path / "model.txt"
@@ -664,7 +671,7 @@ class TestCnfFlow:
         assert max(payload["coloring"]) < 4
 
     def test_export_import_round_trip(self, tmp_path):
-        cnf = export_cnf(builtin_family("schur"), IntegerInterval(1, 4), 2)
+        cnf = export_cnf(builtin_family("schur"), parse_window("int:1..4"), 2)
         model = solve(cnf.num_vars, cnf.clauses)
         assert model is not None
         sol = tmp_path / "model.txt"
@@ -682,7 +689,7 @@ class TestCnfFlow:
 
     def test_import_reads_a_minisat_result_file(self, tmp_path, capsys):
         # minisat q.cnf q.out writes SAT or UNSAT, then the model on one line
-        cnf = export_cnf(builtin_family("schur"), IntegerInterval(1, 4), 2)
+        cnf = export_cnf(builtin_family("schur"), parse_window("int:1..4"), 2)
         model = solve(cnf.num_vars, cnf.clauses)
         sol = tmp_path / "q.out"
         sol.write_text("SAT\n" + " ".join(str(l) for l in model_literals(model)) + " 0\n")
@@ -722,7 +729,7 @@ class TestCnfFlow:
     def test_import_builds_no_constraint_groups(self, tmp_path, monkeypatch):
         # The variable numbering depends on the window size and r only, so
         # reading a model needs neither the constraint groups nor the clauses.
-        cnf = export_cnf(builtin_family("schur"), IntegerInterval(1, 4), 2)
+        cnf = export_cnf(builtin_family("schur"), parse_window("int:1..4"), 2)
         sol = tmp_path / "model.txt"
         sol.write_text(" ".join(str(l) for l in model_literals(solve(cnf.num_vars, cnf.clauses))))
 

@@ -11,7 +11,7 @@ from qramsey.cnf import (
 from qramsey.detector import build_candidates, find_witness
 from qramsey.patterns import builtin_family
 from qramsey.search import AVOIDING, EXHAUSTED, search_avoiding
-from qramsey.windows import FareyWindow, IntegerInterval
+from qramsey.windows import parse_window
 
 import _brute
 from _dpll import model_literals, solve
@@ -20,14 +20,14 @@ from _stock import STOCK_KEYS
 
 class TestStructure:
     def test_variable_layout(self):
-        cnf = export_cnf(builtin_family("schur"), IntegerInterval(1, 4), 3)
+        cnf = export_cnf(builtin_family("schur"), parse_window("int:1..4"), 3)
         assert cnf.num_vars == 12
         # element e in color c is variable e*r + c + 1: the at-least-one rows
         assert cnf.clauses[:4] == ((1, 2, 3), (4, 5, 6), (7, 8, 9), (10, 11, 12))
 
     def test_clause_counts(self):
         family = builtin_family("schur")
-        window = IntegerInterval(1, 6)
+        window = parse_window("int:1..6")
         r = 2
         table = build_candidates(family, window)
         cnf = export_cnf(family, window, r, table=table)
@@ -41,7 +41,7 @@ class TestStructure:
             assert all(lit < 0 for lit in cl)
 
     def test_dimacs_shape(self):
-        cnf = export_cnf(builtin_family("vdw(2)"), IntegerInterval(1, 5), 2)
+        cnf = export_cnf(builtin_family("vdw(2)"), parse_window("int:1..5"), 2)
         text = to_dimacs(cnf)
         lines = text.strip().split("\n")
         comments = [l for l in lines if l.startswith("c ")]
@@ -57,16 +57,16 @@ class TestStructure:
     @pytest.mark.parametrize("r", [0, -1])
     def test_no_colors_rejected(self, r):
         with pytest.raises(ValueError, match=f"need at least one color, got r={r}"):
-            export_cnf(builtin_family("schur"), IntegerInterval(1, 5), r)
+            export_cnf(builtin_family("schur"), parse_window("int:1..5"), r)
 
     def test_table_of_another_family_rejected(self):
-        window = IntegerInterval(1, 8)
+        window = parse_window("int:1..8")
         table = build_candidates(builtin_family("schur"), window)
         with pytest.raises(ValueError, match="different family or window"):
             export_cnf(builtin_family("vdw(2)"), window, 2, table=table)
 
 
-SMALL_WINDOWS = [IntegerInterval(1, 6), IntegerInterval(1, 10), FareyWindow(2)]
+SMALL_WINDOWS = [parse_window("int:1..6"), parse_window("int:1..10"), parse_window("farey:2")]
 
 
 class TestOracleEquivalence:
@@ -120,7 +120,7 @@ class TestAssignmentText:
 
 
 class TestImport:
-    WINDOW = IntegerInterval(1, 2)  # two elements, two colors: variables 1..4
+    WINDOW = parse_window("int:1..2")  # two elements, two colors: variables 1..4
 
     def test_least_true_color_wins(self):
         # Every variable true: each element keeps color 0.
@@ -145,9 +145,9 @@ class TestImport:
             import_assignment(self.WINDOW, r, [1, 2, 3, 4])
 
     def test_round_trip_through_dimacs_text(self):
-        cnf = export_cnf(builtin_family("schur"), IntegerInterval(1, 4), 2)
+        cnf = export_cnf(builtin_family("schur"), parse_window("int:1..4"), 2)
         model = solve(cnf.num_vars, cnf.clauses)
         assert model is not None
         text = "v " + " ".join(str(l) for l in model_literals(model)) + " 0\n"
-        coloring = import_assignment(IntegerInterval(1, 4), 2, parse_assignment(text))
+        coloring = import_assignment(parse_window("int:1..4"), 2, parse_assignment(text))
         assert find_witness(builtin_family("schur"), coloring) is None

@@ -15,12 +15,7 @@ import _brute
 from qramsey.colorings import Coloring
 from qramsey.detector import CandidateTable, build_candidates, find_witness
 from qramsey.patterns import builtin_family, instantiate, parse_family
-from qramsey.windows import (
-    FareyWindow,
-    IntegerInterval,
-    MultiplicativeGrid,
-    parse_window,
-)
+from qramsey.windows import parse_window
 
 
 def oracle_has_witness(family, coloring):
@@ -30,13 +25,13 @@ def oracle_has_witness(family, coloring):
 
 
 ORACLE_SETUPS = [
-    ("schur", IntegerInterval(1, 14)),
-    ("vdw(2)", IntegerInterval(1, 14)),
-    ("moreira(1)", IntegerInterval(1, 10)),
-    ("bowen-sabok(1)", FareyWindow(2)),
-    ("quotient-poly(1,[t])", FareyWindow(2)),
-    ("product-poly(1,[t])", MultiplicativeGrid([2, 3], 1)),
-    ("question-hs", MultiplicativeGrid([2, 3], 1)),
+    ("schur", parse_window("int:1..14")),
+    ("vdw(2)", parse_window("int:1..14")),
+    ("moreira(1)", parse_window("int:1..10")),
+    ("bowen-sabok(1)", parse_window("farey:2")),
+    ("quotient-poly(1,[t])", parse_window("farey:2")),
+    ("product-poly(1,[t])", parse_window("mgrid:2,3:1")),
+    ("question-hs", parse_window("mgrid:2,3:1")),
 ]
 
 
@@ -55,7 +50,7 @@ class TestAgainstOracle:
 
     def test_distinct_value_flag_agrees(self):
         family = parse_family("x; y; x + t", require_distinct_values=True)
-        window = IntegerInterval(1, 12)
+        window = parse_window("int:1..12")
         table = build_candidates(family, window)
         rng = random.Random(99)
         for _ in range(100):
@@ -65,7 +60,7 @@ class TestAgainstOracle:
 
     def test_offset_family_agrees(self):
         family = parse_family("x; x + 3", allow_offsets=True)
-        window = IntegerInterval(1, 30)
+        window = parse_window("int:1..30")
         table = build_candidates(family, window)
         rng = random.Random(17)
         for _ in range(100):
@@ -77,7 +72,7 @@ class TestAgainstOracle:
 class TestWitnessContents:
     def test_witness_is_monochromatic_and_faithful(self):
         family = builtin_family("schur")
-        window = IntegerInterval(1, 9)
+        window = parse_window("int:1..9")
         coloring = Coloring(window, [0] * 9, 1)
         w = find_witness(family, coloring)
         assert w is not None
@@ -86,7 +81,7 @@ class TestWitnessContents:
 
     def test_first_witness_in_table_order(self):
         family = builtin_family("schur")
-        window = IntegerInterval(1, 4)
+        window = parse_window("int:1..4")
         coloring = Coloring(window, [0, 0, 0, 0], 1)
         w = find_witness(family, coloring)
         # x-major, y-inner: smallest x then smallest y; 1 + 1 = 2 leads.
@@ -111,7 +106,7 @@ class TestWitnessContents:
 
     def test_wrong_table_entry_raises(self):
         family = builtin_family("schur")
-        window = IntegerInterval(1, 6)
+        window = parse_window("int:1..6")
         coloring = Coloring(window, [0, 0, 0, 1, 1, 1], 2)
         # x = 1, y = 5 gives 1, 5, 6, but the entry names 1, 2, 3, all color 0.
         wrong = CandidateTable(family, window, ((0, 4, (0, 1, 2)),))
@@ -120,7 +115,7 @@ class TestWitnessContents:
 
     def test_no_witness_on_avoiding_coloring(self):
         family = builtin_family("schur")
-        window = IntegerInterval(1, 4)
+        window = parse_window("int:1..4")
         coloring = Coloring(window, [0, 1, 1, 0], 2)
         assert find_witness(family, coloring) is None
 
@@ -128,7 +123,7 @@ class TestWitnessContents:
 class TestTableStructure:
     def test_y_collapse_for_y_free_families(self):
         family = parse_family("x; x + 3", allow_offsets=True)
-        window = IntegerInterval(1, 50)
+        window = parse_window("int:1..50")
         table = build_candidates(family, window)
         # One candidate per x with x+3 in range; no quadratic blowup.
         assert len(table.entries) == 47
@@ -136,21 +131,21 @@ class TestTableStructure:
 
     def test_candidates_skip_zero_y(self):
         family = builtin_family("schur")
-        window = IntegerInterval(-2, 2)
+        window = parse_window("int:-2..2")
         table = build_candidates(family, window)
         zero = window.index_of(0)
         assert all(y != zero for _, y, _ in table.entries)
 
     def test_candidates_skip_zero_x_when_required(self):
         family = builtin_family("moreira(1)")
-        window = IntegerInterval(-3, 3)
+        window = parse_window("int:-3..3")
         table = build_candidates(family, window)
         zero = window.index_of(0)
         assert all(x != zero for x, _, _ in table.entries)
 
     def test_constraint_groups_minimal_and_sorted(self):
         family = builtin_family("schur")
-        window = IntegerInterval(1, 12)
+        window = parse_window("int:1..12")
         groups = build_candidates(family, window).constraint_groups()
         assert groups == tuple(sorted(groups, key=lambda g: (len(g), g)))
         sets = [frozenset(g) for g in groups]
@@ -161,7 +156,7 @@ class TestTableStructure:
 
     def test_every_candidate_implied_by_some_group(self):
         family = builtin_family("vdw(2)")
-        window = IntegerInterval(1, 15)
+        window = parse_window("int:1..15")
         table = build_candidates(family, window)
         groups = [frozenset(g) for g in table.constraint_groups()]
         for _, _, values in table.entries:
@@ -170,21 +165,21 @@ class TestTableStructure:
 
     def test_table_reuse_guard(self):
         family = builtin_family("schur")
-        table = build_candidates(family, IntegerInterval(1, 5))
-        other = Coloring(IntegerInterval(1, 6), [0] * 6, 1)
+        table = build_candidates(family, parse_window("int:1..5"))
+        other = Coloring(parse_window("int:1..6"), [0] * 6, 1)
         with pytest.raises(ValueError, match="different family or window"):
             find_witness(family, other, table)
 
     def test_pair_cap(self):
         family = builtin_family("schur")
-        window = IntegerInterval(1, 6000)
+        window = parse_window("int:1..6000")
         with pytest.raises(
             ValueError, match="^candidate table for int:1..6000 needs 36000000 pairs, cap is 25000000$"
         ):
             build_candidates(family, window)
 
     def test_pair_cap_refuses_before_enumerating(self):
-        window = FareyWindow(2000)  # the count comes from a totient sieve
+        window = parse_window("farey:2000")  # the count comes from a totient sieve
         with pytest.raises(
             ValueError, match="^candidate table for farey:2000 needs 23681372055201 pairs, cap is 25000000$"
         ):
@@ -195,12 +190,12 @@ class TestTableStructure:
         with pytest.raises(
             ValueError, match="^window int:1..100000000 has 100000000 elements, cap is 10000000$"
         ):
-            build_candidates(builtin_family("schur"), IntegerInterval(1, 10**8))
+            build_candidates(builtin_family("schur"), parse_window("int:1..100000000"))
 
     def test_distinct_filter_drops_collapsing_pairs(self):
         fam_loose = parse_family("x; y; x + t")
         fam_strict = parse_family("x; y; x + t", require_distinct_values=True)
-        window = IntegerInterval(1, 8)
+        window = parse_window("int:1..8")
         loose = build_candidates(fam_loose, window)
         strict = build_candidates(fam_strict, window)
         assert len(strict.entries) < len(loose.entries)

@@ -151,6 +151,25 @@ def test_search_trees_of_the_draws_are_pinned():
         "ac7ba42d9d8149a20e0c158d696e1a90034f9a64e7581443dabc4bf1c8d27d78")
 
 
+def test_no_avoiding_search_makes_a_group_monochromatic():
+    # Forced-color elimination strikes c from the last uncolored member of a
+    # group whose other members all have color c, so _search tests no group
+    # of two or more for one color.  A missed conflict changes a pinned tree,
+    # or it leaves an avoiding coloring with a monochromatic group: each
+    # group's colors are read here straight from the result.
+    avoiding = 0
+    for draw in range(DRAWS):
+        family, window, r = draw_case(draw)
+        groups = build_candidates(family, window).constraint_groups()
+        n = window.size()
+        outcome, colors, _, _ = _search(groups, n, min(r, n), None)
+        if outcome == AVOIDING:
+            avoiding += 1
+            for group in groups:
+                assert len({colors[i] for i in group}) > 1, (draw, group)
+    assert avoiding > DRAWS // 10
+
+
 def per_color_disagreements():
     """The draws' colorings on which find_witness without a table, which
     joins once per color class, differs from the scan of the whole table;

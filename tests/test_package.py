@@ -58,11 +58,11 @@ def test_hashlib_fallback_gives_the_same_digests():
               "import hashlib\n"
               "from qramsey import search\n"
               "from qramsey.patterns import builtin_family, parse_family\n"
-              "from qramsey.windows import IntegerInterval\n"
+              "from qramsey.windows import parse_window\n"
               "assert search.sha256 is hashlib.sha256\n"
               "for family, n, r in [(builtin_family('vdw(2)'), 27, 3), (parse_family("
               "'x; x + t; x + 4*t; x + 5*t'), 45, 2), (parse_family('x'), 3, 5)]:\n"
-              "    res = search.search_avoiding(family, IntegerInterval(1, n), r)\n"
+              "    res = search.search_avoiding(family, parse_window(f'int:1..{n}'), r)\n"
               "    print(res.outcome, res.nodes, res.proof_log_hash)\n")
     done = subprocess.run(
         [sys.executable, "-S", "-c", script],

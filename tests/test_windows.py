@@ -1,5 +1,6 @@
 """Window kinds: enumeration order, membership, spec round trips."""
 
+import hashlib
 import time
 from fractions import Fraction
 from math import gcd
@@ -7,12 +8,7 @@ from math import gcd
 import pytest
 
 from qramsey.arith import MAX_EXPONENT
-from qramsey.windows import (
-    FareyWindow,
-    IntegerInterval,
-    MultiplicativeGrid,
-    parse_window,
-)
+from qramsey.windows import parse_window
 
 
 def brute_farey_set(n, include_zero=True, include_negatives=True):
@@ -32,7 +28,7 @@ def brute_farey_set(n, include_zero=True, include_negatives=True):
 
 class TestIntegerInterval:
     def test_basics(self):
-        w = IntegerInterval(-2, 3)
+        w = parse_window("int:-2..3")
         assert w.size() == 6
         assert list(w.elements()) == [Fraction(k) for k in range(-2, 4)]
         assert all(w.index_of(q) is not None for q in (0, -2, 3))
@@ -40,7 +36,7 @@ class TestIntegerInterval:
         assert w.index_of(Fraction(1, 2)) is None
 
     def test_index_of_matches_enumeration(self):
-        w = IntegerInterval(5, 25)
+        w = parse_window("int:5..25")
         for i, v in enumerate(w.elements()):
             assert w.index_of(v) == i
         assert w.index_of(4) is None
@@ -48,10 +44,10 @@ class TestIntegerInterval:
 
     def test_empty_interval_rejected(self):
         with pytest.raises(ValueError, match=r"^empty interval 3\.\.2$"):
-            IntegerInterval(3, 2)
+            parse_window("int:3..2")
 
     def test_spec_round_trip(self):
-        w = IntegerInterval(-4, 17)
+        w = parse_window("int:-4..17")
         assert parse_window(w.spec_string()) == w
 
 
@@ -59,26 +55,26 @@ class TestFareyWindow:
     @pytest.mark.parametrize("n,size", [(1, 3), (2, 7), (3, 15), (8, 87)])
     def test_frozen_sizes(self, n, size):
         # Cross-checked below against the brute-force set.
-        assert FareyWindow(n).size() == size
+        assert parse_window(f"farey:{n}").size() == size
 
     @pytest.mark.parametrize("include_zero", [True, False])
     @pytest.mark.parametrize("include_negatives", [True, False])
     def test_size_is_the_coprime_count(self, include_zero, include_negatives):
         for n in range(1, 61):
             pairs = sum(gcd(a, b) == 1 for a in range(1, n + 1) for b in range(1, n + 1))
-            w = FareyWindow(n, include_zero, include_negatives)
+            w = parse_window(f"farey:{n}" + ":-zero" * (not include_zero) + ":-neg" * (not include_negatives))
             assert w.size() == pairs * (2 if include_negatives else 1) + include_zero
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
     def test_matches_brute_force_set(self, n):
-        w = FareyWindow(n)
+        w = parse_window(f"farey:{n}")
         elems = w.elements()
         assert set(elems) == brute_farey_set(n)
         assert len(elems) == len(set(elems))
         assert len(elems) == w.size()
 
     def test_order_zero_first_then_by_denominator(self):
-        w = FareyWindow(2)
+        w = parse_window("farey:2")
         assert list(w.elements()) == [
             Fraction(0),
             Fraction(-2), Fraction(-1), Fraction(1), Fraction(2),
@@ -86,14 +82,14 @@ class TestFareyWindow:
         ]
 
     def test_flags(self):
-        w = FareyWindow(2, include_zero=False, include_negatives=False)
+        w = parse_window("farey:2:-zero:-neg")
         assert set(w.elements()) == brute_farey_set(2, False, False)
         assert w.index_of(0) is None
         assert w.index_of(Fraction(-1, 2)) is None
         assert w.index_of(Fraction(1, 2)) is not None
 
     def test_contains_checks_lowest_terms_bound(self):
-        w = FareyWindow(3)
+        w = parse_window("farey:3")
         assert w.index_of(Fraction(2, 3)) is not None
         assert w.index_of(Fraction(1, 4)) is None
         assert w.index_of(4) is None
@@ -101,27 +97,27 @@ class TestFareyWindow:
         assert w.index_of(Fraction(2, 4)) is not None
 
     def test_index_of_matches_enumeration(self):
-        w = FareyWindow(4)
+        w = parse_window("farey:4")
         for i, v in enumerate(w.elements()):
             assert w.index_of(v) == i
 
     def test_spec_round_trips(self):
         for w in (
-            FareyWindow(5),
-            FareyWindow(5, include_zero=False),
-            FareyWindow(5, include_negatives=False),
-            FareyWindow(5, include_zero=False, include_negatives=False),
+            parse_window("farey:5"),
+            parse_window("farey:5:-zero"),
+            parse_window("farey:5:-neg"),
+            parse_window("farey:5:-zero:-neg"),
         ):
             assert parse_window(w.spec_string()) == w
 
     def test_bound_validated(self):
         with pytest.raises(ValueError, match="^Farey bound must be at least 1$"):
-            FareyWindow(0)
+            parse_window("farey:0")
 
 
 class TestMultiplicativeGrid:
     def test_frozen_enumeration_two_primes(self):
-        w = MultiplicativeGrid([2, 3], 1)
+        w = parse_window("mgrid:2,3:1")
         want = [
             Fraction(1, 6), Fraction(1, 2), Fraction(3, 2),
             Fraction(1, 3), Fraction(1), Fraction(3),
@@ -131,7 +127,7 @@ class TestMultiplicativeGrid:
         assert w.size() == 9
 
     def test_contains(self):
-        w = MultiplicativeGrid([2, 3], 2)
+        w = parse_window("mgrid:2,3:2")
         assert w.index_of(Fraction(4, 9)) is not None
         assert w.index_of(12) is not None  # 2^2 * 3
         assert w.index_of(8) is None  # exponent 3 over bound
@@ -140,7 +136,7 @@ class TestMultiplicativeGrid:
         assert w.index_of(-2) is None
 
     def test_signed_grid(self):
-        w = MultiplicativeGrid([2], 1, include_sign=True)
+        w = parse_window("mgrid:2:1:+sign")
         assert list(w.elements()) == [
             Fraction(1, 2), Fraction(1), Fraction(2),
             Fraction(-1, 2), Fraction(-1), Fraction(-2),
@@ -149,39 +145,37 @@ class TestMultiplicativeGrid:
         assert w.index_of(0) is None
 
     def test_never_contains_zero(self):
-        for w in (MultiplicativeGrid([5], 3), MultiplicativeGrid([2, 7], 1, True)):
+        for w in (parse_window("mgrid:5:3"), parse_window("mgrid:2,7:1:+sign")):
             assert w.index_of(0) is None
             assert Fraction(0) not in w.elements()
 
     def test_validation(self):
         with pytest.raises(ValueError, match="^4 is not prime$"):
-            MultiplicativeGrid([4], 1)
+            parse_window("mgrid:4:1")
         with pytest.raises(ValueError, match=r"^primes must be distinct: \(3, 3\)$"):
-            MultiplicativeGrid([3, 3], 1)
-        with pytest.raises(ValueError, match="^at least one prime required$"):
-            MultiplicativeGrid([], 1)
+            parse_window("mgrid:3,3:1")
         with pytest.raises(ValueError, match="^exponent bound must lie in 0..64, got -1$"):
-            MultiplicativeGrid([2], -1)
+            parse_window("mgrid:2:-1")
 
     def test_primes_of_2_to_the_32_and_above_rejected_at_once(self):
         start = time.perf_counter()
-        assert MultiplicativeGrid([4294967291], 1).size() == 3  # the largest prime below 2^32
+        assert parse_window("mgrid:4294967291:1").size() == 3  # the largest prime below 2^32
         for p in (2**32 + 15, 1000000016000000063, 1000000000000000003):
             with pytest.raises(ValueError, match=rf"^grid prime {p} is not below 2\^32$"):
-                MultiplicativeGrid([p], 1)
+                parse_window(f"mgrid:{p}:1")
         assert time.perf_counter() - start < 1
 
     def test_exponent_bound_capped(self):
         # Values grow as p^bound, so memory would grow with the bound, not
         # only with the element count that ELEMENT_CAP bounds.
-        assert MultiplicativeGrid([2], MAX_EXPONENT).elements()[-1] == 2**MAX_EXPONENT
+        assert parse_window(f"mgrid:2:{MAX_EXPONENT}").elements()[-1] == 2**MAX_EXPONENT
         for spec in ("mgrid:2:65", "mgrid:2:40000", "mgrid:2,3:20000:+sign"):
             bound = spec.split(":")[2]
             with pytest.raises(ValueError, match=f"^exponent bound must lie in 0..64, got {bound}$"):
                 parse_window(spec)
 
     def test_spec_round_trips(self):
-        for w in (MultiplicativeGrid([2, 3], 2), MultiplicativeGrid([5], 1, True)):
+        for w in (parse_window("mgrid:2,3:2"), parse_window("mgrid:5:1:+sign")):
             assert parse_window(w.spec_string()) == w
 
 
@@ -197,6 +191,7 @@ REJECTED_SPECS = {
     "interval:1..2": "unrecognized window spec 'interval:1..2'",
     "mgrid:a:1": "bad grid parameters in 'mgrid:a:1'",
     "mgrid:1:2": "1 is not prime",
+    "mgrid::1": "bad grid parameters in 'mgrid::1'",
 }
 
 
@@ -241,7 +236,7 @@ class TestParseWindow:
 
 class TestCap:
     def test_size_is_cheap_but_enumeration_is_capped(self):
-        w = IntegerInterval(1, 10**8)
+        w = parse_window("int:1..100000000")
         assert w.size() == 10**8
         with pytest.raises(
             ValueError, match="^window int:1..100000000 has 100000000 elements, cap is 10000000$"
@@ -250,7 +245,46 @@ class TestCap:
 
     @pytest.mark.parametrize("spec", ["farey:4473", "farey:1000000", "farey:1000000:-zero:-neg"])
     def test_farey_window_over_the_cap_is_refused_before_counting(self, spec):
+        # when its spec is read, before anything asks for its size or elements
         start = time.perf_counter()
         with pytest.raises(ValueError, match=f"^window {spec} has over .* elements, cap is 10000000$"):
-            parse_window(spec).elements()
+            parse_window(spec)
         assert time.perf_counter() - start < 1
+
+
+def spec_corpus():
+    zeros = "0" * 40
+    specs = [f"int:{lo}..{hi}" for lo in range(-4, 5) for hi in range(-4, 6)]
+    specs += [f"int:{zeros}1..{zeros}7", f"int:-{zeros}3..0003", "int:-0..-0", "int:007..7",
+              f"int:1..{zeros}", "int:1..10000001"]
+    farey_flags = ["", ":-zero", ":+zero", ":-neg", ":+neg", ":-zero:-neg", ":-neg:-zero",
+                   ":-zero:+zero", ":+neg:-neg:+neg", ":+sign", ":-zero:?", ":"]
+    for n in ["0", "1", "2", "3", "5", "12", "-1", "x", "", "0005", "4473", "1000000"]:
+        specs += [f"farey:{n}{flags}" for flags in farey_flags]
+    grid_flags = ["", ":+sign", ":-sign", ":+sign:-sign", ":-sign:+sign", ":-zero", ":+sign:x"]
+    for primes in ["2", "3", "2,3", "5,2", "2,3,5", "2,3,5,7", "4", "3,3", "1", "",
+                   "2,x", "0002,3", "4294967291", "4294967311", "-2"]:
+        for bound in ["0", "1", "2", "-1", "65", "x", "", "01"]:
+            specs += [f"mgrid:{primes}:{bound}{flags}" for flags in grid_flags]
+    specs += [" int:1..3 ", "interval:1..2", "farey", "mgrid:2", "int:1..2..3", "INT:1..2"]
+    return specs
+
+
+def spec_outcome(spec):
+    try:
+        w = parse_window(spec)
+        return (w.spec_string(), w.size(), [str(q) for q in w.elements()], list(w.pair_index().items()))
+    except ValueError as e:
+        return str(e)
+
+
+def test_spec_corpus_digest_is_pinned():
+    # Each spec's canonical spec, size, elements and pair index, or the
+    # message of the error it raises on the way: a change in how any window
+    # is read, counted or enumerated changes the digest.
+    specs = spec_corpus()
+    digest = hashlib.sha256()
+    for spec in specs:
+        digest.update(repr((spec, spec_outcome(spec))).encode())
+    assert len(specs) == 1086
+    assert digest.hexdigest() == "94eb250381effc5a47bb8260dc541b7bb7d74c5c34c806dbfd123478244a56e5"
