@@ -117,7 +117,8 @@ class CandidateTable(NamedTuple):
         table's window, in the same relative order, which is what keeps the
         entry order x-major with y in window order.
         """
-        where = [window.index_of(v) for v in self.window.elements()]
+        # both indexes are keyed on pair_key, in element order
+        where = list(map(window.pair_index().get, self.window.pair_index()))
         if [j for j in where if j is not None] != list(range(window.size())):
             raise ValueError(
                 f"{window.spec_string()} is not a sub-window of {self.window.spec_string()}"

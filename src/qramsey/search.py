@@ -12,7 +12,7 @@ one color"):
   members all have color c but one uncolored member has c struck from that
   member's domain.  So no element ever takes a color that makes a group of
   two or more monochromatic, and every conflict is a domain that loses its
-  last color (or a singleton group, which ``search_avoiding`` decides first);
+  last color (``search_avoiding`` decides a singleton group before any search);
 * symmetry breaking fixes the first assigned element to color 0 and only
   admits a brand-new color directly after the existing ones.
 
@@ -59,7 +59,6 @@ from a result by the ``certificates`` module, which imports this one.
 
 from __future__ import annotations
 
-import time
 from collections.abc import Iterator
 from typing import NamedTuple
 
@@ -95,7 +94,6 @@ class SearchResult(NamedTuple):
     coloring: Coloring | None
     nodes: int
     proof_log_hash: str | None
-    wall_time: float
     family: Family
     window_spec: str
     r: int
@@ -111,7 +109,7 @@ def _search(
 ) -> tuple[str, list[int] | None, int, str | None]:
     """(outcome, colors, nodes, digest) of the tree of r colors: the colors of
     an avoiding coloring and the trace digest of an exhausted tree, else None.
-    The groups come sorted by size, as ``constraint_groups`` returns them."""
+    The groups, of two or more members, come sorted by size (``constraint_groups``)."""
     # cons_of[e]: the groups holding e, by size; from e's first selection on,
     # the other members of its groups of 2, 3, 4 and more, in four lists
     cons_of: list[list[tuple[int, ...]] | tuple[list, ...]] = [[] for _ in range(n)]
@@ -159,11 +157,10 @@ def _search(
                 # cut by size (counted, not bisected: the bisect module's code
                 # pages would add to the memory of every command)
                 sizes = list(map(len, held))
-                i = sizes.count(1) + sizes.count(2)
+                i = sizes.count(2)
                 j = i + sizes.count(3)
                 k = j + sizes.count(4)
                 cons_of[e] = (
-                    # a singleton group (e,) gives e itself: color c, a conflict
                     [g[-1] if g[0] == e else g[0] for g in held[:i]],
                     [(b, d) if a == e else (a, d) if b == e else (a, b) for a, b, d in held[i:j]],
                     [
@@ -200,16 +197,12 @@ def _search(
                     mark = len(trail)
                     # One loop per group size, over the other members of e's
                     # groups: if all but one member `free` have color c, c is
-                    # struck from free when it is uncolored.  No group of two
-                    # or more is ever all of color c, since c was struck from
-                    # e when its other members all took it, so a conflict is
-                    # a domain losing its last color, or a singleton group.
-                    # A loop breaks at a conflict, and its else runs the next.
+                    # struck from free when it is uncolored.  No group is ever
+                    # all of color c, as c was struck from e when its other
+                    # members all took it, so a conflict is a domain losing its
+                    # last color.  A loop breaks at one; its else runs the next.
                     for free in ones:
-                        cf = colors[free]
-                        if cf == c:
-                            break  # conflict: the whole group has color c
-                        if cf < 0:
+                        if colors[free] < 0:
                             d = domain[free]
                             if d & bit:
                                 domain[free] = d ^ bit
@@ -304,7 +297,6 @@ def search_avoiding(
     A given table must be the one built for this family and window.
     """
     check_search_limits(r, max_nodes)
-    start = time.perf_counter()
     if table is None:
         table = build_candidates(family, window)
     else:
@@ -317,7 +309,6 @@ def search_avoiding(
             coloring=coloring,
             nodes=nodes,
             proof_log_hash=digest,
-            wall_time=time.perf_counter() - start,
             family=family,
             window_spec=window.spec_string(),
             r=r,

@@ -7,6 +7,7 @@ import io
 import json
 import os
 import random
+import re
 import shlex
 import subprocess
 import sys
@@ -533,6 +534,14 @@ class TestSweep:
         rows = text.strip().split("\n")[1:]
         assert len(rows) == 5
         assert rows[-1].split(",")[2] == "exhausted"
+
+    def test_each_row_notes_its_wall_time(self, capsys):
+        assert run_cli(["sweep", "schur", "-r", "2", "--lo", "3", "--hi", "5"])[0] == 0
+        notes = capsys.readouterr().err.splitlines()
+        assert [re.sub(r"\d+\.\d{3}s$", "_s", line) for line in notes] == [
+            "n=3 wall time: _s", "n=4 wall time: _s", "n=5 wall time: _s",
+            "minimal exhausted n: 5", "total wall time: _s",
+        ]
 
     def test_top_row_over_the_pair_cap_ends_the_sweep_before_any_row(
         self, tmp_path, capsys, monkeypatch

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import pytest
 
-from qramsey import detector
+from qramsey import detector, search
 from qramsey.arith import polynomial
 from qramsey.certificates import certificate_for_result, dumps_certificate
 from qramsey.cnf import export_cnf, import_assignment
@@ -31,6 +31,7 @@ from qramsey.patterns import (
     Family,
     PowerTerm,
     VarY,
+    builtin_family,
     parse_family,
 )
 from qramsey.search import AVOIDING, EXHAUSTED, _search, search_avoiding, window_for_template
@@ -136,31 +137,39 @@ def test_search_agrees_with_independent_deciders(draw):
 def test_search_trees_of_the_draws_are_pinned():
     # (outcome, nodes, digest, colors) of _search on every draw's groups with
     # no budget and budgets 3 and 17: each tree node for node, and each stop.
-    # The draws reach groups of 1 to 4 members, singletons included.
-    runs, sizes = [], set()
+    # A draw with a singleton group, which comes first, is decided by
+    # search_avoiding without a search; the others reach groups of 2 to 4.
+    runs, sizes, singletons = [], set(), 0
     for draw in range(DRAWS):
         family, window, r = draw_case(draw)
         groups = build_candidates(family, window).constraint_groups()
+        if groups and len(groups[0]) == 1:
+            res = search_avoiding(family, window, r)
+            assert (res.outcome, res.nodes) == (EXHAUSTED, 0), draw
+            singletons += 1
+            continue
         sizes.update(map(len, groups))
         n = window.size()
         for budget in (None, 3, 17):
             runs.append(_search(groups, n, min(r, n), budget))
-    assert sizes == {1, 2, 3, 4}
-    assert len(runs) == 3 * DRAWS
+    assert sizes == {2, 3, 4}
+    assert len(runs) == 3 * (DRAWS - singletons) == 735
     assert hashlib.sha256(repr(runs).encode()).hexdigest() == (
-        "ac7ba42d9d8149a20e0c158d696e1a90034f9a64e7581443dabc4bf1c8d27d78")
+        "1e43b8b6cbae5d4972c507a96a3ac5788ca0d1e24aca8a7c39605aa32ac057d8")
 
 
 def test_no_avoiding_search_makes_a_group_monochromatic():
     # Forced-color elimination strikes c from the last uncolored member of a
     # group whose other members all have color c, so _search tests no group
-    # of two or more for one color.  A missed conflict changes a pinned tree,
-    # or it leaves an avoiding coloring with a monochromatic group: each
-    # group's colors are read here straight from the result.
+    # for one color.  A missed conflict changes a pinned tree, or it leaves
+    # an avoiding coloring with a monochromatic group: each group's colors
+    # are read here straight from the result.
     avoiding = 0
     for draw in range(DRAWS):
         family, window, r = draw_case(draw)
         groups = build_candidates(family, window).constraint_groups()
+        if groups and len(groups[0]) == 1:
+            continue  # search_avoiding decides it without a search
         n = window.size()
         outcome, colors, _, _ = _search(groups, n, min(r, n), None)
         if outcome == AVOIDING:
@@ -168,6 +177,29 @@ def test_no_avoiding_search_makes_a_group_monochromatic():
             for group in groups:
                 assert len({colors[i] for i in group}) > 1, (draw, group)
     assert avoiding > DRAWS // 10
+
+
+def test_search_avoiding_passes_no_singleton_to_the_search(monkeypatch):
+    # _search is called only with groups of two or more members, on which
+    # every conflict is a domain losing its last color.
+    kernel, searched = search._search, []
+
+    def checked(groups, n, r, max_nodes):
+        assert all(len(g) >= 2 for g in groups), groups
+        searched.append(groups)
+        return kernel(groups, n, r, max_nodes)
+
+    monkeypatch.setattr(search, "_search", checked)
+    cases = [draw_case(draw) for draw in range(DRAWS)]
+    cases += [
+        (builtin_family(key), parse_window(spec), r)
+        for key in sorted(STOCK_KEYS)
+        for spec in ("int:1..8", "farey:3", "mgrid:2,3:2")
+        for r in (2, 3)
+    ]
+    for family, window, r in cases:
+        search_avoiding(family, window, r)
+    assert 0 < len(searched) < len(cases)  # singleton instances were decided without a search
 
 
 def per_color_disagreements():

@@ -14,6 +14,7 @@ import contextlib
 import errno
 import hashlib
 import io
+import itertools
 import json
 import os
 import signal
@@ -303,14 +304,14 @@ def sequential_labels(monkeypatch, groups, n, r):
 
 
 class TestDefaultDepth:
-    @pytest.mark.parametrize("spec", ["mgrid:2:3", "mgrid:2,3:1"])
-    def test_seven_colors_write_every_index(self, monkeypatch, spec):
+    def test_seven_colors_write_every_index(self, monkeypatch):
         # With 7 colors or more a search may meet 7! = 5040 subtree roots at
         # the default depth 6, and the pipe holds every index before the fork.
+        # Eight elements that differ pairwise cannot take 7 colors.
         monkeypatch.setattr(search, "_SPLIT_AT", 0)
-        groups, n = instance("x; y; x*y", spec)
+        groups, n = tuple(itertools.combinations(range(8), 2)), 8
         want = sequential(groups, n, 7)
-        assert want[0] == EXHAUSTED
+        assert want[:3] == (EXHAUSTED, None, 7)
         parent, writes = os.getpid(), []
         write = os.write
 
