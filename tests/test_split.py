@@ -304,14 +304,23 @@ def sequential_labels(monkeypatch, groups, n, r):
 
 
 class TestDefaultDepth:
-    def test_seven_colors_write_every_index(self, monkeypatch):
+    @pytest.mark.parametrize("spec", ["mgrid:2:3", "mgrid:2,3:1", "pairs:8"])
+    def test_seven_colors_write_every_index(self, monkeypatch, spec):
         # With 7 colors or more a search may meet 7! = 5040 subtree roots at
-        # the default depth 6, and the pipe holds every index before the fork.
-        # Eight elements that differ pairwise cannot take 7 colors.
+        # the default depth 6, and the pipe holds every index before the fork,
+        # whether the search finds a coloring or not.  The x; y; x*y windows
+        # hold the singleton {1}, which search_avoiding decides before any
+        # search: their other groups take 7 colors.  Eight elements that
+        # differ pairwise cannot.
         monkeypatch.setattr(search, "_SPLIT_AT", 0)
-        groups, n = tuple(itertools.combinations(range(8), 2)), 8
+        if spec == "pairs:8":
+            groups, n = tuple(itertools.combinations(range(8), 2)), 8
+            outcome = EXHAUSTED
+        else:
+            groups, n = instance("x; y; x*y", spec)
+            groups, outcome = tuple(g for g in groups if len(g) > 1), AVOIDING
         want = sequential(groups, n, 7)
-        assert want[:3] == (EXHAUSTED, None, 7)
+        assert want[0] == outcome
         parent, writes = os.getpid(), []
         write = os.write
 
